@@ -99,25 +99,46 @@ def masked_softmax(scores: Tensor, keep: np.ndarray) -> Tensor:
     return nm.softmax(filled, axis=-1)
 
 
-def attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, keep: np.ndarray) -> Tensor:
+def attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, keep: np.ndarray, cache: dict | None = None) -> Tensor:
     """Scaled dot-product attention for one head.
 
     `keep[i, j]` says whether query position i may attend to key position j
     (a 1-D mask is broadcast over queries). Scale is sqrt(per-head dim).
+
+    With a `cache` (this head's dict, empty before the first call) `x` holds
+    only positions not yet seen: their keys and values are appended to the
+    cached "k" and "v", and `keep` has one row per new position and one
+    column per cached-plus-new key.
     """
     q = nm.matmul(x, wq)
     k = nm.matmul(x, wk)
     v = nm.matmul(x, wv)
+    if cache is not None:
+        if cache:
+            k = nm.concat([cache["k"], k])
+            v = nm.concat([cache["v"], v])
+        cache["k"], cache["v"] = k, v
     head_dim = q.shape[1]
     scores = nm.scale(nm.matmul(q, k.T), 1.0 / np.sqrt(head_dim))
     weights = masked_softmax(scores, keep)
     return nm.matmul(weights, v)
 
 
-def encoder_layer(x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_heads: int, ln_eps: float = 1e-5) -> Tensor:
-    """Multi-head attention + residual + LayerNorm, then FFN + residual + LayerNorm."""
+def encoder_layer(
+    x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_heads: int, ln_eps: float = 1e-5, cache: list[dict] | None = None
+) -> Tensor:
+    """Multi-head attention + residual + LayerNorm, then FFN + residual + LayerNorm.
+
+    `cache`, if given, holds one attention_head cache per head."""
     heads = [
-        attention_head(x, params[f"{prefix}.attn.wq{h}"], params[f"{prefix}.attn.wk{h}"], params[f"{prefix}.attn.wv{h}"], keep)
+        attention_head(
+            x,
+            params[f"{prefix}.attn.wq{h}"],
+            params[f"{prefix}.attn.wk{h}"],
+            params[f"{prefix}.attn.wv{h}"],
+            keep,
+            None if cache is None else cache[h],
+        )
         for h in range(num_heads)
     ]
     attn = nm.concat(heads, axis=1)
@@ -128,9 +149,12 @@ def encoder_layer(x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_he
     return nm.layer_norm(x + ff, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], ln_eps)
 
 
-def run_layers(x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5) -> Tensor:
+def run_layers(
+    x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, cache: list[list[dict]] | None = None
+) -> Tensor:
+    """Run the stack; `cache`, if given, holds one encoder_layer cache per layer."""
     for i in range(num_layers):
-        x = encoder_layer(x, params, f"layer{i}", keep, num_heads, ln_eps)
+        x = encoder_layer(x, params, f"layer{i}", keep, num_heads, ln_eps, None if cache is None else cache[i])
     return x
 
 

@@ -4,13 +4,20 @@ The decoder reuses the encoder's transformer blocks under a causal mask:
 position i attends to positions <= i, and the distribution for the next token
 is read from the last position. Long contexts are truncated to the most
 recent `context_window` tokens.
+
+Decoding is KV-cached and gradient-free: `generate` keeps one `KVCache` per
+request, so each step embeds and runs only the newest token against the
+cached keys and values of the earlier ones, and it runs under
+`numerics.no_grad()`, so no autograd graph is built. Once the context passes
+`context_window` the window slides, every absolute position changes, and each
+step recomputes the whole window.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +80,19 @@ class GenerationRequest:
             raise ValueError("temperature must be > 0")
 
 
+@dataclass
+class KVCache:
+    """Keys and values of a context prefix already run through a Decoder.
+
+    `ids` is that prefix (windowed token ids); `layers[i][h]` is the dict
+    attention_head fills for layer i, head h. Create one empty per decoded
+    sequence and pass it to every `lm_logits` call for that sequence.
+    """
+
+    ids: list[int] = field(default_factory=list)
+    layers: list[list[dict]] = field(default_factory=list)
+
+
 class Decoder:
     """Causal transformer LM with a separate output projection head."""
 
@@ -97,8 +117,15 @@ class Decoder:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = np.asarray(arr, dtype=np.float64).copy()
 
-    def logits_matrix(self, ids) -> Tensor:
-        """Per-position next-token logits for a full (windowed) sequence."""
+    def logits_matrix(self, ids, cache: KVCache | None = None) -> Tensor:
+        """Per-position next-token logits for a full (windowed) sequence.
+
+        With a `cache` whose ids are a proper prefix of the windowed ids, only
+        the positions after that prefix are embedded and run, and only their
+        rows are returned. Any other cache (empty, from another context, or
+        one the sliding window has shifted) is dropped and the whole window
+        recomputed. Either way the cache then covers the whole window.
+        """
         ids = list(ids)
         if not ids:
             raise ValueError("empty context")
@@ -107,15 +134,30 @@ class Decoder:
         n = len(ids)
         if max(ids) >= self.config.vocab_size:
             raise ValueError("token id out of vocab range")
-        x = nm.take_rows(self.params["tok_emb"], ids) + nm.take_rows(self.params["pos_emb"], list(range(n)))
-        keep = np.tril(np.ones((n, n), dtype=bool))
-        states = run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps)
+        start = 0
+        layers = None
+        if cache is not None:
+            start = len(cache.ids)
+            if not (0 < start < n and cache.ids == ids[:start]):
+                start = 0
+                cache.layers = [[{} for _ in range(self.config.num_heads)] for _ in range(self.config.num_layers)]
+            cache.ids = []  # stays invalid unless the stack below completes
+            layers = cache.layers
+        x = nm.take_rows(self.params["tok_emb"], ids[start:]) + nm.take_rows(self.params["pos_emb"], list(range(start, n)))
+        keep = np.tril(np.ones((n, n), dtype=bool))[start:]
+        states = run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, layers)
+        if cache is not None:
+            cache.ids = ids
         return nm.matmul(states, self.params["out.w"]) + self.params["out.b"]
 
 
-def lm_logits(model: Decoder, context_ids) -> np.ndarray:
-    """Distribution over the next token given the (windowed) context."""
-    logits = model.logits_matrix(context_ids)
+def lm_logits(model: Decoder, context_ids, cache: KVCache | None = None) -> np.ndarray:
+    """Distribution over the next token given the (windowed) context.
+
+    A `cache` carried across calls for one growing context makes each call
+    run only the tokens added since the last one (see Decoder.logits_matrix).
+    """
+    logits = model.logits_matrix(context_ids, cache)
     last = logits.data[-1]
     shifted = last - last.max()
     e = np.exp(shifted)
@@ -292,7 +334,8 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
 
     Greedy decoding is a pure function of (weights, context); sampling
     strategies are deterministic given the request seed. Returns a dict with
-    the question, the retrieved supplement and the generated answer.
+    the question, the retrieved supplement and the generated answer. Runs
+    under no_grad with one KVCache for the request.
     """
     window = model.config.context_window
     q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
@@ -302,13 +345,15 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     ids = list(prompt.ids)
     generated: list[int] = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
-    for _ in range(limit):
-        probs = lm_logits(model, ids)
-        nxt = _sample_from(probs, request, rng)
-        if nxt == EOS_ID:
-            break
-        generated.append(nxt)
-        ids.append(nxt)
+    cache = KVCache()
+    with nm.no_grad():
+        for _ in range(limit):
+            probs = lm_logits(model, ids, cache)
+            nxt = _sample_from(probs, request, rng)
+            if nxt == EOS_ID:
+                break
+            generated.append(nxt)
+            ids.append(nxt)
     return {
         "question": request.question,
         "supplement": supplement_text,

@@ -9,7 +9,9 @@ writes ``data`` in place, and only between graph builds.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import math
 import struct
 import warnings
 from typing import Callable, Iterable, Mapping, Sequence
@@ -135,9 +137,29 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the graph: inside the block every op output
+    has no parents, no backward closure and requires_grad False, so nothing
+    computed there can be differentiated. Values are computed (and checked
+    for non-finite entries) exactly as outside. Blocks nest; the previous
+    mode is restored on exit, also when the block raises. The mode is
+    process-wide, not per thread."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -319,7 +341,7 @@ def gelu(a: Tensor) -> Tensor:
     a = _wrap(a)
     x = a.data
     with np.errstate(over="ignore"):
-        inner = _GELU_C * (x + 0.044715 * x**3)
+        inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
@@ -700,28 +722,42 @@ def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a truncated or otherwise malformed file raises
+    NumericsError, never a struct or buffer error."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise NumericsError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<Q", blob, 8)
+    offset = 8
+
+    def take(size: int) -> int:
+        """Claim the next `size` bytes; returns where they start."""
+        nonlocal offset
+        if offset + size > len(blob):
+            raise NumericsError(f"truncated checkpoint: needs {offset + size} bytes, file has {len(blob)}")
+        start = offset
+        offset += size
+        return start
+
+    def u64s(count: int) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{count}Q", blob, take(8 * count))
+
+    (version,) = u64s(1)
     if version != CHECKPOINT_VERSION:
         raise NumericsError(f"unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<Q", blob, 16)
-    offset = 24
+    (count,) = u64s(1)
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        dims = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
-        offset += 8 * rank
-        n = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(dims)
-        offset += 8 * n
+        (name_len,) = u64s(1)
+        start = take(name_len)
+        try:
+            name = blob[start:offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NumericsError(f"corrupt tensor name in checkpoint: {exc}") from exc
+        (rank,) = u64s(1)
+        dims = u64s(rank)
+        n = math.prod(dims)
+        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).reshape(dims)
         out[name] = arr.astype(np.float64)
     if offset != len(blob):
         raise NumericsError("trailing bytes in checkpoint")

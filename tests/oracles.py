@@ -11,6 +11,11 @@ import math
 
 import numpy as np
 
+from medkit import kgraph as kg
+from medkit.generator import _sample_from, lm_logits
+from medkit.numerics import Rng
+from medkit.tokenizer import EOS_ID, decode, encode
+
 
 def occurrences(tokens, gram):
     n = len(gram)
@@ -248,3 +253,24 @@ def bf_dendrite(vector, weight_stack):
     for w in weight_stack:
         current = (current * current) @ np.asarray(w, dtype=np.float64)
     return current
+
+
+def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
+    """generate() without a KV cache or no_grad: every step runs the whole
+    windowed context through the stack and records the autograd graph."""
+    window = model.config.context_window
+    q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
+    supplement_text = kg.retrieve(request.question, graph, supplement_max_chars) if graph is not None else ""
+    prompt, _ = kg.supplement(q_seq, supplement_text, vocab, max_len=window)
+    rng = Rng(request.seed).spawn("generator.sample")
+    ids = list(prompt.ids)
+    generated = []
+    limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
+    for _ in range(limit):
+        probs = lm_logits(model, ids)
+        nxt = _sample_from(probs, request, rng)
+        if nxt == EOS_ID:
+            break
+        generated.append(nxt)
+        ids.append(nxt)
+    return {"question": request.question, "supplement": supplement_text, "answer": decode(generated, vocab)}

@@ -1,9 +1,13 @@
 import io
 import json
+import shutil
 import sys
 
-from medkit.cli import EXIT_OK, EXIT_USAGE, RunConfig, build_parser, main
+import pytest
+
+from medkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig, build_parser, main
 from medkit.kgraph import fixture_graph_path
+from medkit.numerics import NumericsError, load_checkpoint
 
 from conftest import CORPUS_SAMPLES, write_corpus
 
@@ -234,6 +238,29 @@ def test_metrics_with_encoder_fills_embedding_metrics(tmp_path, corpus_file, cap
     payload = json.loads(capsys.readouterr().out)
     assert payload["wmd_similarity"] is not None and 0.0 < payload["wmd_similarity"] <= 1.0
     assert payload["embed_f1"] is not None and 0.0 <= payload["embed_f1"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def encoder_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundle")
+    return _pretrain_encoder(root, write_corpus(root / "corpus.jsonl"))
+
+
+# Byte counts kept: inside the file header (the tensor count), inside the
+# first tensor's name-length field, inside its name, and 8 bytes short of the
+# last payload.
+@pytest.mark.parametrize("keep", [20, 30, 35, -8], ids=["file-header", "tensor-header", "name", "payload"])
+def test_truncated_checkpoint_is_runtime_failure(tmp_path, encoder_bundle, capsys, keep):
+    bundle = tmp_path / "enc"
+    shutil.copytree(encoder_bundle, bundle)
+    ckpt = bundle / "encoder.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:keep])
+    with pytest.raises(NumericsError, match="truncated checkpoint"):
+        load_checkpoint(ckpt)
+    gen = tmp_path / "gen.txt"
+    gen.write_text("头痛多喝水\n", encoding="utf-8")
+    assert run(["metrics", "--gen", gen, "--ref", gen, "--encoder", ckpt]) == EXIT_RUNTIME
+    assert "truncated checkpoint" in capsys.readouterr().err
 
 
 def test_metrics_length_mismatch_exit_one(tmp_path, capsys):

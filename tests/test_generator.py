@@ -8,6 +8,7 @@ from medkit.generator import (
     Decoder,
     DecoderConfig,
     GenerationRequest,
+    KVCache,
     LmTrainConfig,
     build_qa_sequence,
     finetune_qa,
@@ -20,6 +21,9 @@ from medkit.generator import (
 from medkit.kgraph import load_triples, fixture_graph_path
 from medkit.numerics import Rng
 from medkit.tokenizer import EOS_ID, build_vocab, encode
+
+from conftest import CORPUS_SAMPLES
+from oracles import generate_uncached
 
 
 @pytest.fixture()
@@ -254,3 +258,78 @@ def test_perplexity_decreases_with_training(vocab):
     after = perplexity(model, texts, vocab)
     assert after < before
     assert after > 1.0
+
+
+def _softmax(row):
+    e = np.exp(row - row.max())
+    return e / e.sum()
+
+
+def _never_eos(model):
+    model.params["out.b"].data[EOS_ID] = -1e3  # decode runs to max_gen_len
+
+
+def test_cached_step_matches_full_recompute_at_every_step(vocab):
+    model = _decoder(vocab, hidden=16, layers=2, window=12, seed=30)
+    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    full_matrix = model.logits_matrix
+    rows_run = []
+
+    def spy(seq, cache=None):
+        out = full_matrix(seq, cache)
+        rows_run.append(out.shape[0])
+        return out
+
+    model.logits_matrix = spy
+    cache = KVCache()
+    with nm.no_grad():
+        for step in range(16):  # runs past the 12-token window
+            probs = lm_logits(model, ids, cache)
+            if step == 0 or len(ids) > 12:
+                assert rows_run[-1] == min(len(ids), 12)  # whole window recomputed
+            else:
+                assert rows_run[-1] == 1  # only the newest position ran
+            assert cache.ids == ids[-12:]
+            full = full_matrix(ids).data[-1]
+            assert np.max(np.abs(probs - _softmax(full))) <= 1e-10
+            ids.append(int(np.argmax(probs)))
+
+
+def test_cache_from_another_context_is_dropped(vocab):
+    model = _decoder(vocab, hidden=16, window=16, seed=31)
+    cache = KVCache()
+    lm_logits(model, encode("头痛发烧", vocab, 12, mode="decoder").ids, cache)
+    other = encode("咳嗽多喝水", vocab, 12, mode="decoder").ids
+    assert np.max(np.abs(lm_logits(model, other, cache) - lm_logits(model, other))) <= 1e-10
+    assert cache.ids == other
+
+
+def test_cached_greedy_matches_uncached_on_fixture_graph_and_qa_set():
+    graph, _ = load_triples(fixture_graph_path())
+    texts = [row["question"] + row["answer"] for row in CORPUS_SAMPLES]
+    texts.append(open(fixture_graph_path(), encoding="utf-8").read())
+    vocab = build_vocab(texts)
+    cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=16, num_layers=2, num_heads=2, ffn_dim=32, context_window=128, max_gen_len=24)
+    model = Decoder(cfg, Rng(32).spawn("dec"))
+    for row in CORPUS_SAMPLES:
+        request = GenerationRequest(question=row["question"], strategy="greedy")
+        assert generate(model, request, graph, vocab) == generate_uncached(model, request, graph, vocab)
+
+
+def test_cached_greedy_matches_uncached_past_the_context_window(vocab):
+    model = _decoder(vocab, hidden=16, layers=2, window=10, seed=33)
+    _never_eos(model)
+    request = GenerationRequest(question="头痛发烧咳嗽", strategy="greedy", max_gen_len=12)
+    prompt_len = len(encode(request.question, vocab, 10, mode="decoder").ids)
+    out = generate(model, request, None, vocab)
+    assert prompt_len + len(out["answer"]) > 10  # the window slid and the cache was rebuilt
+    assert out == generate_uncached(model, request, None, vocab)
+
+
+@pytest.mark.parametrize("strategy", ["top_k", "temperature"])
+def test_cached_sampling_matches_uncached(vocab, strategy):
+    model = _decoder(vocab, hidden=16, layers=2, window=10, seed=34)
+    _never_eos(model)
+    for seed in range(3):
+        request = GenerationRequest(question="咳嗽要保暖", strategy=strategy, top_k=3, temperature=0.7, seed=seed, max_gen_len=12)
+        assert generate(model, request, None, vocab) == generate_uncached(model, request, None, vocab)

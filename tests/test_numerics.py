@@ -129,6 +129,71 @@ def test_backward_accumulates_without_zeroing():
     assert np.allclose(x.grad, [8.0])
 
 
+def test_no_grad_records_no_graph():
+    x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    with nm.no_grad():
+        outs = [x + x, x * 2.0, nm.matmul(x, x), nm.gelu(x), nm.softmax(x), x[0], nm.concat([x, x]), x.sum()]
+        with pytest.raises(NumericsError):
+            nm.exp(Tensor([1000.0], requires_grad=True))  # values are still checked
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward_fn is None
+    assert (x * x)._parents == (x, x)
+
+
+def test_no_grad_restores_mode_after_exception():
+    x = Tensor([1.0], requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with nm.no_grad():
+            raise RuntimeError("boom")
+    assert (x * x).requires_grad
+
+
+def test_no_grad_nests():
+    x = Tensor([1.0], requires_grad=True)
+    with nm.no_grad():
+        with nm.no_grad():
+            assert not (x * x).requires_grad
+        assert not (x * x).requires_grad
+    assert (x * x).requires_grad
+
+
+def test_backward_after_no_grad_block_matches_plain_backward():
+    rng = Rng(13)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3)))
+
+    def grad_of_loss():
+        nm.zero_grads([w])
+        nm.backward(nm.gelu(nm.matmul(x, w)).sum())
+        return w.grad.copy()
+
+    plain = grad_of_loss()
+    with nm.no_grad():
+        nm.gelu(nm.matmul(x, w)).sum()
+    assert np.array_equal(grad_of_loss(), plain)
+
+
+def test_generate_builds_no_graph_and_leaves_grads_unset():
+    from medkit.generator import Decoder, DecoderConfig, GenerationRequest, generate
+    from medkit.tokenizer import build_vocab
+
+    vocab = build_vocab(["头痛发烧咳嗽多喝水"])
+    model = Decoder(DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=1, num_heads=2, context_window=16, max_gen_len=6), Rng(14))
+    seen = []
+    full = model.logits_matrix
+
+    def spy(ids, cache=None):
+        seen.append(full(ids, cache))
+        return seen[-1]
+
+    model.logits_matrix = spy
+    generate(model, GenerationRequest(question="头痛"), None, vocab)
+    assert seen and all(not t.requires_grad and t._parents == () for t in seen)
+    assert all(p.grad is None for p in model.params.values())
+
+
 def test_non_finite_forward_rejected():
     with pytest.raises(NumericsError):
         Tensor([np.inf])
@@ -276,6 +341,16 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPTxxxxxxxx")
     with pytest.raises(NumericsError):
+        nm.load_checkpoint(path)
+
+
+def test_checkpoint_corrupt_name_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nm.save_checkpoint(path, {"w": Tensor([1.0])})
+    blob = bytearray(path.read_bytes())
+    blob[32] = 0xFF  # the one-byte name "w" becomes invalid UTF-8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(NumericsError, match="corrupt tensor name"):
         nm.load_checkpoint(path)
 
 
