@@ -223,16 +223,19 @@ def _load_meta(ckpt_path) -> dict:
     return json.loads(meta_path.read_text(encoding="utf-8"))
 
 
-def _load_vocab_near(ckpt_path) -> tok_mod.Vocab:
+def _load_vocab_near(ckpt_path, vocab_size: int) -> tok_mod.Vocab:
     vocab_path = _bundle_dir(ckpt_path) / "vocab.txt"
     if not vocab_path.exists():
         raise CliError(f"missing vocab file {vocab_path}")
-    return tok_mod.Vocab.load(vocab_path)
+    vocab = tok_mod.Vocab.load(vocab_path)
+    if vocab.size != vocab_size:
+        raise CliError(f"{vocab_path} has {vocab.size} entries but the bundle config says vocab_size {vocab_size}")
+    return vocab
 
 
 def _load_encoder_bundle(ckpt_path) -> tuple[enc_mod.Encoder, tok_mod.Vocab, dict]:
     meta = _load_meta(ckpt_path)
-    vocab = _load_vocab_near(ckpt_path)
+    vocab = _load_vocab_near(ckpt_path, meta["encoder_config"]["vocab_size"])
     config = enc_mod.EncoderConfig(**meta["encoder_config"])
     encoder = enc_mod.Encoder(config, Rng(0))
     state = load_checkpoint(ckpt_path)
@@ -243,7 +246,7 @@ def _load_encoder_bundle(ckpt_path) -> tuple[enc_mod.Encoder, tok_mod.Vocab, dic
 
 def _load_decoder_bundle(ckpt_path) -> tuple[gen_mod.Decoder, tok_mod.Vocab, dict]:
     meta = _load_meta(ckpt_path)
-    vocab = _load_vocab_near(ckpt_path)
+    vocab = _load_vocab_near(ckpt_path, meta["decoder_config"]["vocab_size"])
     config = gen_mod.DecoderConfig(**meta["decoder_config"])
     decoder = gen_mod.Decoder(config, Rng(0))
     decoder.load_state(load_checkpoint(ckpt_path))
@@ -415,7 +418,7 @@ def cmd_train_triage(args) -> int:
 
 def _load_triage_bundle(ckpt_path):
     meta = _load_meta(ckpt_path)
-    vocab = _load_vocab_near(ckpt_path)
+    vocab = _load_vocab_near(ckpt_path, meta["encoder_config"]["vocab_size"])
     encoder = enc_mod.Encoder(enc_mod.EncoderConfig(**meta["encoder_config"]), Rng(0))
     head = triage_mod.TriageHead(triage_mod.TriageConfig(**meta["head_config"]), Rng(0))
     state = load_checkpoint(ckpt_path)
@@ -504,10 +507,7 @@ def cmd_eval_prompt(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     _snapshot_config(cfg, out)
-    meta = _load_meta(args.ckpt)
-    vocab = _load_vocab_near(args.ckpt)
-    encoder = enc_mod.Encoder(enc_mod.EncoderConfig(**meta["encoder_config"]), Rng(0))
-    encoder.load_state(load_checkpoint(args.ckpt))
+    encoder, vocab, meta = _load_encoder_bundle(args.ckpt)
     surfaces = json.loads((_bundle_dir(args.ckpt) / "verbalizer.json").read_text(encoding="utf-8"))
     verbalizer = prompt_mod.Verbalizer.from_surfaces(surfaces, vocab)
     template = prompt_mod.PromptTemplate(**meta["template"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import os
 import struct
 import warnings
 from typing import Callable, Iterable, Mapping, Sequence
@@ -312,10 +313,14 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -364,6 +369,53 @@ def masked_fill(a: Tensor, keep, value: float) -> Tensor:
         return (np.where(keep_arr, g, 0.0),)
 
     return _make(out, (a,), backward_fn)
+
+
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM pass over the rows of x (seq, in_dim) from zero states, as one
+    graph node; returns the (seq, hidden) hidden states in row order. The
+    4 * hidden columns of wx, wh and b are the [input, forget, cell, output]
+    gates. All steps' input projections are one matmul and the backward pass
+    is hand-written BPTT; non-finite gate pre-activations raise NumericsError.
+    """
+    x, wx, wh, b = _wrap(x), _wrap(wx), _wrap(wh), _wrap(b)
+    k = wh.shape[0]
+    if x.ndim != 2 or wx.shape != (x.shape[1], 4 * k) or wh.shape != (k, 4 * k) or b.shape != (4 * k,):
+        raise ShapeError(f"lstm shapes disagree: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    steps = x.data[::-1] if reverse else x.data  # rows in processing order
+    n = steps.shape[0]
+    hs, cs = np.zeros((n + 1, k)), np.zeros((n + 1, k))  # row s: the state before step s
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as the check below
+        z = steps @ wx.data
+        acts = np.empty_like(z)
+        i, f, g, o = np.split(acts, 4, axis=1)  # column views of acts
+        for s in range(n):
+            z[s] = z[s] + hs[s] @ wh.data + b.data
+            acts[s] = _sigmoid(z[s])
+            g[s] = np.tanh(z[s, 2 * k : 3 * k])
+            cs[s + 1] = f[s] * cs[s] + i[s] * g[s]
+            hs[s + 1] = o[s] * np.tanh(cs[s + 1])
+    if not np.all(np.isfinite(z)):
+        raise NumericsError("non-finite lstm gate pre-activations")
+
+    def backward_fn(grad):
+        grad = grad[::-1] if reverse else grad
+        tanh_c = np.tanh(cs[1:])
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        # dz[s] = [dc, dc, dc, dh] * coef[s]: each gate's partner in c or h times its slope
+        coef = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=1)
+        dz = np.empty((n, 4 * k))
+        dh, dc = np.zeros(k), np.zeros(k)
+        for s in range(n - 1, -1, -1):
+            dh = dh + grad[s]
+            dc = dc + dh * dc_dh[s]
+            dz[s] = np.concatenate([dc, dc, dc, dh]) * coef[s]
+            dc = dc * f[s]
+            dh = dz[s] @ wh.data.T
+        dx = dz @ wx.data.T
+        return (dx[::-1] if reverse else dx), steps.T @ dz, hs[:-1].T @ dz, dz.sum(axis=0)
+
+    return _make(hs[:0:-1] if reverse else hs[1:], (x, wx, wh, b), backward_fn)
 
 
 # -- softmax family ----------------------------------------------------------
@@ -705,20 +757,23 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
+    """Write `<path>.tmp` beside `path`, then rename it over `path`, so a failed
+    write keeps the previous file. No fsync: this is not power-loss safe."""
     items = sorted(named.items())
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(items)))
-        for name, value in items:
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<Q", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<Q", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<QQ", CHECKPOINT_VERSION, len(items)))
+            for name, value in items:
+                arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<Q", len(encoded)) + encoded + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

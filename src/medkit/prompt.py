@@ -125,9 +125,8 @@ def score_labels(
     the [PAD] filler positions of short labels are left out of their sums
     (exposed for ablation; the default scores every slot).
     """
-    logits = encoder.mlm_logits(prompt_seq)
-    rows = nm.take_rows(logits, slots)
-    logprobs = nm.log_softmax(rows, axis=-1).data
+    with nm.no_grad():
+        logprobs = nm.log_softmax(nm.take_rows(encoder.mlm_logits(prompt_seq), slots), axis=-1).data
     scores: dict[str, float] = {}
     for label, token_ids in verbalizer.label_tokens.items():
         total = 0.0

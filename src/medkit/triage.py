@@ -56,27 +56,11 @@ class TriageConfig:
 
 
 def lstm_direction(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool):
-    """One LSTM pass over the rows of x (seq, in_dim); returns (outputs, final_h).
-
-    Gate order in the fused projection is [input, forget, cell, output].
-    """
-    seq_len = x.shape[0]
-    hidden = wh.shape[0]
-    h = Tensor(np.zeros((1, hidden)))
-    c = Tensor(np.zeros((1, hidden)))
-    steps = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
-    outputs: list[Tensor] = [None] * seq_len  # type: ignore[list-item]
-    for t in steps:
-        row = x[t : t + 1, :]
-        z = nm.matmul(row, wx) + nm.matmul(h, wh) + b
-        i = nm.sigmoid(z[:, 0:hidden])
-        f = nm.sigmoid(z[:, hidden : 2 * hidden])
-        g = nm.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = nm.sigmoid(z[:, 3 * hidden : 4 * hidden])
-        c = f * c + i * g
-        h = o * nm.tanh(c)
-        outputs[t] = h
-    return outputs, h
+    """One LSTM pass over the rows of x (seq, in_dim); returns (outputs, final_h):
+    the (seq, hidden) hidden states in row order and the (1, hidden) state
+    after the last step taken. Gate order is [input, forget, cell, output]."""
+    outputs = nm.lstm(x, wx, wh, b, reverse)
+    return outputs, outputs[0:1, :] if reverse else outputs[-1:, :]
 
 
 class TriageHead:
@@ -152,8 +136,7 @@ def bilstm(token_reps: Tensor, mask, params: dict, num_layers: int) -> Tensor:
     for layer in range(num_layers):
         outs_f, final_f = lstm_direction(x, params[f"lstm{layer}.fwd.wx"], params[f"lstm{layer}.fwd.wh"], params[f"lstm{layer}.fwd.b"], reverse=False)
         outs_b, final_b = lstm_direction(x, params[f"lstm{layer}.bwd.wx"], params[f"lstm{layer}.bwd.wh"], params[f"lstm{layer}.bwd.b"], reverse=True)
-        per_pos = [nm.concat([f, b], axis=1) for f, b in zip(outs_f, outs_b)]
-        x = nm.concat(per_pos, axis=0)
+        x = nm.concat([outs_f, outs_b], axis=1)
     return nm.concat([final_f, final_b], axis=1).flatten()
 
 
@@ -256,7 +239,8 @@ def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: Triage
 
 
 def predict_labels(encoder: Encoder, head: TriageHead, sequences) -> list[int]:
-    return [int(np.argmax(_forward_sample(encoder, head, seq).data)) for seq in sequences]
+    with nm.no_grad():
+        return [int(np.argmax(_forward_sample(encoder, head, seq).data)) for seq in sequences]
 
 
 # -- evaluation ----------------------------------------------------------------

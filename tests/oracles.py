@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from medkit import kgraph as kg
+from medkit import numerics as nm
 from medkit.generator import _sample_from, lm_logits
-from medkit.numerics import Rng
+from medkit.numerics import Rng, Tensor
 from medkit.tokenizer import EOS_ID, decode, encode
 
 
@@ -274,3 +275,28 @@ def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
         generated.append(nxt)
         ids.append(nxt)
     return {"question": request.question, "supplement": supplement_text, "answer": decode(generated, vocab)}
+
+
+def lstm_direction_ops(x, wx, wh, b, reverse):
+    """One LSTM pass built op by op from autograd Tensors (about 17 graph
+    nodes per step); returns the (seq, hidden) outputs in row order.
+
+    Gate order in the fused projection is [input, forget, cell, output].
+    """
+    seq_len = x.shape[0]
+    hidden = wh.shape[0]
+    h = Tensor(np.zeros((1, hidden)))
+    c = Tensor(np.zeros((1, hidden)))
+    steps = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    outputs = [None] * seq_len
+    for t in steps:
+        row = x[t : t + 1, :]
+        z = nm.matmul(row, wx) + nm.matmul(h, wh) + b
+        i = nm.sigmoid(z[:, 0:hidden])
+        f = nm.sigmoid(z[:, hidden : 2 * hidden])
+        g = nm.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = nm.sigmoid(z[:, 3 * hidden : 4 * hidden])
+        c = f * c + i * g
+        h = o * nm.tanh(c)
+        outputs[t] = h
+    return nm.concat(outputs, axis=0)

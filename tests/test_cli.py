@@ -263,6 +263,33 @@ def test_truncated_checkpoint_is_runtime_failure(tmp_path, encoder_bundle, capsy
     assert "truncated checkpoint" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def lm_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lm")
+    out = root / "lm"
+    assert run(["pretrain-lm", "--in", write_corpus(root / "corpus.jsonl"), "--seed", 5, "--out", out] + TINY) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("kind", ["encoder", "decoder"])
+def test_bundle_vocab_size_mismatch_exits_one(tmp_path, request, capsys, kind):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(request.getfixturevalue("encoder_bundle" if kind == "encoder" else "lm_bundle"), bundle)
+    vocab_path = bundle / "vocab.txt"
+    tokens = vocab_path.read_text(encoding="utf-8").splitlines()
+    vocab_path.write_text("".join(tok + "\n" for tok in tokens[:-1]), encoding="utf-8")
+    capsys.readouterr()
+    if kind == "encoder":
+        gen = tmp_path / "gen.txt"
+        gen.write_text("头痛多喝水\n", encoding="utf-8")
+        code = run(["metrics", "--gen", gen, "--ref", gen, "--encoder", bundle / "encoder.ckpt"])
+    else:
+        code = run(["chat", "--ckpt", bundle / "lm.ckpt"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"has {len(tokens) - 1} entries" in err and f"vocab_size {len(tokens)}" in err
+
+
 def test_metrics_length_mismatch_exit_one(tmp_path, capsys):
     gen = tmp_path / "gen.txt"
     ref = tmp_path / "ref.txt"

@@ -235,6 +235,27 @@ def test_elementwise_ops_match_finite_differences(name, build):
     assert err < 1e-5, f"{name}: {err}"
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+def test_lstm_matches_finite_differences(reverse):
+    rng = Rng(15)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    wx = Tensor(rng.normal(scale=0.5, size=(3, 8)), requires_grad=True)
+    wh = Tensor(rng.normal(scale=0.5, size=(2, 8)), requires_grad=True)
+    b = Tensor(rng.normal(size=8), requires_grad=True)
+    weights = Tensor(rng.normal(size=(4, 2)))
+
+    def loss_fn():
+        return (nm.lstm(x, wx, wh, b, reverse) * weights).sum()
+
+    err = nm.grad_check(loss_fn, {"x": x, "wx": wx, "wh": wh, "b": b}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    assert err < 1e-5
+
+
+def test_lstm_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        nm.lstm(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8)))
+
+
 def test_layer_norm_gradient():
     rng = Rng(12)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -360,3 +381,12 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     nm.save_checkpoint(p1, named)
     nm.save_checkpoint(p2, named)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nm.save_checkpoint(path, {"w": Tensor([1.0, 2.0])})
+    with pytest.raises(ValueError):  # "a" is written before "b" fails to convert
+        nm.save_checkpoint(path, {"a": Tensor(np.ones(3)), "b": "not a number"})
+    assert np.array_equal(nm.load_checkpoint(path)["w"], [1.0, 2.0])
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

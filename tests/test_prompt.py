@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from medkit import numerics as nm
 from medkit.encoder import Encoder, EncoderConfig
 from medkit.numerics import Rng, Tensor
 from medkit.prompt import (
@@ -245,3 +246,20 @@ def test_train_prompt_rejects_unknown_label(vocab):
     template = PromptTemplate(suffix="", mask_slot_count=1)
     with pytest.raises(ValueError):
         train_prompt(enc, [("头痛", "未知")], template, verb, vocab, 12, PromptTrainConfig(epochs=1))
+
+
+def test_score_labels_builds_no_graph(vocab, monkeypatch):
+    enc = _encoder(vocab, seed=7)
+    verb = Verbalizer.from_surfaces({"内科": "内科", "骨": "骨"}, vocab)
+    template = PromptTemplate(suffix="", mask_slot_count=verb.mask_slot_count)
+    seq, slots = build_prompt("头痛", template, vocab, max_len=12)
+    logits = enc.mlm_logits(seq)
+    assert logits.requires_grad
+    logprobs = nm.log_softmax(nm.take_rows(logits, slots), axis=-1).data
+    expected = {label: sum(float(logprobs[i, t]) for i, t in enumerate(toks)) for label, toks in verb.label_tokens.items()}
+    real = enc.mlm_logits
+    seen = []
+    monkeypatch.setattr(enc, "mlm_logits", lambda s: seen.append(real(s)) or seen[-1])
+    assert score_labels(enc, seq, slots, verb) == expected
+    assert seen and all(not t.requires_grad and t._parents == () for t in seen)
+    assert all(p.grad is None and p._parents == () for p in enc.params.values())

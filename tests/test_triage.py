@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from medkit import numerics as nm
+from medkit import triage
 from medkit.encoder import Encoder, EncoderConfig
 from medkit.numerics import Rng, Tensor
 from medkit.tokenizer import build_vocab, encode
@@ -18,7 +19,7 @@ from medkit.triage import (
     train_supervised,
 )
 
-from oracles import bf_confusion_metrics, bf_dendrite
+from oracles import bf_confusion_metrics, bf_dendrite, lstm_direction_ops
 
 
 @pytest.fixture()
@@ -89,6 +90,54 @@ def test_bilstm_gradient_check(vocab):
     params.update({k: v for k, v in head.params.items() if k.startswith("lstm")})
     err = nm.grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+@pytest.mark.parametrize("seq_len", [1, 64])
+@pytest.mark.parametrize("in_mult", [1, 2], ids=["in=k", "in=2k"])
+def test_lstm_direction_matches_op_by_op_oracle(reverse, seq_len, in_mult):
+    k = 5
+    rng = Rng(20 + seq_len + in_mult)
+    arrays = [
+        rng.normal(size=(seq_len, in_mult * k)),
+        rng.normal(scale=0.5, size=(in_mult * k, 4 * k)),
+        rng.normal(scale=0.5, size=(k, 4 * k)),
+        rng.normal(scale=0.5, size=4 * k),
+    ]
+    weights = Tensor(rng.normal(size=(seq_len, k)))
+    results = []
+    for run in (lambda *leaves: triage.lstm_direction(*leaves, reverse=reverse), lambda *leaves: (lstm_direction_ops(*leaves, reverse), None)):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out, final = run(*leaves)
+        nm.backward((out * weights).sum())
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+        if final is not None:  # the state after the last step taken
+            assert np.array_equal(final.data, out.data[[0 if reverse else -1]])
+    for name, fused, oracle in zip(["outputs", "x", "wx", "wh", "b"], *results):
+        assert fused.shape == oracle.shape
+        assert np.max(np.abs(fused - oracle)) <= 1e-10, name
+
+
+@pytest.mark.parametrize("forward", [nm.lstm, lstm_direction_ops], ids=["fused", "oracle"])
+def test_lstm_overflowing_input_weights_raise(forward):
+    x = Tensor(np.full((3, 2), 10.0))
+    wx = Tensor(np.full((2, 8), 1e308), requires_grad=True)
+    with pytest.raises(nm.NumericsError):
+        forward(x, wx, Tensor(np.zeros((2, 8))), Tensor(np.zeros(8)), False)
+
+
+def test_bilstm_calls_lstm_direction_twice_per_layer(monkeypatch):
+    real = triage.lstm_direction
+    directions = []
+
+    def counted(*args, **kwargs):
+        directions.append(kwargs["reverse"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(triage, "lstm_direction", counted)
+    head = _head(hidden=4, num_lstm_layers=3)
+    bilstm(Tensor(np.ones((5, 4))), [True] * 5, head.params, head.config.num_lstm_layers)
+    assert directions == [False, True] * 3
 
 
 def test_fuse_concatenates_in_order():
@@ -214,6 +263,22 @@ def test_train_supervised_overfits_small_set(vocab):
     train_supervised(enc, head, data, cfg)
     preds = predict_labels(enc, head, [seq for seq, _ in data])
     assert preds == [label for _, label in data]
+
+
+def test_predict_labels_builds_no_graph(vocab, monkeypatch):
+    enc = _encoder(vocab, seed=5)
+    head = _head(seed=5)
+    seqs = [seq for seq, _ in _synthetic_dataset(vocab, per_class=2)]
+    with_graph = [triage._forward_sample(enc, head, seq) for seq in seqs]
+    assert all(logits.requires_grad for logits in with_graph)
+    real = triage._forward_sample
+    seen = []
+    monkeypatch.setattr(triage, "_forward_sample", lambda *args: seen.append(real(*args)) or seen[-1])
+    assert predict_labels(enc, head, seqs) == [int(np.argmax(t.data)) for t in with_graph]
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(seen, with_graph))
+    assert all(not t.requires_grad and t._parents == () for t in seen)
+    params = list(enc.params.values()) + list(head.params.values())
+    assert all(p.grad is None and p._parents == () for p in params)
 
 
 def test_train_supervised_two_lr_groups_in_state(vocab):
