@@ -636,9 +636,18 @@ def _read_metric_lines(path) -> list[str]:
         lines = [line.rstrip("\n") for line in fh]
     while lines and lines[-1] == "":
         lines.pop()
-    if path.suffix == ".jsonl":
-        return [json.loads(line)["answer"] for line in lines]
-    return lines
+    if path.suffix != ".jsonl":
+        return lines
+    answers = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
+        if not isinstance(row, dict) or not isinstance(row.get("answer"), str):
+            raise CliError(f"{path}:{lineno}: expected a JSON object with a string \"answer\"")
+        answers.append(row["answer"])
+    return answers
 
 
 def cmd_metrics(args) -> int:

@@ -179,9 +179,6 @@ class Encoder:
             init_layer_params(rng, config.hidden_dim, config.num_heads, config.ffn_dim, f"layer{i}", params)
         self.params = params
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
         for name, p in self.params.items():
             arr = state[prefix + name]

@@ -107,9 +107,6 @@ class Decoder:
         params["out.b"] = nm.zeros_param(config.vocab_size)
         self.params = params
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
         for name, p in self.params.items():
             arr = state[prefix + name]

@@ -274,20 +274,43 @@ def ribes(candidate, reference, alpha: float = 0.25, beta: float = 0.10) -> floa
 # -- TER -------------------------------------------------------------------------
 
 
-def _edit_distance(a, b) -> int:
-    """Word-level Levenshtein distance with unit costs."""
-    if a == b:
-        return 0
-    prev = np.arange(len(b) + 1)
-    for i, tok in enumerate(a, start=1):
-        cur = np.empty(len(b) + 1, dtype=np.int64)
-        cur[0] = i
-        sub = prev[:-1] + np.fromiter((0 if tok == bt else 1 for bt in b), dtype=np.int64, count=len(b))
-        np.minimum(sub, prev[1:] + 1, out=sub)
-        for j in range(1, len(b) + 1):
-            cur[j] = min(sub[j - 1], cur[j - 1] + 1)
-        prev = cur
-    return int(prev[-1])
+def _match_masks(reference) -> dict:
+    """Token -> bitmask of the reference positions holding it (bit i is
+    position i)."""
+    masks: dict = {}
+    for i, tok in enumerate(reference):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
+
+
+def _edit_distance(a, masks: dict, m: int) -> int:
+    """Word-level Levenshtein distance with unit costs from `a` to the length-m
+    reference whose `_match_masks` are `masks`.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 form): one Python int holds a
+    whole column of vertical deltas (pv: +1, mv: -1), so each token of `a`
+    costs a fixed handful of int operations whatever m is. The top row is
+    D[0][j] = j, hence the 1 shifted into ph on every step.
+    """
+    if m == 0:
+        return len(a)
+    full = (1 << m) - 1
+    high = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for tok in a:
+        eq = masks.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (full ^ (xh | pv))
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | (full ^ (xv | ph))) & full
+        mv = ph & xv
+    return score
 
 
 def _ref_spans(reference, max_len: int) -> set[tuple]:
@@ -299,7 +322,7 @@ def _ref_spans(reference, max_len: int) -> set[tuple]:
     return spans
 
 
-def _best_shift(current, reference, ref_spans) -> tuple[int, list] | None:
+def _best_shift(current, masks, m, ref_spans) -> tuple[int, list] | None:
     """First shift (span length asc, start asc, destination asc) reaching the
     minimal post-shift edit distance; None when no shift is possible."""
     best_dist = None
@@ -315,7 +338,7 @@ def _best_shift(current, reference, ref_spans) -> tuple[int, list] | None:
                 if dest == start:
                     continue
                 shifted = rest[:dest] + list(span) + rest[dest:]
-                d = _edit_distance(shifted, reference)
+                d = _edit_distance(shifted, masks, m)
                 if best_dist is None or d < best_dist:
                     best_dist = d
                     best_seq = shifted
@@ -331,11 +354,12 @@ def ter(candidate, reference) -> float:
     if not ref:
         raise ValueError("ter needs a non-empty reference")
     spans = _ref_spans(ref, _TER_MAX_SHIFT_LEN)
+    masks = _match_masks(ref)
     shifts = 0
     current = cand
-    dist = _edit_distance(current, ref)
+    dist = _edit_distance(current, masks, len(ref))
     while dist > 0:
-        found = _best_shift(current, ref, spans)
+        found = _best_shift(current, masks, len(ref), spans)
         if found is None:
             break
         new_dist, shifted = found

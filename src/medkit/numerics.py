@@ -79,9 +79,6 @@ class Tensor:
             raise ShapeError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -87,9 +87,6 @@ class TriageHead:
         params["dense.b"] = nm.zeros_param(config.num_classes)
         self.params = params
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
         for name, p in self.params.items():
             arr = state[prefix + name]

@@ -227,6 +227,16 @@ def test_metrics_accepts_generations_jsonl(tmp_path, capsys):
     assert payload["bleu1"] == 1.0
 
 
+@pytest.mark.parametrize("row", ['{"question": "q"}', "[1, 2]", "{"], ids=["no-answer", "not-an-object", "not-json"])
+def test_metrics_malformed_generations_jsonl_exits_one(tmp_path, capsys, row):
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(json.dumps({"answer": "头痛多喝水"}, ensure_ascii=False) + "\n" + row + "\n", encoding="utf-8")
+    ref = tmp_path / "ref.txt"
+    ref.write_text("头痛多喝水\n发烧要休息\n", encoding="utf-8")
+    assert run(["metrics", "--gen", gen, "--ref", ref]) == EXIT_USAGE
+    assert f"{gen}:2:" in capsys.readouterr().err
+
+
 def test_metrics_with_encoder_fills_embedding_metrics(tmp_path, corpus_file, capsys):
     enc_dir = _pretrain_encoder(tmp_path, corpus_file)
     capsys.readouterr()

@@ -9,6 +9,7 @@ from medkit.numerics import Rng, Tensor
 from oracles import (
     bf_bleu,
     bf_chrf,
+    bf_edit_distance,
     bf_gleu,
     bf_ribes,
     bf_self_bleu,
@@ -233,6 +234,48 @@ def test_ter_matches_oracle_fuzz():
         cand = _random_sentence(rng, 0, 7)
         ref = _random_sentence(rng, 1, 7)
         assert gm.ter(cand, ref) == pytest.approx(bf_ter(cand, ref), abs=1e-9)
+
+
+def _edit_distance_case(rng):
+    """A fuzzed token pair: either side may be empty or longer than one 64-bit
+    word, over a two-symbol alphabet (heavy repeats), five letters, or 300
+    multi-character strings."""
+    alphabet = [["x", "y"], ALPHABET, [f"w{i:03d}" for i in range(300)]][int(rng.integers(0, 3))]
+    hi = [0, 14, 150][int(rng.integers(0, 3))]
+    a = [alphabet[i] for i in rng.integers(0, len(alphabet), int(rng.integers(0, hi + 1)))]
+    b = [alphabet[i] for i in rng.integers(0, len(alphabet), int(rng.integers(0, hi + 1)))]
+    return a, b
+
+
+def test_edit_distance_matches_oracle_fuzz():
+    rng = Rng(108)
+    long = [f"t{i}" for i in range(130)]
+    edge = [([], []), ([], ["a"]), (["a"], []), (long, []), ([], long), (long, long), (long, long[::-1]), (long, long[1:] + long[:1])]
+    for a, b in edge + [_edit_distance_case(rng) for _ in range(400)]:
+        assert gm._edit_distance(a, gm._match_masks(b), len(b)) == bf_edit_distance(a, b)
+
+
+def _benchmark_shape_pair(rng):
+    """A 12-token reference over 300 symbols, and its candidate after one block
+    move of 2-4 tokens and two substitutions."""
+    alphabet = [chr(0x4E00 + 7 * i) for i in range(300)]
+    ref = [alphabet[i] for i in rng.integers(0, len(alphabet), 12)]
+    size = int(rng.integers(2, 5))
+    start = int(rng.integers(0, len(ref) - size + 1))
+    span, rest = ref[start : start + size], ref[:start] + ref[start + size :]
+    dest = int(rng.integers(0, len(rest)))
+    dest += dest >= start  # any position but the span's own
+    cand = rest[:dest] + span + rest[dest:]
+    for pos in rng.integers(0, len(cand), 2):
+        cand[int(pos)] = alphabet[int(rng.integers(0, len(alphabet)))]
+    return cand, ref
+
+
+def test_ter_matches_oracle_exactly_at_benchmark_shape():
+    rng = Rng(109)
+    for _ in range(6):
+        cand, ref = _benchmark_shape_pair(rng)
+        assert gm.ter(cand, ref) == bf_ter(cand, ref)
 
 
 # -- WMD ----------------------------------------------------------------------
