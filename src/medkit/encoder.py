@@ -1,8 +1,9 @@
 """Transformer encoder with masked-language-model pretraining.
 
-The layer machinery here (embeddings, scaled dot-product attention heads,
-residual + layer-norm blocks, position-wise feed-forward) is also reused by
-the autoregressive generator, which runs the same stack under a causal mask.
+The layer machinery here (embeddings, multi-head attention as one
+`numerics.attention` op per layer, residual + layer-norm blocks, position-wise
+feed-forward) is also reused by the autoregressive generator, which runs the
+same stack under a causal mask.
 """
 
 from __future__ import annotations
@@ -85,63 +86,20 @@ def init_layer_params(rng: Rng, hidden: int, heads: int, ffn: int, prefix: str, 
     params[f"{prefix}.ln2.bias"] = nm.zeros_param(hidden)
 
 
-def masked_softmax(scores: Tensor, keep: np.ndarray) -> Tensor:
-    """Row-wise softmax where dropped columns get an effective -inf score.
-
-    A row with no kept column falls back to a one-hot on column 0 so the
-    output stays a valid distribution.
-    """
-    keep = np.broadcast_to(np.asarray(keep, dtype=bool), scores.shape).copy()
-    dead = ~keep.any(axis=-1)
-    if dead.any():
-        keep[dead, 0] = True
-    filled = nm.masked_fill(scores, keep, -1e30)
-    return nm.softmax(filled, axis=-1)
-
-
-def attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, keep: np.ndarray, cache: dict | None = None) -> Tensor:
-    """Scaled dot-product attention for one head.
-
-    `keep[i, j]` says whether query position i may attend to key position j
-    (a 1-D mask is broadcast over queries). Scale is sqrt(per-head dim).
-
-    With a `cache` (this head's dict, empty before the first call) `x` holds
-    only positions not yet seen: their keys and values are appended to the
-    cached "k" and "v", and `keep` has one row per new position and one
-    column per cached-plus-new key.
-    """
-    q = nm.matmul(x, wq)
-    k = nm.matmul(x, wk)
-    v = nm.matmul(x, wv)
-    if cache is not None:
-        if cache:
-            k = nm.concat([cache["k"], k])
-            v = nm.concat([cache["v"], v])
-        cache["k"], cache["v"] = k, v
-    head_dim = q.shape[1]
-    scores = nm.scale(nm.matmul(q, k.T), 1.0 / np.sqrt(head_dim))
-    weights = masked_softmax(scores, keep)
-    return nm.matmul(weights, v)
-
-
 def encoder_layer(
-    x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_heads: int, ln_eps: float = 1e-5, cache: list[dict] | None = None
+    x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_heads: int, ln_eps: float = 1e-5, cache: dict | None = None
 ) -> Tensor:
     """Multi-head attention + residual + LayerNorm, then FFN + residual + LayerNorm.
 
-    `cache`, if given, holds one attention_head cache per head."""
-    heads = [
-        attention_head(
-            x,
-            params[f"{prefix}.attn.wq{h}"],
-            params[f"{prefix}.attn.wk{h}"],
-            params[f"{prefix}.attn.wv{h}"],
-            keep,
-            None if cache is None else cache[h],
-        )
-        for h in range(num_heads)
-    ]
-    attn = nm.concat(heads, axis=1)
+    `cache`, if given, is this layer's numerics.attention key/value cache."""
+    attn = nm.attention(
+        x,
+        [params[f"{prefix}.attn.wq{h}"] for h in range(num_heads)],
+        [params[f"{prefix}.attn.wk{h}"] for h in range(num_heads)],
+        [params[f"{prefix}.attn.wv{h}"] for h in range(num_heads)],
+        keep,
+        cache,
+    )
     attn = nm.matmul(attn, params[f"{prefix}.attn.wo"]) + params[f"{prefix}.attn.bo"]
     x = nm.layer_norm(x + attn, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], ln_eps)
     hidden = nm.gelu(nm.matmul(x, params[f"{prefix}.ffn.w1"]) + params[f"{prefix}.ffn.b1"])
@@ -150,7 +108,7 @@ def encoder_layer(
 
 
 def run_layers(
-    x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, cache: list[list[dict]] | None = None
+    x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, cache: list[dict] | None = None
 ) -> Tensor:
     """Run the stack; `cache`, if given, holds one encoder_layer cache per layer."""
     for i in range(num_layers):

@@ -7,7 +7,9 @@ recent `context_window` tokens.
 
 Decoding is KV-cached and gradient-free: `generate` keeps one `KVCache` per
 request, so each step embeds and runs only the newest token against the
-cached keys and values of the earlier ones, and it runs under
+cached keys and values of the earlier ones. The cache holds, per layer, one
+(heads, positions, head_dim) numpy array of keys and one of values, and each
+step appends the new position to both. Any call given a cache runs under
 `numerics.no_grad()`, so no autograd graph is built. Once the context passes
 `context_window` the window slides, every absolute position changes, and each
 step recomputes the whole window.
@@ -15,6 +17,7 @@ step recomputes the whole window.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -84,13 +87,15 @@ class GenerationRequest:
 class KVCache:
     """Keys and values of a context prefix already run through a Decoder.
 
-    `ids` is that prefix (windowed token ids); `layers[i][h]` is the dict
-    attention_head fills for layer i, head h. Create one empty per decoded
-    sequence and pass it to every `lm_logits` call for that sequence.
+    `ids` is that prefix (windowed token ids); `layers[i]` is the dict
+    numerics.attention fills for layer i: "k" and "v", numpy arrays of shape
+    (heads, len(ids), head_dim). They are plain arrays, so a cached call
+    cannot give gradients. Create one empty per decoded sequence and pass it
+    to every `lm_logits` call for that sequence.
     """
 
     ids: list[int] = field(default_factory=list)
-    layers: list[list[dict]] = field(default_factory=list)
+    layers: list[dict] = field(default_factory=list)
 
 
 class Decoder:
@@ -121,7 +126,8 @@ class Decoder:
         the positions after that prefix are embedded and run, and only their
         rows are returned. Any other cache (empty, from another context, or
         one the sliding window has shifted) is dropped and the whole window
-        recomputed. Either way the cache then covers the whole window.
+        recomputed. Either way the cache then covers the whole window. A call
+        with a cache runs under no_grad: its result has no graph.
         """
         ids = list(ids)
         if not ids:
@@ -137,15 +143,17 @@ class Decoder:
             start = len(cache.ids)
             if not (0 < start < n and cache.ids == ids[:start]):
                 start = 0
-                cache.layers = [[{} for _ in range(self.config.num_heads)] for _ in range(self.config.num_layers)]
+                cache.layers = [{} for _ in range(self.config.num_layers)]
             cache.ids = []  # stays invalid unless the stack below completes
             layers = cache.layers
-        x = nm.take_rows(self.params["tok_emb"], ids[start:]) + nm.take_rows(self.params["pos_emb"], list(range(start, n)))
-        keep = np.tril(np.ones((n, n), dtype=bool))[start:]
-        states = run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, layers)
+        with nm.no_grad() if cache is not None else contextlib.nullcontext():
+            x = nm.take_rows(self.params["tok_emb"], ids[start:]) + nm.take_rows(self.params["pos_emb"], list(range(start, n)))
+            keep = np.tril(np.ones((n, n), dtype=bool))[start:]
+            states = run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, layers)
+            logits = nm.matmul(states, self.params["out.w"]) + self.params["out.b"]
         if cache is not None:
             cache.ids = ids
-        return nm.matmul(states, self.params["out.w"]) + self.params["out.b"]
+        return logits
 
 
 def lm_logits(model: Decoder, context_ids, cache: KVCache | None = None) -> np.ndarray:

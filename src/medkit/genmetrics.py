@@ -206,10 +206,11 @@ def nist_info_weights(reference_corpus, max_n: int = 5) -> dict:
 
 
 def nist(candidate, references, max_n: int = 5, info: dict | None = None) -> float:
-    """Information-weighted n-gram score with the NIST brevity factor."""
+    """Information-weighted n-gram score with the NIST brevity factor; 0.0
+    for an empty candidate or when every reference is empty."""
     cand = list(candidate)
     refs = [list(r) for r in references]
-    if not cand or not refs:
+    if not cand or not any(refs):
         return 0.0
     if info is None:
         info = nist_info_weights(refs, max_n)

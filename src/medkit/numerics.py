@@ -54,7 +54,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericsError("non-finite values in tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -392,7 +392,7 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) ->
             g[s] = np.tanh(z[s, 2 * k : 3 * k])
             cs[s + 1] = f[s] * cs[s] + i[s] * g[s]
             hs[s + 1] = o[s] * np.tanh(cs[s + 1])
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericsError("non-finite lstm gate pre-activations")
 
     def backward_fn(grad):
@@ -413,6 +413,74 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) ->
         return (dx[::-1] if reverse else dx), steps.T @ dz, hs[:-1].T @ dz, dz.sum(axis=0)
 
     return _make(hs[:0:-1] if reverse else hs[1:], (x, wx, wh, b), backward_fn)
+
+
+def attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], keep, cache: dict | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over the rows of x (n, hidden)
+    as one graph node; returns the (n, heads * head_dim) head outputs side by
+    side. wq, wk and wv list one (hidden, head_dim) weight per head; all 3 *
+    heads of them are one projection matmul, and the heads run batched.
+
+    `keep[i, j]` says whether query i may attend to key j (a 1-D mask is
+    broadcast over queries). A dropped key scores -1e30; a row with no kept
+    key attends to key 0 alone. Scores are scaled by 1/sqrt(head_dim). The
+    backward pass is hand-written; non-finite projections or scores raise
+    NumericsError, also where the mask would hide them.
+
+    With a `cache` (a dict, empty before the first call) x holds only the
+    positions not yet seen: their keys and values, (heads, positions,
+    head_dim) arrays, are appended to cache["k"] and cache["v"], and `keep`
+    has one column per cached-plus-new key. The cache also keeps the joined
+    projection weights, so, like its keys and values, it is valid only while
+    the weights stay unchanged. Cached keys and values are plain arrays that
+    cannot pass gradients back, so the result then has no graph.
+    """
+    x = _wrap(x)
+    ws = [_wrap(w) for w in (*wq, *wk, *wv)]
+    heads = len(wq)
+    if x.ndim != 2 or not heads or len(wk) != heads or len(wv) != heads:
+        raise ShapeError(f"attention needs a 2-D x and equal per-head weight lists, got x {x.shape} and {len(wq)}/{len(wk)}/{len(wv)} heads")
+    d = ws[0].shape[1]
+    if any(w.shape != (x.shape[1], d) for w in ws):
+        raise ShapeError(f"attention weights must all be ({x.shape[1]}, {d})")
+    n = x.shape[0]
+    w_all = cache["w"] if cache else np.concatenate([w.data for w in ws], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as the checks below
+        proj = x.data @ w_all
+        if not np.isfinite(proj).all():
+            raise NumericsError("non-finite attention projections")
+        q, k, v = proj.reshape(n, 3, heads, d).transpose(1, 2, 0, 3)  # each (heads, n, d)
+        if cache is not None:
+            if cache:
+                k = np.concatenate([cache["k"], k], axis=1)
+                v = np.concatenate([cache["v"], v], axis=1)
+            cache.update(w=w_all, k=k, v=v)
+        factor = 1.0 / np.sqrt(d)
+        scores = (q @ k.transpose(0, 2, 1)) * factor
+    if not np.isfinite(scores).all():
+        raise NumericsError("non-finite attention scores")
+    keep = np.asarray(keep, dtype=bool)
+    live = keep.any(axis=-1)
+    if not live.all():
+        keep = keep.copy()
+        keep[..., 0] |= ~live
+    weights = np.where(keep, scores, -1e30)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = (weights @ v).transpose(1, 0, 2).reshape(n, heads * d)
+    if cache is not None:
+        return Tensor(out)
+
+    def backward_fn(grad):
+        g = grad.reshape(n, heads, d).transpose(1, 0, 2)
+        dw = g @ v.transpose(0, 2, 1)
+        ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) * factor
+        dq, dk, dv = ds @ k, ds.transpose(0, 2, 1) @ q, weights.transpose(0, 2, 1) @ g
+        dproj = np.stack([dq, dk, dv]).transpose(2, 0, 1, 3).reshape(n, 3 * heads * d)
+        return (dproj @ w_all.T, *np.split(x.data.T @ dproj, 3 * heads, axis=1))
+
+    return _make(out, (x, *ws), backward_fn)
 
 
 # -- softmax family ----------------------------------------------------------

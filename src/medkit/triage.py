@@ -102,12 +102,10 @@ class TriageHead:
 
     def forward_logits(self, encoder_output) -> Tensor:
         cfg = self.config
-        pieces: list[Tensor] = []
-        if cfg.use_bilstm:
-            pieces.append(self._summary(encoder_output))
-        if cfg.use_cls:
-            pieces.append(encoder_output.cls_vector)
-        fused = pieces[0] if len(pieces) == 1 else nm.concat(pieces, axis=0)
+        if cfg.use_bilstm and cfg.use_cls:
+            fused = fuse(self._summary(encoder_output), encoder_output.cls_vector)
+        else:
+            fused = self._summary(encoder_output) if cfg.use_bilstm else encoder_output.cls_vector
         features = dendrite(fused, self.dd_stack()) if cfg.use_dd else fused
         return nm.matmul(features.reshape((1, -1)), self.params["dense.w"]).flatten() + self.params["dense.b"]
 
@@ -151,12 +149,6 @@ def dendrite(fused: Tensor, weight_stack: list[Tensor]) -> Tensor:
         squared = current * current
         current = nm.matmul(squared.reshape((1, -1)), w).flatten()
     return current
-
-
-def classify(features: Tensor, dense_w: Tensor, dense_b: Tensor) -> Tensor:
-    """Dense projection followed by softmax; always a valid distribution."""
-    logits = nm.matmul(features.reshape((1, -1)), dense_w).flatten() + dense_b
-    return nm.softmax(logits, axis=-1)
 
 
 # -- training ------------------------------------------------------------------

@@ -300,3 +300,21 @@ def lstm_direction_ops(x, wx, wh, b, reverse):
         h = o * nm.tanh(c)
         outputs[t] = h
     return nm.concat(outputs, axis=0)
+
+
+def attention_ops(x, wq, wk, wv, keep):
+    """Multi-head attention built op by op from autograd Tensors (about ten
+    graph nodes per head): per head three projections, the scaled scores, a
+    masked softmax and the weighted values; the heads joined by one concat.
+
+    A dropped key scores -1e30; a row with no kept key attends to key 0.
+    """
+    heads = []
+    for wq_h, wk_h, wv_h in zip(wq, wk, wv):
+        q, k, v = nm.matmul(x, wq_h), nm.matmul(x, wk_h), nm.matmul(x, wv_h)
+        scores = nm.scale(nm.matmul(q, k.T), 1.0 / np.sqrt(q.shape[1]))
+        live = np.broadcast_to(np.asarray(keep, dtype=bool), scores.shape).copy()
+        live[~live.any(axis=-1), 0] = True
+        weights = nm.softmax(nm.masked_fill(scores, live, -1e30), axis=-1)
+        heads.append(nm.matmul(weights, v))
+    return nm.concat(heads, axis=1)

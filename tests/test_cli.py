@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import shutil
 import sys
 
@@ -298,6 +299,17 @@ def test_bundle_vocab_size_mismatch_exits_one(tmp_path, request, capsys, kind):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"has {len(tokens) - 1} entries" in err and f"vocab_size {len(tokens)}" in err
+
+
+def test_metrics_empty_reference_line_scores_finite(tmp_path, capsys):
+    gen = tmp_path / "gen.txt"
+    ref = tmp_path / "ref.txt"
+    gen.write_text("头痛多喝水\n发烧要休息\n", encoding="utf-8")
+    ref.write_text("\n发烧要休息\n", encoding="utf-8")
+    assert run(["metrics", "--gen", gen, "--ref", ref]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    numbers = [v for v in payload.values() if isinstance(v, (int, float))]
+    assert numbers and all(math.isfinite(v) for v in numbers)
 
 
 def test_metrics_length_mismatch_exit_one(tmp_path, capsys):

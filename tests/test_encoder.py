@@ -8,10 +8,8 @@ from medkit.encoder import (
     Encoder,
     EncoderConfig,
     PretrainConfig,
-    attention_head,
     encoder_layer,
     mask_tokens,
-    masked_softmax,
     mlm_loss,
     pretrain,
 )
@@ -64,7 +62,7 @@ def test_attention_single_real_token_returns_its_value_row():
     wk = Tensor(rng.normal(size=(4, 2)))
     wv = Tensor(rng.normal(size=(4, 2)))
     keep = np.array([[True, False, False]] * 3)
-    out = attention_head(x, wq, wk, wv, keep).data
+    out = nm.attention(x, [wq], [wk], [wv], keep).data
     v0 = (x.data @ wv.data)[0]
     assert np.allclose(out, np.tile(v0, (3, 1)), atol=1e-12)
 
@@ -76,7 +74,7 @@ def test_attention_identical_keys_average_values():
     wq = Tensor(rng.normal(size=(4, 2)))
     wk = Tensor(rng.normal(size=(4, 2)))
     wv = Tensor(rng.normal(size=(4, 2)))
-    out = attention_head(x, wq, wk, wv, np.ones((4, 4), dtype=bool)).data
+    out = nm.attention(x, [wq], [wk], [wv], np.ones((4, 4), dtype=bool)).data
     v_row = base @ wv.data
     assert np.allclose(out, np.tile(v_row, (4, 1)), atol=1e-12)
 
@@ -88,7 +86,7 @@ def test_attention_two_token_hand_arithmetic():
     wq = Tensor([[1.0, 2.0], [3.0, 4.0]])
     wk = Tensor(np.eye(2))
     wv = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    out = attention_head(x, wq, wk, wv, np.ones((2, 2), dtype=bool)).data
+    out = nm.attention(x, [wq], [wk], [wv], np.ones((2, 2), dtype=bool)).data
 
     scale = 1 / math.sqrt(2)
     expected = np.empty((2, 2))
@@ -101,22 +99,40 @@ def test_attention_two_token_hand_arithmetic():
     assert np.allclose(out, expected, atol=1e-12)
 
 
+def _attention_weights(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The attention weights nm.attention gives query rows with these key
+    scores and kept keys. One head over the n x n identity (n >= both sides)
+    makes q_i = wq[i] and k_j = v_j = e_j; keys past the score columns are
+    dropped, so output row i is the weights row i."""
+    rows, cols = scores.shape
+    n = max(rows, cols)
+    wq = np.zeros((n, cols))
+    wq[:rows] = scores * math.sqrt(cols)  # undoes the 1/sqrt(head_dim) scale
+    unit = Tensor(np.eye(n, cols))
+    full_keep = np.zeros((n, n), dtype=bool)
+    full_keep[:rows, :cols] = keep
+    return nm.attention(Tensor(np.eye(n)), [Tensor(wq)], [unit], [unit], full_keep).data[:rows]
+
+
 def test_masked_softmax_rows_are_distributions():
     rng = Rng(7)
-    scores = Tensor(rng.normal(scale=4.0, size=(50, 9)))
+    scores = rng.normal(scale=4.0, size=(50, 9))
     keep = np.asarray(rng.uniform(0, 1, (50, 9)) < 0.6)
     keep[:, 0] = True  # guarantee one live key per row
-    weights = masked_softmax(scores, keep).data
+    weights = _attention_weights(scores, keep)
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
     assert np.all(weights[~keep] == 0.0)
 
 
 def test_masked_softmax_dead_row_falls_back_to_position_zero():
-    scores = Tensor(np.zeros((2, 4)))
-    keep = np.zeros((2, 4), dtype=bool)
-    weights = masked_softmax(scores, keep).data
+    weights = _attention_weights(np.zeros((2, 4)), np.zeros((2, 4), dtype=bool))
     assert np.array_equal(weights[:, 0], np.ones(2))
     assert np.all(weights[:, 1:] == 0.0)
+    rng = Rng(7)
+    x = Tensor(rng.normal(size=(3, 4)))
+    wq, wk, wv = (Tensor(rng.normal(size=(4, 2))) for _ in range(3))
+    out = nm.attention(x, [wq], [wk], [wv], np.zeros((3, 3), dtype=bool)).data
+    assert np.allclose(out, np.tile((x.data @ wv.data)[0], (3, 1)), atol=1e-12)  # every row returns value row 0
 
 
 def test_encoder_layer_with_zero_attention_is_double_layernorm():

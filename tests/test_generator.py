@@ -295,6 +295,18 @@ def test_cached_step_matches_full_recompute_at_every_step(vocab):
             ids.append(int(np.argmax(probs)))
 
 
+def test_cached_logits_build_no_graph_outside_no_grad(vocab):
+    model = _decoder(vocab, hidden=16, layers=2, window=16, seed=35)
+    ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder").ids
+    full = model.logits_matrix(ids).data
+    cache = KVCache()
+    for stop in (3, 4, len(ids)):  # a fresh cache, then two extensions of it
+        out = model.logits_matrix(ids[:stop], cache)
+        assert out._parents == () and not out.requires_grad
+        assert np.max(np.abs(out.data - full[stop - out.shape[0] : stop])) <= 1e-10
+    assert all(p.grad is None for p in model.params.values())
+
+
 def test_cache_from_another_context_is_dropped(vocab):
     model = _decoder(vocab, hidden=16, window=16, seed=31)
     cache = KVCache()

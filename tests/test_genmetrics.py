@@ -163,6 +163,11 @@ def test_nist_brevity_factor_halves_at_two_thirds():
     assert short == pytest.approx(0.5 * math.log2(3), abs=1e-12)
 
 
+def test_nist_all_empty_references_is_zero():
+    assert gm.nist(["a", "b"], [[]]) == 0.0
+    assert gm.nist(["a", "b"], [[], []], info=gm.nist_info_weights([["a"]])) == 0.0
+
+
 def test_nist_nonnegative_fuzz():
     rng = Rng(104)
     for _ in range(60):

@@ -6,6 +6,8 @@ import pytest
 from medkit import numerics as nm
 from medkit.numerics import Adam, NumericsError, Rng, ShapeError, Tensor
 
+from oracles import attention_ops
+
 
 def test_matmul_identity():
     identity = Tensor(np.eye(2))
@@ -254,6 +256,104 @@ def test_lstm_matches_finite_differences(reverse):
 def test_lstm_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         nm.lstm(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8)))
+
+
+def _attention_leaves(rng, n, hidden, heads):
+    d = hidden // heads
+    x = Tensor(rng.normal(size=(n, hidden)), requires_grad=True)
+    ws = [[Tensor(rng.normal(scale=0.5, size=(hidden, d)), requires_grad=True) for _ in range(heads)] for _ in range(3)]
+    return x, ws
+
+
+def _attention_keep(kind, n, rng):
+    if kind == "full":
+        return np.ones((n, n), dtype=bool)
+    if kind == "padding":  # 1-D: keys masked, all queries run
+        return np.array([True] * (n - 2) + [False, False])
+    if kind == "causal":
+        return np.tril(np.ones((n, n), dtype=bool))
+    keep = rng.uniform(0, 1, (n, n)) < 0.5  # "dead": random keys, two rows with none kept
+    keep[[1, n - 1]] = False
+    return keep
+
+
+@pytest.mark.parametrize("kind", ["full", "padding", "causal", "dead"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_op_by_op_oracle(heads, kind):
+    rng = Rng(40 + heads)
+    arrays = [rng.normal(size=(6, 8))] + [rng.normal(scale=0.5, size=(8, 8 // heads)) for _ in range(3 * heads)]
+    keep = _attention_keep(kind, 6, rng)
+    weights = Tensor(rng.normal(size=(6, 8)))
+    results = []
+    for run in (nm.attention, attention_ops):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        x, ws = leaves[0], leaves[1:]
+        out = run(x, ws[:heads], ws[heads : 2 * heads], ws[2 * heads :], keep)
+        nm.backward((out * weights).sum())
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for i, (fused, oracle) in enumerate(zip(*results)):
+        assert fused.shape == oracle.shape
+        assert np.max(np.abs(fused - oracle)) <= 1e-10, i
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_cached_calls_match_one_full_pass(heads):
+    rng = Rng(50 + heads)
+    x, (wq, wk, wv) = _attention_leaves(rng, 7, 8, heads)
+    keep = np.tril(np.ones((7, 7), dtype=bool))
+    full = nm.attention(x, wq, wk, wv, keep).data
+    cache: dict = {}
+    pieces = []
+    for start, stop in [(0, 3), (3, 4), (4, 5), (5, 7)]:
+        out = nm.attention(x.data[start:stop], wq, wk, wv, keep[start:stop, :stop], cache)
+        assert out._parents == () and not out.requires_grad
+        assert cache["k"].shape == cache["v"].shape == (heads, stop, 8 // heads)
+        pieces.append(out.data)
+    assert np.max(np.abs(np.concatenate(pieces) - full)) <= 1e-10
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_matches_finite_differences(heads):
+    rng = Rng(60 + heads)
+    x, (wq, wk, wv) = _attention_leaves(rng, 5, 4, heads)
+    keep = np.tril(np.ones((5, 5), dtype=bool))
+    keep[3] = False  # one dead row
+    weights = Tensor(rng.normal(size=(5, 4)))
+
+    def loss_fn():
+        return (nm.attention(x, wq, wk, wv, keep) * weights).sum()
+
+    params = {"x": x, **{f"w{kind}{h}": w for kind, ws in zip("qkv", (wq, wk, wv)) for h, w in enumerate(ws)}}
+    err = nm.grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    assert err < 1e-5
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["kept", "masked"])
+@pytest.mark.parametrize("forward", [nm.attention, attention_ops], ids=["fused", "oracle"])
+def test_attention_overflowing_projection_raises(forward, masked):
+    x = Tensor([[1.0, 0.0], [1e308, 0.0]])  # row 1 projects to 1e309
+    keep = np.array([True, not masked])  # masked: the overflowed key is dropped
+    w = [Tensor(np.full((2, 2), 10.0), requires_grad=True)]
+    with pytest.raises(NumericsError):
+        forward(x, w, w, w, keep)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["kept", "masked"])
+@pytest.mark.parametrize("forward", [nm.attention, attention_ops], ids=["fused", "oracle"])
+def test_attention_overflowing_score_raises(forward, masked):
+    x = Tensor([[1e160, 0.0], [1.0, 0.0]])  # projections finite, q0 . k0 = 1e320
+    keep = np.array([not masked, True])  # masked: the overflowed key is dropped
+    w = [Tensor(np.eye(2), requires_grad=True)]
+    with pytest.raises(NumericsError):
+        forward(x, w, w, w, keep)
+
+
+def test_attention_rejects_mismatched_shapes():
+    w = [Tensor(np.zeros((3, 2)))]
+    with pytest.raises(ShapeError):
+        nm.attention(Tensor(np.zeros((4, 3))), w, w, w + w, np.ones(4, dtype=bool))
+    with pytest.raises(ShapeError):
+        nm.attention(Tensor(np.zeros((4, 2))), w, w, w, np.ones(4, dtype=bool))
 
 
 def test_layer_norm_gradient():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from medkit.triage import (
     TriageHead,
     TriageTrainConfig,
     bilstm,
-    classify,
     dendrite,
     evaluate,
     fuse,
@@ -140,6 +141,25 @@ def test_bilstm_calls_lstm_direction_twice_per_layer(monkeypatch):
     assert directions == [False, True] * 3
 
 
+def test_head_fuses_summary_with_cls_through_fuse(vocab, monkeypatch):
+    real = triage.fuse
+    calls = []
+
+    def counted(summary, cls_vector):
+        calls.append((summary.shape, cls_vector.shape))
+        return real(summary, cls_vector)
+
+    monkeypatch.setattr(triage, "fuse", counted)
+    enc = _encoder(vocab)
+    seq = encode("甲乙丙", vocab, max_len=10)
+    out = enc.encode(seq)
+    view = SimpleNamespace(cls_vector=out.cls_vector, token_reps=out.token_reps, attention_mask=seq.attention_mask)
+    _head().forward_logits(view)
+    assert calls == [((16,), (8,))]
+    _head(use_bilstm=False).forward_logits(view)  # one feature source: nothing to fuse
+    assert len(calls) == 1
+
+
 def test_fuse_concatenates_in_order():
     out = fuse(Tensor([1.0, 2.0]), Tensor([3.0]))
     assert out.data.tolist() == [1.0, 2.0, 3.0]
@@ -208,27 +228,35 @@ def test_dendrite_gradient_is_closed_form():
     assert nm.grad_check(loss_fn, {"m": m, "w": w}, eps=1e-5, rng=Rng(0)) < 1e-6
 
 
+def _dense_probs(features: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """TriageHead.forward of a CLS-only head without dendritic layers, whose
+    features are the CLS vector itself: softmax(features @ w + b)."""
+    head = _head(hidden=features.shape[0], classes=w.shape[1], use_bilstm=False, use_dd=False)
+    head.params["dense.w"].data, head.params["dense.b"].data = w, b
+    return head.forward(SimpleNamespace(cls_vector=Tensor(features))).data
+
+
 def test_classify_zero_weights_uniform():
-    out = classify(Tensor(np.ones(4)), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
-    assert np.allclose(out.data, 0.2, atol=1e-15)
+    out = _dense_probs(np.ones(4), np.zeros((4, 5)), np.zeros(5))
+    assert np.allclose(out, 0.2, atol=1e-15)
 
 
 def test_classify_argmax_invariant_to_bias_shift():
     rng = Rng(6)
-    features = Tensor(rng.normal(size=4))
-    w = Tensor(rng.normal(size=(4, 3)))
+    features = rng.normal(size=4)
+    w = rng.normal(size=(4, 3))
     b = rng.normal(size=3)
-    first = classify(features, w, Tensor(b)).data
-    second = classify(features, w, Tensor(b + 10.0)).data
+    first = _dense_probs(features, w, b)
+    second = _dense_probs(features, w, b + 10.0)
     assert np.argmax(first) == np.argmax(second)
 
 
 def test_classify_is_distribution():
     rng = Rng(7)
     for _ in range(20):
-        out = classify(Tensor(rng.normal(size=6)), Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=4)))
-        assert abs(out.data.sum() - 1.0) < 1e-12
-        assert np.all(out.data > 0)
+        out = _dense_probs(rng.normal(size=6), rng.normal(size=(6, 4)), rng.normal(size=4))
+        assert abs(out.sum() - 1.0) < 1e-12
+        assert np.all(out > 0)
 
 
 def test_head_forward_is_distribution(vocab):
