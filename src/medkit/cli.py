@@ -29,7 +29,7 @@ from . import kgraph as kg_mod
 from . import prompt as prompt_mod
 from . import triage as triage_mod
 from . import tokenizer as tok_mod
-from .numerics import NumericsError, Rng, load_checkpoint, save_checkpoint
+from .numerics import NumericsError, Rng, load_checkpoint, load_params, save_checkpoint
 
 log = logging.getLogger("medkit")
 
@@ -180,6 +180,14 @@ def _snapshot_config(cfg: RunConfig, out: Path) -> None:
     (out / "config.resolved").write_text(cfg.resolved_text(), encoding="utf-8")
 
 
+def _start(args) -> tuple[RunConfig, Path]:
+    """The run's config and its --out directory, created, holding that config."""
+    cfg = _load_config(args)
+    out = _out_dir(args)
+    _snapshot_config(cfg, out)
+    return cfg, out
+
+
 def _read_texts(path) -> list[str]:
     """Plain text (one per line) or corpus JSONL (questions plus answers)."""
     path = Path(path)
@@ -240,7 +248,7 @@ def _load_encoder_bundle(ckpt_path) -> tuple[enc_mod.Encoder, tok_mod.Vocab, dic
     encoder = enc_mod.Encoder(config, Rng(0))
     state = load_checkpoint(ckpt_path)
     prefix = "encoder." if any(k.startswith("encoder.") for k in state) else ""
-    encoder.load_state(state, prefix=prefix)
+    load_params(encoder.params, state, prefix)
     return encoder, vocab, meta
 
 
@@ -249,7 +257,7 @@ def _load_decoder_bundle(ckpt_path) -> tuple[gen_mod.Decoder, tok_mod.Vocab, dic
     vocab = _load_vocab_near(ckpt_path, meta["decoder_config"]["vocab_size"])
     config = gen_mod.DecoderConfig(**meta["decoder_config"])
     decoder = gen_mod.Decoder(config, Rng(0))
-    decoder.load_state(load_checkpoint(ckpt_path))
+    load_params(decoder.params, load_checkpoint(ckpt_path))
     return decoder, vocab, meta
 
 
@@ -296,9 +304,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_clean(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     kept, removed = corpus_mod.clean(result.samples, require_answer=not args.no_require_answer)
     corpus_mod.write_jsonl(out / "kept.jsonl", kept)
@@ -311,9 +317,7 @@ def cmd_clean(args) -> int:
 
 
 def cmd_split(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     fraction = args.test_fraction if args.test_fraction is not None else cfg.test_fraction
     train, test = corpus_mod.split(result.samples, fraction, cfg.seed, granularity=cfg.granularity)
@@ -324,9 +328,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_small_sample(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     threshold = args.threshold
     if threshold is None:
@@ -339,9 +341,7 @@ def cmd_small_sample(args) -> int:
 
 
 def cmd_pretrain_encoder(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     texts = _read_texts(args.inp)
     if not texts:
         raise CliError("no training texts found")
@@ -388,9 +388,7 @@ def _build_triage_parts(cfg: RunConfig, args, samples):
 
 
 def cmd_train_triage(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     encoder, head, vocab, label_map, dataset = _build_triage_parts(cfg, args, result.samples)
     history, opt_state = triage_mod.train_supervised(
@@ -412,6 +410,8 @@ def cmd_train_triage(args) -> int:
     params.update({f"head.{k}": v for k, v in head.params.items()})
     meta = {"kind": "triage", "encoder_config": encoder.config.to_json(), "head_config": head.config.to_json()}
     _save_bundle(out, "triage", params, meta, vocab)
+    if history.aborted:
+        raise NumericsError("triage training diverged; last good checkpoint saved")
     print(f"trained triage model over {len(dataset)} samples, {len(label_map)} classes")
     return EXIT_OK
 
@@ -422,24 +422,22 @@ def _load_triage_bundle(ckpt_path):
     encoder = enc_mod.Encoder(enc_mod.EncoderConfig(**meta["encoder_config"]), Rng(0))
     head = triage_mod.TriageHead(triage_mod.TriageConfig(**meta["head_config"]), Rng(0))
     state = load_checkpoint(ckpt_path)
-    encoder.load_state(state, prefix="encoder.")
-    head.load_state(state, prefix="head.")
+    load_params(encoder.params, state, "encoder.")
+    load_params(head.params, state, "head.")
     label_map_path = _bundle_dir(ckpt_path) / "label_map.json"
     label_map = json.loads(label_map_path.read_text(encoding="utf-8"))
     return encoder, head, vocab, label_map
 
 
 def cmd_eval_triage(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     encoder, head, vocab, label_map = _load_triage_bundle(args.ckpt)
     result = corpus_mod.ingest(args.inp)
     pairs = _labeled_pairs(result.samples, cfg.granularity)
     known = [(q, label) for q, label in pairs if label in label_map]
     skipped = len(pairs) - len(known)
     sequences = [tok_mod.encode(q, vocab, encoder.config.max_len, mode="encoder") for q, _ in known]
-    preds = triage_mod.predict_labels(encoder, head, sequences)
+    preds = triage_mod.predict_labels(encoder, head, sequences, cfg.batch_size)
     gold = [label_map[label] for _, label in known]
     metrics = triage_mod.evaluate(preds, gold)
     payload = metrics.to_json()
@@ -462,9 +460,7 @@ def _load_verbalizer(args, pairs, vocab) -> prompt_mod.Verbalizer:
 
 
 def cmd_train_prompt(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     pairs = _labeled_pairs(result.samples, cfg.granularity)
     if getattr(args, "encoder_ckpt", None):
@@ -504,9 +500,7 @@ def cmd_train_prompt(args) -> int:
 
 
 def cmd_eval_prompt(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     encoder, vocab, meta = _load_encoder_bundle(args.ckpt)
     surfaces = json.loads((_bundle_dir(args.ckpt) / "verbalizer.json").read_text(encoding="utf-8"))
     verbalizer = prompt_mod.Verbalizer.from_surfaces(surfaces, vocab)
@@ -517,10 +511,11 @@ def cmd_eval_prompt(args) -> int:
     preds, gold = [], []
     labels = verbalizer.labels
     label_ids = {label: i for i, label in enumerate(labels)}
-    for question, label in known:
-        choice = prompt_mod.predict(encoder, question, template, verbalizer, vocab, meta["max_len"], meta.get("include_pad_slots", True))
-        preds.append(label_ids[choice])
-        gold.append(label_ids[label])
+    for start in range(0, len(known), cfg.batch_size):
+        chunk = known[start : start + cfg.batch_size]
+        choices = prompt_mod.predict(encoder, [q for q, _ in chunk], template, verbalizer, vocab, meta["max_len"], meta.get("include_pad_slots", True))
+        preds += [label_ids[choice] for choice in choices]
+        gold += [label_ids[label] for _, label in chunk]
     metrics = triage_mod.evaluate(preds, gold)
     payload = metrics.to_json()
     payload["skipped_unknown_label"] = len(pairs) - len(known)
@@ -530,9 +525,7 @@ def cmd_eval_prompt(args) -> int:
 
 
 def cmd_pretrain_lm(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     texts = _read_texts(args.inp)
     if not texts:
         raise CliError("no training texts found")
@@ -553,9 +546,7 @@ def cmd_pretrain_lm(args) -> int:
 
 
 def cmd_train_gen(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     qa_pairs = [(s.question, s.answer) for s in result.samples if s.answer]
     if not qa_pairs:
@@ -600,9 +591,7 @@ def cmd_train_gen(args) -> int:
 
 
 def cmd_eval_gen(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
+    cfg, out = _start(args)
     decoder, vocab, meta = _load_decoder_bundle(args.ckpt)
     graph = None
     if args.graph and not cfg.no_input_supplement:

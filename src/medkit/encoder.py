@@ -4,20 +4,23 @@ The layer machinery here (embeddings, multi-head attention as one
 `numerics.attention` op per layer, residual + layer-norm blocks, position-wise
 feed-forward) is also reused by the autoregressive generator, which runs the
 same stack under a causal mask.
+
+The encoder runs a TokenSequence (every position, padding masked as keys) or
+a TokenBatch as one graph: the matmuls, LayerNorm and GELU on the batch's
+real tokens only, attention on all sequences and heads at once. Each sequence
+gets what running it alone gives, up to summation order.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .numerics import Rng, Tensor
-from .tokenizer import MASK_ID, NUM_RESERVED, TokenSequence
+from .tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, TokenSequence
 
 log = logging.getLogger(__name__)
 
@@ -60,8 +63,13 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    cls_vector: Tensor  # (hidden,)
-    token_reps: Tensor  # (seq, hidden)
+    """cls_vector (hidden,), token_reps (seq, hidden), attention_mask (seq,);
+    for a TokenBatch, cls_vector (B, hidden), one token_reps row per token and
+    the (B, longest) mask of the real positions, as if padded."""
+
+    cls_vector: Tensor
+    token_reps: Tensor
+    attention_mask: np.ndarray
 
 
 # -- shared transformer machinery ---------------------------------------------
@@ -87,11 +95,11 @@ def init_layer_params(rng: Rng, hidden: int, heads: int, ffn: int, prefix: str, 
 
 
 def encoder_layer(
-    x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_heads: int, ln_eps: float = 1e-5, cache: dict | None = None
+    x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_heads: int, ln_eps: float = 1e-5, cache: dict | None = None, lengths=None
 ) -> Tensor:
     """Multi-head attention + residual + LayerNorm, then FFN + residual + LayerNorm.
 
-    `cache`, if given, is this layer's numerics.attention key/value cache."""
+    `cache` (this layer's key/value cache) and `lengths` go to numerics.attention."""
     attn = nm.attention(
         x,
         [params[f"{prefix}.attn.wq{h}"] for h in range(num_heads)],
@@ -99,6 +107,7 @@ def encoder_layer(
         [params[f"{prefix}.attn.wv{h}"] for h in range(num_heads)],
         keep,
         cache,
+        lengths,
     )
     attn = nm.matmul(attn, params[f"{prefix}.attn.wo"]) + params[f"{prefix}.attn.bo"]
     x = nm.layer_norm(x + attn, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], ln_eps)
@@ -108,11 +117,11 @@ def encoder_layer(
 
 
 def run_layers(
-    x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, cache: list[dict] | None = None
+    x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, cache: list[dict] | None = None, lengths=None
 ) -> Tensor:
     """Run the stack; `cache`, if given, holds one encoder_layer cache per layer."""
     for i in range(num_layers):
-        x = encoder_layer(x, params, f"layer{i}", keep, num_heads, ln_eps, None if cache is None else cache[i])
+        x = encoder_layer(x, params, f"layer{i}", keep, num_heads, ln_eps, None if cache is None else cache[i], lengths)
     return x
 
 
@@ -137,36 +146,33 @@ class Encoder:
             init_layer_params(rng, config.hidden_dim, config.num_heads, config.ffn_dim, f"layer{i}", params)
         self.params = params
 
-    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, p in self.params.items():
-            arr = state[prefix + name]
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = np.asarray(arr, dtype=np.float64).copy()
-
-    def embed(self, tokens: TokenSequence) -> Tensor:
+    def embed(self, tokens: TokenSequence | TokenBatch) -> Tensor:
         """Token embedding plus learned absolute position embedding."""
-        n = len(tokens.ids)
-        if n > self.config.max_len:
-            raise ValueError(f"sequence of {n} exceeds max_len {self.config.max_len}")
-        if max(tokens.ids) >= self.config.vocab_size:
+        positions = tokens.positions if isinstance(tokens, TokenBatch) else np.arange(len(tokens.ids))
+        if positions.max() >= self.config.max_len:
+            raise ValueError(f"sequence of {positions.max() + 1} exceeds max_len {self.config.max_len}")
+        if np.max(tokens.ids) >= self.config.vocab_size:
             raise ValueError("token id out of vocab range")
-        tok = nm.take_rows(self.params["tok_emb"], tokens.ids)
-        pos = nm.take_rows(self.params["pos_emb"], list(range(n)))
-        return tok + pos
+        return nm.take_rows(self.params["tok_emb"], tokens.ids) + nm.take_rows(self.params["pos_emb"], positions)
 
-    def _token_states(self, tokens: TokenSequence) -> Tensor:
-        x = self.embed(tokens)
-        keep = np.asarray(tokens.attention_mask, dtype=bool)[None, :]  # keys masked, all queries run
-        return run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps)
+    def _token_states(self, tokens: TokenSequence | TokenBatch) -> Tensor:
+        batch = isinstance(tokens, TokenBatch)  # a batch attends within each sequence; a sequence masks its padding keys
+        keep = True if batch else np.asarray(tokens.attention_mask, dtype=bool)[None, :]
+        return run_layers(self.embed(tokens), self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths=tokens.lengths if batch else None)
 
-    def encode(self, tokens: TokenSequence) -> EncoderOutput:
+    def encode(self, tokens: TokenSequence | TokenBatch) -> EncoderOutput:
         reps = self._token_states(tokens)
-        return EncoderOutput(cls_vector=reps[0], token_reps=reps)
+        if isinstance(tokens, TokenBatch):
+            grid = np.arange(tokens.lengths.max()) < tokens.lengths[:, None]
+            return EncoderOutput(cls_vector=nm.take_rows(reps, tokens.starts), token_reps=reps, attention_mask=grid)
+        return EncoderOutput(cls_vector=reps[0], token_reps=reps, attention_mask=np.asarray(tokens.attention_mask, dtype=bool))
 
-    def mlm_logits(self, tokens: TokenSequence) -> Tensor:
-        """Per-position vocabulary logits, projection tied to the embeddings."""
+    def mlm_logits(self, tokens: TokenSequence | TokenBatch, rows=None) -> Tensor:
+        """Vocabulary logits (projection tied to the embeddings) of the output
+        rows `rows`, picked before the projection; default every row."""
         reps = self._token_states(tokens)
+        if rows is not None:
+            reps = nm.take_rows(reps, rows)
         return nm.matmul(reps, self.params["tok_emb"].T)
 
 
@@ -205,24 +211,17 @@ def mlm_loss(encoder: Encoder, batch) -> Tensor | None:
     """Mean negative log-likelihood of the true tokens at masked positions.
 
     `batch` is a list of (corrupted, positions, original_ids) triples from
-    mask_tokens. Returns None (with a warning) if nothing is masked.
+    mask_tokens; the sequences with a masked position run as one TokenBatch.
+    Returns None (with a warning) if nothing is masked.
     """
-    losses = []
-    total = 0
-    for corrupted, positions, originals in batch:
-        if not positions:
-            continue
-        logits = encoder.mlm_logits(corrupted)
-        rows = nm.take_rows(logits, positions)
-        losses.append(nm.softmax_cross_entropy(rows, originals, reduction="sum"))
-        total += len(positions)
-    if total == 0:
+    batch = [triple for triple in batch if triple[1]]
+    if not batch:
         log.warning("mlm_loss: batch has no masked positions; skipping")
         return None
-    acc = losses[0]
-    for piece in losses[1:]:
-        acc = acc + piece
-    return nm.scale(acc, 1.0 / total)
+    tokens = TokenBatch.stack([corrupted for corrupted, _, _ in batch])
+    rows = [start + p for start, (_, positions, _) in zip(tokens.starts, batch) for p in positions]
+    logits = encoder.mlm_logits(tokens, rows)
+    return nm.softmax_cross_entropy(logits, [t for _, _, originals in batch for t in originals], reduction="mean")
 
 
 @dataclass
@@ -234,57 +233,15 @@ class PretrainConfig:
     mask_rate: float | None = None  # defaults to the encoder's configured rate
 
 
-@dataclass
-class TrainHistory:
-    rows: list[dict] = field(default_factory=list)
-    aborted: bool = False
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "lr", "seconds"])
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
-
-
-def pretrain(encoder: Encoder, sequences: list[TokenSequence], config: PretrainConfig) -> TrainHistory:
-    """Run masked-token pretraining epochs: corrupt, score, Adam step.
-
-    On divergence (non-finite loss) the parameters roll back to the last
-    completed epoch and the history is marked aborted.
-    """
+def pretrain(encoder: Encoder, sequences: list[TokenSequence], config: PretrainConfig) -> nm.TrainHistory:
+    """Masked-token pretraining through numerics.fit: each batch is corrupted
+    with the shuffling stream, scored and stepped; the logged loss is the
+    mean over batches. Divergence rolls back to the last completed epoch."""
     if not sequences:
         raise ValueError("pretrain needs a non-empty corpus")
     rate = config.mask_rate if config.mask_rate is not None else encoder.config.mask_rate
-    rng = Rng(config.seed).spawn("encoder.pretrain")
-    opt = nm.Adam([{"name": "encoder", "lr": config.lr, "params": encoder.params}])
-    history = TrainHistory()
-    last_good = {k: v.data.copy() for k, v in encoder.params.items()}
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(len(sequences))
-        epoch_loss = 0.0
-        batches = 0
-        try:
-            for start in range(0, len(order), config.batch_size):
-                chunk = [sequences[int(i)] for i in order[start : start + config.batch_size]]
-                batch = [mask_tokens(seq, rate, rng, encoder.config.vocab_size) for seq in chunk]
-                loss = mlm_loss(encoder, batch)
-                if loss is None:
-                    continue
-                opt.zero_grad()
-                nm.backward(loss)
-                opt.step()
-                epoch_loss += loss.item()
-                batches += 1
-        except nm.NumericsError:
-            log.error("pretrain: non-finite loss at epoch %d; rolling back", epoch)
-            for k, v in last_good.items():
-                encoder.params[k].data = v
-            history.aborted = True
-            return history
-        last_good = {k: v.data.copy() for k, v in encoder.params.items()}
-        mean_loss = epoch_loss / max(1, batches)
-        history.rows.append({"epoch": epoch, "loss": mean_loss, "lr": config.lr, "seconds": time.perf_counter() - started})
-        log.info("pretrain epoch %d loss %.4f", epoch, mean_loss)
-    return history
+
+    def batch_loss(chunk, rng):
+        return mlm_loss(encoder, [mask_tokens(seq, rate, rng, encoder.config.vocab_size) for seq in chunk]), 1, 0
+
+    return nm.fit(batch_loss, sequences, [{"name": "encoder", "lr": config.lr, "params": encoder.params}], config, "encoder.pretrain")

@@ -3,7 +3,8 @@
 The decoder reuses the encoder's transformer blocks under a causal mask:
 position i attends to positions <= i, and the distribution for the next token
 is read from the last position. Long contexts are truncated to the most
-recent `context_window` tokens.
+recent `context_window` tokens. Training runs each batch as one causal pass
+over its sequences laid end to end, each attending only within itself.
 
 Decoding is KV-cached and gradient-free: `generate` keeps one `KVCache` per
 request, so each step embeds and runs only the newest token against the
@@ -19,16 +20,15 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kgraph as kg
 from . import numerics as nm
-from .encoder import TrainHistory, init_layer_params, run_layers
+from .encoder import init_layer_params, run_layers
 from .numerics import Rng, Tensor
-from .tokenizer import EOS_ID, Vocab, decode, encode
+from .tokenizer import EOS_ID, TokenBatch, Vocab, decode, encode
 
 log = logging.getLogger(__name__)
 
@@ -112,12 +112,15 @@ class Decoder:
         params["out.b"] = nm.zeros_param(config.vocab_size)
         self.params = params
 
-    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, p in self.params.items():
-            arr = state[prefix + name]
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = np.asarray(arr, dtype=np.float64).copy()
+    def hidden_states(self, ids, start: int = 0, cache_layers: list[dict] | None = None, lengths=None) -> Tensor:
+        """Top-layer states under the causal mask: of positions start.. of one
+        sequence of ids or, with `lengths` (and start 0), of sequences laid end
+        to end in ids, each attending only within itself."""
+        n = len(ids) if lengths is None else max(lengths)
+        positions = np.arange(start, n) if lengths is None else TokenBatch(np.asarray(ids), np.asarray(lengths)).positions
+        x = nm.take_rows(self.params["tok_emb"], ids[start:]) + nm.take_rows(self.params["pos_emb"], positions)
+        keep = np.arange(n) <= np.arange(start, n)[:, None]  # causal rows start..n-1
+        return run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, cache_layers, lengths)
 
     def logits_matrix(self, ids, cache: KVCache | None = None) -> Tensor:
         """Per-position next-token logits for a full (windowed) sequence.
@@ -147,9 +150,7 @@ class Decoder:
             cache.ids = []  # stays invalid unless the stack below completes
             layers = cache.layers
         with nm.no_grad() if cache is not None else contextlib.nullcontext():
-            x = nm.take_rows(self.params["tok_emb"], ids[start:]) + nm.take_rows(self.params["pos_emb"], list(range(start, n)))
-            keep = np.tril(np.ones((n, n), dtype=bool))[start:]
-            states = run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, layers)
+            states = self.hidden_states(ids, start, layers)
             logits = nm.matmul(states, self.params["out.w"]) + self.params["out.b"]
         if cache is not None:
             cache.ids = ids
@@ -169,29 +170,37 @@ def lm_logits(model: Decoder, context_ids, cache: KVCache | None = None) -> np.n
     return e / e.sum()
 
 
-def lm_loss(model: Decoder, sequence, loss_mask, targets=None) -> Tensor:
+def lm_loss(model: Decoder, sequence, loss_mask, targets=None, lengths=None) -> Tensor:
     """Mean NLL over positions whose target is in the loss mask.
 
     `loss_mask[j]` selects target position j (j >= 1; the token at j is
     predicted from positions < j). `targets` defaults to the sequence itself;
     passing a separate array lets callers verify that masked-out targets have
-    no influence.
+    no influence. With `lengths`, sequence, loss_mask and targets hold
+    sequences of those lengths end to end: they run as one forward pass and
+    the loss is the mean over sequences of each one's mean NLL. Only the
+    selected rows reach the output projection.
     """
-    sequence = list(sequence)
-    if len(sequence) < 2:
+    ids = np.asarray(sequence, dtype=np.int64)
+    mask = np.asarray(loss_mask, dtype=bool)
+    lengths = np.array([len(ids)] if lengths is None else lengths)
+    if lengths.min() < 2:
         raise ValueError("lm_loss needs a sequence of at least two tokens")
-    if len(sequence) > model.config.context_window:
+    if lengths.max() > model.config.context_window:
         raise ValueError("sequence exceeds the context window")
-    mask = list(loss_mask)
-    if len(mask) != len(sequence):
+    if mask.shape != ids.shape:
         raise ValueError("loss_mask must align with the sequence")
-    tgt = list(targets) if targets is not None else sequence
-    picked = [j for j in range(1, len(sequence)) if mask[j]]
-    if not picked:
+    owner = np.repeat(np.arange(len(lengths)), lengths)  # the sequence each position belongs to
+    picked = mask.copy()
+    picked[np.cumsum(lengths) - lengths] = False  # a first position has no target
+    counts = np.bincount(owner[picked], minlength=len(lengths))
+    if not counts.all():
         raise ValueError("loss mask selects no positions")
-    logits = model.logits_matrix(sequence)
-    rows = nm.take_rows(logits, [j - 1 for j in picked])
-    return nm.softmax_cross_entropy(rows, [tgt[j] for j in picked], reduction="mean")
+    rows = np.flatnonzero(picked)
+    states = nm.take_rows(model.hidden_states(ids, lengths=lengths), rows - 1)
+    logits = nm.matmul(states, model.params["out.w"]) + model.params["out.b"]
+    tgt = ids if targets is None else np.asarray(targets, dtype=np.int64)
+    return nm.softmax_cross_entropy(logits, tgt[rows], reduction=1.0 / (counts[owner[rows]] * len(lengths)))
 
 
 def _nll_sum(model: Decoder, sequence) -> tuple[float, int]:
@@ -211,44 +220,19 @@ class LmTrainConfig:
     seed: int = 0
 
 
-def _train_sequences(model: Decoder, items, config: LmTrainConfig, tag: str) -> TrainHistory:
-    """Shared epoch loop: items are (sequence, loss_mask) pairs."""
-    rng = Rng(config.seed).spawn(tag)
-    opt = nm.Adam([{"name": "decoder", "lr": config.lr, "params": model.params}])
-    history = TrainHistory()
-    last_good = {k: v.data.copy() for k, v in model.params.items()}
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(len(items))
-        epoch_loss = 0.0
-        batches = 0
-        try:
-            for start in range(0, len(order), config.batch_size):
-                chunk = [items[int(i)] for i in order[start : start + config.batch_size]]
-                losses = [lm_loss(model, seq, mask) for seq, mask in chunk]
-                total = losses[0]
-                for piece in losses[1:]:
-                    total = total + piece
-                loss = nm.scale(total, 1.0 / len(chunk))
-                opt.zero_grad()
-                nm.backward(loss)
-                opt.step()
-                epoch_loss += loss.item()
-                batches += 1
-        except nm.NumericsError:
-            log.error("%s: non-finite loss at epoch %d; rolling back", tag, epoch)
-            for k, v in last_good.items():
-                model.params[k].data = v
-            history.aborted = True
-            return history
-        last_good = {k: v.data.copy() for k, v in model.params.items()}
-        mean_loss = epoch_loss / max(1, batches)
-        history.rows.append({"epoch": epoch, "loss": mean_loss, "lr": config.lr, "seconds": time.perf_counter() - started})
-        log.info("%s epoch %d loss %.4f", tag, epoch, mean_loss)
-    return history
+def _fit(model: Decoder, items, config: LmTrainConfig, tag: str) -> nm.TrainHistory:
+    """numerics.fit over (sequence, loss_mask) pairs, each batch one lm_loss
+    call on its sequences laid end to end; the logged loss is the mean over
+    batches."""
+
+    def batch_loss(chunk, _rng):
+        joined = [np.concatenate([np.asarray(part) for part in parts]) for parts in zip(*chunk)]
+        return lm_loss(model, *joined, lengths=[len(seq) for seq, _ in chunk]), 1, 0
+
+    return nm.fit(batch_loss, items, [{"name": "decoder", "lr": config.lr, "params": model.params}], config, tag)
 
 
-def pretrain_lm(model: Decoder, background_texts, vocab: Vocab, config: LmTrainConfig) -> TrainHistory:
+def pretrain_lm(model: Decoder, background_texts, vocab: Vocab, config: LmTrainConfig) -> nm.TrainHistory:
     """Next-token training over full sequences (every position in the loss).
 
     Texts longer than the context window are chunked into consecutive windows
@@ -266,12 +250,12 @@ def pretrain_lm(model: Decoder, background_texts, vocab: Vocab, config: LmTrainC
             chunk = ids[start : start + window]
             if len(chunk) >= 2:
                 items.append((chunk, [True] * len(chunk)))
-    return _train_sequences(model, items, config, "generator.pretrain")
+    return _fit(model, items, config, "generator.pretrain")
 
 
 @dataclass
 class QaFinetuneResult:
-    history: TrainHistory
+    history: nm.TrainHistory
     skipped: int = 0
 
 
@@ -309,7 +293,7 @@ def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab
         raise ValueError("no QA pair fits the context window")
     if skipped:
         log.warning("finetune_qa: skipped %d over-length pairs", skipped)
-    history = _train_sequences(model, items, config, "generator.finetune")
+    history = _fit(model, items, config, "generator.finetune")
     return QaFinetuneResult(history=history, skipped=skipped)
 
 

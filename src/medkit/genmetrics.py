@@ -39,7 +39,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 log = logging.getLogger(__name__)
 
@@ -411,6 +410,7 @@ def wmd_similarity(candidate, reference, embeddings) -> float:
 
 def transport_cost(p: np.ndarray, q: np.ndarray, cost: np.ndarray) -> float:
     """Exact optimal transport between distributions p and q (LP solve)."""
+    from scipy.optimize import linprog  # here, not at module level: importing it takes about 0.5 s
     m, n = cost.shape
     a_eq = np.zeros((m + n, m * n))
     for i in range(m):
@@ -509,7 +509,7 @@ class MetricReport:
     gleu: float
     nist: float
     ribes: float
-    ter: float
+    ter: float | None
     wmd_similarity: float | None
     embed_p: float | None
     embed_r: float | None
@@ -529,9 +529,10 @@ def report(gen_lines, ref_lines, encoder=None, vocab=None, embeddings=None) -> M
 
     Sentence-level metrics are averaged over pairs; entropy/diversity/KL/
     Self-BLEU and the NIST information weights are computed over the whole
-    corpora. Embedding-based metrics are None unless an encoder (for the
-    contextual scores) or an embedding table (for transport similarity) is
-    supplied.
+    corpora. TER, which is undefined for an empty reference, is averaged over
+    the pairs whose reference line is non-empty (None if there are none).
+    Embedding-based metrics are None unless an encoder (for the contextual
+    scores) or an embedding table (for transport similarity) is supplied.
     """
     gen_lines = [line.rstrip("\n") for line in gen_lines]
     ref_lines = [line.rstrip("\n") for line in ref_lines]
@@ -549,7 +550,7 @@ def report(gen_lines, ref_lines, encoder=None, vocab=None, embeddings=None) -> M
     w_p = w_r = w_f = 0.0
     bleu1_sum = chrf_sum = gleu_sum = nist_sum = ribes_sum = ter_sum = 0.0
     wmd_sum = 0.0
-    wmd_count = 0
+    wmd_count = ter_count = 0
     ep_sum = er_sum = ef_sum = 0.0
     embed_count = 0
     pairs = len(gen_lines)
@@ -563,7 +564,9 @@ def report(gen_lines, ref_lines, encoder=None, vocab=None, embeddings=None) -> M
         gleu_sum += gleu(g, r)
         nist_sum += nist(g, [r], max_n=5, info=info)
         ribes_sum += ribes(g, r)
-        ter_sum += ter(g, r) if r else 0.0
+        if r:
+            ter_sum += ter(g, r)
+            ter_count += 1
         if embeddings is not None and g and r:
             wmd_sum += wmd_similarity(g, r, embeddings)
             wmd_count += 1
@@ -585,7 +588,7 @@ def report(gen_lines, ref_lines, encoder=None, vocab=None, embeddings=None) -> M
         gleu=gleu_sum / pairs,
         nist=nist_sum / pairs,
         ribes=ribes_sum / pairs,
-        ter=ter_sum / pairs,
+        ter=ter_sum / ter_count if ter_count else None,
         wmd_similarity=wmd_sum / wmd_count if wmd_count else None,
         embed_p=ep_sum / embed_count if embed_count else None,
         embed_r=er_sum / embed_count if embed_count else None,

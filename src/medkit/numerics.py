@@ -10,14 +10,19 @@ writes ``data`` in place, and only between graph builds.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
+import logging
 import math
 import os
 import struct
-import warnings
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 class NumericsError(Exception):
@@ -117,9 +122,6 @@ class Tensor:
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
-
-    def flatten(self) -> "Tensor":
-        return reshape(self, (-1,))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -342,98 +344,128 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     a = _wrap(a)
     x = a.data
-    with np.errstate(over="ignore"):
-        inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    with np.errstate(over="ignore"):  # in place, rounding as C * (x + 0.044715 * (x * x * x))
+        t = x * x * x
+        t *= 0.044715
+        t += x
+        t *= _GELU_C
+    np.tanh(t, out=t)
+    out = (t + 1.0) * x
+    out *= 0.5
 
     def backward_fn(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        return (g * d,)
+        d = 1.0 - t * t
+        d *= x
+        d *= 0.5 * _GELU_C
+        slope = x * (3 * 0.044715) * x
+        slope += 1.0
+        d *= slope  # 0.5 * x * (1 - t^2) * C * (1 + 3 * 0.044715 * x^2)
+        d += (t + 1.0) * 0.5
+        d *= g
+        return (d,)
 
     return _make(out, (a,), backward_fn)
 
 
-def masked_fill(a: Tensor, keep, value: float) -> Tensor:
-    """Replace entries where `keep` is False by `value`; gradient flows only
-    through kept entries, so masked inputs cannot influence the output at all."""
-    a = _wrap(a)
-    keep_arr = np.broadcast_to(np.asarray(keep, dtype=bool), a.data.shape)
-    out = np.where(keep_arr, a.data, float(value))
-
-    def backward_fn(g):
-        return (np.where(keep_arr, g, 0.0),)
-
-    return _make(out, (a,), backward_fn)
+def _grid(lengths, rows: int) -> np.ndarray:
+    """(B, longest) mask of the positions of sequences of `lengths` (default:
+    one) laid end to end in `rows` rows."""
+    lengths = np.array([rows] if lengths is None else lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.sum() != rows or lengths.min() < 1:
+        raise ShapeError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
+    return np.arange(lengths.max()) < lengths[:, None]
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM pass over the rows of x (seq, in_dim) from zero states, as one
-    graph node; returns the (seq, hidden) hidden states in row order. The
-    4 * hidden columns of wx, wh and b are the [input, forget, cell, output]
-    gates. All steps' input projections are one matmul and the backward pass
-    is hand-written BPTT; non-finite gate pre-activations raise NumericsError.
+def _spread(rows: np.ndarray, at, size: int) -> np.ndarray:
+    """A zero array of `size` rows with `rows` written at row indices `at`."""
+    out = np.zeros((size,) + rows.shape[1:])
+    out[at] = rows
+    return out
+
+
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])  # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for the i, f, o gates
+_GATE_SHIFT = np.array([0.5, 0.5, 0.0, 0.5])
+
+
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+    """One LSTM pass from zero states over the rows of x (rows, in_dim), one
+    sequence or, with `lengths`, sequences laid end to end, as one graph node;
+    returns the (rows, hidden) hidden states in row order. The 4 * hidden
+    columns of wx, wh and b are the [input, forget, cell, output] gates. Step s
+    is one gate matmul over position s (reverse: s-th from the end) of every
+    sequence still going. The backward pass is hand-written BPTT; non-finite
+    gate pre-activations raise NumericsError.
     """
     x, wx, wh, b = _wrap(x), _wrap(wx), _wrap(wh), _wrap(b)
     k = wh.shape[0]
     if x.ndim != 2 or wx.shape != (x.shape[1], 4 * k) or wh.shape != (k, 4 * k) or b.shape != (4 * k,):
         raise ShapeError(f"lstm shapes disagree: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-    steps = x.data[::-1] if reverse else x.data  # rows in processing order
-    n = steps.shape[0]
-    hs, cs = np.zeros((n + 1, k)), np.zeros((n + 1, k))  # row s: the state before step s
+    grid = _grid(lengths, x.shape[0])
+    lengths = grid.sum(axis=1)
+    batch, n = grid.shape
+    # time-major states hold the sequences longest first: the first going[s] run step s
+    rank = np.empty(batch, dtype=np.int64)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(batch)
+    going = (lengths > np.arange(n)[:, None]).sum(axis=1)
+    owner, position = np.divmod(np.flatnonzero(grid), n)
+    step = lengths[owner] - 1 - position if reverse else position
+    slot = step * batch + rank[owner]  # each row's (step, sequence) cell, flattened
+    scale, shift = np.repeat(_GATE_SCALE, k), np.repeat(_GATE_SHIFT, k)
+    hs, cs = np.zeros((n + 1, batch, k)), np.zeros((n + 1, batch, k))  # hs[s]: the state before step s
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as the check below
-        z = steps @ wx.data
-        acts = np.empty_like(z)
-        i, f, g, o = np.split(acts, 4, axis=1)  # column views of acts
-        for s in range(n):
-            z[s] = z[s] + hs[s] @ wh.data + b.data
-            acts[s] = _sigmoid(z[s])
-            g[s] = np.tanh(z[s, 2 * k : 3 * k])
-            cs[s + 1] = f[s] * cs[s] + i[s] * g[s]
-            hs[s + 1] = o[s] * np.tanh(cs[s + 1])
+        z = _spread(x.data @ wx.data, slot, n * batch).reshape(n, batch, 4 * k)
+        acts = np.zeros_like(z)
+        i, f, g, o = np.split(acts, 4, axis=2)  # gate views of acts
+        for s, m in enumerate(going):
+            z[s, :m] = z[s, :m] + hs[s, :m] @ wh.data + b.data
+            acts[s, :m] = np.tanh(z[s, :m] * scale) * scale + shift
+            cs[s + 1, :m] = f[s, :m] * cs[s, :m] + i[s, :m] * g[s, :m]
+            hs[s + 1, :m] = o[s, :m] * np.tanh(cs[s + 1, :m])
     if not np.isfinite(z).all():
         raise NumericsError("non-finite lstm gate pre-activations")
 
     def backward_fn(grad):
-        grad = grad[::-1] if reverse else grad
+        carried = _spread(grad, slot, n * batch).reshape(n, batch, k)
         tanh_c = np.tanh(cs[1:])
         dc_dh = o * (1.0 - tanh_c * tanh_c)
         # dz[s] = [dc, dc, dc, dh] * coef[s]: each gate's partner in c or h times its slope
-        coef = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=1)
-        dz = np.empty((n, 4 * k))
-        dh, dc = np.zeros(k), np.zeros(k)
+        coef = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=2)
+        dz = np.zeros((n, batch, 4 * k))
+        dh, dc = np.zeros((batch, k)), np.zeros((batch, k))
         for s in range(n - 1, -1, -1):
-            dh = dh + grad[s]
-            dc = dc + dh * dc_dh[s]
-            dz[s] = np.concatenate([dc, dc, dc, dh]) * coef[s]
-            dc = dc * f[s]
-            dh = dz[s] @ wh.data.T
-        dx = dz @ wx.data.T
-        return (dx[::-1] if reverse else dx), steps.T @ dz, hs[:-1].T @ dz, dz.sum(axis=0)
+            m = going[s]
+            dh[:m] += carried[s, :m]
+            dc[:m] += dh[:m] * dc_dh[s, :m]
+            dz[s, :m] = np.concatenate([dc[:m], dc[:m], dc[:m], dh[:m]], axis=1) * coef[s, :m]
+            dc[:m] *= f[s, :m]
+            dh[:m] = dz[s, :m] @ wh.data.T
+        rows = dz.reshape(n * batch, 4 * k)[slot]
+        return rows @ wx.data.T, x.data.T @ rows, hs[:-1].reshape(n * batch, k).T @ dz.reshape(n * batch, 4 * k), rows.sum(axis=0)
 
-    return _make(hs[:0:-1] if reverse else hs[1:], (x, wx, wh, b), backward_fn)
+    return _make(hs[1:].reshape(n * batch, k)[slot], (x, wx, wh, b), backward_fn)
 
 
-def attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], keep, cache: dict | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention over the rows of x (n, hidden)
-    as one graph node; returns the (n, heads * head_dim) head outputs side by
-    side. wq, wk and wv list one (hidden, head_dim) weight per head; all 3 *
-    heads of them are one projection matmul, and the heads run batched.
+def attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], keep, cache: dict | None = None, lengths=None) -> Tensor:
+    """Multi-head scaled dot-product attention over the rows of x (rows,
+    hidden) as one graph node; returns the (rows, heads * head_dim) head
+    outputs side by side. wq, wk and wv list one (hidden, head_dim) weight per
+    head; all 3 * heads of them are one projection matmul. The rows are one
+    sequence or, with `lengths`, sequences laid end to end, each attending
+    only within itself; sequences and heads run batched.
 
-    `keep[i, j]` says whether query i may attend to key j (a 1-D mask is
-    broadcast over queries). A dropped key scores -1e30; a row with no kept
+    `keep[i, j]` says whether position i may attend to position j (a 1-D mask
+    is broadcast over queries). A dropped key scores -1e30; a row with no kept
     key attends to key 0 alone. Scores are scaled by 1/sqrt(head_dim). The
     backward pass is hand-written; non-finite projections or scores raise
     NumericsError, also where the mask would hide them.
 
-    With a `cache` (a dict, empty before the first call) x holds only the
-    positions not yet seen: their keys and values, (heads, positions,
-    head_dim) arrays, are appended to cache["k"] and cache["v"], and `keep`
-    has one column per cached-plus-new key. The cache also keeps the joined
-    projection weights, so, like its keys and values, it is valid only while
-    the weights stay unchanged. Cached keys and values are plain arrays that
-    cannot pass gradients back, so the result then has no graph.
+    With a `cache` (a dict, empty before the first call) x is one sequence
+    holding only the positions not yet seen: their keys and values, (heads,
+    positions, head_dim) arrays, are appended to cache["k"] and cache["v"],
+    and `keep` has one column per cached-plus-new key. The cache also keeps
+    the joined projection weights, so, like its keys and values, it is valid
+    only while the weights stay unchanged. Cached keys and values are plain
+    arrays that cannot pass gradients back, so the result then has no graph.
     """
     x = _wrap(x)
     ws = [_wrap(w) for w in (*wq, *wk, *wv)]
@@ -443,41 +475,50 @@ def attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequenc
     d = ws[0].shape[1]
     if any(w.shape != (x.shape[1], d) for w in ws):
         raise ShapeError(f"attention weights must all be ({x.shape[1]}, {d})")
-    n = x.shape[0]
+    grid = None if lengths is None else _grid(lengths, x.shape[0])
+    batch, n = (1, x.shape[0]) if grid is None else grid.shape
+    real = slice(None) if grid is None else np.flatnonzero(grid)  # where the rows sit in the (B * n) padded grid
     w_all = cache["w"] if cache else np.concatenate([w.data for w in ws], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as the checks below
         proj = x.data @ w_all
         if not np.isfinite(proj).all():
             raise NumericsError("non-finite attention projections")
-        q, k, v = proj.reshape(n, 3, heads, d).transpose(1, 2, 0, 3)  # each (heads, n, d)
+        q, k, v = (proj if grid is None else _spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
         if cache is not None:
             if cache:
-                k = np.concatenate([cache["k"], k], axis=1)
-                v = np.concatenate([cache["v"], v], axis=1)
-            cache.update(w=w_all, k=k, v=v)
+                k = np.concatenate([cache["k"], k[0]], axis=1)[None]
+                v = np.concatenate([cache["v"], v[0]], axis=1)[None]
+            cache.update(w=w_all, k=k[0], v=v[0])
         factor = 1.0 / np.sqrt(d)
-        scores = (q @ k.transpose(0, 2, 1)) * factor
-    if not np.isfinite(scores).all():
+        weights = q @ k.transpose(0, 1, 3, 2)
+        weights *= factor
+    if not np.isfinite(weights).all():
         raise NumericsError("non-finite attention scores")
     keep = np.asarray(keep, dtype=bool)
+    if grid is not None:
+        keep = keep & grid[:, None, None, :]
     live = keep.any(axis=-1)
     if not live.all():
         keep = keep.copy()
         keep[..., 0] |= ~live
-    weights = np.where(keep, scores, -1e30)
+    np.copyto(weights, -1e30, where=~keep)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    out = (weights @ v).transpose(1, 0, 2).reshape(n, heads * d)
+    out = (weights @ v).transpose(0, 2, 1, 3).reshape(batch * n, heads * d)[real]
     if cache is not None:
         return Tensor(out)
 
     def backward_fn(grad):
-        g = grad.reshape(n, heads, d).transpose(1, 0, 2)
-        dw = g @ v.transpose(0, 2, 1)
-        ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True)) * factor
-        dq, dk, dv = ds @ k, ds.transpose(0, 2, 1) @ q, weights.transpose(0, 2, 1) @ g
-        dproj = np.stack([dq, dk, dv]).transpose(2, 0, 1, 3).reshape(n, 3 * heads * d)
+        g = (grad if grid is None else _spread(grad, real, batch * n)).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
+        ds = g @ v.transpose(0, 1, 3, 2)
+        ds -= (ds * weights).sum(axis=-1, keepdims=True)
+        ds *= weights
+        ds *= factor  # weights * (dw - sum(dw * weights)) * factor, dw = g @ v.T
+        dproj = np.empty((batch, n, 3, heads, d))  # dq, dk, dv written through (B, heads, n, d) views
+        for i, (a, b) in enumerate([(ds, k), (ds.transpose(0, 1, 3, 2), q), (weights.transpose(0, 1, 3, 2), g)]):
+            np.matmul(a, b, out=dproj[:, :, i].transpose(0, 2, 1, 3))
+        dproj = dproj.reshape(batch * n, 3 * heads * d)[real]
         return (dproj @ w_all.T, *np.split(x.data.T @ dproj, 3 * heads, axis=1))
 
     return _make(out, (x, *ws), backward_fn)
@@ -538,32 +579,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out, (x, gain, bias), backward_fn)
 
 
-def cross_entropy(probs: Tensor, target_index: int) -> Tensor:
-    """Negative log-likelihood of `target_index` under an already-normalized
-    distribution. A zero probability is clamped to 1e-12 with a warning."""
-    probs = _wrap(probs)
-    if probs.ndim != 1:
-        raise ShapeError("cross_entropy expects a 1-D distribution")
-    t = int(target_index)
-    if not 0 <= t < probs.data.shape[0]:
-        raise ShapeError("target index out of range")
-    p = probs.data[t]
-    if p <= 0.0:
-        warnings.warn("cross_entropy target probability clamped to 1e-12")
-    p_safe = max(p, 1e-12)
-    out = np.asarray(-np.log(p_safe))
-
-    def backward_fn(g):
-        z = np.zeros_like(probs.data)
-        z[t] = -float(g) / p_safe
-        return (z,)
-
-    return _make(out, (probs,), backward_fn)
-
-
-def softmax_cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
+def softmax_cross_entropy(logits: Tensor, targets, reduction="mean") -> Tensor:
     """Fused log-softmax + NLL over rows of `logits`; the gradient with respect
-    to the logits is (softmax - one_hot), which stays stable for any scale."""
+    to the logits is (softmax - one_hot), which stays stable for any scale.
+    `reduction` is "mean", "sum", or one weight per row for a weighted sum."""
     logits = _wrap(logits)
     if logits.ndim == 1:
         logits = reshape(logits, (1, -1))
@@ -573,35 +592,33 @@ def softmax_cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> T
         raise ShapeError("one target per logits row required")
     if t.size and (t.min() < 0 or t.max() >= k):
         raise ShapeError("target id out of range")
-    m = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    nll = (lse - shifted[np.arange(n), t][:, None]).reshape(-1)
-    if reduction == "mean":
-        out = np.asarray(nll.mean())
-    elif reduction == "sum":
-        out = np.asarray(nll.sum())
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-    probs = np.exp(shifted - lse)
+    if isinstance(reduction, str):
+        if reduction not in ("mean", "sum"):
+            raise ValueError(f"unknown reduction {reduction!r}")
+        reduction = np.full(n, 1.0 / n if reduction == "mean" else 1.0)
+    weights = np.asarray(reduction, dtype=np.float64).reshape(n)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
+    nll = (np.log(total) - shifted[np.arange(n), t][:, None]).reshape(-1)
 
     def backward_fn(g):
         d = probs.copy()
         d[np.arange(n), t] -= 1.0
-        d *= float(g)
-        if reduction == "mean":
-            d /= n
+        d *= float(g) * weights[:, None]
         return (d,)
 
-    return _make(out, (logits,), backward_fn)
+    return _make(np.asarray(nll @ weights), (logits,), backward_fn)
 
 
 # -- backward pass -----------------------------------------------------------
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of `loss` into every reachable requires_grad
-    tensor. Repeated calls without zeroing keep accumulating."""
+    """Accumulate gradients of `loss` into every reachable requires_grad leaf
+    (a tensor no recorded op produced). Repeated calls without zeroing keep
+    accumulating."""
     if not isinstance(loss, Tensor):
         raise NumericsError("backward needs a Tensor")
     if loss.data.size != 1:
@@ -628,9 +645,9 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
-        if node._backward_fn is None:
+        if node._backward_fn is None:  # a leaf: keep its gradient
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward_fn(g)
         for parent, pg in zip(node._parents, parent_grads):
@@ -802,6 +819,80 @@ class Adam:
                 for g in self.groups
             ],
         }
+
+
+@dataclass
+class TrainHistory:
+    """One row per completed epoch (epoch, loss, lr, seconds); `aborted` marks
+    a run rolled back after a non-finite value."""
+
+    rows: list[dict] = field(default_factory=list)
+    aborted: bool = False
+    optimizer_state: dict = field(default_factory=dict)
+
+    def write_csv(self, path) -> None:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "lr", "seconds"])
+            writer.writeheader()
+            for row in self.rows:
+                writer.writerow(row)
+
+
+def fit(batch_loss, items: Sequence, groups: list[dict], config, tag: str, stop_at_train_acc: float | None = None) -> TrainHistory:
+    """The training loop: config.epochs passes over `items`, each in a fresh
+    order from Rng(config.seed).spawn(tag), one Adam step (`groups`) per
+    config.batch_size items.
+
+    `batch_loss(batch, rng)` returns (loss, weight, correct): the loss Tensor
+    (None skips the batch), the weight of its value in the epoch's logged
+    mean, and how many items it got right, for `stop_at_train_acc`. `rng` is
+    the shuffling stream, for draws the loss makes. The first group's lr is
+    logged. On NumericsError every parameter rolls back to the end of the
+    last completed epoch and the history is marked aborted.
+    """
+    rng = Rng(config.seed).spawn(tag)
+    opt = Adam(groups)
+    params = [p for g in opt.groups for p in g["params"].values()]
+    history = TrainHistory()
+    last_good = [p.data.copy() for p in params]
+    for epoch in range(config.epochs):
+        started = time.perf_counter()
+        order = rng.permutation(len(items))
+        total = weights = correct = 0
+        try:
+            for start in range(0, len(order), config.batch_size):
+                loss, weight, right = batch_loss([items[int(i)] for i in order[start : start + config.batch_size]], rng)
+                correct += right
+                if loss is None:
+                    continue
+                opt.zero_grad()
+                backward(loss)
+                opt.step()
+                total += loss.item() * weight
+                weights += weight
+        except NumericsError:
+            logger.error("%s: non-finite value at epoch %d; rolling back", tag, epoch)
+            for p, data in zip(params, last_good):
+                p.data = data
+            history.aborted = True
+            break
+        last_good = [p.data.copy() for p in params]
+        accuracy = correct / len(items)
+        history.rows.append({"epoch": epoch, "loss": total / max(1, weights), "lr": opt.groups[0]["lr"], "seconds": time.perf_counter() - started})
+        logger.info("%s epoch %d loss %.4f acc %.3f", tag, epoch, history.rows[-1]["loss"], accuracy)
+        if stop_at_train_acc is not None and accuracy >= stop_at_train_acc:
+            break
+    history.optimizer_state = opt.state_summary()
+    return history
+
+
+def load_params(params: Mapping[str, Tensor], state: Mapping[str, np.ndarray], prefix: str = "") -> None:
+    """Copy `state[prefix + name]` into each named parameter; shapes must match."""
+    for name, p in params.items():
+        arr = state[prefix + name]
+        if arr.shape != p.data.shape:
+            raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
+        p.data = np.asarray(arr, dtype=np.float64).copy()
 
 
 # -- checkpoint file format ---------------------------------------------------

@@ -4,22 +4,19 @@ A template wraps the question with a cloze sentence containing mask slots; a
 verbalizer maps each label to a token sequence right-padded to the slot count.
 Scoring sums the per-slot log-likelihoods of a label's (padded) tokens under
 one shared forward pass, so pad slots participate in every label's score.
+Training, scoring and prediction run a batch of prompts as one TokenBatch.
 """
 
 from __future__ import annotations
 
-import logging
-import time
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import Encoder, TrainHistory
-from .numerics import Rng
-from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenSequence, Vocab, _normalize
-
-log = logging.getLogger(__name__)
+from .encoder import Encoder
+from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenBatch, TokenSequence, Vocab, _normalize
 
 SLOT_MARKER = "{}"
 
@@ -112,45 +109,55 @@ def build_prompt(question: str, template: PromptTemplate, vocab: Vocab, max_len:
     return TokenSequence(ids=ids, attention_mask=mask, original_length=len(chars)), slots
 
 
+def _slot_rows(prompts: TokenSequence | TokenBatch, slots) -> np.ndarray:
+    """Encoder output rows of the slots: for a batch, each prompt's slot
+    positions offset to its first row."""
+    return (prompts.starts[:, None] + np.asarray(slots)).ravel() if isinstance(prompts, TokenBatch) else np.asarray(slots)
+
+
 def score_labels(
     encoder: Encoder,
-    prompt_seq: TokenSequence,
-    slots: list[int],
+    prompts: TokenSequence | TokenBatch,
+    slots,
     verbalizer: Verbalizer,
     include_pad_slots: bool = True,
-) -> dict[str, float]:
+):
     """Log-likelihood of each label's token sequence at the mask slots.
 
-    One forward pass is shared by all labels. With include_pad_slots=False
-    the [PAD] filler positions of short labels are left out of their sums
+    One no-grad forward pass is shared by all labels and, for a TokenBatch
+    with one slot list per prompt, by all prompts. Returns a label -> score
+    dict, or a list of them for a batch. With include_pad_slots=False the
+    [PAD] filler positions of short labels are left out of their sums
     (exposed for ablation; the default scores every slot).
     """
     with nm.no_grad():
-        logprobs = nm.log_softmax(nm.take_rows(encoder.mlm_logits(prompt_seq), slots), axis=-1).data
-    scores: dict[str, float] = {}
-    for label, token_ids in verbalizer.label_tokens.items():
-        total = 0.0
-        for slot_idx, tok in enumerate(token_ids):
-            if not include_pad_slots and tok == PAD_ID:
-                continue
-            total += float(logprobs[slot_idx, tok])
-        scores[label] = total
-    return scores
+        logprobs = nm.log_softmax(encoder.mlm_logits(prompts, _slot_rows(prompts, slots)), axis=-1).data
+    logprobs = logprobs.reshape(-1, np.shape(slots)[-1], logprobs.shape[-1])
+    scores = [
+        {label: sum(float(rows[i, tok]) for i, tok in enumerate(token_ids) if include_pad_slots or tok != PAD_ID) for label, token_ids in verbalizer.label_tokens.items()}
+        for rows in logprobs
+    ]
+    return scores if isinstance(prompts, TokenBatch) else scores[0]
 
 
 def predict(
     encoder: Encoder,
-    question: str,
+    questions: str | list[str],
     template: PromptTemplate,
     verbalizer: Verbalizer,
     vocab: Vocab,
     max_len: int,
     include_pad_slots: bool = True,
-) -> str:
-    """Highest-scoring label; ties break toward the lexicographically smallest."""
-    seq, slots = build_prompt(question, template, vocab, max_len)
-    scores = score_labels(encoder, seq, slots, verbalizer, include_pad_slots)
-    return min(scores, key=lambda label: (-scores[label], label))
+):
+    """Highest-scoring label for a question, or a list of them for a list of
+    questions scored as one batch; ties break toward the lexicographically
+    smallest label."""
+    single = isinstance(questions, str)
+    built = [build_prompt(question, template, vocab, max_len) for question in ([questions] if single else questions)]
+    batch = TokenBatch.stack([seq for seq, _ in built])
+    scores = score_labels(encoder, batch, [slots for _, slots in built], verbalizer, include_pad_slots)
+    choices = [min(row, key=lambda label: (-row[label], label)) for row in scores]
+    return choices[0] if single else choices
 
 
 @dataclass
@@ -162,6 +169,18 @@ class PromptTrainConfig:
     stop_at_train_acc: float | None = None
 
 
+def slot_loss(encoder: Encoder, batch, _rng=None) -> tuple[nm.Tensor, int, int]:
+    """numerics.fit's (loss, weight, correct) for a list of (prompt, slots,
+    target_ids): the per-prompt cross-entropy summed over the slots (pad
+    fillers included, matching the scoring rule), averaged and logged per
+    prompt; a prompt is right when every slot is."""
+    prompts = TokenBatch.stack([seq for seq, _, _ in batch])
+    targets = np.array([target_ids for _, _, target_ids in batch])
+    logits = encoder.mlm_logits(prompts, _slot_rows(prompts, [slots for _, slots, _ in batch]))
+    correct = int(np.sum(np.all(np.argmax(logits.data, axis=1).reshape(targets.shape) == targets, axis=1)))
+    return nm.softmax_cross_entropy(logits, targets, reduction=np.full(targets.size, 1.0 / len(batch))), len(batch), correct
+
+
 def train_prompt(
     encoder: Encoder,
     dataset,
@@ -170,62 +189,17 @@ def train_prompt(
     vocab: Vocab,
     max_len: int,
     config: PromptTrainConfig,
-) -> TrainHistory:
-    """Cross-entropy on the label tokens at the mask slots, nothing else.
+) -> nm.TrainHistory:
+    """Cross-entropy on the label tokens at the mask slots, nothing else,
+    through numerics.fit; the logged loss is the per-sample mean, and
+    divergence rolls back to the last completed epoch.
 
-    `dataset` is a list of (question, label). The per-sample loss sums over
-    the slots (pad fillers included), matching the scoring rule; divergence
-    rolls back to the last completed epoch.
+    `dataset` is a list of (question, label).
     """
     if not dataset:
         raise ValueError("empty training set")
     for _, label in dataset:
         if label not in verbalizer.label_tokens:
             raise ValueError(f"label {label!r} missing from the verbalizer")
-    encoded = []
-    for question, label in dataset:
-        seq, slots = build_prompt(question, template, vocab, max_len)
-        encoded.append((seq, slots, verbalizer.label_tokens[label], label))
-    rng = Rng(config.seed).spawn("prompt.train")
-    opt = nm.Adam([{"name": "encoder", "lr": config.lr, "params": encoder.params}])
-    history = TrainHistory()
-    last_good = {k: v.data.copy() for k, v in encoder.params.items()}
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(len(encoded))
-        epoch_loss = 0.0
-        correct = 0
-        try:
-            for start in range(0, len(order), config.batch_size):
-                chunk = [encoded[int(i)] for i in order[start : start + config.batch_size]]
-                losses = []
-                for seq, slots, target_ids, label in chunk:
-                    logits = encoder.mlm_logits(seq)
-                    rows = nm.take_rows(logits, slots)
-                    losses.append(nm.softmax_cross_entropy(rows, target_ids, reduction="sum"))
-                    slot_preds = np.argmax(rows.data, axis=1)
-                    if list(slot_preds) == target_ids:
-                        correct += 1
-                total = losses[0]
-                for piece in losses[1:]:
-                    total = total + piece
-                loss = nm.scale(total, 1.0 / len(chunk))
-                opt.zero_grad()
-                nm.backward(loss)
-                opt.step()
-                epoch_loss += loss.item() * len(chunk)
-        except nm.NumericsError:
-            log.error("train_prompt: non-finite loss at epoch %d; rolling back", epoch)
-            for k, v in last_good.items():
-                encoder.params[k].data = v
-            history.aborted = True
-            return history
-        last_good = {k: v.data.copy() for k, v in encoder.params.items()}
-        train_acc = correct / len(encoded)
-        history.rows.append(
-            {"epoch": epoch, "loss": epoch_loss / len(encoded), "lr": config.lr, "seconds": time.perf_counter() - started}
-        )
-        log.info("prompt epoch %d loss %.4f acc %.3f", epoch, epoch_loss / len(encoded), train_acc)
-        if config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc:
-            break
-    return history
+    encoded = [(*build_prompt(question, template, vocab, max_len), verbalizer.label_tokens[label]) for question, label in dataset]
+    return nm.fit(functools.partial(slot_loss, encoder), encoded, [{"name": "encoder", "lr": config.lr, "params": encoder.params}], config, "prompt.train", config.stop_at_train_acc)

@@ -12,6 +12,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -84,9 +86,36 @@ class TokenSequence:
         if len(self.ids) != len(self.attention_mask):
             raise TokenizerError("ids and attention_mask lengths differ")
 
+
+@dataclass
+class TokenBatch:
+    """Sequences laid end to end without padding: `ids` holds each one's real
+    tokens in turn, `lengths` how many each has; every position is real."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def stack(cls, sequences) -> "TokenBatch":
+        """Batch TokenSequences whose real positions come first."""
+        lengths = np.array([sum(seq.attention_mask) for seq in sequences])
+        if not all(all(seq.attention_mask[:n]) for seq, n in zip(sequences, lengths)):
+            raise TokenizerError("a batched sequence must have its real positions first")
+        return cls(np.array([i for seq, n in zip(sequences, lengths) for i in seq.ids[:n]], dtype=np.int64), lengths)
+
     @property
-    def real_length(self) -> int:
-        return sum(self.attention_mask)
+    def attention_mask(self) -> np.ndarray:
+        return np.ones(len(self.ids), dtype=bool)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each sequence begins in `ids`."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Each token's position within its own sequence."""
+        return np.arange(len(self.ids)) - np.repeat(self.starts, self.lengths)
 
 
 def build_vocab(corpus_texts, min_freq: int = 1) -> Vocab:

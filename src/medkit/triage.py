@@ -4,23 +4,21 @@ The head runs a stacked bidirectional LSTM over the encoder's token
 representations, concatenates the two final hidden states with the [CLS]
 summary vector, pushes the fused vector through a stack of dendritic layers
 (each one a learned linear map of the element-wise square of its input), and
-finishes with a dense softmax over the label set.
+finishes with a dense softmax over the label set. Like the encoder it runs
+one sequence or a batch.
 """
 
 from __future__ import annotations
 
-import logging
-import time
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import Encoder, TrainHistory
+from .encoder import Encoder, EncoderOutput
 from .numerics import Rng, Tensor
-from .tokenizer import TokenSequence
-
-log = logging.getLogger(__name__)
+from .tokenizer import TokenBatch
 
 
 @dataclass
@@ -55,12 +53,13 @@ class TriageConfig:
         }
 
 
-def lstm_direction(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool):
-    """One LSTM pass over the rows of x (seq, in_dim); returns (outputs, final_h):
-    the (seq, hidden) hidden states in row order and the (1, hidden) state
-    after the last step taken. Gate order is [input, forget, cell, output]."""
-    outputs = nm.lstm(x, wx, wh, b, reverse)
-    return outputs, outputs[0:1, :] if reverse else outputs[-1:, :]
+def lstm_direction(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool, lengths=None):
+    """numerics.lstm over the rows of x and the (sequences, hidden) states
+    after each sequence's last step: returns (outputs, final_h)."""
+    outputs = nm.lstm(x, wx, wh, b, reverse, lengths)
+    lengths = np.array([x.shape[0]] if lengths is None else lengths)
+    ends = np.cumsum(lengths)
+    return outputs, nm.take_rows(outputs, ends - lengths if reverse else ends - 1)
 
 
 class TriageHead:
@@ -87,68 +86,65 @@ class TriageHead:
         params["dense.b"] = nm.zeros_param(config.num_classes)
         self.params = params
 
-    def load_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, p in self.params.items():
-            arr = state[prefix + name]
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = np.asarray(arr, dtype=np.float64).copy()
-
     def dd_stack(self) -> list[Tensor]:
         return [self.params[f"dd{i}.w"] for i in range(self.config.num_dd_layers)]
 
     def bilstm(self, token_reps: Tensor, mask) -> Tensor:
         return bilstm(token_reps, mask, self.params, self.config.num_lstm_layers)
 
-    def forward_logits(self, encoder_output) -> Tensor:
+    def forward_logits(self, encoder_output: EncoderOutput) -> Tensor:
+        """Logits for one encoded sequence (num_classes,) or a batch (B, num_classes)."""
         cfg = self.config
-        if cfg.use_bilstm and cfg.use_cls:
-            fused = fuse(self._summary(encoder_output), encoder_output.cls_vector)
+        cls_vector = encoder_output.cls_vector
+        if cfg.use_bilstm:
+            summary = self.bilstm(encoder_output.token_reps, encoder_output.attention_mask)
+            fused = fuse(summary, cls_vector) if cfg.use_cls else summary
         else:
-            fused = self._summary(encoder_output) if cfg.use_bilstm else encoder_output.cls_vector
+            fused = cls_vector
         features = dendrite(fused, self.dd_stack()) if cfg.use_dd else fused
-        return nm.matmul(features.reshape((1, -1)), self.params["dense.w"]).flatten() + self.params["dense.b"]
+        logits = nm.matmul(features.reshape((-1, features.shape[-1])), self.params["dense.w"]) + self.params["dense.b"]
+        return logits.reshape(fused.shape[:-1] + (cfg.num_classes,))
 
-    def _summary(self, encoder_output) -> Tensor:
-        mask = getattr(encoder_output, "attention_mask", None)
-        if mask is None:
-            mask = [True] * encoder_output.token_reps.shape[0]
-        return self.bilstm(encoder_output.token_reps, mask)
-
-    def forward(self, encoder_output) -> Tensor:
+    def forward(self, encoder_output: EncoderOutput) -> Tensor:
         """Probability distribution over the label set."""
         return nm.softmax(self.forward_logits(encoder_output), axis=-1)
 
 
 def bilstm(token_reps: Tensor, mask, params: dict, num_layers: int) -> Tensor:
     """Run the stacked bidirectional LSTM over real positions only and return
-    the concatenation [forward final ; backward final] of the top layer."""
-    real = [i for i, m in enumerate(mask) if m]
-    if not real:
+    the concatenation [forward final ; backward final] of the top layer:
+    (2 * hidden,) for a (seq,) mask, (B, 2 * hidden) for a (B, longest) one.
+    token_reps has one row per position of the mask, or one per real
+    position (a batched encoder's rows)."""
+    mask = np.asarray(mask, dtype=bool)
+    lengths = mask.reshape(-1, mask.shape[-1]).sum(axis=1)
+    if not lengths.all():
         raise ValueError("bilstm needs at least one real token")
-    x = nm.take_rows(token_reps, real) if len(real) != token_reps.shape[0] else token_reps
+    real = np.flatnonzero(mask)
+    x = token_reps if token_reps.shape[0] == real.size else nm.take_rows(token_reps, real)
     final_f = final_b = None
     for layer in range(num_layers):
-        outs_f, final_f = lstm_direction(x, params[f"lstm{layer}.fwd.wx"], params[f"lstm{layer}.fwd.wh"], params[f"lstm{layer}.fwd.b"], reverse=False)
-        outs_b, final_b = lstm_direction(x, params[f"lstm{layer}.bwd.wx"], params[f"lstm{layer}.bwd.wh"], params[f"lstm{layer}.bwd.b"], reverse=True)
+        outs_f, final_f = lstm_direction(x, params[f"lstm{layer}.fwd.wx"], params[f"lstm{layer}.fwd.wh"], params[f"lstm{layer}.fwd.b"], reverse=False, lengths=lengths)
+        outs_b, final_b = lstm_direction(x, params[f"lstm{layer}.bwd.wx"], params[f"lstm{layer}.bwd.wh"], params[f"lstm{layer}.bwd.b"], reverse=True, lengths=lengths)
         x = nm.concat([outs_f, outs_b], axis=1)
-    return nm.concat([final_f, final_b], axis=1).flatten()
+    return nm.concat([final_f, final_b], axis=1).reshape(mask.shape[:-1] + (-1,))
 
 
 def fuse(summary: Tensor, cls_vector: Tensor) -> Tensor:
-    """Concatenate the sequence summary with the [CLS] vector, summary first."""
-    if summary.ndim != 1 or cls_vector.ndim != 1:
-        raise nm.ShapeError("fuse expects 1-D vectors")
-    return nm.concat([summary, cls_vector], axis=0)
+    """Concatenate the sequence summary with the [CLS] vector, summary first,
+    along the last axis of two vectors or two equally long batches of them."""
+    if summary.ndim != cls_vector.ndim or summary.shape[:-1] != cls_vector.shape[:-1]:
+        raise nm.ShapeError(f"fuse needs two vectors or two batches of them, got {summary.shape} and {cls_vector.shape}")
+    return nm.concat([summary, cls_vector], axis=-1)
 
 
 def dendrite(fused: Tensor, weight_stack: list[Tensor]) -> Tensor:
-    """Apply the dendritic rule repeatedly: out = W @ (x ⊙ x) per layer."""
-    current = fused
+    """Apply the dendritic rule repeatedly: out = (x ⊙ x) @ W per layer, over
+    the last axis of a vector or a batch of them."""
+    current = fused.reshape((-1, fused.shape[-1]))
     for w in weight_stack:
-        squared = current * current
-        current = nm.matmul(squared.reshape((1, -1)), w).flatten()
-    return current
+        current = nm.matmul(current * current, w)
+    return current.reshape(fused.shape[:-1] + current.shape[-1:])
 
 
 # -- training ------------------------------------------------------------------
@@ -165,21 +161,23 @@ class TriageTrainConfig:
     freeze_encoder: bool = False
 
 
-@dataclass
-class _EncoderView:
-    cls_vector: Tensor
-    token_reps: Tensor
-    attention_mask: list[bool]
+def _logits(encoder: Encoder, head: TriageHead, sequences) -> Tensor:
+    """(B, num_classes) logits of a list of sequences, one batched forward pass."""
+    return head.forward_logits(encoder.encode(TokenBatch.stack(sequences)))
 
 
-def _forward_sample(encoder: Encoder, head: TriageHead, seq: TokenSequence) -> Tensor:
-    out = encoder.encode(seq)
-    view = _EncoderView(out.cls_vector, out.token_reps, seq.attention_mask)
-    return head.forward_logits(view)
+def supervised_loss(encoder: Encoder, head: TriageHead, batch, _rng=None) -> tuple[Tensor, int, int]:
+    """numerics.fit's (loss, weight, correct) for a list of (TokenSequence,
+    label_id) pairs: the mean cross-entropy, logged per sample."""
+    labels = [label for _, label in batch]
+    logits = _logits(encoder, head, [seq for seq, _ in batch])
+    return nm.softmax_cross_entropy(logits, labels), len(batch), int(np.sum(np.argmax(logits.data, axis=1) == labels))
 
 
 def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: TriageTrainConfig):
-    """Jointly fine-tune encoder and head with two learning-rate groups.
+    """Jointly fine-tune encoder and head with two learning-rate groups
+    through numerics.fit; the logged loss is the per-sample mean, and
+    divergence rolls both back to the last completed epoch.
 
     `dataset` is a list of (TokenSequence, label_id). Returns (history,
     optimizer_state) where the state dump shows both groups and their rates.
@@ -190,46 +188,17 @@ def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: Triage
     for _, label in dataset:
         if not 0 <= label < num_classes:
             raise ValueError(f"label id {label} outside the fixed label set")
-    rng = Rng(config.seed).spawn("triage.train")
     groups = [{"name": "head", "lr": config.lr_head, "params": head.params}]
     if not config.freeze_encoder:
         groups.append({"name": "encoder", "lr": config.lr_encoder, "params": encoder.params})
-    opt = nm.Adam(groups)
-    history = TrainHistory()
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(len(dataset))
-        epoch_loss = 0.0
-        correct = 0
-        for start in range(0, len(order), config.batch_size):
-            chunk = [dataset[int(i)] for i in order[start : start + config.batch_size]]
-            losses = []
-            for seq, label in chunk:
-                logits = _forward_sample(encoder, head, seq)
-                if int(np.argmax(logits.data)) == label:
-                    correct += 1
-                losses.append(nm.softmax_cross_entropy(logits, [label], reduction="sum"))
-            total = losses[0]
-            for piece in losses[1:]:
-                total = total + piece
-            loss = nm.scale(total, 1.0 / len(chunk))
-            opt.zero_grad()
-            nm.backward(loss)
-            opt.step()
-            epoch_loss += loss.item() * len(chunk)
-        train_acc = correct / len(dataset)
-        history.rows.append(
-            {"epoch": epoch, "loss": epoch_loss / len(dataset), "lr": config.lr_head, "seconds": time.perf_counter() - started}
-        )
-        log.info("triage epoch %d loss %.4f acc %.3f", epoch, epoch_loss / len(dataset), train_acc)
-        if config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc:
-            break
-    return history, opt.state_summary()
+    history = nm.fit(functools.partial(supervised_loss, encoder, head), dataset, groups, config, "triage.train", config.stop_at_train_acc)
+    return history, history.optimizer_state
 
 
-def predict_labels(encoder: Encoder, head: TriageHead, sequences) -> list[int]:
+def predict_labels(encoder: Encoder, head: TriageHead, sequences, batch_size: int = 8) -> list[int]:
+    """Argmax labels, `batch_size` sequences per no-grad forward pass."""
     with nm.no_grad():
-        return [int(np.argmax(_forward_sample(encoder, head, seq).data)) for seq in sequences]
+        return [int(label) for start in range(0, len(sequences), batch_size) for label in np.argmax(_logits(encoder, head, sequences[start : start + batch_size]).data, axis=1)]
 
 
 # -- evaluation ----------------------------------------------------------------

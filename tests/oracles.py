@@ -8,6 +8,7 @@ helper.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -315,6 +316,131 @@ def attention_ops(x, wq, wk, wv, keep):
         scores = nm.scale(nm.matmul(q, k.T), 1.0 / np.sqrt(q.shape[1]))
         live = np.broadcast_to(np.asarray(keep, dtype=bool), scores.shape).copy()
         live[~live.any(axis=-1), 0] = True
-        weights = nm.softmax(nm.masked_fill(scores, live, -1e30), axis=-1)
+        weights = nm.softmax(masked_fill(scores, live, -1e30), axis=-1)
         heads.append(nm.matmul(weights, v))
     return nm.concat(heads, axis=1)
+
+
+def masked_fill(a, keep, value):
+    """Replace entries where `keep` is False by `value`; gradient flows only
+    through kept entries, so masked inputs cannot influence the output at all."""
+    a = nm._wrap(a)
+    keep_arr = np.broadcast_to(np.asarray(keep, dtype=bool), a.data.shape)
+    out = np.where(keep_arr, a.data, float(value))
+
+    def backward_fn(g):
+        return (np.where(keep_arr, g, 0.0),)
+
+    return nm._make(out, (a,), backward_fn)
+
+
+def cross_entropy(probs, target_index):
+    """Negative log-likelihood of `target_index` under an already-normalized
+    distribution. A zero probability is clamped to 1e-12 with a warning."""
+    probs = nm._wrap(probs)
+    if probs.ndim != 1:
+        raise nm.ShapeError("cross_entropy expects a 1-D distribution")
+    t = int(target_index)
+    if not 0 <= t < probs.data.shape[0]:
+        raise nm.ShapeError("target index out of range")
+    p = probs.data[t]
+    if p <= 0.0:
+        warnings.warn("cross_entropy target probability clamped to 1e-12")
+    p_safe = max(p, 1e-12)
+    out = np.asarray(-np.log(p_safe))
+
+    def backward_fn(g):
+        z = np.zeros_like(probs.data)
+        z[t] = -float(g) / p_safe
+        return (z,)
+
+    return nm._make(out, (probs,), backward_fn)
+
+
+def layer_ops(x, params, prefix, keep, heads, eps):
+    """encoder.encoder_layer for one sequence, with attention from attention_ops."""
+    ws = [[params[f"{prefix}.attn.w{kind}{h}"] for h in range(heads)] for kind in "qkv"]
+    attn = nm.matmul(attention_ops(x, *ws, keep), params[f"{prefix}.attn.wo"]) + params[f"{prefix}.attn.bo"]
+    x = nm.layer_norm(x + attn, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], eps)
+    hidden = nm.gelu(nm.matmul(x, params[f"{prefix}.ffn.w1"]) + params[f"{prefix}.ffn.b1"])
+    ff = nm.matmul(hidden, params[f"{prefix}.ffn.w2"]) + params[f"{prefix}.ffn.b2"]
+    return nm.layer_norm(x + ff, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], eps)
+
+
+def states_ops(model, ids, keep):
+    """One sequence through an encoder's or decoder's embeddings and layers,
+    every position run, attention op by op under `keep`."""
+    cfg = model.config
+    x = nm.take_rows(model.params["tok_emb"], ids) + nm.take_rows(model.params["pos_emb"], list(range(len(ids))))
+    for i in range(cfg.num_layers):
+        x = layer_ops(x, model.params, f"layer{i}", keep, cfg.num_heads, cfg.ln_eps)
+    return x
+
+
+def _scaled_sum(losses, factor):
+    total = losses[0]
+    for piece in losses[1:]:
+        total = total + piece
+    return nm.scale(total, factor)
+
+
+def mlm_loss_per_sample(encoder, batch):
+    """The masked-token loss as it was, one sequence at a time: every position
+    run (padding masked as keys) and projected, the masked rows' NLL summed
+    over the batch and divided by the number of masked positions."""
+    losses, total = [], 0
+    for corrupted, positions, originals in batch:
+        if not positions:
+            continue
+        states = states_ops(encoder, corrupted.ids, np.asarray(corrupted.attention_mask, dtype=bool))
+        logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), positions)
+        losses.append(nm.softmax_cross_entropy(logits, originals, reduction="sum"))
+        total += len(positions)
+    return _scaled_sum(losses, 1.0 / total)
+
+
+def supervised_loss_per_sample(encoder, head, batch):
+    """The triage loss as it was, one sample at a time, for a head with every
+    feature on: the encoder op by op, the BiLSTM (lstm_direction_ops) over
+    the real rows only, [forward final ; backward final ; CLS], the dendritic
+    stack and the dense layer; mean cross-entropy over the batch."""
+    losses = []
+    for seq, label in batch:
+        mask = np.asarray(seq.attention_mask, dtype=bool)
+        states = states_ops(encoder, seq.ids, mask)
+        x = nm.take_rows(states, np.flatnonzero(mask))
+        for layer in range(head.config.num_lstm_layers):
+            fwd, bwd = ([head.params[f"lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
+            outs_f, outs_b = lstm_direction_ops(x, *fwd, False), lstm_direction_ops(x, *bwd, True)
+            x = nm.concat([outs_f, outs_b], axis=1)
+        features = nm.concat([outs_f[-1:, :], outs_b[0:1, :], states[0:1, :]], axis=1)
+        for w in head.dd_stack():
+            features = nm.matmul(features * features, w)
+        logits = nm.matmul(features, head.params["dense.w"]) + head.params["dense.b"]
+        losses.append(nm.softmax_cross_entropy(logits, [label], reduction="sum"))
+    return _scaled_sum(losses, 1.0 / len(batch))
+
+
+def slot_loss_per_sample(encoder, batch):
+    """The prompt loss as it was, one (prompt, slots, target_ids) at a time:
+    every position projected, the slot rows' NLL summed per prompt, averaged
+    over the batch."""
+    losses = []
+    for seq, slots, targets in batch:
+        states = states_ops(encoder, seq.ids, np.asarray(seq.attention_mask, dtype=bool))
+        logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), slots)
+        losses.append(nm.softmax_cross_entropy(logits, targets, reduction="sum"))
+    return _scaled_sum(losses, 1.0 / len(batch))
+
+
+def lm_loss_per_sample(model, items):
+    """The LM batch loss as it was: per (sequence, loss_mask) pair the causal
+    stack op by op and the mean NLL of the selected targets, averaged over
+    the pairs."""
+    losses = []
+    for seq, mask in items:
+        n = len(seq)
+        logits = nm.matmul(states_ops(model, seq, np.tril(np.ones((n, n), dtype=bool))), model.params["out.w"]) + model.params["out.b"]
+        picked = [j for j in range(1, n) if mask[j]]
+        losses.append(nm.softmax_cross_entropy(nm.take_rows(logits, [j - 1 for j in picked]), [seq[j] for j in picked], reduction="mean"))
+    return _scaled_sum(losses, 1.0 / len(items))

@@ -158,6 +158,17 @@ def test_train_triage_ablation_flags_recorded(tmp_path, corpus_file, capsys):
     capsys.readouterr()
 
 
+def test_train_triage_divergence_keeps_last_completed_epoch_and_exits_two(tmp_path, corpus_file, capsys):
+    # one step per epoch; its huge update overflows the next epoch's forward pass
+    settings = TINY + ["--set", "batch_size=64", "--set", "lr_encoder=1e300", "--set", "lr_head=1e300", "--seed", 2]
+    assert run(["train-triage", "--in", corpus_file, "--out", tmp_path / "one"] + settings + ["--set", "triage_epochs=1"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["train-triage", "--in", corpus_file, "--out", tmp_path / "three"] + settings + ["--set", "triage_epochs=3"]) == EXIT_RUNTIME
+    assert "triage training diverged" in capsys.readouterr().err
+    assert len((tmp_path / "three" / "train.log.csv").read_text().splitlines()) == 2  # header and the completed epoch
+    assert (tmp_path / "three" / "triage.ckpt").read_bytes() == (tmp_path / "one" / "triage.ckpt").read_bytes()
+
+
 def test_prompt_train_eval_round_trip(tmp_path, corpus_file, capsys):
     out = tmp_path / "prompt"
     code = run([
@@ -310,6 +321,18 @@ def test_metrics_empty_reference_line_scores_finite(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     numbers = [v for v in payload.values() if isinstance(v, (int, float))]
     assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+def test_metrics_ter_leaves_out_empty_reference_lines(tmp_path, capsys):
+    from medkit import genmetrics as gm
+
+    gen = tmp_path / "gen.txt"
+    ref = tmp_path / "ref.txt"
+    gen.write_text("头痛多喝水\n发烧要休息\n", encoding="utf-8")
+    ref.write_text("\n发烧多休息\n", encoding="utf-8")
+    assert run(["metrics", "--gen", gen, "--ref", ref]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ter"] == gm.ter(gm.char_tokens("发烧要休息"), gm.char_tokens("发烧多休息")) == 0.2
 
 
 def test_metrics_length_mismatch_exit_one(tmp_path, capsys):

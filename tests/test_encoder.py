@@ -162,7 +162,7 @@ def test_encode_pad_content_cannot_leak(vocab):
     enc = Encoder(tiny_config(vocab.size), Rng(2))
     seq = encode("头痛", vocab, max_len=9)
     base = enc.encode(seq)
-    real = seq.real_length
+    real = sum(seq.attention_mask)
 
     tampered_ids = list(seq.ids)
     tampered_ids[-1] = NUM_RESERVED + 2  # arbitrary content id in a padded slot

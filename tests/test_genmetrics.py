@@ -541,3 +541,27 @@ def test_report_embedding_metrics_none_without_encoder():
     rep = gm.report(["ab"], ["ab"])
     assert rep.wmd_similarity is None
     assert rep.embed_f1 is None
+
+
+
+_WMD_EMBEDDINGS = {tok: [float(i), 1.0 - i / 4, (i * 7 % 5) / 3] for i, tok in enumerate("头痛发烧水")} | {"[UNK]": [0.0, 0.0, 0.0]}
+_WMD_IN_FRESH_INTERPRETER = f"""
+import sys
+import medkit.cli
+from medkit import genmetrics as gm
+assert "scipy" not in sys.modules, "importing medkit.cli loaded scipy"
+print(repr(gm.wmd_similarity(list("头痛多喝水"), list("发烧要喝水"), {_WMD_EMBEDDINGS!r})))
+assert "scipy" in sys.modules
+"""
+
+
+def test_cli_import_leaves_scipy_to_the_first_wmd_call():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(gm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _WMD_IN_FRESH_INTERPRETER], env=env, capture_output=True, text=True, check=True).stdout
+    assert float(out) == gm.wmd_similarity(list("头痛多喝水"), list("发烧要喝水"), _WMD_EMBEDDINGS)

@@ -37,11 +37,11 @@ class StubModel:
         self.seq_len = seq_len
         self.vocab_size = vocab_size
 
-    def mlm_logits(self, seq):
+    def mlm_logits(self, seq, rows=None):
         data = np.zeros((len(seq.ids), self.vocab_size))
         for pos, row in self.rows.items():
             data[pos] = row
-        return Tensor(data)
+        return Tensor(data if rows is None else data[rows])
 
 
 def test_build_prompt_places_requested_mask_slots(vocab):
@@ -259,7 +259,7 @@ def test_score_labels_builds_no_graph(vocab, monkeypatch):
     expected = {label: sum(float(logprobs[i, t]) for i, t in enumerate(toks)) for label, toks in verb.label_tokens.items()}
     real = enc.mlm_logits
     seen = []
-    monkeypatch.setattr(enc, "mlm_logits", lambda s: seen.append(real(s)) or seen[-1])
+    monkeypatch.setattr(enc, "mlm_logits", lambda *args: seen.append(real(*args)) or seen[-1])
     assert score_labels(enc, seq, slots, verb) == expected
     assert seen and all(not t.requires_grad and t._parents == () for t in seen)
     assert all(p.grad is None and p._parents == () for p in enc.params.values())

@@ -297,13 +297,13 @@ def test_predict_labels_builds_no_graph(vocab, monkeypatch):
     enc = _encoder(vocab, seed=5)
     head = _head(seed=5)
     seqs = [seq for seq, _ in _synthetic_dataset(vocab, per_class=2)]
-    with_graph = [triage._forward_sample(enc, head, seq) for seq in seqs]
-    assert all(logits.requires_grad for logits in with_graph)
-    real = triage._forward_sample
+    with_graph = triage._logits(enc, head, seqs)
+    assert with_graph.requires_grad
+    real = triage._logits
     seen = []
-    monkeypatch.setattr(triage, "_forward_sample", lambda *args: seen.append(real(*args)) or seen[-1])
-    assert predict_labels(enc, head, seqs) == [int(np.argmax(t.data)) for t in with_graph]
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(seen, with_graph))
+    monkeypatch.setattr(triage, "_logits", lambda *args: seen.append(real(*args)) or seen[-1])
+    assert predict_labels(enc, head, seqs) == [int(np.argmax(row)) for row in with_graph.data]
+    assert np.array_equal(np.concatenate([t.data for t in seen]), with_graph.data)
     assert all(not t.requires_grad and t._parents == () for t in seen)
     params = list(enc.params.values()) + list(head.params.values())
     assert all(p.grad is None and p._parents == () for p in params)
