@@ -1,9 +1,10 @@
 """Transformer encoder with masked-language-model pretraining.
 
-The layer machinery here (embeddings, multi-head attention as one
-`numerics.attention` op per layer, residual + layer-norm blocks, position-wise
-feed-forward) is also reused by the autoregressive generator, which runs the
-same stack under a causal mask.
+Each layer (multi-head attention, residual + LayerNorm, GELU feed-forward,
+residual + LayerNorm) is one `numerics.transformer_layer` node with a
+hand-written backward pass; the autoregressive generator runs the same
+stack under a causal mask, and its KV-cached decoding calls the same
+array-level layer forward.
 
 The encoder runs a TokenSequence (every position, padding masked as keys) or
 a TokenBatch as one graph: the matmuls, LayerNorm and GELU on the batch's
@@ -94,34 +95,17 @@ def init_layer_params(rng: Rng, hidden: int, heads: int, ffn: int, prefix: str, 
     params[f"{prefix}.ln2.bias"] = nm.zeros_param(hidden)
 
 
-def encoder_layer(
-    x: Tensor, params: dict, prefix: str, keep: np.ndarray, num_heads: int, ln_eps: float = 1e-5, cache: dict | None = None, lengths=None
-) -> Tensor:
-    """Multi-head attention + residual + LayerNorm, then FFN + residual + LayerNorm.
-
-    `cache` (this layer's key/value cache) and `lengths` go to numerics.attention."""
-    attn = nm.attention(
-        x,
-        [params[f"{prefix}.attn.wq{h}"] for h in range(num_heads)],
-        [params[f"{prefix}.attn.wk{h}"] for h in range(num_heads)],
-        [params[f"{prefix}.attn.wv{h}"] for h in range(num_heads)],
-        keep,
-        cache,
-        lengths,
-    )
-    attn = nm.matmul(attn, params[f"{prefix}.attn.wo"]) + params[f"{prefix}.attn.bo"]
-    x = nm.layer_norm(x + attn, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], ln_eps)
-    hidden = nm.gelu(nm.matmul(x, params[f"{prefix}.ffn.w1"]) + params[f"{prefix}.ffn.b1"])
-    ff = nm.matmul(hidden, params[f"{prefix}.ffn.w2"]) + params[f"{prefix}.ffn.b2"]
-    return nm.layer_norm(x + ff, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], ln_eps)
+def layer_weights(params: dict, prefix: str, heads: int) -> list[Tensor]:
+    """One layer's parameters in the order numerics.transformer_layer takes them."""
+    tail = ("attn.wo", "attn.bo", "ln1.gain", "ln1.bias", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gain", "ln2.bias")
+    return [params[f"{prefix}.attn.w{kind}{h}"] for kind in "qkv" for h in range(heads)] + [params[f"{prefix}.{name}"] for name in tail]
 
 
-def run_layers(
-    x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, cache: list[dict] | None = None, lengths=None
-) -> Tensor:
-    """Run the stack; `cache`, if given, holds one encoder_layer cache per layer."""
+def run_layers(x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, lengths=None) -> Tensor:
+    """Run the stack, one numerics.transformer_layer node per layer; `keep`
+    and `lengths` go to every layer."""
     for i in range(num_layers):
-        x = encoder_layer(x, params, f"layer{i}", keep, num_heads, ln_eps, None if cache is None else cache[i], lengths)
+        x = nm.transformer_layer(x, layer_weights(params, f"layer{i}", num_heads), num_heads, keep, ln_eps, lengths)
     return x
 
 

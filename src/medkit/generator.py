@@ -8,17 +8,18 @@ over its sequences laid end to end, each attending only within itself.
 
 Decoding is KV-cached and gradient-free: `generate` keeps one `KVCache` per
 request, so each step embeds and runs only the newest token against the
-cached keys and values of the earlier ones. The cache holds, per layer, one
-(heads, positions, head_dim) numpy array of keys and one of values, and each
-step appends the new position to both. Any call given a cache runs under
-`numerics.no_grad()`, so no autograd graph is built. Once the context passes
-`context_window` the window slides, every absolute position changes, and each
-step recomputes the whole window.
+cached keys and values of the earlier ones. The cache holds, per layer, the
+layer's weight arrays, one (heads, positions, head_dim) numpy array of keys
+and one of values, and each step appends the new position to both. A call
+given a cache runs `numerics.layer_forward`, the array-level forward that
+training runs inside `numerics.transformer_layer`, on plain arrays and wraps
+only the logits in a Tensor, so no autograd graph is built. Once the context
+passes `context_window` the window slides, every absolute position changes,
+and each step recomputes the whole window.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import kgraph as kg
 from . import numerics as nm
-from .encoder import init_layer_params, run_layers
+from .encoder import init_layer_params, layer_weights, run_layers
 from .numerics import Rng, Tensor
 from .tokenizer import EOS_ID, TokenBatch, Vocab, decode, encode
 
@@ -87,11 +88,13 @@ class GenerationRequest:
 class KVCache:
     """Keys and values of a context prefix already run through a Decoder.
 
-    `ids` is that prefix (windowed token ids); `layers[i]` is the dict
-    numerics.attention fills for layer i: "k" and "v", numpy arrays of shape
-    (heads, len(ids), head_dim). They are plain arrays, so a cached call
-    cannot give gradients. Create one empty per decoded sequence and pass it
-    to every `lm_logits` call for that sequence.
+    `ids` is that prefix (windowed token ids); `layers[i]` is layer i's
+    dict: "w", the layer's weight arrays (numerics.layer_arrays), and "k"
+    and "v", the numpy arrays of shape (heads, len(ids), head_dim) that
+    numerics.layer_forward fills. A cached call runs on these plain arrays
+    and builds no graph, and the cache is valid only while the weights stay
+    unchanged. Create one empty per decoded sequence and pass it to every
+    `lm_logits` call for that sequence.
     """
 
     ids: list[int] = field(default_factory=list)
@@ -112,15 +115,15 @@ class Decoder:
         params["out.b"] = nm.zeros_param(config.vocab_size)
         self.params = params
 
-    def hidden_states(self, ids, start: int = 0, cache_layers: list[dict] | None = None, lengths=None) -> Tensor:
-        """Top-layer states under the causal mask: of positions start.. of one
-        sequence of ids or, with `lengths` (and start 0), of sequences laid end
-        to end in ids, each attending only within itself."""
+    def hidden_states(self, ids, lengths=None) -> Tensor:
+        """Top-layer states under the causal mask: of one sequence of ids or,
+        with `lengths`, of sequences laid end to end in ids, each attending
+        only within itself."""
         n = len(ids) if lengths is None else max(lengths)
-        positions = np.arange(start, n) if lengths is None else TokenBatch(np.asarray(ids), np.asarray(lengths)).positions
-        x = nm.take_rows(self.params["tok_emb"], ids[start:]) + nm.take_rows(self.params["pos_emb"], positions)
-        keep = np.arange(n) <= np.arange(start, n)[:, None]  # causal rows start..n-1
-        return run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, cache_layers, lengths)
+        positions = np.arange(n) if lengths is None else TokenBatch(np.asarray(ids), np.asarray(lengths)).positions
+        x = nm.take_rows(self.params["tok_emb"], ids) + nm.take_rows(self.params["pos_emb"], positions)
+        keep = np.arange(n) <= np.arange(n)[:, None]
+        return run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths)
 
     def logits_matrix(self, ids, cache: KVCache | None = None) -> Tensor:
         """Per-position next-token logits for a full (windowed) sequence.
@@ -130,7 +133,8 @@ class Decoder:
         rows are returned. Any other cache (empty, from another context, or
         one the sliding window has shifted) is dropped and the whole window
         recomputed. Either way the cache then covers the whole window. A call
-        with a cache runs under no_grad: its result has no graph.
+        with a cache runs numerics.layer_forward on arrays: its result has no
+        graph.
         """
         ids = list(ids)
         if not ids:
@@ -138,22 +142,22 @@ class Decoder:
         if len(ids) > self.config.context_window:
             ids = ids[-self.config.context_window :]
         n = len(ids)
-        if max(ids) >= self.config.vocab_size:
+        if max(ids) >= self.config.vocab_size or min(ids) < 0:
             raise ValueError("token id out of vocab range")
-        start = 0
-        layers = None
-        if cache is not None:
-            start = len(cache.ids)
-            if not (0 < start < n and cache.ids == ids[:start]):
-                start = 0
-                cache.layers = [{} for _ in range(self.config.num_layers)]
-            cache.ids = []  # stays invalid unless the stack below completes
-            layers = cache.layers
-        with nm.no_grad() if cache is not None else contextlib.nullcontext():
-            states = self.hidden_states(ids, start, layers)
-            logits = nm.matmul(states, self.params["out.w"]) + self.params["out.b"]
-        if cache is not None:
-            cache.ids = ids
+        if cache is None:
+            return nm.matmul(self.hidden_states(ids), self.params["out.w"]) + self.params["out.b"]
+        cfg = self.config
+        start = len(cache.ids)
+        if not (0 < start < n and cache.ids == ids[:start]):
+            start = 0
+            cache.layers = [{"w": nm.layer_arrays(layer_weights(self.params, f"layer{i}", cfg.num_heads), cfg.num_heads)} for i in range(cfg.num_layers)]
+        cache.ids = []  # stays invalid unless the stack below completes
+        x = self.params["tok_emb"].data[ids[start:]] + self.params["pos_emb"].data[start:n]
+        keep = np.arange(n) <= np.arange(start, n)[:, None]  # causal rows start..n-1
+        for layer in cache.layers:
+            x = nm.layer_forward(x, layer["w"], cfg.num_heads, keep, cfg.ln_eps, cache=layer)[0]
+        logits = Tensor(x @ self.params["out.w"].data + self.params["out.b"].data)
+        cache.ids = ids
         return logits
 
 
@@ -324,7 +328,7 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     Greedy decoding is a pure function of (weights, context); sampling
     strategies are deterministic given the request seed. Returns a dict with
     the question, the retrieved supplement and the generated answer. Runs
-    under no_grad with one KVCache for the request.
+    with one KVCache for the request, so it builds no graph.
     """
     window = model.config.context_window
     q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
@@ -335,14 +339,13 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     generated: list[int] = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
     cache = KVCache()
-    with nm.no_grad():
-        for _ in range(limit):
-            probs = lm_logits(model, ids, cache)
-            nxt = _sample_from(probs, request, rng)
-            if nxt == EOS_ID:
-                break
-            generated.append(nxt)
-            ids.append(nxt)
+    for _ in range(limit):
+        probs = lm_logits(model, ids, cache)
+        nxt = _sample_from(probs, request, rng)
+        if nxt == EOS_ID:
+            break
+        generated.append(nxt)
+        ids.append(nxt)
     return {
         "question": request.question,
         "supplement": supplement_text,

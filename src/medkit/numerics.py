@@ -330,43 +330,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * out,))
 
 
-def log(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return _make(out, (a,), lambda g: (g / a.data,))
-
-
-_GELU_C = np.sqrt(2.0 / np.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    a = _wrap(a)
-    x = a.data
-    with np.errstate(over="ignore"):  # in place, rounding as C * (x + 0.044715 * (x * x * x))
-        t = x * x * x
-        t *= 0.044715
-        t += x
-        t *= _GELU_C
-    np.tanh(t, out=t)
-    out = (t + 1.0) * x
-    out *= 0.5
-
-    def backward_fn(g):
-        d = 1.0 - t * t
-        d *= x
-        d *= 0.5 * _GELU_C
-        slope = x * (3 * 0.044715) * x
-        slope += 1.0
-        d *= slope  # 0.5 * x * (1 - t^2) * C * (1 + 3 * 0.044715 * x^2)
-        d += (t + 1.0) * 0.5
-        d *= g
-        return (d,)
-
-    return _make(out, (a,), backward_fn)
-
-
 def _grid(lengths, rows: int) -> np.ndarray:
     """(B, longest) mask of the positions of sequences of `lengths` (default:
     one) laid end to end in `rows` rows."""
@@ -445,83 +408,148 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, le
     return _make(hs[1:].reshape(n * batch, k)[slot], (x, wx, wh, b), backward_fn)
 
 
-def attention(x: Tensor, wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], keep, cache: dict | None = None, lengths=None) -> Tensor:
-    """Multi-head scaled dot-product attention over the rows of x (rows,
-    hidden) as one graph node; returns the (rows, heads * head_dim) head
-    outputs side by side. wq, wk and wv list one (hidden, head_dim) weight per
-    head; all 3 * heads of them are one projection matmul. The rows are one
-    sequence or, with `lengths`, sequences laid end to end, each attending
-    only within itself; sequences and heads run batched.
-
-    `keep[i, j]` says whether position i may attend to position j (a 1-D mask
-    is broadcast over queries). A dropped key scores -1e30; a row with no kept
-    key attends to key 0 alone. Scores are scaled by 1/sqrt(head_dim). The
-    backward pass is hand-written; non-finite projections or scores raise
-    NumericsError, also where the mask would hide them.
-
-    With a `cache` (a dict, empty before the first call) x is one sequence
-    holding only the positions not yet seen: their keys and values, (heads,
-    positions, head_dim) arrays, are appended to cache["k"] and cache["v"],
-    and `keep` has one column per cached-plus-new key. The cache also keeps
-    the joined projection weights, so, like its keys and values, it is valid
-    only while the weights stay unchanged. Cached keys and values are plain
-    arrays that cannot pass gradients back, so the result then has no graph.
+def transformer_layer(x: Tensor, weights: Sequence[Tensor], heads: int, keep, eps: float = 1e-5, lengths=None) -> Tensor:
+    """One transformer layer over the rows of x (rows, hidden) as one graph
+    node whose parents are x and `weights`: multi-head attention, its output
+    projection, residual and LayerNorm, then a GELU feed-forward block,
+    residual and LayerNorm. `weights` lists the layer's parameters in this
+    order: every head's query weight, every head's key weight, every head's
+    value weight (each (hidden, head_dim)), then wo, bo, the first LayerNorm's
+    gain and bias, w1, b1, w2, b2, the second LayerNorm's gain and bias.
+    The forward pass is layer_forward; the backward pass is hand-written.
     """
     x = _wrap(x)
-    ws = [_wrap(w) for w in (*wq, *wk, *wv)]
-    heads = len(wq)
-    if x.ndim != 2 or not heads or len(wk) != heads or len(wv) != heads:
-        raise ShapeError(f"attention needs a 2-D x and equal per-head weight lists, got x {x.shape} and {len(wq)}/{len(wk)}/{len(wv)} heads")
-    d = ws[0].shape[1]
-    if any(w.shape != (x.shape[1], d) for w in ws):
-        raise ShapeError(f"attention weights must all be ({x.shape[1]}, {d})")
+    weights = [_wrap(w) for w in weights]
+    if x.ndim != 2 or heads < 1 or len(weights) != 3 * heads + 10:
+        raise ShapeError(f"transformer_layer needs a 2-D x and 3 * heads + 10 weights, got x {x.shape}, {len(weights)} weights and {heads} heads")
+    hidden, d, ffn = x.shape[1], weights[0].shape[-1], weights[3 * heads + 4].shape[-1]
+    shapes = [(hidden, d)] * (3 * heads) + [(heads * d, hidden), (hidden,), (hidden,), (hidden,), (hidden, ffn), (ffn,), (ffn, hidden), (hidden,), (hidden,), (hidden,)]
+    if [w.shape for w in weights] != shapes:
+        raise ShapeError(f"transformer_layer weight shapes {[w.shape for w in weights]} do not fit x {x.shape} and {heads} heads")
+    out, backward_fn = layer_forward(x.data, layer_arrays(weights, heads), heads, keep, eps, lengths)
+    return _make(out, (x, *weights), backward_fn)
+
+
+def layer_arrays(weights: Sequence[Tensor], heads: int) -> tuple[np.ndarray, ...]:
+    """layer_forward's arrays for transformer_layer's `weights`: the query,
+    key and value weights joined into one projection, then the other ten."""
+    return (np.concatenate([w.data for w in weights[: 3 * heads]], axis=1), *(w.data for w in weights[3 * heads :]))
+
+
+def _layer_norm(h: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """LayerNorm over the last axis, eps inside the square root; returns the
+    output, the normalized rows and their inverse deviations. A sum over n
+    divided by n is what ndarray.mean computes, without its Python wrapper."""
+    n = h.shape[-1]
+    centred = h - h.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centred**2).sum(axis=-1, keepdims=True) / n + eps)
+    y = centred * inv
+    return y * gain + bias, y, inv
+
+
+def _layer_norm_backward(grad: np.ndarray, y: np.ndarray, inv: np.ndarray, gain: np.ndarray):
+    """Gradients of _layer_norm's input, gain and bias."""
+    dy = grad * gain
+    return inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True)), (grad * y).sum(axis=0), grad.sum(axis=0)
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps: float = 1e-5, lengths=None, cache: dict | None = None):
+    """transformer_layer on arrays, with `w` from layer_arrays; returns the
+    output rows and a function from their gradient to the gradients of x and
+    of each of transformer_layer's weights. Training and decoding both run it.
+
+    The rows are one sequence or, with `lengths`, sequences laid end to end,
+    each attending only within itself; sequences and heads run batched, and
+    only the scores are padded, to the longest sequence. `keep[i, j]` says
+    whether position i may attend to position j (a 1-D mask is broadcast
+    over queries). A dropped key scores -1e30; a row with no kept key attends
+    to key 0 alone. Scores are scaled by 1/sqrt(head_dim), and GELU is the
+    tanh approximation.
+
+    A non-finite QKV projection, score (also where the mask would hide it) or
+    output raises NumericsError. A non-finite value anywhere else reaches the
+    output: NaN * 0 is NaN, inf - inf is NaN in LayerNorm and GELU maps -inf
+    to NaN.
+
+    With a `cache` (a dict) x is one sequence holding only the positions not
+    yet seen: their keys and values, (heads, positions, head_dim) arrays, are
+    appended to cache["k"] and cache["v"], and `keep` has one column per
+    cached-plus-new key. The gradient function covers calls without a cache.
+    """
+    w_qkv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = w
     grid = None if lengths is None else _grid(lengths, x.shape[0])
     batch, n = (1, x.shape[0]) if grid is None else grid.shape
     real = slice(None) if grid is None else np.flatnonzero(grid)  # where the rows sit in the (B * n) padded grid
-    w_all = cache["w"] if cache else np.concatenate([w.data for w in ws], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as the checks below
-        proj = x.data @ w_all
+    d = w_qkv.shape[1] // (3 * heads)
+    factor = 1.0 / math.sqrt(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value surfaces as the checks
+        proj = x @ w_qkv
         if not np.isfinite(proj).all():
             raise NumericsError("non-finite attention projections")
         q, k, v = (proj if grid is None else _spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
         if cache is not None:
-            if cache:
+            if "k" in cache:
                 k = np.concatenate([cache["k"], k[0]], axis=1)[None]
                 v = np.concatenate([cache["v"], v[0]], axis=1)[None]
-            cache.update(w=w_all, k=k[0], v=v[0])
-        factor = 1.0 / np.sqrt(d)
-        weights = q @ k.transpose(0, 1, 3, 2)
-        weights *= factor
-    if not np.isfinite(weights).all():
-        raise NumericsError("non-finite attention scores")
-    keep = np.asarray(keep, dtype=bool)
-    if grid is not None:
-        keep = keep & grid[:, None, None, :]
-    live = keep.any(axis=-1)
-    if not live.all():
-        keep = keep.copy()
-        keep[..., 0] |= ~live
-    np.copyto(weights, -1e30, where=~keep)
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out = (weights @ v).transpose(0, 2, 1, 3).reshape(batch * n, heads * d)[real]
-    if cache is not None:
-        return Tensor(out)
+            cache.update(k=k[0], v=v[0])
+        p = q @ k.transpose(0, 1, 3, 2)
+        p *= factor
+        if not np.isfinite(p).all():
+            raise NumericsError("non-finite attention scores")
+        keep = np.asarray(keep, dtype=bool)
+        if grid is not None:
+            keep = keep & grid[:, None, None, :]
+        if not keep.all():
+            live = keep.any(axis=-1)
+            if not live.all():
+                keep = keep.copy()
+                keep[..., 0] |= ~live
+            np.copyto(p, -1e30, where=~keep)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)  # the attention weights
+        attn = (p @ v).transpose(0, 2, 1, 3).reshape(batch * n, heads * d)[real]
+        x1, y1, inv1 = _layer_norm(x + (attn @ wo + bo), gain1, bias1, eps)
+        z = x1 @ w1 + b1
+        t = z * z * z  # GELU: t = tanh(C * (z + 0.044715 * (z * z * z))), in place with that rounding
+        t *= 0.044715
+        t += z
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        hidden = (t + 1.0) * z
+        hidden *= 0.5
+        out, y2, inv2 = _layer_norm(x1 + (hidden @ w2 + b2), gain2, bias2, eps)
+    if not np.isfinite(out).all():
+        raise NumericsError("non-finite transformer layer output")
 
     def backward_fn(grad):
-        g = (grad if grid is None else _spread(grad, real, batch * n)).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
+        dh2, dgain2, dbias2 = _layer_norm_backward(grad, y2, inv2, gain2)
+        dz = 1.0 - t * t
+        dz *= z
+        dz *= 0.5 * _GELU_C
+        slope = z * (3 * 0.044715) * z
+        slope += 1.0
+        dz *= slope
+        dz += (t + 1.0) * 0.5  # GELU'(z) = 0.5 * z * (1 - t^2) * C * (1 + 3 * 0.044715 * z^2) + 0.5 * (1 + t)
+        dz *= dh2 @ w2.T
+        dh1, dgain1, dbias1 = _layer_norm_backward(dh2 + dz @ w1.T, y1, inv1, gain1)
+        g = dh1 @ wo.T
+        g = (g if grid is None else _spread(g, real, batch * n)).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
         ds = g @ v.transpose(0, 1, 3, 2)
-        ds -= (ds * weights).sum(axis=-1, keepdims=True)
-        ds *= weights
-        ds *= factor  # weights * (dw - sum(dw * weights)) * factor, dw = g @ v.T
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= factor  # p * (dp - sum(dp * p)) * factor, dp = g @ v.T
         dproj = np.empty((batch, n, 3, heads, d))  # dq, dk, dv written through (B, heads, n, d) views
-        for i, (a, b) in enumerate([(ds, k), (ds.transpose(0, 1, 3, 2), q), (weights.transpose(0, 1, 3, 2), g)]):
+        for i, (a, b) in enumerate([(ds, k), (ds.transpose(0, 1, 3, 2), q), (p.transpose(0, 1, 3, 2), g)]):
             np.matmul(a, b, out=dproj[:, :, i].transpose(0, 2, 1, 3))
         dproj = dproj.reshape(batch * n, 3 * heads * d)[real]
-        return (dproj @ w_all.T, *np.split(x.data.T @ dproj, 3 * heads, axis=1))
+        dw = (attn.T @ dh1, dh1.sum(axis=0), dgain1, dbias1, x1.T @ dz, dz.sum(axis=0), hidden.T @ dh2, dh2.sum(axis=0), dgain2, dbias2)
+        return (dh1 + dproj @ w_qkv.T, *np.split(x.T @ dproj, 3 * heads, axis=1), *dw)
 
-    return _make(out, (x, *ws), backward_fn)
+    return out, backward_fn
 
 
 # -- softmax family ----------------------------------------------------------
@@ -553,30 +581,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (g - probs * g.sum(axis=axis, keepdims=True),)
 
     return _make(out, (a,), backward_fn)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply an
-    affine gain and bias. `eps` sits inside the square root and guards the
-    zero-variance case."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    n = x.data.shape[-1]
-    if gain.data.shape != (n,) or bias.data.shape != (n,):
-        raise ShapeError("layer_norm gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
-    out = y * gain.data + bias.data
-
-    def backward_fn(g):
-        dgain = (g * y).reshape(-1, n).sum(axis=0)
-        dbias = g.reshape(-1, n).sum(axis=0)
-        dy = g * gain.data
-        dx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
-        return dx, dgain, dbias
-
-    return _make(out, (x, gain, bias), backward_fn)
 
 
 def softmax_cross_entropy(logits: Tensor, targets, reduction="mean") -> Tensor:

@@ -357,14 +357,164 @@ def cross_entropy(probs, target_index):
     return nm._make(out, (probs,), backward_fn)
 
 
-def layer_ops(x, params, prefix, keep, heads, eps):
-    """encoder.encoder_layer for one sequence, with attention from attention_ops."""
-    ws = [[params[f"{prefix}.attn.w{kind}{h}"] for h in range(heads)] for kind in "qkv"]
-    attn = nm.matmul(attention_ops(x, *ws, keep), params[f"{prefix}.attn.wo"]) + params[f"{prefix}.attn.bo"]
-    x = nm.layer_norm(x + attn, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], eps)
-    hidden = nm.gelu(nm.matmul(x, params[f"{prefix}.ffn.w1"]) + params[f"{prefix}.ffn.b1"])
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu(a):
+    """Gaussian error linear unit (tanh approximation)."""
+    a = nm._wrap(a)
+    x = a.data
+    with np.errstate(over="ignore"):  # in place, rounding as C * (x + 0.044715 * (x * x * x))
+        t = x * x * x
+        t *= 0.044715
+        t += x
+        t *= _GELU_C
+    np.tanh(t, out=t)
+    out = (t + 1.0) * x
+    out *= 0.5
+
+    def backward_fn(g):
+        d = 1.0 - t * t
+        d *= x
+        d *= 0.5 * _GELU_C
+        slope = x * (3 * 0.044715) * x
+        slope += 1.0
+        d *= slope  # 0.5 * x * (1 - t^2) * C * (1 + 3 * 0.044715 * x^2)
+        d += (t + 1.0) * 0.5
+        d *= g
+        return (d,)
+
+    return nm._make(out, (a,), backward_fn)
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize the last axis to zero mean / unit variance, then apply an
+    affine gain and bias. `eps` sits inside the square root and guards the
+    zero-variance case."""
+    x, gain, bias = nm._wrap(x), nm._wrap(gain), nm._wrap(bias)
+    n = x.data.shape[-1]
+    if gain.data.shape != (n,) or bias.data.shape != (n,):
+        raise nm.ShapeError("layer_norm gain/bias must match the last axis")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (x.data - mu) * inv
+    out = y * gain.data + bias.data
+
+    def backward_fn(g):
+        dgain = (g * y).reshape(-1, n).sum(axis=0)
+        dbias = g.reshape(-1, n).sum(axis=0)
+        dy = g * gain.data
+        dx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+        return dx, dgain, dbias
+
+    return nm._make(out, (x, gain, bias), backward_fn)
+
+
+def attention(x, wq, wk, wv, keep, cache=None, lengths=None):
+    """Multi-head scaled dot-product attention over the rows of x (rows,
+    hidden) as one graph node; returns the (rows, heads * head_dim) head
+    outputs side by side. wq, wk and wv list one (hidden, head_dim) weight per
+    head; all 3 * heads of them are one projection matmul. The rows are one
+    sequence or, with `lengths`, sequences laid end to end, each attending
+    only within itself; sequences and heads run batched.
+
+    `keep[i, j]` says whether position i may attend to position j (a 1-D mask
+    is broadcast over queries). A dropped key scores -1e30; a row with no kept
+    key attends to key 0 alone. Scores are scaled by 1/sqrt(head_dim). The
+    backward pass is hand-written; non-finite projections or scores raise
+    NumericsError, also where the mask would hide them.
+
+    With a `cache` (a dict, empty before the first call) x is one sequence
+    holding only the positions not yet seen: their keys and values, (heads,
+    positions, head_dim) arrays, are appended to cache["k"] and cache["v"],
+    and `keep` has one column per cached-plus-new key. The cache also keeps
+    the joined projection weights, so, like its keys and values, it is valid
+    only while the weights stay unchanged. Cached keys and values are plain
+    arrays that cannot pass gradients back, so the result then has no graph.
+    """
+    x = nm._wrap(x)
+    ws = [nm._wrap(w) for w in (*wq, *wk, *wv)]
+    heads = len(wq)
+    if x.ndim != 2 or not heads or len(wk) != heads or len(wv) != heads:
+        raise nm.ShapeError(f"attention needs a 2-D x and equal per-head weight lists, got x {x.shape} and {len(wq)}/{len(wk)}/{len(wv)} heads")
+    d = ws[0].shape[1]
+    if any(w.shape != (x.shape[1], d) for w in ws):
+        raise nm.ShapeError(f"attention weights must all be ({x.shape[1]}, {d})")
+    grid = None if lengths is None else nm._grid(lengths, x.shape[0])
+    batch, n = (1, x.shape[0]) if grid is None else grid.shape
+    real = slice(None) if grid is None else np.flatnonzero(grid)  # where the rows sit in the (B * n) padded grid
+    w_all = cache["w"] if cache else np.concatenate([w.data for w in ws], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as the checks below
+        proj = x.data @ w_all
+        if not np.isfinite(proj).all():
+            raise nm.NumericsError("non-finite attention projections")
+        q, k, v = (proj if grid is None else nm._spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
+        if cache is not None:
+            if cache:
+                k = np.concatenate([cache["k"], k[0]], axis=1)[None]
+                v = np.concatenate([cache["v"], v[0]], axis=1)[None]
+            cache.update(w=w_all, k=k[0], v=v[0])
+        factor = 1.0 / np.sqrt(d)
+        weights = q @ k.transpose(0, 1, 3, 2)
+        weights *= factor
+    if not np.isfinite(weights).all():
+        raise nm.NumericsError("non-finite attention scores")
+    keep = np.asarray(keep, dtype=bool)
+    if grid is not None:
+        keep = keep & grid[:, None, None, :]
+    live = keep.any(axis=-1)
+    if not live.all():
+        keep = keep.copy()
+        keep[..., 0] |= ~live
+    np.copyto(weights, -1e30, where=~keep)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = (weights @ v).transpose(0, 2, 1, 3).reshape(batch * n, heads * d)[real]
+    if cache is not None:
+        return Tensor(out)
+
+    def backward_fn(grad):
+        g = (grad if grid is None else nm._spread(grad, real, batch * n)).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
+        ds = g @ v.transpose(0, 1, 3, 2)
+        ds -= (ds * weights).sum(axis=-1, keepdims=True)
+        ds *= weights
+        ds *= factor  # weights * (dw - sum(dw * weights)) * factor, dw = g @ v.T
+        dproj = np.empty((batch, n, 3, heads, d))  # dq, dk, dv written through (B, heads, n, d) views
+        for i, (a, b) in enumerate([(ds, k), (ds.transpose(0, 1, 3, 2), q), (weights.transpose(0, 1, 3, 2), g)]):
+            np.matmul(a, b, out=dproj[:, :, i].transpose(0, 2, 1, 3))
+        dproj = dproj.reshape(batch * n, 3 * heads * d)[real]
+        return (dproj @ w_all.T, *np.split(x.data.T @ dproj, 3 * heads, axis=1))
+
+    return nm._make(out, (x, *ws), backward_fn)
+
+
+def _head_weights(params, prefix, heads):
+    return [[params[f"{prefix}.attn.w{kind}{h}"] for h in range(heads)] for kind in "qkv"]
+
+
+def _layer_tail_ops(x, attn, params, prefix, eps):
+    """The layer after its attention heads `attn`: output projection,
+    residual, LayerNorm, GELU feed-forward, residual, LayerNorm."""
+    attn = nm.matmul(attn, params[f"{prefix}.attn.wo"]) + params[f"{prefix}.attn.bo"]
+    x = layer_norm(x + attn, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], eps)
+    hidden = gelu(nm.matmul(x, params[f"{prefix}.ffn.w1"]) + params[f"{prefix}.ffn.b1"])
     ff = nm.matmul(hidden, params[f"{prefix}.ffn.w2"]) + params[f"{prefix}.ffn.b2"]
-    return nm.layer_norm(x + ff, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], eps)
+    return layer_norm(x + ff, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], eps)
+
+
+def encoder_layer_ops(x, params, prefix, keep, heads, eps=1e-5, cache=None, lengths=None):
+    """One transformer layer as the chain of twelve graph ops that
+    numerics.transformer_layer replaced: `attention` above (with its
+    `cache` and `lengths`), the output projection, residual + `layer_norm`,
+    the `gelu` feed-forward block, residual + `layer_norm`."""
+    return _layer_tail_ops(x, attention(x, *_head_weights(params, prefix, heads), keep, cache, lengths), params, prefix, eps)
+
+
+def layer_ops(x, params, prefix, keep, heads, eps):
+    """encoder_layer_ops for one sequence, with attention from attention_ops."""
+    return _layer_tail_ops(x, attention_ops(x, *_head_weights(params, prefix, heads), keep), params, prefix, eps)
 
 
 def states_ops(model, ids, keep):

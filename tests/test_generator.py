@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,15 @@ def test_lm_loss_validations(vocab):
         lm_loss(model, [5, 6], [False, False])
     with pytest.raises(ValueError):
         lm_loss(model, [5, 6], [True])
+
+
+def test_logits_reject_token_ids_outside_the_vocab(vocab):
+    model = _decoder(vocab)
+    for bad in ([3, vocab.size], [3, -1]):
+        with pytest.raises(ValueError):
+            model.logits_matrix(bad)
+        with pytest.raises(ValueError):
+            lm_logits(model, bad, KVCache())
 
 
 def test_pretrain_lm_reduces_loss(vocab):
@@ -307,6 +317,38 @@ def test_cached_logits_build_no_graph_outside_no_grad(vocab):
     assert all(p.grad is None for p in model.params.values())
 
 
+def test_warm_cache_decode_step_builds_at_most_two_tensors(vocab, monkeypatch):
+    model = _decoder(vocab, hidden=16, layers=2, window=16, seed=36)
+    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    cache = KVCache()
+    lm_logits(model, ids, cache)  # fills the cache
+    built = []
+    init = nm.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nm.Tensor, "__init__", counting)
+    for token in encode("咳嗽多", vocab, 12, mode="decoder").ids[1:4]:
+        ids = ids + [token]
+        before = len(built)
+        lm_logits(model, ids, cache)
+        assert cache.ids == ids
+        assert len(built) - before <= 2  # the logits, not one Tensor per op
+
+
+def test_cached_decode_overflow_raises_and_drops_the_cache(vocab):
+    model = _decoder(vocab, hidden=16, layers=2, window=16, seed=37)
+    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    model.params["layer0.ln2.gain"].data *= 1e9
+    model.params["layer1.attn.wq0"].data *= 1e300  # the second layer's projection overflows
+    cache = KVCache()
+    with pytest.raises(nm.NumericsError):
+        lm_logits(model, ids, cache)
+    assert cache.ids == []
+
+
 def test_cache_from_another_context_is_dropped(vocab):
     model = _decoder(vocab, hidden=16, window=16, seed=31)
     cache = KVCache()
@@ -319,7 +361,7 @@ def test_cache_from_another_context_is_dropped(vocab):
 def test_cached_greedy_matches_uncached_on_fixture_graph_and_qa_set():
     graph, _ = load_triples(fixture_graph_path())
     texts = [row["question"] + row["answer"] for row in CORPUS_SAMPLES]
-    texts.append(open(fixture_graph_path(), encoding="utf-8").read())
+    texts.append(Path(fixture_graph_path()).read_text(encoding="utf-8"))
     vocab = build_vocab(texts)
     cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=16, num_layers=2, num_heads=2, ffn_dim=32, context_window=128, max_gen_len=24)
     model = Decoder(cfg, Rng(32).spawn("dec"))

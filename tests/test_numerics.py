@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from medkit import numerics as nm
+from medkit.encoder import init_layer_params, layer_weights
 from medkit.numerics import Adam, NumericsError, Rng, ShapeError, Tensor
 
-from oracles import attention_ops, cross_entropy, masked_fill
+from oracles import attention, attention_ops, cross_entropy, encoder_layer_ops, gelu, layer_norm, masked_fill
 
 
 def test_matmul_identity():
@@ -73,17 +74,17 @@ def test_softmax_sums_to_one_and_shift_invariant():
 
 def test_layer_norm_constant_input_collapses_to_bias():
     x = Tensor([4.0, 4.0, 4.0])
-    out = nm.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=1e-5)
+    out = layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=1e-5)
     assert np.allclose(out.data, 0.0)
 
 
 def test_layer_norm_already_normalized():
-    out = nm.layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+    out = layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
     assert np.allclose(out.data, [1.0, -1.0], atol=1e-9)
 
 
 def test_layer_norm_affine_shift():
-    out = nm.layer_norm(Tensor([0.0, 2.0]), Tensor(np.ones(2)), Tensor([5.0, 5.0]), eps=1e-12)
+    out = layer_norm(Tensor([0.0, 2.0]), Tensor(np.ones(2)), Tensor([5.0, 5.0]), eps=1e-12)
     assert np.allclose(out.data, [4.0, 6.0], atol=1e-9)
 
 
@@ -134,7 +135,7 @@ def test_backward_accumulates_without_zeroing():
 def test_no_grad_records_no_graph():
     x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
     with nm.no_grad():
-        outs = [x + x, x * 2.0, nm.matmul(x, x), nm.gelu(x), nm.softmax(x), x[0], nm.concat([x, x]), x.sum()]
+        outs = [x + x, x * 2.0, nm.matmul(x, x), gelu(x), nm.softmax(x), x[0], nm.concat([x, x]), x.sum()]
         with pytest.raises(NumericsError):
             nm.exp(Tensor([1000.0], requires_grad=True))  # values are still checked
     for out in outs:
@@ -168,12 +169,12 @@ def test_backward_after_no_grad_block_matches_plain_backward():
 
     def grad_of_loss():
         nm.zero_grads([w])
-        nm.backward(nm.gelu(nm.matmul(x, w)).sum())
+        nm.backward(gelu(nm.matmul(x, w)).sum())
         return w.grad.copy()
 
     plain = grad_of_loss()
     with nm.no_grad():
-        nm.gelu(nm.matmul(x, w)).sum()
+        gelu(nm.matmul(x, w)).sum()
     assert np.array_equal(grad_of_loss(), plain)
 
 
@@ -212,7 +213,7 @@ def test_non_finite_forward_rejected():
         ("matmul", lambda x, y: nm.matmul(x, nm.transpose(y))),
         ("tanh", lambda x, y: nm.tanh(x)),
         ("sigmoid", lambda x, y: nm.sigmoid(x)),
-        ("gelu", lambda x, y: nm.gelu(x)),
+        ("gelu", lambda x, y: gelu(x)),
         ("exp", lambda x, y: nm.exp(x)),
         ("softmax", lambda x, y: nm.softmax(x, axis=-1)),
         ("log_softmax", lambda x, y: nm.log_softmax(x, axis=-1)),
@@ -285,7 +286,7 @@ def test_attention_matches_op_by_op_oracle(heads, kind):
     keep = _attention_keep(kind, 6, rng)
     weights = Tensor(rng.normal(size=(6, 8)))
     results = []
-    for run in (nm.attention, attention_ops):
+    for run in (attention, attention_ops):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         x, ws = leaves[0], leaves[1:]
         out = run(x, ws[:heads], ws[heads : 2 * heads], ws[2 * heads :], keep)
@@ -301,11 +302,11 @@ def test_attention_cached_calls_match_one_full_pass(heads):
     rng = Rng(50 + heads)
     x, (wq, wk, wv) = _attention_leaves(rng, 7, 8, heads)
     keep = np.tril(np.ones((7, 7), dtype=bool))
-    full = nm.attention(x, wq, wk, wv, keep).data
+    full = attention(x, wq, wk, wv, keep).data
     cache: dict = {}
     pieces = []
     for start, stop in [(0, 3), (3, 4), (4, 5), (5, 7)]:
-        out = nm.attention(x.data[start:stop], wq, wk, wv, keep[start:stop, :stop], cache)
+        out = attention(x.data[start:stop], wq, wk, wv, keep[start:stop, :stop], cache)
         assert out._parents == () and not out.requires_grad
         assert cache["k"].shape == cache["v"].shape == (heads, stop, 8 // heads)
         pieces.append(out.data)
@@ -321,7 +322,7 @@ def test_attention_matches_finite_differences(heads):
     weights = Tensor(rng.normal(size=(5, 4)))
 
     def loss_fn():
-        return (nm.attention(x, wq, wk, wv, keep) * weights).sum()
+        return (attention(x, wq, wk, wv, keep) * weights).sum()
 
     params = {"x": x, **{f"w{kind}{h}": w for kind, ws in zip("qkv", (wq, wk, wv)) for h, w in enumerate(ws)}}
     err = nm.grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
@@ -329,7 +330,7 @@ def test_attention_matches_finite_differences(heads):
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["kept", "masked"])
-@pytest.mark.parametrize("forward", [nm.attention, attention_ops], ids=["fused", "oracle"])
+@pytest.mark.parametrize("forward", [attention, attention_ops], ids=["fused", "oracle"])
 def test_attention_overflowing_projection_raises(forward, masked):
     x = Tensor([[1.0, 0.0], [1e308, 0.0]])  # row 1 projects to 1e309
     keep = np.array([True, not masked])  # masked: the overflowed key is dropped
@@ -339,7 +340,7 @@ def test_attention_overflowing_projection_raises(forward, masked):
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["kept", "masked"])
-@pytest.mark.parametrize("forward", [nm.attention, attention_ops], ids=["fused", "oracle"])
+@pytest.mark.parametrize("forward", [attention, attention_ops], ids=["fused", "oracle"])
 def test_attention_overflowing_score_raises(forward, masked):
     x = Tensor([[1e160, 0.0], [1.0, 0.0]])  # projections finite, q0 . k0 = 1e320
     keep = np.array([not masked, True])  # masked: the overflowed key is dropped
@@ -351,9 +352,155 @@ def test_attention_overflowing_score_raises(forward, masked):
 def test_attention_rejects_mismatched_shapes():
     w = [Tensor(np.zeros((3, 2)))]
     with pytest.raises(ShapeError):
-        nm.attention(Tensor(np.zeros((4, 3))), w, w, w + w, np.ones(4, dtype=bool))
+        attention(Tensor(np.zeros((4, 3))), w, w, w + w, np.ones(4, dtype=bool))
     with pytest.raises(ShapeError):
-        nm.attention(Tensor(np.zeros((4, 2))), w, w, w, np.ones(4, dtype=bool))
+        attention(Tensor(np.zeros((4, 2))), w, w, w, np.ones(4, dtype=bool))
+
+
+def _fused_layer(x, params, prefix, keep, heads, eps=1e-5, lengths=None):
+    """numerics.transformer_layer with encoder_layer_ops' signature."""
+    return nm.transformer_layer(x, layer_weights(params, prefix, heads), heads, keep, eps, lengths)
+
+
+def _layer_params(rng, hidden, heads, ffn):
+    """One layer's parameters with every bias, gain and weight perturbed, so
+    each gradient is exercised."""
+    params: dict = {}
+    init_layer_params(rng, hidden, heads, ffn, "layer0", params)
+    for p in params.values():
+        p.data = p.data + rng.normal(scale=0.2, size=p.shape)
+    return params
+
+
+def _layer_run(run, x_data, params, keep, heads, weights, lengths=None):
+    """Output and the gradients of x and of every parameter of one layer."""
+    x = Tensor(x_data.copy(), requires_grad=True)
+    leaves = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    out = run(x, leaves, "layer0", keep, heads, 1e-5, lengths=lengths)
+    nm.backward((out * weights).sum())
+    return [out.data, x.grad] + [leaves[name].grad for name in sorted(leaves)]
+
+
+def _assert_layers_agree(fused, oracle):
+    assert len(fused) == len(oracle)
+    for i, (a, b) in enumerate(zip(fused, oracle)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-10, i
+
+
+@pytest.mark.parametrize("kind", ["padding", "causal", "dead"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_transformer_layer_matches_op_by_op_oracle(heads, kind):
+    rng = Rng(80 + heads)
+    params = _layer_params(rng, 8, heads, 16)
+    x = rng.normal(size=(6, 8))
+    keep = _attention_keep(kind, 6, rng)
+    weights = Tensor(rng.normal(size=(6, 8)))
+    _assert_layers_agree(*(_layer_run(run, x, params, keep, heads, weights) for run in (_fused_layer, encoder_layer_ops)))
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_transformer_layer_ragged_batch_matches_oracle(heads, causal):
+    rng = Rng(90 + heads)
+    lengths = [3, 1, 6, 4, 6]  # 1 and the longest, 6 (max_len), included
+    params = _layer_params(rng, 8, heads, 16)
+    x = rng.normal(size=(sum(lengths), 8))
+    keep = np.tril(np.ones((6, 6), dtype=bool)) if causal else True
+    weights = Tensor(rng.normal(size=(sum(lengths), 8)))
+    _assert_layers_agree(*(_layer_run(run, x, params, keep, heads, weights, lengths) for run in (_fused_layer, encoder_layer_ops)))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_transformer_layer_cached_chunks_match_one_full_pass(heads):
+    rng = Rng(100 + heads)
+    params = _layer_params(rng, 8, heads, 16)
+    x = rng.normal(size=(7, 8))
+    keep = np.tril(np.ones((7, 7), dtype=bool))
+    full = encoder_layer_ops(Tensor(x), params, "layer0", keep, heads).data
+    w = nm.layer_arrays(layer_weights(params, "layer0", heads), heads)
+    cache: dict = {}
+    pieces = []
+    for start, stop in [(0, 3), (3, 4), (4, 5), (5, 7)]:
+        out, _ = nm.layer_forward(x[start:stop], w, heads, keep[start:stop, :stop], 1e-5, cache=cache)
+        assert cache["k"].shape == cache["v"].shape == (heads, stop, 8 // heads)
+        pieces.append(out)
+    assert np.max(np.abs(np.concatenate(pieces) - full)) <= 1e-10
+
+
+@pytest.mark.parametrize("lengths", [None, [2, 1, 4]], ids=["single", "ragged"])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_transformer_layer_matches_finite_differences(heads, lengths):
+    rng = Rng(110 + heads)
+    params = _layer_params(rng, 4, heads, 8)
+    x = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    keep = np.tril(np.ones((7, 7), dtype=bool)) if lengths is None else np.tril(np.ones((4, 4), dtype=bool))
+    if lengths is None:
+        keep[3] = False  # one dead row
+    weights = Tensor(rng.normal(size=(7, 4)))
+
+    def loss_fn():
+        return (_fused_layer(x, params, "layer0", keep, heads, lengths=lengths) * weights).sum()
+
+    err = nm.grad_check(loss_fn, {"x": x, **params}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    assert err < 1e-5
+
+
+@pytest.mark.parametrize("name", ["attn.wq0", "attn.wk1", "attn.wo", "ffn.w1", "ffn.w2"])
+@pytest.mark.parametrize("forward", [_fused_layer, encoder_layer_ops], ids=["fused", "oracle"])
+def test_transformer_layer_overflowing_weight_raises(forward, name):
+    """A weight scaled by 1e300 overflows its stage: the QKV projection (wq,
+    wk), or a value that only the layer output shows, through NaN * 0 or
+    inf - inf in LayerNorm (wo), GELU (w1) or the second residual (w2). The
+    large inputs and first LayerNorm gain make each product overflow; without
+    the scaling the layer stays finite."""
+    rng = Rng(120)
+    params = _layer_params(rng, 8, 2, 16)
+    params["layer0.ln1.gain"].data = np.full(8, 1e9)
+    x = Tensor(rng.normal(size=(4, 8)) * 1e9)
+    keep = np.tril(np.ones((4, 4), dtype=bool))
+    assert np.isfinite(forward(x, params, "layer0", keep, 2).data).all()
+    params[f"layer0.{name}"].data = params[f"layer0.{name}"].data * 1e300
+    with pytest.raises(NumericsError):
+        forward(x, params, "layer0", keep, 2)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["kept", "masked"])
+@pytest.mark.parametrize("forward", [_fused_layer, encoder_layer_ops], ids=["fused", "oracle"])
+def test_transformer_layer_overflowing_score_raises(forward, masked):
+    params = _layer_params(Rng(121), 2, 1, 4)
+    for kind in "qkv":
+        params[f"layer0.attn.w{kind}0"].data = np.eye(2)
+    x = Tensor([[1e160, 0.0], [1.0, 0.0]])  # projections finite, q0 . k0 = 1e320
+    keep = np.array([not masked, True])  # masked: the overflowed key is dropped
+    with pytest.raises(NumericsError):
+        forward(x, params, "layer0", keep, 1)
+
+
+def test_layer_forward_checks_its_output():
+    """The array-level forward, which KV-cached decoding runs without a
+    Tensor around it, raises on a non-finite output itself."""
+    rng = Rng(123)
+    params = _layer_params(rng, 8, 2, 16)
+    params["layer0.ln1.gain"].data = np.full(8, 1e9)
+    params["layer0.ffn.w2"].data = params["layer0.ffn.w2"].data * 1e300
+    w = nm.layer_arrays(layer_weights(params, "layer0", 2), 2)
+    with pytest.raises(NumericsError, match="output"):
+        nm.layer_forward(rng.normal(size=(4, 8)), w, 2, np.tril(np.ones((4, 4), dtype=bool)), cache={})
+
+
+def test_transformer_layer_rejects_mismatched_shapes():
+    params = _layer_params(Rng(122), 4, 2, 8)
+    weights = layer_weights(params, "layer0", 2)
+    keep = np.ones(3, dtype=bool)
+    with pytest.raises(ShapeError):
+        nm.transformer_layer(Tensor(np.zeros((3, 5))), weights, 2, keep)
+    with pytest.raises(ShapeError):
+        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 1, keep)
+    with pytest.raises(ShapeError):
+        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights[:-1], 2, keep)
+    with pytest.raises(ShapeError):
+        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 2, keep, lengths=[3, 0])
 
 
 def test_layer_norm_gradient():
@@ -364,7 +511,7 @@ def test_layer_norm_gradient():
     weights = rng.normal(size=(3, 4))
 
     def loss_fn():
-        return (nm.layer_norm(x, gain, bias) * Tensor(weights)).sum()
+        return (layer_norm(x, gain, bias) * Tensor(weights)).sum()
 
     err = nm.grad_check(loss_fn, {"x": x, "g": gain, "b": bias}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
     assert err < 1e-5
