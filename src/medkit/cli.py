@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -354,7 +354,7 @@ def cmd_pretrain_encoder(args) -> int:
         enc_mod.PretrainConfig(epochs=cfg.mlm_epochs, lr=cfg.mlm_lr, batch_size=cfg.batch_size, seed=cfg.seed),
     )
     history.write_csv(out / "pretrain.log.csv")
-    meta = {"kind": "encoder", "encoder_config": encoder.config.to_json()}
+    meta = {"kind": "encoder", "encoder_config": asdict(encoder.config)}
     _save_bundle(out, "encoder", encoder.params, meta, vocab)
     if history.aborted:
         raise NumericsError("pretraining diverged; last good checkpoint saved")
@@ -391,7 +391,7 @@ def cmd_train_triage(args) -> int:
     cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     encoder, head, vocab, label_map, dataset = _build_triage_parts(cfg, args, result.samples)
-    history, opt_state = triage_mod.train_supervised(
+    history = triage_mod.train_supervised(
         encoder,
         head,
         dataset,
@@ -404,11 +404,11 @@ def cmd_train_triage(args) -> int:
         ),
     )
     history.write_csv(out / "train.log.csv")
-    _write_json(out / "optimizer_state.json", opt_state)
+    _write_json(out / "optimizer_state.json", history.optimizer_state)
     _write_json(out / "label_map.json", label_map)
     params = {f"encoder.{k}": v for k, v in encoder.params.items()}
     params.update({f"head.{k}": v for k, v in head.params.items()})
-    meta = {"kind": "triage", "encoder_config": encoder.config.to_json(), "head_config": head.config.to_json()}
+    meta = {"kind": "triage", "encoder_config": asdict(encoder.config), "head_config": asdict(head.config)}
     _save_bundle(out, "triage", params, meta, vocab)
     if history.aborted:
         raise NumericsError("triage training diverged; last good checkpoint saved")
@@ -486,7 +486,7 @@ def cmd_train_prompt(args) -> int:
     history.write_csv(out / "train.log.csv")
     meta = {
         "kind": "prompt",
-        "encoder_config": encoder.config.to_json(),
+        "encoder_config": asdict(encoder.config),
         "template": {"prefix": template.prefix, "suffix": template.suffix, "mask_slot_count": template.mask_slot_count},
         "include_pad_slots": cfg.include_pad_slots,
         "max_len": max_len,
@@ -538,7 +538,7 @@ def cmd_pretrain_lm(args) -> int:
         gen_mod.LmTrainConfig(epochs=cfg.lm_pretrain_epochs, lr=cfg.lm_lr, batch_size=cfg.batch_size, seed=cfg.seed),
     )
     history.write_csv(out / "pretrain.log.csv")
-    _save_bundle(out, "lm", decoder.params, {"kind": "decoder", "decoder_config": decoder.config.to_json()}, vocab)
+    _save_bundle(out, "lm", decoder.params, {"kind": "decoder", "decoder_config": asdict(decoder.config)}, vocab)
     if history.aborted:
         raise NumericsError("LM pretraining diverged; last good checkpoint saved")
     print(f"pretrained LM for {len(history.rows)} epochs")
@@ -577,7 +577,7 @@ def cmd_train_gen(args) -> int:
     fine.history.write_csv(out / "train.log.csv")
     meta = {
         "kind": "decoder",
-        "decoder_config": decoder.config.to_json(),
+        "decoder_config": asdict(decoder.config),
         "supplement_max_chars": cfg.supplement_max_chars,
         "uses_input_supplement": graph is not None,
         "knowledge_base": knowledge_base,

@@ -6,10 +6,11 @@ hand-written backward pass; the autoregressive generator runs the same
 stack under a causal mask, and its KV-cached decoding calls the same
 array-level layer forward.
 
-The encoder runs a TokenSequence (every position, padding masked as keys) or
-a TokenBatch as one graph: the matmuls, LayerNorm and GELU on the batch's
-real tokens only, attention on all sequences and heads at once. Each sequence
-gets what running it alone gives, up to summation order.
+The encoder runs a TokenBatch, its sequences laid end to end without
+padding, as one graph: the matmuls, LayerNorm and GELU on the batch's tokens,
+attention on all sequences and heads at once, each sequence attending only
+within itself. A sequence gets what running it alone gives, up to summation
+order; a single sequence runs as a batch of one.
 """
 
 from __future__ import annotations
@@ -49,28 +50,15 @@ class EncoderConfig:
     def head_dim(self) -> int:
         return self.hidden_dim // self.num_heads
 
-    def to_json(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "ffn_dim": self.ffn_dim,
-            "mask_rate": self.mask_rate,
-            "ln_eps": self.ln_eps,
-        }
-
 
 @dataclass
 class EncoderOutput:
-    """cls_vector (hidden,), token_reps (seq, hidden), attention_mask (seq,);
-    for a TokenBatch, cls_vector (B, hidden), one token_reps row per token and
-    the (B, longest) mask of the real positions, as if padded."""
+    """A TokenBatch encoded: cls_vector (B, hidden), one token_reps row per
+    token of the batch in its order, and the batch's (B,) lengths."""
 
     cls_vector: Tensor
     token_reps: Tensor
-    attention_mask: np.ndarray
+    lengths: np.ndarray
 
 
 # -- shared transformer machinery ---------------------------------------------
@@ -115,10 +103,10 @@ def run_layers(x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_h
 class Encoder:
     """Bidirectional transformer over character sequences.
 
-    Position 0 carries the [CLS] summary vector used by the classifiers; the
-    full per-token representation matrix feeds the recurrent head and the
-    masked-token prediction task. The MLM output projection is tied to the
-    input embedding matrix.
+    Each sequence's first position carries the [CLS] summary vector used by
+    the classifiers; the full per-token representation matrix feeds the
+    recurrent head and the masked-token prediction task. The MLM output
+    projection is tied to the input embedding matrix.
     """
 
     def __init__(self, config: EncoderConfig, rng: Rng):
@@ -130,28 +118,23 @@ class Encoder:
             init_layer_params(rng, config.hidden_dim, config.num_heads, config.ffn_dim, f"layer{i}", params)
         self.params = params
 
-    def embed(self, tokens: TokenSequence | TokenBatch) -> Tensor:
+    def embed(self, tokens: TokenBatch) -> Tensor:
         """Token embedding plus learned absolute position embedding."""
-        positions = tokens.positions if isinstance(tokens, TokenBatch) else np.arange(len(tokens.ids))
+        positions = tokens.positions
         if positions.max() >= self.config.max_len:
             raise ValueError(f"sequence of {positions.max() + 1} exceeds max_len {self.config.max_len}")
         if np.max(tokens.ids) >= self.config.vocab_size:
             raise ValueError("token id out of vocab range")
         return nm.take_rows(self.params["tok_emb"], tokens.ids) + nm.take_rows(self.params["pos_emb"], positions)
 
-    def _token_states(self, tokens: TokenSequence | TokenBatch) -> Tensor:
-        batch = isinstance(tokens, TokenBatch)  # a batch attends within each sequence; a sequence masks its padding keys
-        keep = True if batch else np.asarray(tokens.attention_mask, dtype=bool)[None, :]
-        return run_layers(self.embed(tokens), self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths=tokens.lengths if batch else None)
+    def _token_states(self, tokens: TokenBatch) -> Tensor:
+        return run_layers(self.embed(tokens), self.params, True, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths=tokens.lengths)
 
-    def encode(self, tokens: TokenSequence | TokenBatch) -> EncoderOutput:
+    def encode(self, tokens: TokenBatch) -> EncoderOutput:
         reps = self._token_states(tokens)
-        if isinstance(tokens, TokenBatch):
-            grid = np.arange(tokens.lengths.max()) < tokens.lengths[:, None]
-            return EncoderOutput(cls_vector=nm.take_rows(reps, tokens.starts), token_reps=reps, attention_mask=grid)
-        return EncoderOutput(cls_vector=reps[0], token_reps=reps, attention_mask=np.asarray(tokens.attention_mask, dtype=bool))
+        return EncoderOutput(cls_vector=nm.take_rows(reps, tokens.starts), token_reps=reps, lengths=tokens.lengths)
 
-    def mlm_logits(self, tokens: TokenSequence | TokenBatch, rows=None) -> Tensor:
+    def mlm_logits(self, tokens: TokenBatch, rows=None) -> Tensor:
         """Vocabulary logits (projection tied to the embeddings) of the output
         rows `rows`, picked before the projection; default every row."""
         reps = self._token_states(tokens)
@@ -163,7 +146,7 @@ class Encoder:
 def mask_tokens(tokens: TokenSequence, rate: float, rng: Rng, vocab_size: int):
     """Corrupt a sequence for masked-token pretraining.
 
-    Each real, non-special position is independently selected with probability
+    Each non-special position is independently selected with probability
     `rate`. Of the selected positions 80% become [MASK], 10% a random content
     token and 10% stay unchanged. Returns (corrupted, positions, original_ids).
     """
@@ -172,8 +155,8 @@ def mask_tokens(tokens: TokenSequence, rate: float, rng: Rng, vocab_size: int):
     ids = list(tokens.ids)
     positions: list[int] = []
     originals: list[int] = []
-    for i, (tok, real) in enumerate(zip(tokens.ids, tokens.attention_mask)):
-        if not real or tok < NUM_RESERVED:
+    for i, tok in enumerate(tokens.ids):
+        if tok < NUM_RESERVED:
             continue
         if rng.random() >= rate:
             continue
@@ -187,8 +170,7 @@ def mask_tokens(tokens: TokenSequence, rate: float, rng: Rng, vocab_size: int):
                 ids[i] = int(rng.integers(NUM_RESERVED, vocab_size))
             # else: no content tokens to draw from; leave unchanged
         # else: keep the original token
-    corrupted = TokenSequence(ids=ids, attention_mask=list(tokens.attention_mask), original_length=tokens.original_length)
-    return corrupted, positions, originals
+    return TokenSequence(ids), positions, originals
 
 
 def mlm_loss(encoder: Encoder, batch) -> Tensor | None:

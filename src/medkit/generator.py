@@ -53,18 +53,6 @@ class DecoderConfig:
         if self.max_gen_len < 1:
             raise ValueError("max_gen_len must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "ffn_dim": self.ffn_dim,
-            "context_window": self.context_window,
-            "max_gen_len": self.max_gen_len,
-            "ln_eps": self.ln_eps,
-        }
-
 
 @dataclass
 class GenerationRequest:
@@ -207,15 +195,6 @@ def lm_loss(model: Decoder, sequence, loss_mask, targets=None, lengths=None) -> 
     return nm.softmax_cross_entropy(logits, tgt[rows], reduction=1.0 / (counts[owner[rows]] * len(lengths)))
 
 
-def _nll_sum(model: Decoder, sequence) -> tuple[float, int]:
-    """Total NLL and token count for one sequence under the model."""
-    picked = list(range(1, len(sequence)))
-    logits = model.logits_matrix(sequence)
-    rows = nm.take_rows(logits, [j - 1 for j in picked])
-    loss = nm.softmax_cross_entropy(rows, [sequence[j] for j in picked], reduction="sum")
-    return loss.item(), len(picked)
-
-
 @dataclass
 class LmTrainConfig:
     epochs: int = 10
@@ -351,20 +330,3 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
         "supplement": supplement_text,
         "answer": decode(generated, vocab),
     }
-
-
-def perplexity(model: Decoder, texts, vocab: Vocab) -> float:
-    """exp(mean per-token NLL) over decoder-encoded texts."""
-    texts = list(texts)
-    if not texts:
-        raise ValueError("perplexity needs at least one text")
-    total = 0.0
-    count = 0
-    window = model.config.context_window
-    for text in texts:
-        seq = encode(text, vocab, max_len=max(window, 3), mode="decoder")
-        ids = seq.ids[:window]
-        nll, n = _nll_sum(model, ids)
-        total += nll
-        count += n
-    return float(np.exp(total / count))

@@ -444,12 +444,13 @@ def embed_score(candidate: str, reference: str, encoder, vocab) -> tuple[float, 
 
 
 def _token_vectors(text: str, encoder, vocab) -> np.ndarray:
-    from .tokenizer import NUM_RESERVED, encode
+    from .numerics import no_grad
+    from .tokenizer import NUM_RESERVED, UNK_ID, TokenBatch, encode
 
     seq = encode(text, vocab, max_len=encoder.config.max_len, mode="encoder")
-    out = encoder.encode(seq)
-    rows = [i for i, (tok, real) in enumerate(zip(seq.ids, seq.attention_mask)) if real and (tok >= NUM_RESERVED or tok == 1)]
-    return out.token_reps.data[rows] if rows else np.zeros((0, encoder.config.hidden_dim))
+    with no_grad():
+        reps = encoder.encode(TokenBatch.stack([seq])).token_reps.data
+    return reps[[i for i, tok in enumerate(seq.ids) if tok >= NUM_RESERVED or tok == UNK_ID]]
 
 
 def _cosine_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ def supplement(question_tokens: TokenSequence, supplement_text: str, vocab: Voca
     """
     if max_len < 3:
         raise ValueError("max_len must leave room for the specials")
-    q_ids = [i for i, m in zip(question_tokens.ids, question_tokens.attention_mask) if m and i not in _STRUCTURAL_IDS]
+    q_ids = [i for i in question_tokens.ids if i not in _STRUCTURAL_IDS]
     i_ids = [vocab.id_of(ch) for ch in _normalize(supplement_text)]
     budget = max_len - 3  # BOS + two SEPs
     if len(q_ids) > budget:
@@ -163,5 +163,4 @@ def supplement(question_tokens: TokenSequence, supplement_text: str, vocab: Voca
         supplement_span=(2 + len(q_ids), 2 + len(q_ids) + len(i_ids)),
         prompt_len=len(ids),
     )
-    seq = TokenSequence(ids=ids, attention_mask=[True] * len(ids), original_length=len(q_ids))
-    return seq, layout
+    return TokenSequence(ids), layout

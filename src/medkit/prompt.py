@@ -4,7 +4,8 @@ A template wraps the question with a cloze sentence containing mask slots; a
 verbalizer maps each label to a token sequence right-padded to the slot count.
 Scoring sums the per-slot log-likelihoods of a label's (padded) tokens under
 one shared forward pass, so pad slots participate in every label's score.
-Training, scoring and prediction run a batch of prompts as one TokenBatch.
+Prompts are never padded: training, scoring and prediction take only
+batches, a list of prompts run as one TokenBatch.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Verbalizer:
 
 
 def build_prompt(question: str, template: PromptTemplate, vocab: Vocab, max_len: int) -> tuple[TokenSequence, list[int]]:
-    """Render [CLS] prefix question suffix-with-slots [SEP], padded to max_len.
+    """Render [CLS] prefix question suffix-with-slots [SEP], at most max_len.
 
     The question is truncated first when the total is over length; if the
     template alone does not fit, that is a configuration error. Returns the
@@ -92,7 +93,7 @@ def build_prompt(question: str, template: PromptTemplate, vocab: Vocab, max_len:
     room = max_len - 2 - fixed
     if room < 0:
         raise PromptError(f"template needs {fixed + 2} positions but max_len is {max_len}")
-    chars = list(_normalize(question))[:room] if room >= 0 else []
+    chars = list(_normalize(question))[:room]
     ids = [CLS_ID]
     ids += [vocab.id_of(ch) for ch in prefix]
     ids += [vocab.id_of(ch) for ch in chars]
@@ -102,62 +103,53 @@ def build_prompt(question: str, template: PromptTemplate, vocab: Vocab, max_len:
     slots = list(range(slot_start, len(ids)))
     ids += [vocab.id_of(ch) for ch in after]
     ids.append(SEP_ID)
-    mask = [True] * len(ids)
-    pad = max_len - len(ids)
-    ids += [PAD_ID] * pad
-    mask += [False] * pad
-    return TokenSequence(ids=ids, attention_mask=mask, original_length=len(chars)), slots
+    return TokenSequence(ids), slots
 
 
-def _slot_rows(prompts: TokenSequence | TokenBatch, slots) -> np.ndarray:
-    """Encoder output rows of the slots: for a batch, each prompt's slot
-    positions offset to its first row."""
-    return (prompts.starts[:, None] + np.asarray(slots)).ravel() if isinstance(prompts, TokenBatch) else np.asarray(slots)
+def _slot_rows(prompts: TokenBatch, slots) -> np.ndarray:
+    """Encoder output rows of the slots: each prompt's slot positions offset
+    to its first row."""
+    return (prompts.starts[:, None] + np.asarray(slots)).ravel()
 
 
 def score_labels(
     encoder: Encoder,
-    prompts: TokenSequence | TokenBatch,
+    prompts: TokenBatch,
     slots,
     verbalizer: Verbalizer,
     include_pad_slots: bool = True,
-):
+) -> list[dict[str, float]]:
     """Log-likelihood of each label's token sequence at the mask slots.
 
-    One no-grad forward pass is shared by all labels and, for a TokenBatch
-    with one slot list per prompt, by all prompts. Returns a label -> score
-    dict, or a list of them for a batch. With include_pad_slots=False the
-    [PAD] filler positions of short labels are left out of their sums
-    (exposed for ablation; the default scores every slot).
+    One no-grad forward pass is shared by all labels and all prompts, with
+    one slot list per prompt. Returns one label -> score dict per prompt.
+    With include_pad_slots=False the [PAD] filler positions of short labels
+    are left out of their sums (exposed for ablation; the default scores
+    every slot).
     """
     with nm.no_grad():
         logprobs = nm.log_softmax(encoder.mlm_logits(prompts, _slot_rows(prompts, slots)), axis=-1).data
     logprobs = logprobs.reshape(-1, np.shape(slots)[-1], logprobs.shape[-1])
-    scores = [
+    return [
         {label: sum(float(rows[i, tok]) for i, tok in enumerate(token_ids) if include_pad_slots or tok != PAD_ID) for label, token_ids in verbalizer.label_tokens.items()}
         for rows in logprobs
     ]
-    return scores if isinstance(prompts, TokenBatch) else scores[0]
 
 
 def predict(
     encoder: Encoder,
-    questions: str | list[str],
+    questions: list[str],
     template: PromptTemplate,
     verbalizer: Verbalizer,
     vocab: Vocab,
     max_len: int,
     include_pad_slots: bool = True,
-):
-    """Highest-scoring label for a question, or a list of them for a list of
-    questions scored as one batch; ties break toward the lexicographically
-    smallest label."""
-    single = isinstance(questions, str)
-    built = [build_prompt(question, template, vocab, max_len) for question in ([questions] if single else questions)]
-    batch = TokenBatch.stack([seq for seq, _ in built])
-    scores = score_labels(encoder, batch, [slots for _, slots in built], verbalizer, include_pad_slots)
-    choices = [min(row, key=lambda label: (-row[label], label)) for row in scores]
-    return choices[0] if single else choices
+) -> list[str]:
+    """The highest-scoring label of each question, all scored as one batch;
+    ties break toward the lexicographically smallest label."""
+    built = [build_prompt(question, template, vocab, max_len) for question in questions]
+    scores = score_labels(encoder, TokenBatch.stack([seq for seq, _ in built]), [slots for _, slots in built], verbalizer, include_pad_slots)
+    return [min(row, key=lambda label: (-row[label], label)) for row in scores]
 
 
 @dataclass

@@ -76,35 +76,26 @@ class Vocab:
 
 @dataclass
 class TokenSequence:
-    """Encoded ids plus a mask marking real (non-padding) positions."""
+    """The encoded ids of one sequence; every position is real (no padding)."""
 
     ids: list[int]
-    attention_mask: list[bool]
-    original_length: int
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.attention_mask):
-            raise TokenizerError("ids and attention_mask lengths differ")
 
 
 @dataclass
 class TokenBatch:
-    """Sequences laid end to end without padding: `ids` holds each one's real
-    tokens in turn, `lengths` how many each has; every position is real."""
+    """Sequences laid end to end: `ids` holds each one's tokens in turn,
+    `lengths` how many each has; there is no padding."""
 
     ids: np.ndarray
     lengths: np.ndarray
 
     @classmethod
     def stack(cls, sequences) -> "TokenBatch":
-        """Batch TokenSequences whose real positions come first."""
-        lengths = np.array([sum(seq.attention_mask) for seq in sequences])
-        if not all(all(seq.attention_mask[:n]) for seq, n in zip(sequences, lengths)):
-            raise TokenizerError("a batched sequence must have its real positions first")
-        return cls(np.array([i for seq, n in zip(sequences, lengths) for i in seq.ids[:n]], dtype=np.int64), lengths)
+        return cls(np.array([i for seq in sequences for i in seq.ids], dtype=np.int64), np.array([len(seq.ids) for seq in sequences]))
 
     @property
     def attention_mask(self) -> np.ndarray:
+        """All true: every position is a real token."""
         return np.ones(len(self.ids), dtype=bool)
 
     @property
@@ -132,26 +123,16 @@ def build_vocab(corpus_texts, min_freq: int = 1) -> Vocab:
 
 
 def encode(text: str, vocab: Vocab, max_len: int, mode: str = "encoder") -> TokenSequence:
-    """Encode text as [CLS] chars [SEP] (padded to max_len) or [BOS] chars [EOS].
+    """Encode text as [CLS] chars [SEP] or [BOS] chars [EOS], never padded.
 
     Characters beyond max_len - 2 are dropped; unknown characters map to [UNK].
     """
     if max_len < 3:
         raise TokenizerError("max_len must be at least 3")
-    chars = list(_normalize(text))[: max_len - 2]
-    body = [vocab.id_of(ch) for ch in chars]
-    if mode == "encoder":
-        ids = [CLS_ID] + body + [SEP_ID]
-        mask = [True] * len(ids)
-        pad = max_len - len(ids)
-        ids += [PAD_ID] * pad
-        mask += [False] * pad
-    elif mode == "decoder":
-        ids = [BOS_ID] + body + [EOS_ID]
-        mask = [True] * len(ids)
-    else:
+    if mode not in ("encoder", "decoder"):
         raise TokenizerError(f"unknown mode {mode!r}")
-    return TokenSequence(ids=ids, attention_mask=mask, original_length=len(chars))
+    body = [vocab.id_of(ch) for ch in _normalize(text)[: max_len - 2]]
+    return TokenSequence([CLS_ID, *body, SEP_ID] if mode == "encoder" else [BOS_ID, *body, EOS_ID])
 
 
 def decode(ids, vocab: Vocab) -> str:

@@ -4,8 +4,9 @@ The head runs a stacked bidirectional LSTM over the encoder's token
 representations, concatenates the two final hidden states with the [CLS]
 summary vector, pushes the fused vector through a stack of dendritic layers
 (each one a learned linear map of the element-wise square of its input), and
-finishes with a dense softmax over the label set. Like the encoder it runs
-one sequence or a batch.
+finishes with a dense softmax over the label set. Like the encoder it takes
+only batches: the encoder's output for a packed TokenBatch in, (B,
+num_classes) logits out.
 """
 
 from __future__ import annotations
@@ -40,17 +41,6 @@ class TriageConfig:
     @property
     def fused_dim(self) -> int:
         return (2 * self.hidden_dim if self.use_bilstm else 0) + (self.hidden_dim if self.use_cls else 0)
-
-    def to_json(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "num_classes": self.num_classes,
-            "num_lstm_layers": self.num_lstm_layers,
-            "num_dd_layers": self.num_dd_layers,
-            "use_bilstm": self.use_bilstm,
-            "use_cls": self.use_cls,
-            "use_dd": self.use_dd,
-        }
 
 
 def lstm_direction(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool, lengths=None):
@@ -89,62 +79,47 @@ class TriageHead:
     def dd_stack(self) -> list[Tensor]:
         return [self.params[f"dd{i}.w"] for i in range(self.config.num_dd_layers)]
 
-    def bilstm(self, token_reps: Tensor, mask) -> Tensor:
-        return bilstm(token_reps, mask, self.params, self.config.num_lstm_layers)
-
     def forward_logits(self, encoder_output: EncoderOutput) -> Tensor:
-        """Logits for one encoded sequence (num_classes,) or a batch (B, num_classes)."""
+        """(B, num_classes) logits of a batch of encoded sequences."""
         cfg = self.config
-        cls_vector = encoder_output.cls_vector
+        fused = encoder_output.cls_vector
         if cfg.use_bilstm:
-            summary = self.bilstm(encoder_output.token_reps, encoder_output.attention_mask)
-            fused = fuse(summary, cls_vector) if cfg.use_cls else summary
-        else:
-            fused = cls_vector
+            summary = bilstm(encoder_output.token_reps, encoder_output.lengths, self.params, cfg.num_lstm_layers)
+            fused = fuse(summary, fused) if cfg.use_cls else summary
         features = dendrite(fused, self.dd_stack()) if cfg.use_dd else fused
-        logits = nm.matmul(features.reshape((-1, features.shape[-1])), self.params["dense.w"]) + self.params["dense.b"]
-        return logits.reshape(fused.shape[:-1] + (cfg.num_classes,))
-
-    def forward(self, encoder_output: EncoderOutput) -> Tensor:
-        """Probability distribution over the label set."""
-        return nm.softmax(self.forward_logits(encoder_output), axis=-1)
+        return nm.matmul(features, self.params["dense.w"]) + self.params["dense.b"]
 
 
-def bilstm(token_reps: Tensor, mask, params: dict, num_layers: int) -> Tensor:
-    """Run the stacked bidirectional LSTM over real positions only and return
-    the concatenation [forward final ; backward final] of the top layer:
-    (2 * hidden,) for a (seq,) mask, (B, 2 * hidden) for a (B, longest) one.
-    token_reps has one row per position of the mask, or one per real
-    position (a batched encoder's rows)."""
-    mask = np.asarray(mask, dtype=bool)
-    lengths = mask.reshape(-1, mask.shape[-1]).sum(axis=1)
+def bilstm(token_reps: Tensor, lengths, params: dict, num_layers: int) -> Tensor:
+    """Run the stacked bidirectional LSTM over each sequence of a packed
+    batch (token_reps has one row per token, `lengths` rows per sequence)
+    and return the top layer's (B, 2 * hidden) [forward final ; backward
+    final]."""
+    lengths = np.asarray(lengths)
     if not lengths.all():
         raise ValueError("bilstm needs at least one real token")
-    real = np.flatnonzero(mask)
-    x = token_reps if token_reps.shape[0] == real.size else nm.take_rows(token_reps, real)
-    final_f = final_b = None
+    x = token_reps
     for layer in range(num_layers):
         outs_f, final_f = lstm_direction(x, params[f"lstm{layer}.fwd.wx"], params[f"lstm{layer}.fwd.wh"], params[f"lstm{layer}.fwd.b"], reverse=False, lengths=lengths)
         outs_b, final_b = lstm_direction(x, params[f"lstm{layer}.bwd.wx"], params[f"lstm{layer}.bwd.wh"], params[f"lstm{layer}.bwd.b"], reverse=True, lengths=lengths)
         x = nm.concat([outs_f, outs_b], axis=1)
-    return nm.concat([final_f, final_b], axis=1).reshape(mask.shape[:-1] + (-1,))
+    return nm.concat([final_f, final_b], axis=1)
 
 
 def fuse(summary: Tensor, cls_vector: Tensor) -> Tensor:
-    """Concatenate the sequence summary with the [CLS] vector, summary first,
-    along the last axis of two vectors or two equally long batches of them."""
-    if summary.ndim != cls_vector.ndim or summary.shape[:-1] != cls_vector.shape[:-1]:
-        raise nm.ShapeError(f"fuse needs two vectors or two batches of them, got {summary.shape} and {cls_vector.shape}")
-    return nm.concat([summary, cls_vector], axis=-1)
+    """Concatenate each sequence's summary with its [CLS] vector, summary
+    first: (B, a) and (B, b) give (B, a + b)."""
+    if summary.ndim != 2 or cls_vector.ndim != 2 or summary.shape[0] != cls_vector.shape[0]:
+        raise nm.ShapeError(f"fuse needs two equally long batches of vectors, got {summary.shape} and {cls_vector.shape}")
+    return nm.concat([summary, cls_vector], axis=1)
 
 
 def dendrite(fused: Tensor, weight_stack: list[Tensor]) -> Tensor:
-    """Apply the dendritic rule repeatedly: out = (x ⊙ x) @ W per layer, over
-    the last axis of a vector or a batch of them."""
-    current = fused.reshape((-1, fused.shape[-1]))
+    """Apply the dendritic rule repeatedly to a (B, dim) batch: out = (x ⊙ x)
+    @ W per layer."""
     for w in weight_stack:
-        current = nm.matmul(current * current, w)
-    return current.reshape(fused.shape[:-1] + current.shape[-1:])
+        fused = nm.matmul(fused * fused, w)
+    return fused
 
 
 # -- training ------------------------------------------------------------------
@@ -158,7 +133,6 @@ class TriageTrainConfig:
     batch_size: int = 8
     seed: int = 0
     stop_at_train_acc: float | None = None
-    freeze_encoder: bool = False
 
 
 def _logits(encoder: Encoder, head: TriageHead, sequences) -> Tensor:
@@ -174,13 +148,13 @@ def supervised_loss(encoder: Encoder, head: TriageHead, batch, _rng=None) -> tup
     return nm.softmax_cross_entropy(logits, labels), len(batch), int(np.sum(np.argmax(logits.data, axis=1) == labels))
 
 
-def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: TriageTrainConfig):
+def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: TriageTrainConfig) -> nm.TrainHistory:
     """Jointly fine-tune encoder and head with two learning-rate groups
     through numerics.fit; the logged loss is the per-sample mean, and
     divergence rolls both back to the last completed epoch.
 
-    `dataset` is a list of (TokenSequence, label_id). Returns (history,
-    optimizer_state) where the state dump shows both groups and their rates.
+    `dataset` is a list of (TokenSequence, label_id). The returned
+    history's optimizer_state shows both groups and their rates.
     """
     if not dataset:
         raise ValueError("empty training set")
@@ -188,11 +162,8 @@ def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: Triage
     for _, label in dataset:
         if not 0 <= label < num_classes:
             raise ValueError(f"label id {label} outside the fixed label set")
-    groups = [{"name": "head", "lr": config.lr_head, "params": head.params}]
-    if not config.freeze_encoder:
-        groups.append({"name": "encoder", "lr": config.lr_encoder, "params": encoder.params})
-    history = nm.fit(functools.partial(supervised_loss, encoder, head), dataset, groups, config, "triage.train", config.stop_at_train_acc)
-    return history, history.optimizer_state
+    groups = [{"name": "head", "lr": config.lr_head, "params": head.params}, {"name": "encoder", "lr": config.lr_encoder, "params": encoder.params}]
+    return nm.fit(functools.partial(supervised_loss, encoder, head), dataset, groups, config, "triage.train", config.stop_at_train_acc)
 
 
 def predict_labels(encoder: Encoder, head: TriageHead, sequences, batch_size: int = 8) -> list[int]:

@@ -16,7 +16,7 @@ from medkit import kgraph as kg
 from medkit import numerics as nm
 from medkit.generator import _sample_from, lm_logits
 from medkit.numerics import Rng, Tensor
-from medkit.tokenizer import EOS_ID, decode, encode
+from medkit.tokenizer import EOS_ID, PAD_ID, decode, encode
 
 
 def occurrences(tokens, gram):
@@ -527,6 +527,13 @@ def states_ops(model, ids, keep):
     return x
 
 
+def padded(ids, max_len):
+    """The encoder input as it was laid out before sequences were packed:
+    `ids` padded with [PAD] to max_len, and the (1, max_len) keep mask that
+    hides the padding as keys."""
+    return list(ids) + [PAD_ID] * (max_len - len(ids)), (np.arange(max_len) < len(ids))[None, :]
+
+
 def _scaled_sum(losses, factor):
     total = losses[0]
     for piece in losses[1:]:
@@ -535,14 +542,15 @@ def _scaled_sum(losses, factor):
 
 
 def mlm_loss_per_sample(encoder, batch):
-    """The masked-token loss as it was, one sequence at a time: every position
-    run (padding masked as keys) and projected, the masked rows' NLL summed
-    over the batch and divided by the number of masked positions."""
+    """The masked-token loss as it was, one sequence at a time: padded to
+    max_len, every position run (padding masked as keys) and projected, the
+    masked rows' NLL summed over the batch and divided by the number of
+    masked positions."""
     losses, total = [], 0
     for corrupted, positions, originals in batch:
         if not positions:
             continue
-        states = states_ops(encoder, corrupted.ids, np.asarray(corrupted.attention_mask, dtype=bool))
+        states = states_ops(encoder, *padded(corrupted.ids, encoder.config.max_len))
         logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), positions)
         losses.append(nm.softmax_cross_entropy(logits, originals, reduction="sum"))
         total += len(positions)
@@ -551,14 +559,14 @@ def mlm_loss_per_sample(encoder, batch):
 
 def supervised_loss_per_sample(encoder, head, batch):
     """The triage loss as it was, one sample at a time, for a head with every
-    feature on: the encoder op by op, the BiLSTM (lstm_direction_ops) over
-    the real rows only, [forward final ; backward final ; CLS], the dendritic
-    stack and the dense layer; mean cross-entropy over the batch."""
+    feature on: the encoder op by op over the sequence padded to max_len, the
+    BiLSTM (lstm_direction_ops) over the real rows only, [forward final ;
+    backward final ; CLS], the dendritic stack and the dense layer; mean
+    cross-entropy over the batch."""
     losses = []
     for seq, label in batch:
-        mask = np.asarray(seq.attention_mask, dtype=bool)
-        states = states_ops(encoder, seq.ids, mask)
-        x = nm.take_rows(states, np.flatnonzero(mask))
+        states = states_ops(encoder, *padded(seq.ids, encoder.config.max_len))
+        x = nm.take_rows(states, list(range(len(seq.ids))))
         for layer in range(head.config.num_lstm_layers):
             fwd, bwd = ([head.params[f"lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
             outs_f, outs_b = lstm_direction_ops(x, *fwd, False), lstm_direction_ops(x, *bwd, True)
@@ -573,11 +581,11 @@ def supervised_loss_per_sample(encoder, head, batch):
 
 def slot_loss_per_sample(encoder, batch):
     """The prompt loss as it was, one (prompt, slots, target_ids) at a time:
-    every position projected, the slot rows' NLL summed per prompt, averaged
-    over the batch."""
+    padded to max_len, every position projected, the slot rows' NLL summed per
+    prompt, averaged over the batch."""
     losses = []
     for seq, slots, targets in batch:
-        states = states_ops(encoder, seq.ids, np.asarray(seq.attention_mask, dtype=bool))
+        states = states_ops(encoder, *padded(seq.ids, encoder.config.max_len))
         logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), slots)
         losses.append(nm.softmax_cross_entropy(logits, targets, reduction="sum"))
     return _scaled_sum(losses, 1.0 / len(batch))

@@ -24,7 +24,7 @@ from medkit.generator import Decoder, DecoderConfig, GenerationRequest, LmTrainC
 from medkit.kgraph import fixture_graph_path, load_triples, retrieve, supplement
 from medkit.numerics import Rng, Tensor
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict
-from medkit.tokenizer import TokenSequence, build_vocab, encode
+from medkit.tokenizer import TokenBatch, TokenSequence, build_vocab, encode
 from medkit.triage import TriageConfig, TriageHead, TriageTrainConfig, dendrite, predict_labels, train_supervised
 
 from conftest import write_corpus
@@ -65,14 +65,7 @@ def test_criterion_01_gradient_integrity():
         seq = encode("头痛发烧", vocab, max_len=8)
 
         def triage_loss():
-            out = encoder.encode(seq)
-
-            class View:
-                cls_vector = out.cls_vector
-                token_reps = out.token_reps
-                attention_mask = seq.attention_mask
-
-            return nm.softmax_cross_entropy(head.forward_logits(View()), [2])
+            return nm.softmax_cross_entropy(head.forward_logits(encoder.encode(TokenBatch.stack([seq]))), [2])
 
         params = {f"encoder.{k}": v for k, v in encoder.params.items()}
         params.update({f"head.{k}": v for k, v in head.params.items()})
@@ -104,7 +97,7 @@ def test_criterion_02_dendrite_oracle_and_defaults():
             dims = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
             stack = [rng.normal(size=(dims[i], dims[i + 1])) for i in range(depth)]
             vec = rng.normal(size=dims[0])
-            mine = dendrite(Tensor(vec), [Tensor(w) for w in stack]).data
+            mine = dendrite(Tensor(vec[None, :]), [Tensor(w) for w in stack]).data[0]
             assert np.allclose(mine, bf_dendrite(vec, stack), atol=1e-12)
         cfg = TriageConfig(hidden_dim=8, num_classes=2)
         assert cfg.num_dd_layers == 3
@@ -126,7 +119,7 @@ def test_criterion_03_mlm_masking_statistics():
         sequences = []
         for _ in range(200):
             ids = [int(t) for t in rng.integers(7, vocab_size, seq_len)]
-            sequences.append(TokenSequence(ids=ids, attention_mask=[True] * seq_len, original_length=seq_len))
+            sequences.append(TokenSequence(ids=ids))
         eligible = 200 * seq_len
         assert eligible >= 100_000
 
@@ -171,7 +164,7 @@ def test_criterion_04a_triage_overfits_32_samples():
         assert len(dataset) == 32
 
         cfg = TriageTrainConfig(epochs=200, lr_encoder=2e-3, lr_head=1e-2, batch_size=8, seed=40, stop_at_train_acc=1.0)
-        history, _ = train_supervised(encoder, head, dataset, cfg)
+        history = train_supervised(encoder, head, dataset, cfg)
         assert len(history.rows) <= 200
         preds = predict_labels(encoder, head, [seq for seq, _ in dataset])
         assert preds == [label for _, label in dataset], "final train accuracy below 100%"
@@ -341,10 +334,10 @@ def test_criterion_08_prompt_equivalence_over_500_states():
         cfg = EncoderConfig(vocab_size=vocab.size, max_len=12, hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=16)
         for state in range(500):
             encoder = Encoder(cfg, Rng(state).spawn("state"))
-            logits = encoder.mlm_logits(seq).data[slots[0]]
+            logits = encoder.mlm_logits(TokenBatch.stack([seq])).data[slots[0]]
             best_score = max(logits[vocab.id_of(surfaces[lab])] for lab in labels)
             expected = min(lab for lab in labels if logits[vocab.id_of(surfaces[lab])] == best_score)
-            got = predict(encoder, "头痛发烧", template, verbalizer, vocab, max_len=12)
+            [got] = predict(encoder, ["头痛发烧"], template, verbalizer, vocab, max_len=12)
             assert got == expected, f"state {state}: {got} != {expected}"
 
 

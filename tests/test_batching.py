@@ -8,13 +8,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from medkit import genmetrics as gm
 from medkit import numerics as nm
 from medkit import triage
 from medkit.encoder import Encoder, EncoderConfig, mask_tokens, mlm_loss
 from medkit.generator import Decoder, DecoderConfig, lm_loss
 from medkit.numerics import Rng, Tensor
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict, slot_loss
-from medkit.tokenizer import MASK_ID, TokenBatch, TokenSequence, build_vocab, encode
+from medkit.tokenizer import MASK_ID, NUM_RESERVED, UNK_ID, TokenBatch, TokenSequence, build_vocab, encode
 from medkit.triage import TriageConfig, TriageHead, TriageTrainConfig, predict_labels, supervised_loss, train_supervised
 
 from oracles import (
@@ -23,7 +24,9 @@ from oracles import (
     lm_loss_per_sample,
     lstm_direction_ops,
     mlm_loss_per_sample,
+    padded,
     slot_loss_per_sample,
+    states_ops,
     supervised_loss_per_sample,
 )
 
@@ -59,18 +62,50 @@ def _assert_equal_within_1e10(batched, oracle):
 def test_token_batch_lays_real_tokens_end_to_end(vocab):
     seqs = [encode(text, vocab, max_len=MAX_LEN) for text in TEXTS]
     batch = TokenBatch.stack(seqs)
-    lengths = [sum(seq.attention_mask) for seq in seqs]
+    lengths = [len(seq.ids) for seq in seqs]
     assert batch.lengths.tolist() == lengths == [5, 2, 10, 3, 12, 4]
-    assert batch.ids.tolist() == [i for seq, n in zip(seqs, lengths) for i in seq.ids[:n]]
+    assert batch.ids.tolist() == [i for seq in seqs for i in seq.ids]
     assert batch.starts.tolist() == [0, 5, 7, 17, 20, 32]
     assert batch.positions.tolist() == [p for n in lengths for p in range(n)]
     assert batch.attention_mask.all() and len(batch.attention_mask) == len(batch.ids) == 36
 
 
-def test_token_batch_rejects_padding_before_real_positions():
-    seq = TokenSequence(ids=[2, 0, 9, 3], attention_mask=[True, False, True, True], original_length=2)
-    with pytest.raises(ValueError):
-        TokenBatch.stack([seq])
+def test_packed_sequence_matches_padded_oracle(vocab):
+    # a sequence runs alone as a batch of one, never padded; the oracle runs it
+    # as it was laid out before: padded to max_len, the padding masked as keys
+    enc = _encoder(vocab, seed=9)
+    for text in TEXTS:
+        seq = encode(text, vocab, max_len=MAX_LEN)
+        out = enc.encode(TokenBatch.stack([seq]))
+        oracle = states_ops(enc, *padded(seq.ids, MAX_LEN)).data[: len(seq.ids)]
+        assert out.token_reps.shape == oracle.shape and out.cls_vector.shape == (1, oracle.shape[1])
+        assert np.max(np.abs(out.token_reps.data - oracle)) <= 1e-10
+        assert np.max(np.abs(out.cls_vector.data[0] - oracle[0])) <= 1e-10
+
+
+def test_embed_score_matches_padded_oracle(vocab):
+    enc = _encoder(vocab, seed=10)
+
+    def vectors(text):  # content and [UNK] rows of the padded oracle's states
+        seq = encode(text, vocab, max_len=MAX_LEN)
+        states = states_ops(enc, *padded(seq.ids, MAX_LEN)).data
+        return [states[i] for i, tok in enumerate(seq.ids) if tok >= NUM_RESERVED or tok == UNK_ID]
+
+    def cosine(u, v):
+        return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+    texts = TEXTS + ["甲?乙"]  # '?' is outside the vocab and encodes to [UNK]
+    for cand, ref in zip(texts, texts[1:] + texts[:1]):
+        a, b = vectors(cand), vectors(ref)
+        if not a or not b:
+            expected = (0.0, 0.0, 0.0)
+        else:
+            sims = [[max(cosine(u, v), 0.0) for v in b] for u in a]
+            p = sum(max(row) for row in sims) / len(a)
+            r = sum(max(col) for col in zip(*sims)) / len(b)
+            expected = (p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0)
+        got = gm.embed_score(cand, ref, enc, vocab)
+        assert np.max(np.abs(np.array(got) - expected)) <= 1e-12, (cand, ref)
 
 
 def test_mlm_batch_matches_per_sample_oracle(vocab):
@@ -81,7 +116,7 @@ def test_mlm_batch_matches_per_sample_oracle(vocab):
     if not positions:  # keep at least the first sample in the loss
         ids = list(corrupted.ids)
         originals, positions, ids[1] = [ids[1]], [1], MASK_ID
-        batch[0] = (TokenSequence(ids, corrupted.attention_mask, corrupted.original_length), positions, originals)
+        batch[0] = (TokenSequence(ids), positions, originals)
     assert not batch[1][1]  # [CLS] [SEP] has nothing to mask and drops out of the batch
     batched = _loss_and_grads(lambda: mlm_loss(enc, batch), enc.params)
     _assert_equal_within_1e10(batched, _loss_and_grads(lambda: mlm_loss_per_sample(enc, batch), enc.params))
@@ -103,7 +138,7 @@ def test_prompt_batch_matches_per_sample_oracle(vocab):
     template = PromptTemplate(suffix="这属于{}科", mask_slot_count=verbalizer.mask_slot_count)
     questions = ["甲", "甲乙丙丁戊己庚辛壬癸子丑寅卯", "乙丙", "丁戊己庚"]  # the second fills max_len
     batch = [(*build_prompt(q, template, vocab, 16), verbalizer.label_tokens["内科" if i % 2 else "外"]) for i, q in enumerate(questions)]
-    assert sum(batch[1][0].attention_mask) == 16
+    assert len(batch[1][0].ids) == 16
     batched = _loss_and_grads(lambda: slot_loss(enc, batch)[0], enc.params)
     _assert_equal_within_1e10(batched, _loss_and_grads(lambda: slot_loss_per_sample(enc, batch), enc.params))
 
@@ -221,7 +256,7 @@ def test_predictions_do_not_depend_on_batch_size(vocab):
     verbalizer = Verbalizer.from_surfaces({"甲": "甲", "乙": "乙", "丙": "丙"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=1)
     questions = [text or "丁" for text in TEXTS]
-    assert predict(enc, questions, template, verbalizer, vocab, MAX_LEN) == [predict(enc, q, template, verbalizer, vocab, MAX_LEN) for q in questions]
+    assert predict(enc, questions, template, verbalizer, vocab, MAX_LEN) == [predict(enc, [q], template, verbalizer, vocab, MAX_LEN)[0] for q in questions]
 
 
 def test_train_supervised_divergence_rolls_back_to_last_completed_epoch(monkeypatch, caplog):
@@ -232,7 +267,7 @@ def test_train_supervised_divergence_rolls_back_to_last_completed_epoch(monkeypa
     def run(epochs):
         enc = _encoder(vocab, seed=8)
         head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), Rng(8).spawn("head"))
-        history, _ = train_supervised(enc, head, data, dataclasses.replace(cfg, epochs=epochs))
+        history = train_supervised(enc, head, data, dataclasses.replace(cfg, epochs=epochs))
         return history, {**{f"e.{k}": v.data for k, v in enc.params.items()}, **{f"h.{k}": v.data for k, v in head.params.items()}}
 
     one_epoch, after_first = run(1)

@@ -3,10 +3,14 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from medkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig, build_parser, main
+from medkit.encoder import EncoderConfig
+from medkit.generator import DecoderConfig
 from medkit.kgraph import fixture_graph_path
 from medkit.numerics import NumericsError, load_checkpoint
 
@@ -24,6 +28,18 @@ TINY = [
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize(("meta_file", "section", "config"), [
+    ("encoder/encoder.meta.json", "encoder_config", EncoderConfig),
+    ("decoder/gen.meta.json", "decoder_config", DecoderConfig),
+], ids=["encoder", "decoder"])
+def test_config_asdict_is_the_checked_in_bundle_meta(meta_file, section, config):
+    meta = json.loads((FIXTURES / meta_file).read_text(encoding="utf-8"))
+    assert asdict(config(**meta[section])) == meta[section]
 
 
 def test_every_subcommand_help_exits_zero(capsys):

@@ -14,7 +14,7 @@ from medkit.encoder import (
     pretrain,
 )
 from medkit.numerics import Rng, Tensor
-from medkit.tokenizer import MASK_ID, NUM_RESERVED, build_vocab, encode
+from medkit.tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, TokenSequence, build_vocab, encode
 
 from oracles import attention, layer_norm
 
@@ -38,7 +38,7 @@ def _zero_params(model: Encoder) -> None:
 def test_embed_is_token_plus_position(vocab):
     enc = Encoder(tiny_config(vocab.size), Rng(0))
     seq = encode("头痛", vocab, max_len=6)
-    out = enc.embed(seq).data
+    out = enc.embed(TokenBatch.stack([seq])).data
     tok = enc.params["tok_emb"].data[seq.ids]
     pos = enc.params["pos_emb"].data[: len(seq.ids)]
     assert np.array_equal(out, tok + pos)
@@ -48,13 +48,13 @@ def test_embed_rejects_overlong(vocab):
     enc = Encoder(tiny_config(vocab.size, max_len=4), Rng(0))
     seq = encode("头痛发烧", vocab, max_len=8)
     with pytest.raises(ValueError):
-        enc.embed(seq)
+        enc.embed(TokenBatch.stack([seq]))
 
 
 def test_embed_deterministic(vocab):
     enc = Encoder(tiny_config(vocab.size), Rng(0))
-    seq = encode("发烧", vocab, max_len=8)
-    assert np.array_equal(enc.embed(seq).data, enc.embed(seq).data)
+    batch = TokenBatch.stack([encode("发烧", vocab, max_len=8)])
+    assert np.array_equal(enc.embed(batch).data, enc.embed(batch).data)
 
 
 def test_attention_single_real_token_returns_its_value_row():
@@ -154,32 +154,26 @@ def test_encoder_layer_with_zero_attention_is_double_layernorm():
 
 def test_encoder_layer_preserves_shape(vocab):
     enc = Encoder(tiny_config(vocab.size, num_layers=3), Rng(1))
-    seq = encode("咳嗽发烧", vocab, max_len=10)
-    out = enc.encode(seq)
+    seq = encode("咳嗽发烧头痛多喝", vocab, max_len=10)  # fills max_len
+    out = enc.encode(TokenBatch.stack([seq]))
     assert out.token_reps.shape == (10, 8)
-    assert out.cls_vector.shape == (8,)
+    assert out.cls_vector.shape == (1, 8)
 
 
-def test_encode_pad_content_cannot_leak(vocab):
+def test_encode_neighbour_content_cannot_leak(vocab):
     enc = Encoder(tiny_config(vocab.size), Rng(2))
     seq = encode("头痛", vocab, max_len=9)
-    base = enc.encode(seq)
-    real = sum(seq.attention_mask)
-
-    tampered_ids = list(seq.ids)
-    tampered_ids[-1] = NUM_RESERVED + 2  # arbitrary content id in a padded slot
-    from medkit.tokenizer import TokenSequence
-
-    tampered = TokenSequence(ids=tampered_ids, attention_mask=list(seq.attention_mask), original_length=seq.original_length)
-    other = enc.encode(tampered)
-    assert np.array_equal(base.cls_vector.data, other.cls_vector.data)
+    base = enc.encode(TokenBatch.stack([seq, encode("发烧咳嗽", vocab, max_len=9)]))
+    other = enc.encode(TokenBatch.stack([seq, encode("多喝水要", vocab, max_len=9)]))  # same length, other content
+    real = len(seq.ids)
+    assert np.array_equal(base.cls_vector.data[0], other.cls_vector.data[0])
     assert np.array_equal(base.token_reps.data[:real], other.token_reps.data[:real])
 
 
 def test_encode_distinguishes_inputs(vocab):
     enc = Encoder(tiny_config(vocab.size), Rng(3))
-    a = enc.encode(encode("头痛", vocab, max_len=8)).cls_vector.data
-    b = enc.encode(encode("咳嗽", vocab, max_len=8)).cls_vector.data
+    a = enc.encode(TokenBatch.stack([encode("头痛", vocab, max_len=8)])).cls_vector.data
+    b = enc.encode(TokenBatch.stack([encode("咳嗽", vocab, max_len=8)])).cls_vector.data
     assert not np.allclose(a, b)
 
 
@@ -191,9 +185,7 @@ def test_encoder_gradient_check(vocab):
         positions, originals = [1], [seq.ids[1]]
         ids = list(seq.ids)
         ids[1] = MASK_ID
-        from medkit.tokenizer import TokenSequence
-
-        corrupted = TokenSequence(ids=ids, attention_mask=list(seq.attention_mask), original_length=seq.original_length)
+        corrupted = TokenSequence(ids)
 
     def loss_fn():
         return mlm_loss(enc, [(corrupted, positions, originals)])
@@ -205,7 +197,7 @@ def test_encoder_gradient_check(vocab):
 def test_mask_tokens_rate_statistics(vocab):
     rng = Rng(10)
     seq = encode("头痛发烧咳嗽多喝水要", vocab, max_len=12)
-    eligible = sum(1 for t, m in zip(seq.ids, seq.attention_mask) if m and t >= NUM_RESERVED)
+    eligible = sum(1 for t in seq.ids if t >= NUM_RESERVED)
     total = 0
     selected = 0
     for _ in range(400):
@@ -233,8 +225,8 @@ def test_mask_tokens_never_touches_specials_or_padding(vocab):
     rng = Rng(11)
     for _ in range(50):
         corrupted, positions, _ = mask_tokens(seq, 0.9, rng, vocab.size)
+        assert len(corrupted.ids) == len(seq.ids)
         for pos in positions:
-            assert seq.attention_mask[pos]
             assert seq.ids[pos] >= NUM_RESERVED
         assert corrupted.ids[0] == seq.ids[0]
         assert corrupted.ids[len(seq.ids) - 1] == seq.ids[-1]

@@ -16,7 +16,6 @@ from medkit.generator import (
     generate,
     lm_logits,
     lm_loss,
-    perplexity,
     pretrain_lm,
 )
 from medkit.kgraph import load_triples, fixture_graph_path
@@ -252,22 +251,6 @@ def test_generation_request_validation():
         GenerationRequest(question="q", top_k=0)
     with pytest.raises(ValueError):
         GenerationRequest(question="q", temperature=0.0)
-
-
-def test_perplexity_uniform_model_equals_vocab_size(vocab):
-    model = _decoder(vocab, seed=18)
-    _zero(model)
-    assert perplexity(model, ["头痛发烧"], vocab) == pytest.approx(vocab.size, rel=1e-12)
-
-
-def test_perplexity_decreases_with_training(vocab):
-    texts = ["头痛多喝水", "发烧要休息"]
-    model = _decoder(vocab, hidden=16, seed=19)
-    before = perplexity(model, texts, vocab)
-    pretrain_lm(model, texts, vocab, LmTrainConfig(epochs=60, lr=0.01, batch_size=2, seed=19))
-    after = perplexity(model, texts, vocab)
-    assert after < before
-    assert after > 1.0
 
 
 def _softmax(row):

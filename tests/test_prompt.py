@@ -16,7 +16,7 @@ from medkit.prompt import (
     score_labels,
     train_prompt,
 )
-from medkit.tokenizer import MASK_ID, PAD_ID, SEP_ID, build_vocab
+from medkit.tokenizer import MASK_ID, PAD_ID, SEP_ID, TokenBatch, build_vocab
 
 
 @pytest.fixture()
@@ -108,7 +108,7 @@ def test_score_labels_hand_arithmetic(vocab):
     probs[vocab.id_of("乙")] = 0.3
     probs /= probs.sum()
     stub = StubModel({slots[0]: np.log(probs).tolist()}, len(seq.ids), vocab.size)
-    scores = score_labels(stub, seq, slots, verb)
+    [scores] = score_labels(stub, TokenBatch.stack([seq]), [slots], verb)
     assert scores["甲"] == pytest.approx(math.log(probs[vocab.id_of("甲")]), abs=1e-9)
     assert scores["乙"] == pytest.approx(math.log(probs[vocab.id_of("乙")]), abs=1e-9)
 
@@ -122,7 +122,7 @@ def test_score_labels_two_slot_sum(vocab):
     row1 = np.zeros(vocab.size)
     row1[vocab.id_of("科")] = 1.0
     stub = StubModel({slots[0]: row0, slots[1]: row1}, len(seq.ids), vocab.size)
-    scores = score_labels(stub, seq, slots, verb)
+    [scores] = score_labels(stub, TokenBatch.stack([seq]), [slots], verb)
 
     def logsumexp(row):
         m = row.max()
@@ -139,7 +139,7 @@ def test_score_labels_confident_model_scores_zero(vocab):
     row = np.zeros(vocab.size)
     row[vocab.id_of("甲")] = 1000.0
     stub = StubModel({slots[0]: row}, len(seq.ids), vocab.size)
-    scores = score_labels(stub, seq, slots, verb)
+    [scores] = score_labels(stub, TokenBatch.stack([seq]), [slots], verb)
     assert scores["甲"] == pytest.approx(0.0, abs=1e-9)
     assert scores["乙"] < -100
 
@@ -150,7 +150,7 @@ def test_uniform_model_ties_break_lexicographically(vocab):
         p.data = np.zeros_like(p.data)
     verb = Verbalizer.from_surfaces({"乙": "乙", "甲": "甲"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=1)
-    choice = predict(enc, "头痛", template, verb, vocab, max_len=12)
+    [choice] = predict(enc, ["头痛"], template, verb, vocab, max_len=12)
     assert choice == min("甲", "乙")  # code-point order: 乙 (U+4E59) sorts first
 
 
@@ -158,7 +158,7 @@ def test_single_label_verbalizer_always_wins(vocab):
     enc = _encoder(vocab, seed=5)
     verb = Verbalizer.from_surfaces({"内科": "内科"}, vocab)
     template = PromptTemplate(suffix="这属于{}科", mask_slot_count=verb.mask_slot_count)
-    assert predict(enc, "头痛", template, verb, vocab, max_len=20) == "内科"
+    assert predict(enc, ["头痛"], template, verb, vocab, max_len=20) == ["内科"]
 
 
 def test_predict_matches_restricted_argmax_for_single_token_labels(vocab):
@@ -168,12 +168,12 @@ def test_predict_matches_restricted_argmax_for_single_token_labels(vocab):
     for seed in range(20):
         enc = _encoder(vocab, seed=seed)
         seq, slots = build_prompt("头痛发烧", template, vocab, max_len=12)
-        logits = enc.mlm_logits(seq).data[slots[0]]
+        logits = enc.mlm_logits(TokenBatch.stack([seq])).data[slots[0]]
         candidates = sorted(surfaces)
         best = max(candidates, key=lambda lab: (logits[vocab.id_of(surfaces[lab])], ))
         ties = [lab for lab in candidates if logits[vocab.id_of(surfaces[lab])] == logits[vocab.id_of(surfaces[best])]]
         expected = min(ties)
-        assert predict(enc, "头痛发烧", template, verb, vocab, max_len=12) == expected
+        assert predict(enc, ["头痛发烧"], template, verb, vocab, max_len=12) == [expected]
 
 
 def test_predict_invariant_to_verbalizer_order(vocab):
@@ -181,7 +181,7 @@ def test_predict_invariant_to_verbalizer_order(vocab):
     template = PromptTemplate(suffix="", mask_slot_count=1)
     fwd = Verbalizer.from_surfaces({"甲": "甲", "乙": "乙", "丙": "丙"}, vocab)
     rev = Verbalizer.from_surfaces({"丙": "丙", "乙": "乙", "甲": "甲"}, vocab)
-    assert predict(enc, "咳嗽", template, fwd, vocab, 12) == predict(enc, "咳嗽", template, rev, vocab, 12)
+    assert predict(enc, ["咳嗽"], template, fwd, vocab, 12) == predict(enc, ["咳嗽"], template, rev, vocab, 12)
 
 
 def test_pad_slot_flag_changes_short_label_scores(vocab):
@@ -189,8 +189,8 @@ def test_pad_slot_flag_changes_short_label_scores(vocab):
     verb = Verbalizer.from_surfaces({"内科": "内科", "骨": "骨"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=verb.mask_slot_count)
     seq, slots = build_prompt("头痛", template, vocab, max_len=12)
-    with_pads = score_labels(enc, seq, slots, verb, include_pad_slots=True)
-    without = score_labels(enc, seq, slots, verb, include_pad_slots=False)
+    [with_pads] = score_labels(enc, TokenBatch.stack([seq]), [slots], verb, include_pad_slots=True)
+    [without] = score_labels(enc, TokenBatch.stack([seq]), [slots], verb, include_pad_slots=False)
     assert with_pads["内科"] == without["内科"]  # full-length label unaffected
     assert with_pads["骨"] != without["骨"]
 
@@ -202,8 +202,8 @@ def test_pad_slots_shift_equal_length_labels_identically(vocab):
     verb = Verbalizer.from_surfaces({"内": "内", "外": "外", "长名称": "内外骨"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=verb.mask_slot_count)
     seq, slots = build_prompt("咳嗽", template, vocab, max_len=12)
-    with_pads = score_labels(enc, seq, slots, verb, include_pad_slots=True)
-    without = score_labels(enc, seq, slots, verb, include_pad_slots=False)
+    [with_pads] = score_labels(enc, TokenBatch.stack([seq]), [slots], verb, include_pad_slots=True)
+    [without] = score_labels(enc, TokenBatch.stack([seq]), [slots], verb, include_pad_slots=False)
     gap_with = with_pads["内"] - with_pads["外"]
     gap_without = without["内"] - without["外"]
     assert gap_with == pytest.approx(gap_without, abs=1e-12)
@@ -229,7 +229,7 @@ def test_train_prompt_overfits_two_classes(vocab):
     cfg = PromptTrainConfig(epochs=100, lr=0.01, batch_size=4, seed=8, stop_at_train_acc=1.0)
     train_prompt(enc, data, template, verb, vocab, 16, cfg)
     for question, label in data:
-        assert predict(enc, question, template, verb, vocab, 16) == label
+        assert predict(enc, [question], template, verb, vocab, 16) == [label]
 
 
 def test_train_prompt_lr_honored_in_history(vocab):
@@ -253,13 +253,14 @@ def test_score_labels_builds_no_graph(vocab, monkeypatch):
     verb = Verbalizer.from_surfaces({"内科": "内科", "骨": "骨"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=verb.mask_slot_count)
     seq, slots = build_prompt("头痛", template, vocab, max_len=12)
-    logits = enc.mlm_logits(seq)
+    batch = TokenBatch.stack([seq])
+    logits = enc.mlm_logits(batch)
     assert logits.requires_grad
     logprobs = nm.log_softmax(nm.take_rows(logits, slots), axis=-1).data
     expected = {label: sum(float(logprobs[i, t]) for i, t in enumerate(toks)) for label, toks in verb.label_tokens.items()}
     real = enc.mlm_logits
     seen = []
     monkeypatch.setattr(enc, "mlm_logits", lambda *args: seen.append(real(*args)) or seen[-1])
-    assert score_labels(enc, seq, slots, verb) == expected
+    assert score_labels(enc, batch, [slots], verb) == [expected]
     assert seen and all(not t.requires_grad and t._parents == () for t in seen)
     assert all(p.grad is None and p._parents == () for p in enc.params.values())

@@ -1,14 +1,15 @@
 import pytest
 
+from medkit.prompt import PromptTemplate, build_prompt
 from medkit.tokenizer import (
     BOS_ID,
     CLS_ID,
     EOS_ID,
+    MASK_ID,
     NUM_RESERVED,
     PAD_ID,
     SEP_ID,
     TokenizerError,
-    TokenSequence,
     Vocab,
     build_vocab,
     decode,
@@ -48,8 +49,7 @@ def test_build_vocab_empty_corpus_rejected():
 def test_encode_empty_text():
     vocab = build_vocab(["ab"])
     seq = encode("", vocab, max_len=6)
-    assert seq.ids == [CLS_ID, SEP_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
-    assert seq.attention_mask == [True, True, False, False, False, False]
+    assert seq.ids == [CLS_ID, SEP_ID]
 
 
 def test_encode_truncates_to_max_len():
@@ -58,19 +58,24 @@ def test_encode_truncates_to_max_len():
     assert seq.ids == [CLS_ID, vocab.id_of("a"), SEP_ID]
 
 
-def test_encode_pads_to_max_len():
-    vocab = build_vocab(["ab"])
-    seq = encode("ab", vocab, max_len=8)
-    assert len(seq.ids) == 8
-    assert seq.ids[-1] == PAD_ID
-    assert not seq.attention_mask[-1]
+def test_encode_and_build_prompt_write_no_pad_and_stay_within_max_len():
+    vocab = build_vocab(["头痛发烧咳嗽骨科"])
+    template = PromptTemplate(prefix="", suffix="", mask_slot_count=1)
+    for max_len in (3, 8, 20):
+        for text in ["", "头", "头痛发烧", "头痛发烧咳嗽" * 5]:
+            for mode in ("encoder", "decoder"):
+                ids = encode(text, vocab, max_len=max_len, mode=mode).ids
+                assert PAD_ID not in ids and len(ids) == min(len(text), max_len - 2) + 2
+            if text:
+                prompt, slots = build_prompt(text, template, vocab, max_len)
+                assert PAD_ID not in prompt.ids and len(prompt.ids) == min(len(text), max_len - 3) + 3
+                assert prompt.ids[slots[0]] == MASK_ID
 
 
 def test_decoder_mode_brackets_with_bos_eos():
     vocab = build_vocab(["ab"])
     seq = encode("ab", vocab, max_len=8, mode="decoder")
-    assert seq.ids[0] == BOS_ID and seq.ids[-1] == EOS_ID
-    assert all(seq.attention_mask)
+    assert seq.ids == [BOS_ID, vocab.id_of("a"), vocab.id_of("b"), EOS_ID]
 
 
 def test_unknown_char_maps_to_unk():
@@ -127,7 +132,3 @@ def test_vocab_file_round_trip(tmp_path):
     for offset, token in enumerate(lines[NUM_RESERVED:]):
         assert vocab.id_of(token) == offset + NUM_RESERVED
 
-
-def test_token_sequence_mask_length_check():
-    with pytest.raises(TokenizerError):
-        TokenSequence(ids=[1, 2], attention_mask=[True], original_length=1)

@@ -7,7 +7,7 @@ from medkit import numerics as nm
 from medkit import triage
 from medkit.encoder import Encoder, EncoderConfig
 from medkit.numerics import Rng, Tensor
-from medkit.tokenizer import build_vocab, encode
+from medkit.tokenizer import TokenBatch, build_vocab, encode
 from medkit.triage import (
     TriageConfig,
     TriageHead,
@@ -38,13 +38,16 @@ def _head(hidden=8, classes=3, seed=0, **kw):
     return TriageHead(cfg, Rng(seed).spawn("head"))
 
 
+def _batch(vocab, *texts):
+    return TokenBatch.stack([encode(text, vocab, max_len=10) for text in texts])
+
+
 def test_bilstm_output_dim_is_twice_hidden(vocab):
     enc = _encoder(vocab)
     head = _head()
-    seq = encode("甲乙丙", vocab, max_len=10)
-    reps = enc.encode(seq).token_reps
-    out = head.bilstm(reps, seq.attention_mask)
-    assert out.shape == (16,)
+    batch = _batch(vocab, "甲乙丙")
+    out = bilstm(enc.encode(batch).token_reps, batch.lengths, head.params, head.config.num_lstm_layers)
+    assert out.shape == (1, 16)
 
 
 def test_bilstm_zero_parameters_give_zero_output(vocab):
@@ -53,28 +56,29 @@ def test_bilstm_zero_parameters_give_zero_output(vocab):
     for name, p in head.params.items():
         if name.startswith("lstm"):
             p.data = np.zeros_like(p.data)
-    seq = encode("甲乙丙丁", vocab, max_len=10)
-    out = head.bilstm(enc.encode(seq).token_reps, seq.attention_mask)
-    assert np.array_equal(out.data, np.zeros(16))
+    batch = _batch(vocab, "甲乙丙丁")
+    out = bilstm(enc.encode(batch).token_reps, batch.lengths, head.params, head.config.num_lstm_layers)
+    assert np.array_equal(out.data, np.zeros((1, 16)))
 
 
 def test_bilstm_needs_a_real_token(vocab):
     head = _head()
     reps = Tensor(np.zeros((4, 8)))
     with pytest.raises(ValueError):
-        bilstm(reps, [False, False, False, False], head.params, head.config.num_lstm_layers)
+        bilstm(reps, [4, 0], head.params, head.config.num_lstm_layers)
 
 
-def test_bilstm_ignores_padded_positions(vocab):
+def test_bilstm_ignores_neighbouring_sequences(vocab):
     enc = _encoder(vocab)
     head = _head()
-    seq = encode("甲乙", vocab, max_len=10)
-    reps = enc.encode(seq).token_reps
-    out1 = head.bilstm(reps, seq.attention_mask)
+    batch = _batch(vocab, "甲乙", "丙丁戊")
+    reps = enc.encode(batch).token_reps
+    out1 = bilstm(reps, batch.lengths, head.params, head.config.num_lstm_layers)
     tampered = reps.data.copy()
-    tampered[6] += 100.0  # padded row
-    out2 = head.bilstm(Tensor(tampered), seq.attention_mask)
-    assert np.array_equal(out1.data, out2.data)
+    tampered[6] += 100.0  # a row of the second sequence
+    out2 = bilstm(Tensor(tampered), batch.lengths, head.params, head.config.num_lstm_layers)
+    assert np.array_equal(out1.data[0], out2.data[0])
+    assert not np.array_equal(out1.data[1], out2.data[1])
 
 
 def test_bilstm_gradient_check(vocab):
@@ -84,7 +88,7 @@ def test_bilstm_gradient_check(vocab):
     weights = rng.normal(size=8)
 
     def loss_fn():
-        out = bilstm(reps, [True] * 5, head.params, head.config.num_lstm_layers)
+        out = bilstm(reps, [5], head.params, head.config.num_lstm_layers)
         return (out * Tensor(weights)).sum()
 
     params = {"reps": reps}
@@ -137,7 +141,7 @@ def test_bilstm_calls_lstm_direction_twice_per_layer(monkeypatch):
 
     monkeypatch.setattr(triage, "lstm_direction", counted)
     head = _head(hidden=4, num_lstm_layers=3)
-    bilstm(Tensor(np.ones((5, 4))), [True] * 5, head.params, head.config.num_lstm_layers)
+    bilstm(Tensor(np.ones((5, 4))), [5], head.params, head.config.num_lstm_layers)
     assert directions == [False, True] * 3
 
 
@@ -150,54 +154,53 @@ def test_head_fuses_summary_with_cls_through_fuse(vocab, monkeypatch):
         return real(summary, cls_vector)
 
     monkeypatch.setattr(triage, "fuse", counted)
-    enc = _encoder(vocab)
-    seq = encode("甲乙丙", vocab, max_len=10)
-    out = enc.encode(seq)
-    view = SimpleNamespace(cls_vector=out.cls_vector, token_reps=out.token_reps, attention_mask=seq.attention_mask)
-    _head().forward_logits(view)
-    assert calls == [((16,), (8,))]
-    _head(use_bilstm=False).forward_logits(view)  # one feature source: nothing to fuse
+    out = _encoder(vocab).encode(_batch(vocab, "甲乙丙"))
+    _head().forward_logits(out)
+    assert calls == [((1, 16), (1, 8))]
+    _head(use_bilstm=False).forward_logits(out)  # one feature source: nothing to fuse
     assert len(calls) == 1
 
 
 def test_fuse_concatenates_in_order():
-    out = fuse(Tensor([1.0, 2.0]), Tensor([3.0]))
-    assert out.data.tolist() == [1.0, 2.0, 3.0]
+    out = fuse(Tensor([[1.0, 2.0]]), Tensor([[3.0]]))
+    assert out.data.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_fuse_zero_inputs():
-    out = fuse(Tensor(np.zeros(4)), Tensor(np.zeros(2)))
-    assert np.array_equal(out.data, np.zeros(6))
+    out = fuse(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))))
+    assert np.array_equal(out.data, np.zeros((1, 6)))
 
 
 def test_fuse_width_is_three_hidden(vocab):
     enc = _encoder(vocab)
     head = _head()
-    seq = encode("甲乙丙", vocab, max_len=10)
-    out = enc.encode(seq)
-    fused = fuse(head.bilstm(out.token_reps, seq.attention_mask), out.cls_vector)
-    assert fused.shape == (3 * 8,)
+    batch = _batch(vocab, "甲乙丙")
+    out = enc.encode(batch)
+    fused = fuse(bilstm(out.token_reps, batch.lengths, head.params, head.config.num_lstm_layers), out.cls_vector)
+    assert fused.shape == (1, 3 * 8)
 
 
 def test_fuse_rejects_matrices():
     with pytest.raises(nm.ShapeError):
         fuse(Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(nm.ShapeError):
+        fuse(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
 
 
 def test_dendrite_identity_weight_squares():
-    out = dendrite(Tensor([1.0, 2.0, 3.0]), [Tensor(np.eye(3))])
-    assert out.data.tolist() == [1.0, 4.0, 9.0]
+    out = dendrite(Tensor([[1.0, 2.0, 3.0]]), [Tensor(np.eye(3))])
+    assert out.data.tolist() == [[1.0, 4.0, 9.0]]
 
 
 def test_dendrite_zero_fixed_point():
     stack = [Tensor(np.ones((3, 3))), Tensor(np.ones((3, 3)))]
-    out = dendrite(Tensor(np.zeros(3)), stack)
-    assert np.array_equal(out.data, np.zeros(3))
+    out = dendrite(Tensor(np.zeros((1, 3))), stack)
+    assert np.array_equal(out.data, np.zeros((1, 3)))
 
 
 def test_dendrite_hand_sum():
-    out = dendrite(Tensor([1.0, 2.0, 3.0]), [Tensor([[1.0], [1.0], [1.0]])])
-    assert out.data.tolist() == [14.0]
+    out = dendrite(Tensor([[1.0, 2.0, 3.0]]), [Tensor([[1.0], [1.0], [1.0]])])
+    assert out.data.tolist() == [[14.0]]
 
 
 def test_dendrite_matches_numpy_oracle():
@@ -207,14 +210,14 @@ def test_dendrite_matches_numpy_oracle():
         dims = [int(rng.integers(2, 6)) for _ in range(depth + 1)]
         stack_np = [rng.normal(size=(dims[i], dims[i + 1])) for i in range(depth)]
         vec = rng.normal(size=dims[0])
-        mine = dendrite(Tensor(vec), [Tensor(w) for w in stack_np]).data
+        mine = dendrite(Tensor(vec[None, :]), [Tensor(w) for w in stack_np]).data[0]
         assert np.allclose(mine, bf_dendrite(vec, stack_np), atol=1e-12)
 
 
 def test_dendrite_gradient_is_closed_form():
     # single layer: d/dm of W^T(m*m) is 2 diag(m) W
     rng = Rng(5)
-    m = Tensor(rng.normal(size=4), requires_grad=True)
+    m = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     out_weights = rng.normal(size=2)
     loss = (dendrite(m, [w]) * Tensor(out_weights)).sum()
@@ -229,11 +232,12 @@ def test_dendrite_gradient_is_closed_form():
 
 
 def _dense_probs(features: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """TriageHead.forward of a CLS-only head without dendritic layers, whose
-    features are the CLS vector itself: softmax(features @ w + b)."""
+    """The softmax of TriageHead.forward_logits for a CLS-only head without
+    dendritic layers, whose features are the CLS vector itself:
+    softmax(features @ w + b)."""
     head = _head(hidden=features.shape[0], classes=w.shape[1], use_bilstm=False, use_dd=False)
     head.params["dense.w"].data, head.params["dense.b"].data = w, b
-    return head.forward(SimpleNamespace(cls_vector=Tensor(features))).data
+    return nm.softmax(head.forward_logits(SimpleNamespace(cls_vector=Tensor(features[None, :]))), axis=-1).data[0]
 
 
 def test_classify_zero_weights_uniform():
@@ -262,16 +266,8 @@ def test_classify_is_distribution():
 def test_head_forward_is_distribution(vocab):
     enc = _encoder(vocab)
     head = _head()
-    seq = encode("甲乙丙丁", vocab, max_len=10)
-    out = enc.encode(seq)
-
-    class View:
-        cls_vector = out.cls_vector
-        token_reps = out.token_reps
-        attention_mask = seq.attention_mask
-
-    probs = head.forward(View())
-    assert abs(probs.data.sum() - 1.0) < 1e-12
+    probs = nm.softmax(head.forward_logits(enc.encode(_batch(vocab, "甲乙丙丁", "东"))), axis=-1)
+    assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-12)
 
 
 def _synthetic_dataset(vocab, per_class=4, classes=("甲", "乙", "丙")):
@@ -314,7 +310,7 @@ def test_train_supervised_two_lr_groups_in_state(vocab):
     head = _head(seed=2)
     data = _synthetic_dataset(vocab, per_class=2)
     cfg = TriageTrainConfig(epochs=1, lr_encoder=5e-5, lr_head=2e-4, batch_size=4, seed=2)
-    _, state = train_supervised(enc, head, data, cfg)
+    state = train_supervised(enc, head, data, cfg).optimizer_state
     by_name = {g["name"]: g["lr"] for g in state["groups"]}
     assert by_name == {"head": 2e-4, "encoder": 5e-5}
 
@@ -333,7 +329,7 @@ def test_train_supervised_seeded_reproducibility(vocab):
         enc = _encoder(vocab, seed=3)
         head = _head(seed=3)
         data = _synthetic_dataset(vocab, per_class=2)
-        history, _ = train_supervised(enc, head, data, TriageTrainConfig(epochs=3, lr_encoder=1e-3, lr_head=1e-3, batch_size=4, seed=3))
+        history = train_supervised(enc, head, data, TriageTrainConfig(epochs=3, lr_encoder=1e-3, lr_head=1e-3, batch_size=4, seed=3))
         results.append(([r["loss"] for r in history.rows], {k: v.data.tobytes() for k, v in head.params.items()}))
     assert results[0] == results[1]
 
@@ -345,14 +341,7 @@ def test_full_pipeline_gradient_check_frozen_and_unfrozen(vocab):
     seq = encode("甲乙丙", vocab, max_len=8)
 
     def loss_fn():
-        out = enc.encode(seq)
-
-        class View:
-            cls_vector = out.cls_vector
-            token_reps = out.token_reps
-            attention_mask = seq.attention_mask
-
-        logits = head.forward_logits(View())
+        logits = head.forward_logits(enc.encode(TokenBatch.stack([seq])))
         return nm.softmax_cross_entropy(logits, [1])
 
     head_only = dict(head.params)
