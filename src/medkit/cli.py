@@ -222,13 +222,19 @@ def _bundle_dir(ckpt_path) -> Path:
     return Path(ckpt_path).parent
 
 
-def _load_meta(ckpt_path) -> dict:
+def _load_meta(ckpt_path, *sections: str) -> dict:
+    """The bundle's sidecar meta; it must hold each of `sections`, so a bundle
+    of the wrong kind fails here."""
     text = str(ckpt_path)
     stem = text[: -len(".ckpt")] if text.endswith(".ckpt") else text
     meta_path = Path(stem + ".meta.json")
     if not meta_path.exists():
         raise CliError(f"missing sidecar {meta_path}")
-    return json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    for section in sections:
+        if section not in meta:
+            raise CliError(f"{meta_path} has no {section!r} section (a {meta.get('kind', 'unknown')!r} bundle)")
+    return meta
 
 
 def _load_vocab_near(ckpt_path, vocab_size: int) -> tok_mod.Vocab:
@@ -242,7 +248,7 @@ def _load_vocab_near(ckpt_path, vocab_size: int) -> tok_mod.Vocab:
 
 
 def _load_encoder_bundle(ckpt_path) -> tuple[enc_mod.Encoder, tok_mod.Vocab, dict]:
-    meta = _load_meta(ckpt_path)
+    meta = _load_meta(ckpt_path, "encoder_config")
     vocab = _load_vocab_near(ckpt_path, meta["encoder_config"]["vocab_size"])
     config = enc_mod.EncoderConfig(**meta["encoder_config"])
     encoder = enc_mod.Encoder(config, Rng(0))
@@ -253,7 +259,7 @@ def _load_encoder_bundle(ckpt_path) -> tuple[enc_mod.Encoder, tok_mod.Vocab, dic
 
 
 def _load_decoder_bundle(ckpt_path) -> tuple[gen_mod.Decoder, tok_mod.Vocab, dict]:
-    meta = _load_meta(ckpt_path)
+    meta = _load_meta(ckpt_path, "decoder_config")
     vocab = _load_vocab_near(ckpt_path, meta["decoder_config"]["vocab_size"])
     config = gen_mod.DecoderConfig(**meta["decoder_config"])
     decoder = gen_mod.Decoder(config, Rng(0))
@@ -292,7 +298,7 @@ def cmd_stats(args) -> int:
     cfg = _load_config(args)
     result = corpus_mod.ingest(args.inp)
     report = corpus_mod.stats(result.samples, granularity=cfg.granularity if args.granularity is None else args.granularity)
-    payload = report.to_json()
+    payload = asdict(report)
     payload["rejects"] = len(result.rejects)
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
     if args.out:
@@ -417,7 +423,7 @@ def cmd_train_triage(args) -> int:
 
 
 def _load_triage_bundle(ckpt_path):
-    meta = _load_meta(ckpt_path)
+    meta = _load_meta(ckpt_path, "encoder_config", "head_config")
     vocab = _load_vocab_near(ckpt_path, meta["encoder_config"]["vocab_size"])
     encoder = enc_mod.Encoder(enc_mod.EncoderConfig(**meta["encoder_config"]), Rng(0))
     head = triage_mod.TriageHead(triage_mod.TriageConfig(**meta["head_config"]), Rng(0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .numerics import Rng
 
@@ -52,9 +52,6 @@ class DialogueSample:
 class Reject:
     line: int
     reason: str
-
-    def to_json(self) -> dict:
-        return {"line": self.line, "reason": self.reason}
 
 
 @dataclass
@@ -174,19 +171,6 @@ class DatasetStats:
     per_category: dict[str, int]
     age_histogram: dict[str, int]
     gender_counts: dict[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "total_count": self.total_count,
-            "train_count": self.train_count,
-            "test_count": self.test_count,
-            "avg_question_length": self.avg_question_length,
-            "avg_answer_length": self.avg_answer_length,
-            "category_count": self.category_count,
-            "per_category": self.per_category,
-            "age_histogram": self.age_histogram,
-            "gender_counts": self.gender_counts,
-        }
 
 
 def stats(samples, split_assignment=None, granularity: str = "auto") -> DatasetStats:
@@ -338,4 +322,4 @@ def write_jsonl(path, samples) -> None:
 def write_rejects(path, rejects) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in rejects:
-            fh.write(json.dumps(r.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(r), ensure_ascii=False, sort_keys=True) + "\n")

@@ -196,7 +196,6 @@ class PretrainConfig:
     lr: float = 5e-5
     batch_size: int = 8
     seed: int = 0
-    mask_rate: float | None = None  # defaults to the encoder's configured rate
 
 
 def pretrain(encoder: Encoder, sequences: list[TokenSequence], config: PretrainConfig) -> nm.TrainHistory:
@@ -205,9 +204,8 @@ def pretrain(encoder: Encoder, sequences: list[TokenSequence], config: PretrainC
     mean over batches. Divergence rolls back to the last completed epoch."""
     if not sequences:
         raise ValueError("pretrain needs a non-empty corpus")
-    rate = config.mask_rate if config.mask_rate is not None else encoder.config.mask_rate
 
     def batch_loss(chunk, rng):
-        return mlm_loss(encoder, [mask_tokens(seq, rate, rng, encoder.config.vocab_size) for seq in chunk]), 1, 0
+        return mlm_loss(encoder, [mask_tokens(seq, encoder.config.mask_rate, rng, encoder.config.vocab_size) for seq in chunk]), 1, 0
 
     return nm.fit(batch_loss, sequences, [{"name": "encoder", "lr": config.lr, "params": encoder.params}], config, "encoder.pretrain")

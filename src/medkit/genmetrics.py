@@ -33,14 +33,11 @@ in the test tree; the definitions below are therefore spelled out exactly:
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 _NIST_BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
 _TER_MAX_SHIFT_LEN = 10
@@ -64,16 +61,46 @@ def _closest_ref_len(cand_len: int, references) -> int:
     return min((len(r) for r in references), key=lambda rl: (abs(rl - cand_len), rl))
 
 
-def _clipped_matches(cand_counts: Counter, references, n: int) -> int:
-    matched = 0
-    ref_counts = [ngram_counts(r, n) for r in references]
+def _clipped(cand_counts: Counter, ref_counts: list[Counter]) -> dict:
+    """Each candidate n-gram -> its count, clipped at the most times it occurs
+    in any one reference (0 when no reference has it)."""
+    clipped = {}
     for gram, count in cand_counts.items():
         best = max((rc.get(gram, 0) for rc in ref_counts), default=0)
-        matched += min(count, best)
-    return matched
+        clipped[gram] = min(count, best)
+    return clipped
 
 
-def bleu(candidate, references, max_n: int = 1, smoothing: str = "off") -> float:
+def _f_score(precision: float, recall: float, beta: float = 1.0) -> float:
+    """F-beta of precision and recall; 0.0 when both are 0."""
+    denom = beta * beta * precision + recall
+    if denom == 0.0:
+        return 0.0
+    return (1 + beta * beta) * precision * recall / denom
+
+
+def _order_averaged_pr(cand, ref, max_n: int) -> tuple[float, float]:
+    """Clipped n-gram precision and recall, each averaged uniformly over the
+    orders 1..max_n where either side has n-grams; (0.0, 0.0) if none does."""
+    p_sum = r_sum = 0.0
+    orders = 0
+    for n in range(1, max_n + 1):
+        cand_counts = ngram_counts(cand, n)
+        ref_counts = ngram_counts(ref, n)
+        cand_total = sum(cand_counts.values())
+        ref_total = sum(ref_counts.values())
+        if cand_total == 0 and ref_total == 0:
+            continue
+        matched = sum(_clipped(cand_counts, [ref_counts]).values())
+        p_sum += matched / cand_total if cand_total else 0.0
+        r_sum += matched / ref_total if ref_total else 0.0
+        orders += 1
+    if orders == 0:
+        return 0.0, 0.0
+    return p_sum / orders, r_sum / orders
+
+
+def bleu(candidate, references, max_n: int = 1) -> float:
     """Clipped n-gram precision BLEU against one or more references."""
     cand = list(candidate)
     refs = [list(r) for r in references]
@@ -82,16 +109,10 @@ def bleu(candidate, references, max_n: int = 1, smoothing: str = "off") -> float
     precisions = []
     for n in range(1, max_n + 1):
         cand_counts = ngram_counts(cand, n)
-        total = sum(cand_counts.values())
-        matched = _clipped_matches(cand_counts, refs, n)
-        if smoothing == "add_one" and n > 1:
-            precisions.append((matched + 1) / (total + 1))
-        elif total == 0 or matched == 0:
-            precisions.append(0.0)
-        else:
-            precisions.append(matched / total)
-    if any(p == 0.0 for p in precisions):
-        return 0.0
+        matched = sum(_clipped(cand_counts, [ngram_counts(r, n) for r in refs]).values())
+        if matched == 0:
+            return 0.0
+        precisions.append(matched / sum(cand_counts.values()))
     geo = math.exp(sum(math.log(p) for p in precisions) / len(precisions))
     c = len(cand)
     r = _closest_ref_len(c, refs)
@@ -115,29 +136,7 @@ def chrf(candidate: str, reference: str, n: int = 6, beta: float = 2.0) -> float
     """Character n-gram F-beta score between two raw strings."""
     if not candidate and not reference:
         return 1.0
-    if not candidate or not reference:
-        return 0.0
-    p_sum = r_sum = 0.0
-    orders = 0
-    for order in range(1, n + 1):
-        cand_counts = ngram_counts(candidate, order)
-        ref_counts = ngram_counts(reference, order)
-        cand_total = sum(cand_counts.values())
-        ref_total = sum(ref_counts.values())
-        if cand_total == 0 and ref_total == 0:
-            continue
-        matched = sum(min(c, ref_counts.get(g, 0)) for g, c in cand_counts.items())
-        p_sum += matched / cand_total if cand_total else 0.0
-        r_sum += matched / ref_total if ref_total else 0.0
-        orders += 1
-    if orders == 0:
-        return 0.0
-    precision = p_sum / orders
-    recall = r_sum / orders
-    denom = beta * beta * precision + recall
-    if denom == 0.0:
-        return 0.0
-    return (1 + beta * beta) * precision * recall / denom
+    return _f_score(*_order_averaged_pr(candidate, reference, n), beta)
 
 
 def gleu(candidate, reference, max_n: int = 4) -> float:
@@ -150,7 +149,7 @@ def gleu(candidate, reference, max_n: int = 4) -> float:
     for n in range(1, max_n + 1):
         cand_counts = ngram_counts(cand, n)
         ref_counts = ngram_counts(ref, n)
-        matched += sum(min(c, ref_counts.get(g, 0)) for g, c in cand_counts.items())
+        matched += sum(_clipped(cand_counts, [ref_counts]).values())
         cand_total += sum(cand_counts.values())
         ref_total += sum(ref_counts.values())
     if cand_total == 0 or ref_total == 0:
@@ -160,27 +159,8 @@ def gleu(candidate, reference, max_n: int = 4) -> float:
 
 def weighted_prf(candidate, reference, max_n: int = 4) -> tuple[float, float, float]:
     """Uniformly order-weighted clipped n-gram precision/recall and their F1."""
-    cand = list(candidate)
-    ref = list(reference)
-    p_sum = r_sum = 0.0
-    orders = 0
-    for n in range(1, max_n + 1):
-        cand_counts = ngram_counts(cand, n)
-        ref_counts = ngram_counts(ref, n)
-        cand_total = sum(cand_counts.values())
-        ref_total = sum(ref_counts.values())
-        if cand_total == 0 and ref_total == 0:
-            continue
-        matched = sum(min(c, ref_counts.get(g, 0)) for g, c in cand_counts.items())
-        p_sum += matched / cand_total if cand_total else 0.0
-        r_sum += matched / ref_total if ref_total else 0.0
-        orders += 1
-    if orders == 0:
-        return 0.0, 0.0, 0.0
-    precision = p_sum / orders
-    recall = r_sum / orders
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+    precision, recall = _order_averaged_pr(list(candidate), list(reference), max_n)
+    return precision, recall, _f_score(precision, recall)
 
 
 # -- NIST ------------------------------------------------------------------------
@@ -219,13 +199,9 @@ def nist(candidate, references, max_n: int = 5, info: dict | None = None) -> flo
         total = sum(cand_counts.values())
         if total == 0:
             continue
-        ref_counts = [ngram_counts(r, n) for r in refs]
         weighted = 0.0
-        for gram, count in cand_counts.items():
-            best = max((rc.get(gram, 0) for rc in ref_counts), default=0)
-            matched = min(count, best)
-            if matched:
-                weighted += matched * info.get(gram, 0.0)
+        for gram, matched in _clipped(cand_counts, [ngram_counts(r, n) for r in refs]).items():
+            weighted += matched * info.get(gram, 0.0)
         score += weighted / total
     c = len(cand)
     r_mean = sum(len(r) for r in refs) / len(refs)
@@ -263,9 +239,7 @@ def ribes(candidate, reference, alpha: float = 0.25, beta: float = 0.10) -> floa
         pairs = n * (n - 1) // 2
         tau = (2 * concordant - pairs) / pairs
         nkt = (tau + 1.0) / 2.0
-    cand_counts = ngram_counts(cand, 1)
-    ref_counts = ngram_counts(ref, 1)
-    matched = sum(min(c, ref_counts.get(g, 0)) for g, c in cand_counts.items())
+    matched = sum(_clipped(ngram_counts(cand, 1), [ngram_counts(ref, 1)]).values())
     p1 = matched / len(cand)
     bp = min(1.0, math.exp(1.0 - len(ref) / len(cand)))
     return nkt * (p1**alpha) * (bp**beta)
@@ -439,8 +413,7 @@ def embed_score(candidate: str, reference: str, encoder, vocab) -> tuple[float, 
     sims = np.maximum(sims, 0.0)
     precision = float(sims.max(axis=1).mean())
     recall = float(sims.max(axis=0).mean())
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+    return precision, recall, _f_score(precision, recall)
 
 
 def _token_vectors(text: str, encoder, vocab) -> np.ndarray:
@@ -525,15 +498,16 @@ class MetricReport:
         return dict(self.__dict__)
 
 
-def report(gen_lines, ref_lines, encoder=None, vocab=None, embeddings=None) -> MetricReport:
+def report(gen_lines, ref_lines, encoder=None, vocab=None) -> MetricReport:
     """Aggregate the full metric battery over aligned sentence files.
 
-    Sentence-level metrics are averaged over pairs; entropy/diversity/KL/
-    Self-BLEU and the NIST information weights are computed over the whole
-    corpora. TER, which is undefined for an empty reference, is averaged over
-    the pairs whose reference line is non-empty (None if there are none).
-    Embedding-based metrics are None unless an encoder (for the contextual
-    scores) or an embedding table (for transport similarity) is supplied.
+    Entropy/diversity/KL/Self-BLEU and the NIST information weights are
+    computed over the whole corpora. Each sentence-level metric is averaged
+    over the pairs where it is defined (None if there are none): TER over the
+    pairs with a non-empty reference line, WMD over the pairs with both lines
+    non-empty, every other metric over all pairs. The embedding-based metrics
+    (WMD over the encoder's input embeddings, the contextual scores) need an
+    encoder and its vocab.
     """
     gen_lines = [line.rstrip("\n") for line in gen_lines]
     ref_lines = [line.rstrip("\n") for line in ref_lines]
@@ -543,62 +517,42 @@ def report(gen_lines, ref_lines, encoder=None, vocab=None, embeddings=None) -> M
         raise ValueError("empty input files")
     gen_tok = [char_tokens(line) for line in gen_lines]
     ref_tok = [char_tokens(line) for line in ref_lines]
-
-    if embeddings is None and encoder is not None and vocab is not None:
-        embeddings = embedding_table(encoder, vocab)
+    embeddings = embedding_table(encoder, vocab) if encoder is not None and vocab is not None else None
 
     info = nist_info_weights(ref_tok, max_n=5)
-    w_p = w_r = w_f = 0.0
-    bleu1_sum = chrf_sum = gleu_sum = nist_sum = ribes_sum = ter_sum = 0.0
-    wmd_sum = 0.0
-    wmd_count = ter_count = 0
-    ep_sum = er_sum = ef_sum = 0.0
-    embed_count = 0
-    pairs = len(gen_lines)
+    rows = []  # per pair: metric name -> value, for the metrics defined on that pair
     for g_line, r_line, g, r in zip(gen_lines, ref_lines, gen_tok, ref_tok):
-        p, rec, f1 = weighted_prf(g, r)
-        w_p += p
-        w_r += rec
-        w_f += f1
-        bleu1_sum += bleu(g, [r], max_n=1)
-        chrf_sum += chrf(g_line, r_line)
-        gleu_sum += gleu(g, r)
-        nist_sum += nist(g, [r], max_n=5, info=info)
-        ribes_sum += ribes(g, r)
+        row = dict(zip(("weighted_p", "weighted_r", "weighted_f1"), weighted_prf(g, r)))
+        row["bleu1"] = bleu(g, [r], max_n=1)
+        row["chrf"] = chrf(g_line, r_line)
+        row["gleu"] = gleu(g, r)
+        row["nist"] = nist(g, [r], max_n=5, info=info)
+        row["ribes"] = ribes(g, r)
         if r:
-            ter_sum += ter(g, r)
-            ter_count += 1
+            row["ter"] = ter(g, r)
         if embeddings is not None and g and r:
-            wmd_sum += wmd_similarity(g, r, embeddings)
-            wmd_count += 1
-        if encoder is not None and vocab is not None:
-            ep, er, ef = embed_score(g_line, r_line, encoder, vocab)
-            ep_sum += ep
-            er_sum += er
-            ef_sum += ef
-            embed_count += 1
+            row["wmd_similarity"] = wmd_similarity(g, r, embeddings)
+        if embeddings is not None:
+            row.update(zip(("embed_p", "embed_r", "embed_f1"), embed_score(g_line, r_line, encoder, vocab)))
+        rows.append(row)
 
+    def mean(name):
+        values = [row[name] for row in rows if name in row]
+        total = 0.0
+        for value in values:  # one rounding per addition, in pair order (sum() compensates from Python 3.12)
+            total += value
+        return total / len(values) if values else None
+
+    pair_metrics = ("weighted_p", "weighted_r", "weighted_f1", "bleu1", "chrf", "gleu", "nist", "ribes", "ter", "wmd_similarity", "embed_p", "embed_r", "embed_f1")
     gen_flat = [tok for sent in gen_tok for tok in sent]
     ref_flat = [tok for sent in ref_tok for tok in sent]
     return MetricReport(
-        weighted_p=w_p / pairs,
-        weighted_r=w_r / pairs,
-        weighted_f1=w_f / pairs,
-        bleu1=bleu1_sum / pairs,
-        chrf=chrf_sum / pairs,
-        gleu=gleu_sum / pairs,
-        nist=nist_sum / pairs,
-        ribes=ribes_sum / pairs,
-        ter=ter_sum / ter_count if ter_count else None,
-        wmd_similarity=wmd_sum / wmd_count if wmd_count else None,
-        embed_p=ep_sum / embed_count if embed_count else None,
-        embed_r=er_sum / embed_count if embed_count else None,
-        embed_f1=ef_sum / embed_count if embed_count else None,
+        **{name: mean(name) for name in pair_metrics},
         entropy=entropy(gen_flat),
         lexical_diversity=lexical_diversity(gen_flat),
         kl_divergence=kl_divergence(gen_flat, ref_flat),
-        self_bleu2=self_bleu(gen_tok, 2) if pairs >= 2 else None,
-        self_bleu3=self_bleu(gen_tok, 3) if pairs >= 2 else None,
+        self_bleu2=self_bleu(gen_tok, 2) if len(gen_tok) >= 2 else None,
+        self_bleu3=self_bleu(gen_tok, 3) if len(gen_tok) >= 2 else None,
     )
 
 

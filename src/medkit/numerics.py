@@ -332,9 +332,10 @@ def exp(a: Tensor) -> Tensor:
 
 def _grid(lengths, rows: int) -> np.ndarray:
     """(B, longest) mask of the positions of sequences of `lengths` (default:
-    one) laid end to end in `rows` rows."""
-    lengths = np.array([rows] if lengths is None else lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.sum() != rows or lengths.min() < 1:
+    one) laid end to end in `rows` rows. Lengths must be integers: a boolean
+    mask is not a list of lengths."""
+    lengths = np.asarray([rows] if lengths is None else lengths)
+    if lengths.dtype.kind not in "iu" or lengths.ndim != 1 or lengths.sum() != rows or lengths.min() < 1:
         raise ShapeError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
     return np.arange(lengths.max()) < lengths[:, None]
 
@@ -893,6 +894,8 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config, tag: str, stop_
 def load_params(params: Mapping[str, Tensor], state: Mapping[str, np.ndarray], prefix: str = "") -> None:
     """Copy `state[prefix + name]` into each named parameter; shapes must match."""
     for name, p in params.items():
+        if prefix + name not in state:
+            raise ValueError(f"checkpoint has no tensor {prefix + name!r}")
         arr = state[prefix + name]
         if arr.shape != p.data.shape:
             raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")

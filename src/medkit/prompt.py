@@ -147,6 +147,8 @@ def predict(
 ) -> list[str]:
     """The highest-scoring label of each question, all scored as one batch;
     ties break toward the lexicographically smallest label."""
+    if isinstance(questions, str):
+        raise PromptError("predict takes a list of questions, not one string")
     built = [build_prompt(question, template, vocab, max_len) for question in questions]
     scores = score_labels(encoder, TokenBatch.stack([seq for seq, _ in built]), [slots for _, slots in built], verbalizer, include_pad_slots)
     return [min(row, key=lambda label: (-row[label], label)) for row in scores]

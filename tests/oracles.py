@@ -125,6 +125,41 @@ def bf_weighted_prf(cand, ref, max_n=4):
     return precision, recall, f1
 
 
+def bf_nist_info(corpus, max_n=5):
+    """log2(count(prefix) / count(gram)) for every n-gram of the corpus, counts
+    summed over its sentences; an order-1 prefix counts every token."""
+    corpus = [list(s) for s in corpus]
+    info = {}
+    for n in range(1, max_n + 1):
+        for sentence in corpus:
+            for gram in grams_of(sentence, n):
+                count = sum(occurrences(s, gram) for s in corpus)
+                prefix = sum(len(s) for s in corpus) if n == 1 else sum(occurrences(s, gram[:-1]) for s in corpus)
+                info[gram] = math.log2(prefix / count)
+    return info
+
+
+def bf_nist(cand, refs, max_n=5, info=None):
+    cand = list(cand)
+    refs = [list(r) for r in refs]
+    if not cand or all(not r for r in refs):
+        return 0.0
+    if info is None:
+        info = bf_nist_info(refs, max_n)
+    score = 0.0
+    for n in range(1, max_n + 1):
+        grams = grams_of(cand, n)
+        if not grams:
+            continue
+        weighted = 0.0
+        for gram in set(grams):
+            matched = min(occurrences(cand, gram), max(occurrences(r, gram) for r in refs))
+            weighted += matched * info.get(gram, 0.0)
+        score += weighted / len(grams)
+    ratio = min(len(cand) / (sum(len(r) for r in refs) / len(refs)), 1.0)
+    beta = math.log(0.5) / math.log(2 / 3) ** 2  # the factor is 0.5 at ratio 2/3
+    return score * math.exp(beta * math.log(ratio) ** 2)
+
 def bf_ribes(cand, ref, alpha=0.25, beta=0.10):
     cand = list(cand)
     ref = list(ref)

@@ -377,3 +377,44 @@ def test_commands_write_only_under_out(tmp_path, corpus_file, monkeypatch):
     assert run(["split", "--in", corpus_file, "--out", out]) == EXIT_OK
     stray = [p for p in workspace.rglob("*") if not str(p).startswith(str(out))]
     assert stray == []
+
+
+def _wrong_kind_argv(command, tmp_path, corpus_file):
+    """`command` pointed at a checked-in bundle of the other kind."""
+    encoder_ckpt, decoder_ckpt = FIXTURES / "encoder" / "encoder.ckpt", FIXTURES / "decoder" / "gen.ckpt"
+    gen = tmp_path / "gen.txt"
+    gen.write_text("头痛多喝水\n", encoding="utf-8")
+    out = ["--out", tmp_path / "out"] + TINY
+    return {
+        "metrics": ["metrics", "--gen", gen, "--ref", gen, "--encoder", decoder_ckpt],
+        "eval-gen": ["eval-gen", "--in", corpus_file, "--ckpt", encoder_ckpt] + out,
+        "train-gen": ["train-gen", "--in", corpus_file, "--lm-ckpt", encoder_ckpt] + out,
+        "train-triage": ["train-triage", "--in", corpus_file, "--encoder-ckpt", decoder_ckpt] + out,
+        "eval-triage": ["eval-triage", "--in", corpus_file, "--ckpt", encoder_ckpt] + out,
+    }[command]
+
+
+@pytest.mark.parametrize(("command", "section"), [
+    ("metrics", "encoder_config"),
+    ("eval-gen", "decoder_config"),
+    ("train-gen", "decoder_config"),
+    ("train-triage", "encoder_config"),
+    ("eval-triage", "head_config"),
+])
+def test_bundle_of_the_wrong_kind_exits_one(tmp_path, corpus_file, capsys, command, section):
+    assert run(_wrong_kind_argv(command, tmp_path, corpus_file)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"has no '{section}' section" in err and ".meta.json" in err
+
+
+def test_bundle_missing_a_tensor_exits_one(tmp_path, capsys):
+    bundle = tmp_path / "enc"
+    shutil.copytree(FIXTURES / "encoder", bundle)
+    meta_path = bundle / "encoder.meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["encoder_config"]["num_layers"] = 2  # over a 1-layer checkpoint
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    gen = tmp_path / "gen.txt"
+    gen.write_text("头痛多喝水\n", encoding="utf-8")
+    assert run(["metrics", "--gen", gen, "--ref", gen, "--encoder", bundle / "encoder.ckpt"]) == EXIT_USAGE
+    assert "checkpoint has no tensor 'layer1." in capsys.readouterr().err

@@ -11,6 +11,8 @@ from oracles import (
     bf_chrf,
     bf_edit_distance,
     bf_gleu,
+    bf_nist,
+    bf_nist_info,
     bf_ribes,
     bf_self_bleu,
     bf_ter,
@@ -175,6 +177,26 @@ def test_nist_nonnegative_fuzz():
         refs = [_random_sentence(rng, 1, 8)]
         assert gm.nist(cand, refs) >= 0.0
 
+
+def test_nist_info_weights_match_oracle_fuzz():
+    rng = Rng(113)
+    for _ in range(40):
+        corpus = [_random_sentence(rng, 0, 8) for _ in range(int(rng.integers(1, 4)))]
+        mine = gm.nist_info_weights(corpus, max_n=3)
+        expected = bf_nist_info(corpus, max_n=3)
+        assert mine.keys() == expected.keys()
+        assert all(mine[g] == pytest.approx(expected[g], abs=1e-12) for g in expected)
+
+
+def test_nist_matches_oracle_fuzz():
+    rng = Rng(114)
+    for case in range(160):
+        cand = _random_sentence(rng, 0, 8)
+        refs = [_random_sentence(rng, 0, 8) for _ in range(1 if case % 2 else int(rng.integers(2, 4)))]
+        others = [_random_sentence(rng) for _ in range(3)]
+        info = [gm.nist_info_weights(refs + others), gm.nist_info_weights(others), None, None][case % 4]  # weights may miss a matched gram
+        n = int(rng.integers(1, 6))
+        assert gm.nist(cand, refs, max_n=n, info=info) == pytest.approx(bf_nist(cand, refs, max_n=n, info=info), abs=1e-9)
 
 # -- RIBES --------------------------------------------------------------------
 
@@ -565,3 +587,51 @@ def test_cli_import_leaves_scipy_to_the_first_wmd_call():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _WMD_IN_FRESH_INTERPRETER], env=env, capture_output=True, text=True, check=True).stdout
     assert float(out) == gm.wmd_similarity(list("头痛多喝水"), list("发烧要喝水"), _WMD_EMBEDDINGS)
+
+
+_EMBEDDING_FIELDS = ("wmd_similarity", "embed_p", "embed_r", "embed_f1")
+
+
+def _mean(values):
+    return sum(values) / len(values) if values else None
+
+
+@pytest.mark.parametrize(("gen", "ref"), [
+    (["头痛多喝水", "", "发烧要休息", "咳嗽", "头痛癌多喝水好好休息"], ["头痛要多喝水", "发烧", "", "咳嗽", "休息好头痛"]),
+    (["头痛", ""], ["", ""]),
+    (["咳嗽"], ["咳嗽"]),
+], ids=["mixed", "no-reference", "identical"])
+def test_report_means_match_per_pair_metrics(gen, ref):
+    """Each averaged field is the mean of its per-pair metric over the pairs
+    its rule admits: TER needs a reference, WMD both lines, the rest none."""
+    from medkit.encoder import Encoder, EncoderConfig
+    from medkit.tokenizer import build_vocab
+
+    vocab = build_vocab(["头痛多喝水发烧要休息咳嗽好"])  # "癌" is out of vocabulary
+    encoder = Encoder(EncoderConfig(vocab_size=vocab.size, max_len=16, hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=16), Rng(3).spawn("enc"))
+    table = gm.embedding_table(encoder, vocab)
+    pairs = [(gm.char_tokens(g), gm.char_tokens(r), g, r) for g, r in zip(gen, ref)]
+    info = bf_nist_info([r for _, r, _, _ in pairs])
+    per_pair = {
+        "weighted_p": [bf_weighted_prf(g, r)[0] for g, r, _, _ in pairs],
+        "weighted_r": [bf_weighted_prf(g, r)[1] for g, r, _, _ in pairs],
+        "weighted_f1": [bf_weighted_prf(g, r)[2] for g, r, _, _ in pairs],
+        "bleu1": [bf_bleu(g, [r]) for g, r, _, _ in pairs],
+        "chrf": [bf_chrf(g_line, r_line) for _, _, g_line, r_line in pairs],
+        "gleu": [bf_gleu(g, r) for g, r, _, _ in pairs],
+        "nist": [bf_nist(g, [r], info=info) for g, r, _, _ in pairs],
+        "ribes": [bf_ribes(g, r) for g, r, _, _ in pairs],
+        "ter": [bf_ter(g, r) for g, r, _, _ in pairs if r],
+        "wmd_similarity": [gm.wmd_similarity(g, r, table) for g, r, _, _ in pairs if g and r],
+        "embed_p": [gm.embed_score(g_line, r_line, encoder, vocab)[0] for _, _, g_line, r_line in pairs],
+        "embed_r": [gm.embed_score(g_line, r_line, encoder, vocab)[1] for _, _, g_line, r_line in pairs],
+        "embed_f1": [gm.embed_score(g_line, r_line, encoder, vocab)[2] for _, _, g_line, r_line in pairs],
+    }
+    for with_encoder in (False, True):
+        rep = gm.report(gen, ref, encoder if with_encoder else None, vocab if with_encoder else None).to_json()
+        for name, values in per_pair.items():
+            expected = _mean(values) if with_encoder or name not in _EMBEDDING_FIELDS else None
+            if expected is None:
+                assert rep[name] is None, name
+            else:
+                assert rep[name] == pytest.approx(expected, abs=1e-12), name

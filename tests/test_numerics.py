@@ -259,6 +259,12 @@ def test_lstm_rejects_mismatched_shapes():
         nm.lstm(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8)))
 
 
+@pytest.mark.parametrize("lengths", [[True] * 3, [1.0, 2.0]], ids=["bool-mask", "floats"])
+def test_lstm_rejects_non_integer_lengths(lengths):
+    x, wx, wh, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8))
+    with pytest.raises(ShapeError, match="do not split"):
+        nm.lstm(x, wx, wh, b, lengths=lengths)
+
 def _attention_leaves(rng, n, hidden, heads):
     d = hidden // heads
     x = Tensor(rng.normal(size=(n, hidden)), requires_grad=True)
@@ -501,6 +507,14 @@ def test_transformer_layer_rejects_mismatched_shapes():
         nm.transformer_layer(Tensor(np.zeros((3, 4))), weights[:-1], 2, keep)
     with pytest.raises(ShapeError):
         nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 2, keep, lengths=[3, 0])
+
+
+def test_transformer_layer_rejects_non_integer_lengths():
+    params = _layer_params(Rng(122), 4, 2, 8)
+    weights = layer_weights(params, "layer0", 2)
+    for lengths in ([True] * 3, [1.0, 2.0]):
+        with pytest.raises(ShapeError, match="do not split"):
+            nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 2, np.ones(3, dtype=bool), lengths=lengths)
 
 
 def test_layer_norm_gradient():

@@ -184,6 +184,13 @@ def test_predict_invariant_to_verbalizer_order(vocab):
     assert predict(enc, ["咳嗽"], template, fwd, vocab, 12) == predict(enc, ["咳嗽"], template, rev, vocab, 12)
 
 
+def test_predict_rejects_a_bare_string(vocab):
+    enc = _encoder(vocab, seed=6)
+    template = PromptTemplate(suffix="", mask_slot_count=1)
+    verb = Verbalizer.from_surfaces({"甲": "甲", "乙": "乙"}, vocab)
+    with pytest.raises(PromptError, match="list of questions"):
+        predict(enc, "咳嗽", template, verb, vocab, 12)
+
 def test_pad_slot_flag_changes_short_label_scores(vocab):
     enc = _encoder(vocab, seed=7)
     verb = Verbalizer.from_surfaces({"内科": "内科", "骨": "骨"}, vocab)

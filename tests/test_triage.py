@@ -68,6 +68,11 @@ def test_bilstm_needs_a_real_token(vocab):
         bilstm(reps, [4, 0], head.params, head.config.num_lstm_layers)
 
 
+def test_bilstm_rejects_a_boolean_mask_as_lengths():
+    head = _head()
+    with pytest.raises(nm.ShapeError, match="do not split"):
+        bilstm(Tensor(np.zeros((5, 8))), [True] * 5, head.params, head.config.num_lstm_layers)
+
 def test_bilstm_ignores_neighbouring_sequences(vocab):
     enc = _encoder(vocab)
     head = _head()
