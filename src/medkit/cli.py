@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -211,84 +212,131 @@ def _labeled_pairs(samples, granularity: str):
     return pairs
 
 
-def _save_bundle(out: Path, name: str, params, meta: dict, vocab=None) -> None:
+# -- model bundles ---------------------------------------------------------------
+#
+# A bundle is `<name>.ckpt`, `<name>.meta.json` and `vocab.txt` in one directory.
+# The meta holds the `kind` and one config section per model part; a triage
+# bundle holds two parts, so it prefixes each tensor name with its part's name.
+
+_BUNDLE_PARTS = {  # part: (meta section, config class, model class)
+    "encoder": ("encoder_config", enc_mod.EncoderConfig, enc_mod.Encoder),
+    "decoder": ("decoder_config", gen_mod.DecoderConfig, gen_mod.Decoder),
+    "head": ("head_config", triage_mod.TriageConfig, triage_mod.TriageHead),
+}
+# Top-level meta keys that commands read, with their types.
+_META_TYPES = {"include_pad_slots": bool, "supplement_max_chars": int}
+
+
+def _tensor_prefix(kind, part: str) -> str:
+    return f"{part}." if kind == "triage" else ""
+
+
+def _save_bundle(out: Path, name: str, kind: str, parts: dict, vocab: tok_mod.Vocab, **extra) -> None:
+    """Write the bundle of the models in `parts` (part name: model)."""
+    params = {_tensor_prefix(kind, part) + k: v for part, model in parts.items() for k, v in model.params.items()}
+    sections = {_BUNDLE_PARTS[part][0]: asdict(model.config) for part, model in parts.items()}
     save_checkpoint(out / f"{name}.ckpt", params)
-    _write_json(out / f"{name}.meta.json", meta)
-    if vocab is not None:
-        vocab.save(out / "vocab.txt")
+    _write_json(out / f"{name}.meta.json", {"kind": kind, **sections, **extra})
+    vocab.save(out / "vocab.txt")
 
 
-def _bundle_dir(ckpt_path) -> Path:
-    return Path(ckpt_path).parent
+def _read_json(path) -> dict:
+    """The JSON object in `path`; anything else is a CliError naming the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CliError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
-def _load_meta(ckpt_path, *sections: str) -> dict:
-    """The bundle's sidecar meta; it must hold each of `sections`, so a bundle
-    of the wrong kind fails here."""
-    text = str(ckpt_path)
-    stem = text[: -len(".ckpt")] if text.endswith(".ckpt") else text
-    meta_path = Path(stem + ".meta.json")
-    if not meta_path.exists():
-        raise CliError(f"missing sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    for section in sections:
-        if section not in meta:
-            raise CliError(f"{meta_path} has no {section!r} section (a {meta.get('kind', 'unknown')!r} bundle)")
-    return meta
+def _is_a(value, hint) -> bool:
+    """Whether `value` has the annotated type: an int passes for a float, a
+    bool never passes for an int."""
+    return any(type(value) is t or (t is float and type(value) is int) for t in typing.get_args(hint) or (hint,))
 
 
-def _load_vocab_near(ckpt_path, vocab_size: int) -> tok_mod.Vocab:
-    vocab_path = _bundle_dir(ckpt_path) / "vocab.txt"
-    if not vocab_path.exists():
-        raise CliError(f"missing vocab file {vocab_path}")
-    vocab = tok_mod.Vocab.load(vocab_path)
-    if vocab.size != vocab_size:
-        raise CliError(f"{vocab_path} has {vocab.size} entries but the bundle config says vocab_size {vocab_size}")
-    return vocab
+def _config(cls, meta: dict, section: str, path):
+    """`cls` built from `meta[section]`, which must give every field of `cls`,
+    and nothing else, a value of the field's annotated type."""
+    if section not in meta:
+        raise CliError(f"{path} has no {section!r} section (a {meta.get('kind', 'unknown')!r} bundle)")
+    body = meta[section]
+    if not isinstance(body, dict):
+        raise CliError(f"{path}: section {section!r} is not a JSON object")
+    hints = typing.get_type_hints(cls)
+    if set(body) != set(hints):
+        raise CliError(f"{path}: section {section!r} has keys {sorted(body)}, expected {sorted(hints)}")
+    for key, hint in hints.items():
+        if not _is_a(body[key], hint):
+            raise CliError(f"{path}: {section}.{key} is {body[key]!r}, expected {getattr(hint, '__name__', hint)}")
+    try:
+        return cls(**body)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise CliError(f"{path}: section {section!r}: {exc}") from None
 
 
-def _load_encoder_bundle(ckpt_path) -> tuple[enc_mod.Encoder, tok_mod.Vocab, dict]:
-    meta = _load_meta(ckpt_path, "encoder_config")
-    vocab = _load_vocab_near(ckpt_path, meta["encoder_config"]["vocab_size"])
-    config = enc_mod.EncoderConfig(**meta["encoder_config"])
-    encoder = enc_mod.Encoder(config, Rng(0))
-    state = load_checkpoint(ckpt_path)
-    prefix = "encoder." if any(k.startswith("encoder.") for k in state) else ""
-    load_params(encoder.params, state, prefix)
-    return encoder, vocab, meta
+def _meta_path(ckpt) -> Path:
+    return Path(str(ckpt).removesuffix(".ckpt") + ".meta.json")
+
+
+def _load_bundle(ckpt, *parts: str):
+    """(*models, vocab, meta) of the bundle around `ckpt`, one model per part.
+    The meta, every config section and the vocab are checked before any model
+    is built."""
+    meta_path = _meta_path(ckpt)
+    meta = _read_json(meta_path)
+    configs = [_config(_BUNDLE_PARTS[part][1], meta, _BUNDLE_PARTS[part][0], meta_path) for part in parts]
+    for key, hint in _META_TYPES.items():
+        if key in meta and not _is_a(meta[key], hint):
+            raise CliError(f"{meta_path}: {key} is {meta[key]!r}, expected a {hint.__name__}")
+    vocab_path = Path(ckpt).parent / "vocab.txt"
+    try:
+        vocab = tok_mod.Vocab.load(vocab_path)
+    except ValueError as exc:  # not UTF-8, or not a vocab
+        raise CliError(f"{vocab_path}: {exc}") from None
+    if vocab.size != configs[0].vocab_size:
+        raise CliError(f"{vocab_path} has {vocab.size} entries but the bundle config says vocab_size {configs[0].vocab_size}")
+    state = load_checkpoint(ckpt)
+    models = [_BUNDLE_PARTS[part][2](config, Rng(0)) for part, config in zip(parts, configs)]
+    for part, model in zip(parts, models):
+        load_params(model.params, state, _tensor_prefix(meta.get("kind"), part))
+    return (*models, vocab, meta)
 
 
 def _load_decoder_bundle(ckpt_path) -> tuple[gen_mod.Decoder, tok_mod.Vocab, dict]:
-    meta = _load_meta(ckpt_path, "decoder_config")
-    vocab = _load_vocab_near(ckpt_path, meta["decoder_config"]["vocab_size"])
-    config = gen_mod.DecoderConfig(**meta["decoder_config"])
-    decoder = gen_mod.Decoder(config, Rng(0))
-    load_params(decoder.params, load_checkpoint(ckpt_path))
-    return decoder, vocab, meta
+    return _load_bundle(ckpt_path, "decoder")
 
 
-def _encoder_config(cfg: RunConfig, vocab_size: int) -> enc_mod.EncoderConfig:
-    return enc_mod.EncoderConfig(
-        vocab_size=vocab_size,
-        max_len=cfg.max_len,
-        hidden_dim=cfg.enc_hidden,
-        num_layers=cfg.enc_layers,
-        num_heads=cfg.enc_heads,
-        ffn_dim=cfg.enc_ffn or None,
-        mask_rate=cfg.mask_rate,
-    )
-
-
-def _decoder_config(cfg: RunConfig, vocab_size: int) -> gen_mod.DecoderConfig:
-    return gen_mod.DecoderConfig(
-        vocab_size=vocab_size,
-        hidden_dim=cfg.dec_hidden,
-        num_layers=cfg.dec_layers,
-        num_heads=cfg.dec_heads,
-        ffn_dim=cfg.dec_ffn or None,
-        context_window=cfg.context_window,
-        max_gen_len=cfg.max_gen_len,
-    )
+def _base_model(cfg: RunConfig, part: str, ckpt, texts: list[str]):
+    """(model, vocab): the `part` of the bundle at `ckpt` or, with no `ckpt`, a
+    fresh model sized by the run config over the vocab of `texts`."""
+    if ckpt:
+        model, vocab, _ = _load_bundle(ckpt, part)
+        return model, vocab
+    vocab = tok_mod.build_vocab(texts, min_freq=cfg.min_freq)
+    if part == "encoder":
+        config = enc_mod.EncoderConfig(
+            vocab_size=vocab.size,
+            max_len=cfg.max_len,
+            hidden_dim=cfg.enc_hidden,
+            num_layers=cfg.enc_layers,
+            num_heads=cfg.enc_heads,
+            ffn_dim=cfg.enc_ffn or None,
+            mask_rate=cfg.mask_rate,
+        )
+    else:
+        config = gen_mod.DecoderConfig(
+            vocab_size=vocab.size,
+            hidden_dim=cfg.dec_hidden,
+            num_layers=cfg.dec_layers,
+            num_heads=cfg.dec_heads,
+            ffn_dim=cfg.dec_ffn or None,
+            context_window=cfg.context_window,
+            max_gen_len=cfg.max_gen_len,
+        )
+    return _BUNDLE_PARTS[part][2](config, Rng(cfg.seed).spawn(f"{part}.init")), vocab
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -351,52 +399,38 @@ def cmd_pretrain_encoder(args) -> int:
     texts = _read_texts(args.inp)
     if not texts:
         raise CliError("no training texts found")
-    vocab = tok_mod.build_vocab(texts, min_freq=cfg.min_freq)
+    encoder, vocab = _base_model(cfg, "encoder", None, texts)
     sequences = [tok_mod.encode(t, vocab, cfg.max_len, mode="encoder") for t in texts]
-    encoder = enc_mod.Encoder(_encoder_config(cfg, vocab.size), Rng(cfg.seed).spawn("encoder.init"))
     history = enc_mod.pretrain(
         encoder,
         sequences,
         enc_mod.PretrainConfig(epochs=cfg.mlm_epochs, lr=cfg.mlm_lr, batch_size=cfg.batch_size, seed=cfg.seed),
     )
     history.write_csv(out / "pretrain.log.csv")
-    meta = {"kind": "encoder", "encoder_config": asdict(encoder.config)}
-    _save_bundle(out, "encoder", encoder.params, meta, vocab)
+    _save_bundle(out, "encoder", "encoder", {"encoder": encoder}, vocab)
     if history.aborted:
         raise NumericsError("pretraining diverged; last good checkpoint saved")
     print(f"pretrained encoder for {len(history.rows)} epochs")
     return EXIT_OK
 
 
-def _build_triage_parts(cfg: RunConfig, args, samples):
-    granularity = cfg.granularity
-    pairs = _labeled_pairs(samples, granularity)
-    labels = sorted({label for _, label in pairs})
-    label_map = {label: i for i, label in enumerate(labels)}
-    if getattr(args, "encoder_ckpt", None):
-        encoder, vocab, _ = _load_encoder_bundle(args.encoder_ckpt)
-    else:
-        vocab = tok_mod.build_vocab([q for q, _ in pairs], min_freq=cfg.min_freq)
-        encoder = enc_mod.Encoder(_encoder_config(cfg, vocab.size), Rng(cfg.seed).spawn("encoder.init"))
-    head_config = triage_mod.TriageConfig(
+def cmd_train_triage(args) -> int:
+    cfg, out = _start(args)
+    pairs = _labeled_pairs(corpus_mod.ingest(args.inp).samples, cfg.granularity)
+    label_map = {label: i for i, label in enumerate(sorted({label for _, label in pairs}))}
+    encoder, vocab = _base_model(cfg, "encoder", args.encoder_ckpt, [q for q, _ in pairs])
+    config = triage_mod.TriageConfig(
         hidden_dim=encoder.config.hidden_dim,
-        num_classes=len(labels),
+        num_classes=len(label_map),
         num_lstm_layers=cfg.lstm_layers,
         num_dd_layers=cfg.dd_layers,
         use_bilstm=not cfg.no_bilstm,
         use_cls=not cfg.no_cls_fusion,
         use_dd=not cfg.no_dd,
     )
-    head = triage_mod.TriageHead(head_config, Rng(cfg.seed).spawn("triage.init"))
+    head = triage_mod.TriageHead(config, Rng(cfg.seed).spawn("triage.init"))
     max_len = encoder.config.max_len  # a loaded bundle fixes the sequence length
     dataset = [(tok_mod.encode(q, vocab, max_len, mode="encoder"), label_map[label]) for q, label in pairs]
-    return encoder, head, vocab, label_map, dataset
-
-
-def cmd_train_triage(args) -> int:
-    cfg, out = _start(args)
-    result = corpus_mod.ingest(args.inp)
-    encoder, head, vocab, label_map, dataset = _build_triage_parts(cfg, args, result.samples)
     history = triage_mod.train_supervised(
         encoder,
         head,
@@ -412,73 +446,58 @@ def cmd_train_triage(args) -> int:
     history.write_csv(out / "train.log.csv")
     _write_json(out / "optimizer_state.json", history.optimizer_state)
     _write_json(out / "label_map.json", label_map)
-    params = {f"encoder.{k}": v for k, v in encoder.params.items()}
-    params.update({f"head.{k}": v for k, v in head.params.items()})
-    meta = {"kind": "triage", "encoder_config": asdict(encoder.config), "head_config": asdict(head.config)}
-    _save_bundle(out, "triage", params, meta, vocab)
+    _save_bundle(out, "triage", "triage", {"encoder": encoder, "head": head}, vocab)
     if history.aborted:
         raise NumericsError("triage training diverged; last good checkpoint saved")
     print(f"trained triage model over {len(dataset)} samples, {len(label_map)} classes")
     return EXIT_OK
 
 
-def _load_triage_bundle(ckpt_path):
-    meta = _load_meta(ckpt_path, "encoder_config", "head_config")
-    vocab = _load_vocab_near(ckpt_path, meta["encoder_config"]["vocab_size"])
-    encoder = enc_mod.Encoder(enc_mod.EncoderConfig(**meta["encoder_config"]), Rng(0))
-    head = triage_mod.TriageHead(triage_mod.TriageConfig(**meta["head_config"]), Rng(0))
-    state = load_checkpoint(ckpt_path)
-    load_params(encoder.params, state, "encoder.")
-    load_params(head.params, state, "head.")
-    label_map_path = _bundle_dir(ckpt_path) / "label_map.json"
-    label_map = json.loads(label_map_path.read_text(encoding="utf-8"))
-    return encoder, head, vocab, label_map
-
-
-def cmd_eval_triage(args) -> int:
-    cfg, out = _start(args)
-    encoder, head, vocab, label_map = _load_triage_bundle(args.ckpt)
-    result = corpus_mod.ingest(args.inp)
-    pairs = _labeled_pairs(result.samples, cfg.granularity)
-    known = [(q, label) for q, label in pairs if label in label_map]
-    skipped = len(pairs) - len(known)
-    sequences = [tok_mod.encode(q, vocab, encoder.config.max_len, mode="encoder") for q, _ in known]
-    preds = triage_mod.predict_labels(encoder, head, sequences, cfg.batch_size)
-    gold = [label_map[label] for _, label in known]
-    metrics = triage_mod.evaluate(preds, gold)
-    payload = metrics.to_json()
+def _report_accuracy(out: Path, preds, gold, skipped: int) -> int:
+    """Write and print an evaluation's metrics.json."""
+    payload = triage_mod.evaluate(preds, gold).to_json()
     payload["skipped_unknown_label"] = skipped
     _write_json(out / "metrics.json", payload)
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return EXIT_OK
 
 
-def _prompt_template(cfg: RunConfig, verbalizer: prompt_mod.Verbalizer) -> prompt_mod.PromptTemplate:
-    return prompt_mod.PromptTemplate(prefix=cfg.prompt_prefix, suffix=cfg.prompt_suffix, mask_slot_count=verbalizer.mask_slot_count)
+def cmd_eval_triage(args) -> int:
+    cfg, out = _start(args)
+    encoder, head, vocab, _ = _load_bundle(args.ckpt, "encoder", "head")
+    label_map_path = Path(args.ckpt).parent / "label_map.json"
+    label_map = _read_json(label_map_path)
+    ids = list(label_map.values())
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(head.config.num_classes)):
+        raise CliError(f"{label_map_path} must map labels to the distinct ints 0..{head.config.num_classes - 1}")
+    result = corpus_mod.ingest(args.inp)
+    pairs = _labeled_pairs(result.samples, cfg.granularity)
+    known = [(q, label) for q, label in pairs if label in label_map]
+    sequences = [tok_mod.encode(q, vocab, encoder.config.max_len, mode="encoder") for q, _ in known]
+    preds = triage_mod.predict_labels(encoder, head, sequences, cfg.batch_size)
+    return _report_accuracy(out, preds, [label_map[label] for _, label in known], len(pairs) - len(known))
 
 
-def _load_verbalizer(args, pairs, vocab) -> prompt_mod.Verbalizer:
-    if getattr(args, "verbalizer", None):
-        surfaces = json.loads(Path(args.verbalizer).read_text(encoding="utf-8"))
-    else:
-        surfaces = {label: label for _, label in pairs}  # label strings verbalize themselves
-    return prompt_mod.Verbalizer.from_surfaces(surfaces, vocab)
+def _read_surfaces(path) -> dict[str, str]:
+    """A verbalizer file: a JSON object mapping each label to its surface text."""
+    surfaces = _read_json(path)
+    if not all(isinstance(text, str) for text in surfaces.values()):
+        raise CliError(f"{path}: every label's surface must be a string")
+    return surfaces
 
 
 def cmd_train_prompt(args) -> int:
     cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     pairs = _labeled_pairs(result.samples, cfg.granularity)
-    if getattr(args, "encoder_ckpt", None):
-        encoder, vocab, _ = _load_encoder_bundle(args.encoder_ckpt)
-    else:
-        surfaces_text = [label for _, label in pairs] + [cfg.prompt_prefix, cfg.prompt_suffix.replace("{}", "")]
-        if getattr(args, "verbalizer", None):
-            surfaces_text += list(json.loads(Path(args.verbalizer).read_text(encoding="utf-8")).values())
-        vocab = tok_mod.build_vocab([q for q, _ in pairs] + surfaces_text, min_freq=cfg.min_freq)
-        encoder = enc_mod.Encoder(_encoder_config(cfg, vocab.size), Rng(cfg.seed).spawn("encoder.init"))
-    verbalizer = _load_verbalizer(args, pairs, vocab)
-    template = _prompt_template(cfg, verbalizer)
+    # with no --verbalizer, label strings verbalize themselves
+    surfaces = _read_surfaces(args.verbalizer) if args.verbalizer else {label: label for _, label in pairs}
+    texts = [q for q, _ in pairs] + [label for _, label in pairs] + [cfg.prompt_prefix, cfg.prompt_suffix.replace("{}", "")]
+    if args.verbalizer:
+        texts += list(surfaces.values())
+    encoder, vocab = _base_model(cfg, "encoder", args.encoder_ckpt, texts)
+    verbalizer = prompt_mod.Verbalizer.from_surfaces(surfaces, vocab)
+    template = prompt_mod.PromptTemplate(prefix=cfg.prompt_prefix, suffix=cfg.prompt_suffix, mask_slot_count=verbalizer.mask_slot_count)
     max_len = encoder.config.max_len  # a loaded bundle fixes the sequence length
     history = prompt_mod.train_prompt(
         encoder,
@@ -490,14 +509,7 @@ def cmd_train_prompt(args) -> int:
         prompt_mod.PromptTrainConfig(epochs=cfg.prompt_epochs, lr=cfg.prompt_lr, batch_size=cfg.batch_size, seed=cfg.seed),
     )
     history.write_csv(out / "train.log.csv")
-    meta = {
-        "kind": "prompt",
-        "encoder_config": asdict(encoder.config),
-        "template": {"prefix": template.prefix, "suffix": template.suffix, "mask_slot_count": template.mask_slot_count},
-        "include_pad_slots": cfg.include_pad_slots,
-        "max_len": max_len,
-    }
-    _save_bundle(out, "prompt", encoder.params, meta, vocab)
+    _save_bundle(out, "prompt", "prompt", {"encoder": encoder}, vocab, template=asdict(template), include_pad_slots=cfg.include_pad_slots, max_len=max_len)
     _write_json(out / "verbalizer.json", {label: "".join(vocab.token_of(t) for t in toks if t >= tok_mod.NUM_RESERVED) for label, toks in verbalizer.label_tokens.items()})
     if history.aborted:
         raise NumericsError("prompt training diverged; last good checkpoint saved")
@@ -507,27 +519,23 @@ def cmd_train_prompt(args) -> int:
 
 def cmd_eval_prompt(args) -> int:
     cfg, out = _start(args)
-    encoder, vocab, meta = _load_encoder_bundle(args.ckpt)
-    surfaces = json.loads((_bundle_dir(args.ckpt) / "verbalizer.json").read_text(encoding="utf-8"))
-    verbalizer = prompt_mod.Verbalizer.from_surfaces(surfaces, vocab)
-    template = prompt_mod.PromptTemplate(**meta["template"])
+    encoder, vocab, meta = _load_bundle(args.ckpt, "encoder")
+    template = _config(prompt_mod.PromptTemplate, meta, "template", _meta_path(args.ckpt))
+    max_len = meta.get("max_len")
+    if type(max_len) is not int or max_len < 1:
+        raise CliError(f"{_meta_path(args.ckpt)}: max_len is {max_len!r}, expected an int >= 1")
+    verbalizer = prompt_mod.Verbalizer.from_surfaces(_read_surfaces(Path(args.ckpt).parent / "verbalizer.json"), vocab)
     result = corpus_mod.ingest(args.inp)
     pairs = _labeled_pairs(result.samples, cfg.granularity)
     known = [(q, label) for q, label in pairs if label in verbalizer.label_tokens]
     preds, gold = [], []
-    labels = verbalizer.labels
-    label_ids = {label: i for i, label in enumerate(labels)}
+    label_ids = {label: i for i, label in enumerate(verbalizer.labels)}
     for start in range(0, len(known), cfg.batch_size):
         chunk = known[start : start + cfg.batch_size]
-        choices = prompt_mod.predict(encoder, [q for q, _ in chunk], template, verbalizer, vocab, meta["max_len"], meta.get("include_pad_slots", True))
+        choices = prompt_mod.predict(encoder, [q for q, _ in chunk], template, verbalizer, vocab, max_len, meta.get("include_pad_slots", True))
         preds += [label_ids[choice] for choice in choices]
         gold += [label_ids[label] for _, label in chunk]
-    metrics = triage_mod.evaluate(preds, gold)
-    payload = metrics.to_json()
-    payload["skipped_unknown_label"] = len(pairs) - len(known)
-    _write_json(out / "metrics.json", payload)
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    return EXIT_OK
+    return _report_accuracy(out, preds, gold, len(pairs) - len(known))
 
 
 def cmd_pretrain_lm(args) -> int:
@@ -535,8 +543,7 @@ def cmd_pretrain_lm(args) -> int:
     texts = _read_texts(args.inp)
     if not texts:
         raise CliError("no training texts found")
-    vocab = tok_mod.build_vocab(texts, min_freq=cfg.min_freq)
-    decoder = gen_mod.Decoder(_decoder_config(cfg, vocab.size), Rng(cfg.seed).spawn("decoder.init"))
+    decoder, vocab = _base_model(cfg, "decoder", None, texts)
     history = gen_mod.pretrain_lm(
         decoder,
         texts,
@@ -544,7 +551,7 @@ def cmd_pretrain_lm(args) -> int:
         gen_mod.LmTrainConfig(epochs=cfg.lm_pretrain_epochs, lr=cfg.lm_lr, batch_size=cfg.batch_size, seed=cfg.seed),
     )
     history.write_csv(out / "pretrain.log.csv")
-    _save_bundle(out, "lm", decoder.params, {"kind": "decoder", "decoder_config": asdict(decoder.config)}, vocab)
+    _save_bundle(out, "lm", "decoder", {"decoder": decoder}, vocab)
     if history.aborted:
         raise NumericsError("LM pretraining diverged; last good checkpoint saved")
     print(f"pretrained LM for {len(history.rows)} epochs")
@@ -560,18 +567,13 @@ def cmd_train_gen(args) -> int:
     graph = None
     if args.graph and not cfg.no_input_supplement:
         graph, _ = kg_mod.load_triples(args.graph)
-    if args.lm_ckpt and not cfg.no_knowledge:
-        decoder, vocab, _ = _load_decoder_bundle(args.lm_ckpt)
-        knowledge_base = "pretrained"
-    else:
-        knowledge_base = "fresh"
-        if args.lm_ckpt and cfg.no_knowledge:
-            log.info("train-gen: --no-knowledge set; ignoring the pretrained LM checkpoint")
-        texts = [q for q, _ in qa_pairs] + [a for _, a in qa_pairs]
-        if graph is not None:
-            texts += [t.render() for t in graph.triples]
-        vocab = tok_mod.build_vocab(texts, min_freq=cfg.min_freq)
-        decoder = gen_mod.Decoder(_decoder_config(cfg, vocab.size), Rng(cfg.seed).spawn("decoder.init"))
+    if args.lm_ckpt and cfg.no_knowledge:
+        log.info("train-gen: --no-knowledge set; ignoring the pretrained LM checkpoint")
+    lm_ckpt = None if cfg.no_knowledge else args.lm_ckpt
+    texts = [q for q, _ in qa_pairs] + [a for _, a in qa_pairs]
+    if graph is not None:
+        texts += [t.render() for t in graph.triples]
+    decoder, vocab = _base_model(cfg, "decoder", lm_ckpt, texts)
     fine = gen_mod.finetune_qa(
         decoder,
         qa_pairs,
@@ -581,19 +583,30 @@ def cmd_train_gen(args) -> int:
         supplement_max_chars=cfg.supplement_max_chars,
     )
     fine.history.write_csv(out / "train.log.csv")
-    meta = {
-        "kind": "decoder",
-        "decoder_config": asdict(decoder.config),
-        "supplement_max_chars": cfg.supplement_max_chars,
-        "uses_input_supplement": graph is not None,
-        "knowledge_base": knowledge_base,
-        "skipped_pairs": fine.skipped,
-    }
-    _save_bundle(out, "gen", decoder.params, meta, vocab)
+    _save_bundle(
+        out, "gen", "decoder", {"decoder": decoder}, vocab,
+        supplement_max_chars=cfg.supplement_max_chars,
+        uses_input_supplement=graph is not None,
+        knowledge_base="pretrained" if lm_ckpt else "fresh",
+        skipped_pairs=fine.skipped,
+    )
     if fine.history.aborted:
         raise NumericsError("fine-tuning diverged; last good checkpoint saved")
     print(f"fine-tuned generator on {len(qa_pairs) - fine.skipped} pairs ({fine.skipped} skipped)")
     return EXIT_OK
+
+
+def _answer(cfg: RunConfig, decoder, vocab, meta: dict, graph, question: str) -> dict:
+    """One generated answer row, decoded as the run config says."""
+    request = gen_mod.GenerationRequest(
+        question=question,
+        strategy=cfg.decode,
+        top_k=cfg.top_k,
+        temperature=cfg.temperature,
+        seed=cfg.seed,
+        max_gen_len=cfg.max_gen_len,
+    )
+    return gen_mod.generate(decoder, request, graph, vocab, meta.get("supplement_max_chars", cfg.supplement_max_chars))
 
 
 def cmd_eval_gen(args) -> int:
@@ -606,15 +619,7 @@ def cmd_eval_gen(args) -> int:
     rows = []
     refs = []
     for s in result.samples:
-        request = gen_mod.GenerationRequest(
-            question=s.question,
-            strategy=cfg.decode,
-            top_k=cfg.top_k,
-            temperature=cfg.temperature,
-            seed=cfg.seed,
-            max_gen_len=cfg.max_gen_len,
-        )
-        rows.append(gen_mod.generate(decoder, request, graph, vocab, meta.get("supplement_max_chars", cfg.supplement_max_chars)))
+        rows.append(_answer(cfg, decoder, vocab, meta, graph, s.question))
         refs.append(s.answer or "")
     with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
@@ -651,7 +656,7 @@ def cmd_metrics(args) -> int:
     ref_lines = _read_metric_lines(args.ref)
     encoder = vocab = None
     if args.encoder:
-        encoder, vocab, _ = _load_encoder_bundle(args.encoder)
+        encoder, vocab, _ = _load_bundle(args.encoder, "encoder")
     report = genmetrics.report(gen_lines, ref_lines, encoder=encoder, vocab=vocab)
     text = json.dumps(report.to_json(), ensure_ascii=False, sort_keys=True, indent=2)
     if args.out:
@@ -672,15 +677,7 @@ def cmd_chat(args) -> int:
         question = line.strip()
         if not question:
             continue
-        request = gen_mod.GenerationRequest(
-            question=question,
-            strategy=cfg.decode,
-            top_k=cfg.top_k,
-            temperature=cfg.temperature,
-            seed=cfg.seed,
-            max_gen_len=cfg.max_gen_len,
-        )
-        row = gen_mod.generate(decoder, request, graph, vocab, meta.get("supplement_max_chars", cfg.supplement_max_chars))
+        row = _answer(cfg, decoder, vocab, meta, graph, question)
         print(f"supplement: {row['supplement']}")
         print(f"answer: {row['answer']}")
     return EXIT_OK

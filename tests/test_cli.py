@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 import shutil
 import sys
 from dataclasses import asdict
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from medkit import cli
 from medkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig, build_parser, main
 from medkit.encoder import EncoderConfig
-from medkit.generator import DecoderConfig
+from medkit.generator import Decoder, DecoderConfig
 from medkit.kgraph import fixture_graph_path
 from medkit.numerics import NumericsError, load_checkpoint
+from medkit.tokenizer import Vocab
 
 from conftest import CORPUS_SAMPLES, write_corpus
 
@@ -379,19 +382,27 @@ def test_commands_write_only_under_out(tmp_path, corpus_file, monkeypatch):
     assert stray == []
 
 
-def _wrong_kind_argv(command, tmp_path, corpus_file):
-    """`command` pointed at a checked-in bundle of the other kind."""
-    encoder_ckpt, decoder_ckpt = FIXTURES / "encoder" / "encoder.ckpt", FIXTURES / "decoder" / "gen.ckpt"
+def _reader_argv(command, ckpt, tmp_path, corpus_file):
+    """`command`, one of the commands that read a bundle, pointed at `ckpt`."""
     gen = tmp_path / "gen.txt"
     gen.write_text("头痛多喝水\n", encoding="utf-8")
     out = ["--out", tmp_path / "out"] + TINY
     return {
-        "metrics": ["metrics", "--gen", gen, "--ref", gen, "--encoder", decoder_ckpt],
-        "eval-gen": ["eval-gen", "--in", corpus_file, "--ckpt", encoder_ckpt] + out,
-        "train-gen": ["train-gen", "--in", corpus_file, "--lm-ckpt", encoder_ckpt] + out,
-        "train-triage": ["train-triage", "--in", corpus_file, "--encoder-ckpt", decoder_ckpt] + out,
-        "eval-triage": ["eval-triage", "--in", corpus_file, "--ckpt", encoder_ckpt] + out,
+        "metrics": ["metrics", "--gen", gen, "--ref", gen, "--encoder", ckpt],
+        "eval-gen": ["eval-gen", "--in", corpus_file, "--ckpt", ckpt] + out,
+        "chat": ["chat", "--ckpt", ckpt],
+        "train-gen": ["train-gen", "--in", corpus_file, "--lm-ckpt", ckpt] + out,
+        "train-triage": ["train-triage", "--in", corpus_file, "--encoder-ckpt", ckpt] + out,
+        "train-prompt": ["train-prompt", "--in", corpus_file, "--encoder-ckpt", ckpt] + out,
+        "eval-triage": ["eval-triage", "--in", corpus_file, "--ckpt", ckpt] + out,
+        "eval-prompt": ["eval-prompt", "--in", corpus_file, "--ckpt", ckpt] + out,
     }[command]
+
+
+def _wrong_kind_argv(command, tmp_path, corpus_file):
+    """`command` pointed at a checked-in bundle of the other kind."""
+    other = "decoder/gen.ckpt" if command in ("metrics", "train-triage") else "encoder/encoder.ckpt"
+    return _reader_argv(command, FIXTURES / other, tmp_path, corpus_file)
 
 
 @pytest.mark.parametrize(("command", "section"), [
@@ -418,3 +429,198 @@ def test_bundle_missing_a_tensor_exits_one(tmp_path, capsys):
     gen.write_text("头痛多喝水\n", encoding="utf-8")
     assert run(["metrics", "--gen", gen, "--ref", gen, "--encoder", bundle / "encoder.ckpt"]) == EXIT_USAGE
     assert "checkpoint has no tensor 'layer1." in capsys.readouterr().err
+
+
+# -- corrupt bundles ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    """The checkpoint of one bundle of each kind: the checked-in encoder and
+    decoder, and a tiny triage and prompt bundle trained here."""
+    root = tmp_path_factory.mktemp("bundles")
+    corpus = write_corpus(root / "corpus.jsonl")
+    for kind in ("triage", "prompt"):
+        assert run([f"train-{kind}", "--in", corpus, "--seed", 1, "--out", root / kind] + TINY) == EXIT_OK
+    return {
+        "encoder": FIXTURES / "encoder" / "encoder.ckpt",
+        "decoder": FIXTURES / "decoder" / "gen.ckpt",
+        "triage": root / "triage" / "triage.ckpt",
+        "prompt": root / "prompt" / "prompt.ckpt",
+    }
+
+
+# The commands that read each kind of bundle; the first reads all of it.
+READERS = {
+    "encoder": ["metrics", "train-triage", "train-prompt"],
+    "decoder": ["eval-gen", "chat", "train-gen"],
+    "triage": ["eval-triage", "train-prompt"],
+    "prompt": ["eval-prompt", "metrics"],
+}
+DROP = object()
+
+
+def _flip_bit(path, lo, hi, rng):
+    data = bytearray(path.read_bytes())
+    data[rng.randrange(lo, hi)] ^= 1 << rng.randrange(8)
+    path.write_bytes(bytes(data))
+
+
+def _truncate(ckpt, rng):
+    size = ckpt.stat().st_size
+    ckpt.write_bytes(ckpt.read_bytes()[: rng.choice([rng.randrange(24), rng.randrange(24, size), size - 1])])
+
+
+def _flip_in_first_name(ckpt, rng):
+    name_len = int.from_bytes(ckpt.read_bytes()[24:32], "little")
+    _flip_bit(ckpt, 32, 32 + name_len, rng)
+
+
+def _write(name, data):
+    """Replace the bundle file `name` ("meta" for the meta sidecar) with `data`,
+    or delete it when `data` is None."""
+    def corrupt(ckpt, rng):
+        path = ckpt.with_suffix(".meta.json") if name == "meta" else ckpt.parent / name
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return corrupt
+
+
+def _edit_meta(section, key, value):
+    """Set meta[section][key] (meta[key] when `section` is None) to `value`."""
+    def corrupt(ckpt, rng):
+        path = ckpt.with_suffix(".meta.json")
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        target = meta if section is None else meta[section]
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+        path.write_text(json.dumps(meta), encoding="utf-8")
+    return corrupt
+
+
+def _edit_vocab(edit):
+    def corrupt(ckpt, rng):
+        path = ckpt.parent / "vocab.txt"
+        path.write_bytes(edit(path.read_bytes()))
+    return corrupt
+
+
+def _common_cases(kind):
+    section = "decoder_config" if kind == "decoder" else "encoder_config"
+    return {
+        "truncated": _truncate,
+        "flip-in-header": lambda ckpt, rng: _flip_bit(ckpt, 0, 24, rng),
+        "flip-in-tensor-name": _flip_in_first_name,
+        "meta-not-json": _write("meta", "{not json"),
+        "meta-not-an-object": _write("meta", "[1]"),
+        "meta-missing": _write("meta", None),
+        "unknown-key": _edit_meta(section, "bogus", 1),
+        "no-vocab-size": _edit_meta(section, "vocab_size", DROP),
+        "no-ln-eps": _edit_meta(section, "ln_eps", DROP),
+        "hidden-dim-a-string": _edit_meta(section, "hidden_dim", "64"),
+        "num-layers-a-float": _edit_meta(section, "num_layers", 1.0),
+        "num-heads-a-bool": _edit_meta(section, "num_heads", True),
+        "ln-eps-a-string": _edit_meta(section, "ln_eps", "1e-5"),
+        "section-not-an-object": _edit_meta(None, section, [1]),
+        "vocab-line-added": _edit_vocab(lambda data: data + "多余\n".encode("utf-8")),
+        "vocab-line-dropped": _edit_vocab(lambda data: data[: data.rstrip(b"\n").rfind(b"\n") + 1]),
+        "vocab-not-utf8": _edit_vocab(lambda data: data + b"\xff\xfe\n"),
+        "vocab-missing": _write("vocab.txt", None),
+    }
+
+
+# Corruptions of what only the first reader of a kind reads.
+OWN_CASES = {
+    "decoder": {"supplement-a-string": _edit_meta(None, "supplement_max_chars", "64")},
+    "triage": {
+        "head-section-missing": _edit_meta(None, "head_config", DROP),
+        "head-section-not-an-object": _edit_meta(None, "head_config", [1]),
+        "num-classes-a-float": _edit_meta("head_config", "num_classes", 2.0),
+        "use-dd-an-int": _edit_meta("head_config", "use_dd", 1),
+        "label-map-missing": _write("label_map.json", None),
+        "label-map-not-json": _write("label_map.json", "{"),
+        "label-map-not-an-object": _write("label_map.json", "[1]"),
+        "label-map-string-ids": _write("label_map.json", '{"内科": "0", "骨科": "1"}'),
+        "label-map-repeated-id": _write("label_map.json", '{"内科": 0, "骨科": 0}'),
+        "label-map-id-out-of-range": _write("label_map.json", '{"内科": 0, "骨科": 2}'),
+    },
+    "prompt": {
+        "template-missing": _edit_meta(None, "template", DROP),
+        "template-not-an-object": _edit_meta(None, "template", [1]),
+        "template-unknown-key": _edit_meta("template", "bogus", ""),
+        "slot-count-a-string": _edit_meta("template", "mask_slot_count", "1"),
+        "max-len-missing": _edit_meta(None, "max_len", DROP),
+        "max-len-zero": _edit_meta(None, "max_len", 0),
+        "pad-slots-a-string": _edit_meta(None, "include_pad_slots", "no"),
+        "verbalizer-missing": _write("verbalizer.json", None),
+        "verbalizer-empty": _write("verbalizer.json", ""),
+        "verbalizer-not-an-object": _write("verbalizer.json", "[1]"),
+        "verbalizer-surface-an-int": _write("verbalizer.json", '{"内科": 1, "骨科": "骨"}'),
+    },
+}
+CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _common_cases(kind)]
+# A damaged checkpoint exits 1 or 2; anything else is a validation error (exit
+# 1) naming the file at fault: by the case's prefix, or else the meta sidecar.
+CHECKPOINT_CASES = {"truncated", "flip-in-header", "flip-in-tensor-name"}
+NAMED_FILES = {"vocab-": "vocab.txt", "label-map-": "label_map.json", "verbalizer-": "verbalizer.json"}
+CORRUPTIONS += [(kind, case, READERS[kind][:1]) for kind, cases in OWN_CASES.items() for case in cases]
+
+
+@pytest.mark.parametrize(("kind", "case", "readers"), CORRUPTIONS, ids=[f"{kind}-{case}" for kind, case, _ in CORRUPTIONS])
+def test_corrupt_bundle_exits_with_one_error_line(bundles, tmp_path, corpus_file, capsys, monkeypatch, kind, case, readers):
+    corrupt = {**_common_cases(kind), **OWN_CASES.get(kind, {})}[case]
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles[kind].parent, bundle)
+    ckpt = bundle / bundles[kind].name
+    corrupt(ckpt, random.Random(f"{kind}/{case}"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("头痛怎么办\n"))
+    named = next((name for prefix, name in NAMED_FILES.items() if case.startswith(prefix)), ckpt.with_suffix(".meta.json").name)
+    capsys.readouterr()
+    for reader in readers:
+        code = run(_reader_argv(reader, ckpt, tmp_path, corpus_file))
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("medkit:"), (reader, err)
+        if case in CHECKPOINT_CASES:
+            assert code in (EXIT_USAGE, EXIT_RUNTIME), (reader, code, err)
+        else:
+            assert code == EXIT_USAGE and named in err, (reader, code, err)
+
+
+@pytest.mark.parametrize("text", ["", "{not json", "[1]", '{"内科": 1}'], ids=["empty", "not-json", "not-an-object", "surface-an-int"])
+def test_corrupt_verbalizer_flag_exits_one_naming_the_file(tmp_path, corpus_file, capsys, text):
+    verbalizer = tmp_path / "verbalizer.json"
+    verbalizer.write_text(text, encoding="utf-8")
+    assert run(["train-prompt", "--in", corpus_file, "--verbalizer", verbalizer, "--out", tmp_path / "out"] + TINY) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"medkit: error: {verbalizer}")
+
+
+def test_triage_and_prompt_bundles_serve_as_encoders(bundles, tmp_path, corpus_file, capsys):
+    triage_state = load_checkpoint(bundles["triage"])
+    encoder, _, _ = cli._load_bundle(bundles["triage"], "encoder")
+    assert all((triage_state[f"encoder.{name}"] == p.data).all() for name, p in encoder.params.items())
+    assert run(["train-prompt", "--in", corpus_file, "--encoder-ckpt", bundles["triage"], "--out", tmp_path / "p"] + TINY) == EXIT_OK
+    gen = tmp_path / "gen.txt"
+    gen.write_text("头痛多喝水\n", encoding="utf-8")
+    assert run(["metrics", "--gen", gen, "--ref", gen, "--encoder", bundles["prompt"]]) == EXIT_OK
+
+
+@pytest.mark.parametrize(("command", "kind"), [
+    ("eval-triage", "triage"), ("eval-prompt", "prompt"), ("eval-gen", "decoder"), ("metrics", "encoder"),
+])
+def test_each_evaluation_reads_its_checkpoint_once(bundles, tmp_path, corpus_file, capsys, monkeypatch, command, kind):
+    reads = []
+    real = cli.load_checkpoint
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: reads.append(path) or real(path))
+    assert run(_reader_argv(command, bundles[kind], tmp_path, corpus_file)) == EXIT_OK
+    assert reads == [str(bundles[kind])]
+
+
+def test_load_decoder_bundle_returns_decoder_vocab_and_meta():
+    decoder, vocab, meta = cli._load_decoder_bundle(FIXTURES / "decoder" / "gen.ckpt")
+    assert isinstance(decoder, Decoder) and isinstance(vocab, Vocab) and isinstance(meta, dict)
+    assert asdict(decoder.config) == meta["decoder_config"] and vocab.size == decoder.config.vocab_size
