@@ -301,7 +301,10 @@ def _load_bundle(ckpt, *parts: str):
     state = load_checkpoint(ckpt)
     models = [_BUNDLE_PARTS[part][2](config, Rng(0)) for part, config in zip(parts, configs)]
     for part, model in zip(parts, models):
-        load_params(model.params, state, _tensor_prefix(meta.get("kind"), part))
+        try:
+            load_params(model.params, state, _tensor_prefix(meta.get("kind"), part))
+        except ValueError as exc:
+            raise CliError(f"{ckpt} does not fit {meta_path}: {exc}") from None
     return (*models, vocab, meta)
 
 

@@ -5,6 +5,13 @@ ops in this module. The graph is define-by-run: every op returns a new Tensor
 that remembers its parents and a closure computing parent gradients. Tensors
 are value-like: treat them as immutable once constructed; only the optimizer
 writes ``data`` in place, and only between graph builds.
+
+It holds only what the models run: the ops add (+), mul (*), matmul,
+transpose (.T), concat, take_rows, softmax_cross_entropy, lstm and
+transformer_layer (whose array forward, layer_forward, is also the KV-cached
+decode step), backward, no_grad, Rng, the initializers, Adam, fit and the
+checkpoint format. Ops take Tensors only. The reference ops these are checked
+against and the finite-difference grad_check are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -84,57 +91,15 @@ class Tensor:
             raise ShapeError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar -----------------------------------------------------
-
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
     @property
     def T(self) -> "Tensor":
         return transpose(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self) -> None:
-        backward(self)
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 _grad_enabled = True
@@ -169,8 +134,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 # -- arithmetic --------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow surfaces as the non-finite check
         out = a.data + b.data
 
@@ -180,8 +144,7 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), backward_fn)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out = a.data * b.data
 
@@ -191,20 +154,8 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), backward_fn)
 
 
-def neg(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    a = _wrap(a)
-    factor = float(factor)
-    return _make(a.data * factor, (a,), lambda g: (g * factor,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors; gradients flow to both operands."""
-    a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -219,25 +170,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError("transpose needs a 2-D tensor")
     return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _wrap(a)
-    old = a.data.shape
-    out = a.data.reshape(shape)
-
-    def backward_fn(g):
-        return (g.reshape(old),)
-
-    return _make(out, (a,), backward_fn)
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_wrap(p) for p in parts]
     if not parts:
         raise ShapeError("concat needs at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
@@ -250,23 +188,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, tuple(parts), backward_fn)
 
 
-def getitem(a: Tensor, key) -> Tensor:
-    """Basic indexing (ints and slices); duplicates are impossible so the
-    backward pass can scatter with plain assignment."""
-    a = _wrap(a)
-    out = np.asarray(a.data[key], dtype=np.float64)
-
-    def backward_fn(g):
-        z = np.zeros_like(a.data)
-        z[key] += g
-        return (z,)
-
-    return _make(out, (a,), backward_fn)
-
-
 def take_rows(a: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D tensor by integer index (duplicates allowed)."""
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError("take_rows needs a 2-D tensor")
     idx = np.asarray(ids, dtype=np.int64)
@@ -284,50 +207,7 @@ def take_rows(a: Tensor, ids) -> Tensor:
     return _make(out, (a,), backward_fn)
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward_fn(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _make(out, (a,), backward_fn)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-# -- nonlinearities ----------------------------------------------------------
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = _sigmoid(a.data)
-    return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    with np.errstate(over="ignore"):  # overflow surfaces as the non-finite check
-        out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
+# -- fused layers --------------------------------------------------------------
 
 
 def _grid(lengths, rows: int) -> np.ndarray:
@@ -360,7 +240,6 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, le
     sequence still going. The backward pass is hand-written BPTT; non-finite
     gate pre-activations raise NumericsError.
     """
-    x, wx, wh, b = _wrap(x), _wrap(wx), _wrap(wh), _wrap(b)
     k = wh.shape[0]
     if x.ndim != 2 or wx.shape != (x.shape[1], 4 * k) or wh.shape != (k, 4 * k) or b.shape != (4 * k,):
         raise ShapeError(f"lstm shapes disagree: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
@@ -419,8 +298,6 @@ def transformer_layer(x: Tensor, weights: Sequence[Tensor], heads: int, keep, ep
     gain and bias, w1, b1, w2, b2, the second LayerNorm's gain and bias.
     The forward pass is layer_forward; the backward pass is hand-written.
     """
-    x = _wrap(x)
-    weights = [_wrap(w) for w in weights]
     if x.ndim != 2 or heads < 1 or len(weights) != 3 * heads + 10:
         raise ShapeError(f"transformer_layer needs a 2-D x and 3 * heads + 10 weights, got x {x.shape}, {len(weights)} weights and {heads} heads")
     hidden, d, ffn = x.shape[1], weights[0].shape[-1], weights[3 * heads + 4].shape[-1]
@@ -553,44 +430,15 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
     return out, backward_fn
 
 
-# -- softmax family ----------------------------------------------------------
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Probability-normalize along `axis`, with max-subtraction for stability."""
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), backward_fn)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    probs = np.exp(out)
-
-    def backward_fn(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
-
-    return _make(out, (a,), backward_fn)
+# -- loss --------------------------------------------------------------------
 
 
 def softmax_cross_entropy(logits: Tensor, targets, reduction="mean") -> Tensor:
     """Fused log-softmax + NLL over rows of `logits`; the gradient with respect
     to the logits is (softmax - one_hot), which stays stable for any scale.
     `reduction` is "mean", "sum", or one weight per row for a weighted sum."""
-    logits = _wrap(logits)
-    if logits.ndim == 1:
-        logits = reshape(logits, (1, -1))
+    if logits.ndim != 2:
+        raise ShapeError(f"softmax_cross_entropy needs 2-D logits, got {logits.shape}")
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     n, k = logits.data.shape
     if t.shape[0] != n:
@@ -669,51 +517,6 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: Mapping[str, Tensor],
-    eps: float = 1e-4,
-    max_entries_per_param: int = 4,
-    rng: "Rng | None" = None,
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_fn` must be deterministic (it is called repeatedly while single
-    parameter entries are perturbed in place). Returns the maximum relative
-    error |analytic - numeric| / max(1e-8, |analytic| + |numeric|) over a
-    sampled subset of scalar entries.
-    """
-    rng = rng or Rng(0)
-    items = list(params.items())
-    zero_grads(p for _, p in items)
-    loss = loss_fn()
-    if not np.isfinite(loss.data).all():
-        raise NumericsError("loss is not finite")
-    backward(loss)
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for name, p in items}
-
-    worst = 0.0
-    for name, p in items:
-        flat = p.data.reshape(-1)
-        size = flat.shape[0]
-        if size <= max_entries_per_param:
-            picks = np.arange(size)
-        else:
-            picks = rng.choice(size, max_entries_per_param)
-        for idx in picks:
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_fn().item()
-            flat[idx] = orig - eps
-            down = loss_fn().item()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
-            a = float(analytic[name].reshape(-1)[idx])
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, rel)
-    return worst
-
-
 # -- randomness and initialization -------------------------------------------
 
 
@@ -784,11 +587,13 @@ class Adam:
         self.t = 0
         self._m = {}
         self._v = {}
+        self._scratch = {}  # per parameter: the step's numerator and denominator
         for g in self.groups:
             for name, p in g["params"].items():
                 key = (g["name"], name)
                 self._m[key] = np.zeros_like(p.data)
                 self._v[key] = np.zeros_like(p.data)
+                self._scratch[key] = np.empty((2, *p.data.shape))
 
     def zero_grad(self) -> None:
         for g in self.groups:
@@ -804,13 +609,17 @@ class Adam:
                 if p.grad is None:
                     continue
                 key = (g["name"], name)
-                m = self._m[key]
-                v = self._v[key]
+                m, v, scratch = self._m[key], self._v[key], self._scratch[key]
+                num, den = scratch[0, ...], scratch[1, ...]
+                # in place, rounding as p -= lr * (m / c1) / (sqrt(v / c2) + eps)
                 m *= self.beta1
-                m += (1.0 - self.beta1) * p.grad
+                m += np.multiply(p.grad, 1.0 - self.beta1, out=num)
                 v *= self.beta2
-                v += (1.0 - self.beta2) * (p.grad * p.grad)
-                p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                v += np.multiply(np.multiply(p.grad, p.grad, out=den), 1.0 - self.beta2, out=den)
+                np.multiply(np.divide(m, c1, out=num), lr, out=num)
+                np.sqrt(np.divide(v, c2, out=den), out=den)
+                den += self.eps
+                p.data -= np.divide(num, den, out=num)
 
     def state_summary(self) -> dict:
         """Small JSON-able snapshot; exposes the learning-rate groups."""
@@ -892,7 +701,11 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config, tag: str, stop_
 
 
 def load_params(params: Mapping[str, Tensor], state: Mapping[str, np.ndarray], prefix: str = "") -> None:
-    """Copy `state[prefix + name]` into each named parameter; shapes must match."""
+    """Copy `state[prefix + name]` into each named parameter; shapes must
+    match, and every tensor of `state` under `prefix` must go to a parameter."""
+    unused = sorted(set(key for key in state if key.startswith(prefix)) - {prefix + name for name in params})
+    if unused:
+        raise ValueError(f"checkpoint tensors {unused} fit no parameter")
     for name, p in params.items():
         if prefix + name not in state:
             raise ValueError(f"checkpoint has no tensor {prefix + name!r}")
@@ -941,18 +754,18 @@ def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint; a truncated or otherwise malformed file raises
-    NumericsError, never a struct or buffer error."""
+    NumericsError naming the file, never a struct or buffer error."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
-        raise NumericsError("not a checkpoint file (bad magic)")
+        raise NumericsError(f"{path}: not a checkpoint file (bad magic)")
     offset = 8
 
     def take(size: int) -> int:
         """Claim the next `size` bytes; returns where they start."""
         nonlocal offset
         if offset + size > len(blob):
-            raise NumericsError(f"truncated checkpoint: needs {offset + size} bytes, file has {len(blob)}")
+            raise NumericsError(f"{path}: truncated checkpoint: needs {offset + size} bytes, file has {len(blob)}")
         start = offset
         offset += size
         return start
@@ -962,7 +775,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     (version,) = u64s(1)
     if version != CHECKPOINT_VERSION:
-        raise NumericsError(f"unsupported checkpoint version {version}")
+        raise NumericsError(f"{path}: unsupported checkpoint version {version}")
     (count,) = u64s(1)
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -971,12 +784,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         try:
             name = blob[start:offset].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise NumericsError(f"corrupt tensor name in checkpoint: {exc}") from exc
+            raise NumericsError(f"{path}: corrupt tensor name in checkpoint: {exc}") from exc
         (rank,) = u64s(1)
         dims = u64s(rank)
         n = math.prod(dims)
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).reshape(dims)
         out[name] = arr.astype(np.float64)
     if offset != len(blob):
-        raise NumericsError("trailing bytes in checkpoint")
+        raise NumericsError(f"{path}: trailing bytes in checkpoint")
     return out

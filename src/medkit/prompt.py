@@ -128,7 +128,9 @@ def score_labels(
     every slot).
     """
     with nm.no_grad():
-        logprobs = nm.log_softmax(encoder.mlm_logits(prompts, _slot_rows(prompts, slots)), axis=-1).data
+        logits = encoder.mlm_logits(prompts, _slot_rows(prompts, slots)).data
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logprobs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logprobs = logprobs.reshape(-1, np.shape(slots)[-1], logprobs.shape[-1])
     return [
         {label: sum(float(rows[i, tok]) for i, tok in enumerate(token_ids) if include_pad_slots or tok != PAD_ID) for label, token_ids in verbalizer.label_tokens.items()}

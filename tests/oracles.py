@@ -313,6 +313,127 @@ def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
     return {"question": request.question, "supplement": supplement_text, "answer": decode(generated, vocab)}
 
 
+def scale(a, factor):
+    factor = float(factor)
+    return nm._make(a.data * factor, (a,), lambda g: (g * factor,))
+
+
+def getitem(a, key):
+    """Basic indexing (ints and slices); duplicates are impossible so the
+    backward pass can scatter with plain assignment."""
+    out = np.asarray(a.data[key], dtype=np.float64)
+
+    def backward_fn(g):
+        z = np.zeros_like(a.data)
+        z[key] += g
+        return (z,)
+
+    return nm._make(out, (a,), backward_fn)
+
+
+def tensor_sum(a, axis=None, keepdims=False):
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward_fn(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis=axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
+
+    return nm._make(out, (a,), backward_fn)
+
+
+def tanh(a):
+    out = np.tanh(a.data)
+    return nm._make(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def _sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(a):
+    out = _sigmoid(a.data)
+    return nm._make(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def softmax(a, axis=-1):
+    """Probability-normalize along `axis`, with max-subtraction for stability."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - dot),)
+
+    return nm._make(out, (a,), backward_fn)
+
+
+def log_softmax(a, axis=-1):
+    m = a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - m
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = shifted - lse
+    probs = np.exp(out)
+
+    def backward_fn(g):
+        return (g - probs * g.sum(axis=axis, keepdims=True),)
+
+    return nm._make(out, (a,), backward_fn)
+
+
+def grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=4, rng=None):
+    """Compare analytic gradients against central finite differences.
+
+    `loss_fn` must be deterministic (it is called repeatedly while single
+    parameter entries are perturbed in place). Returns the maximum relative
+    error |analytic - numeric| / max(1e-8, |analytic| + |numeric|) over a
+    sampled subset of scalar entries.
+    """
+    rng = rng or Rng(0)
+    items = list(params.items())
+    nm.zero_grads(p for _, p in items)
+    loss = loss_fn()
+    if not np.isfinite(loss.data).all():
+        raise nm.NumericsError("loss is not finite")
+    nm.backward(loss)
+    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for name, p in items}
+
+    worst = 0.0
+    for name, p in items:
+        flat = p.data.reshape(-1)
+        size = flat.shape[0]
+        if size <= max_entries_per_param:
+            picks = np.arange(size)
+        else:
+            picks = rng.choice(size, max_entries_per_param)
+        for idx in picks:
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up = loss_fn().item()
+            flat[idx] = orig - eps
+            down = loss_fn().item()
+            flat[idx] = orig
+            numeric = (up - down) / (2.0 * eps)
+            a = float(analytic[name].reshape(-1)[idx])
+            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            worst = max(worst, rel)
+    return worst
+
+
+def adam_step(data, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step `t` (from 1) on one parameter's arrays, one expression per update."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 def lstm_direction_ops(x, wx, wh, b, reverse):
     """One LSTM pass built op by op from autograd Tensors (about 17 graph
     nodes per step); returns the (seq, hidden) outputs in row order.
@@ -326,14 +447,14 @@ def lstm_direction_ops(x, wx, wh, b, reverse):
     steps = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
     outputs = [None] * seq_len
     for t in steps:
-        row = x[t : t + 1, :]
+        row = getitem(x, slice(t, t + 1))
         z = nm.matmul(row, wx) + nm.matmul(h, wh) + b
-        i = nm.sigmoid(z[:, 0:hidden])
-        f = nm.sigmoid(z[:, hidden : 2 * hidden])
-        g = nm.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = nm.sigmoid(z[:, 3 * hidden : 4 * hidden])
+        i = sigmoid(getitem(z, (slice(None), slice(0, hidden))))
+        f = sigmoid(getitem(z, (slice(None), slice(hidden, 2 * hidden))))
+        g = tanh(getitem(z, (slice(None), slice(2 * hidden, 3 * hidden))))
+        o = sigmoid(getitem(z, (slice(None), slice(3 * hidden, 4 * hidden))))
         c = f * c + i * g
-        h = o * nm.tanh(c)
+        h = o * tanh(c)
         outputs[t] = h
     return nm.concat(outputs, axis=0)
 
@@ -348,10 +469,10 @@ def attention_ops(x, wq, wk, wv, keep):
     heads = []
     for wq_h, wk_h, wv_h in zip(wq, wk, wv):
         q, k, v = nm.matmul(x, wq_h), nm.matmul(x, wk_h), nm.matmul(x, wv_h)
-        scores = nm.scale(nm.matmul(q, k.T), 1.0 / np.sqrt(q.shape[1]))
+        scores = scale(nm.matmul(q, k.T), 1.0 / np.sqrt(q.shape[1]))
         live = np.broadcast_to(np.asarray(keep, dtype=bool), scores.shape).copy()
         live[~live.any(axis=-1), 0] = True
-        weights = nm.softmax(masked_fill(scores, live, -1e30), axis=-1)
+        weights = softmax(masked_fill(scores, live, -1e30), axis=-1)
         heads.append(nm.matmul(weights, v))
     return nm.concat(heads, axis=1)
 
@@ -359,7 +480,6 @@ def attention_ops(x, wq, wk, wv, keep):
 def masked_fill(a, keep, value):
     """Replace entries where `keep` is False by `value`; gradient flows only
     through kept entries, so masked inputs cannot influence the output at all."""
-    a = nm._wrap(a)
     keep_arr = np.broadcast_to(np.asarray(keep, dtype=bool), a.data.shape)
     out = np.where(keep_arr, a.data, float(value))
 
@@ -372,7 +492,6 @@ def masked_fill(a, keep, value):
 def cross_entropy(probs, target_index):
     """Negative log-likelihood of `target_index` under an already-normalized
     distribution. A zero probability is clamped to 1e-12 with a warning."""
-    probs = nm._wrap(probs)
     if probs.ndim != 1:
         raise nm.ShapeError("cross_entropy expects a 1-D distribution")
     t = int(target_index)
@@ -397,7 +516,6 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(a):
     """Gaussian error linear unit (tanh approximation)."""
-    a = nm._wrap(a)
     x = a.data
     with np.errstate(over="ignore"):  # in place, rounding as C * (x + 0.044715 * (x * x * x))
         t = x * x * x
@@ -426,7 +544,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then apply an
     affine gain and bias. `eps` sits inside the square root and guards the
     zero-variance case."""
-    x, gain, bias = nm._wrap(x), nm._wrap(gain), nm._wrap(bias)
     n = x.data.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise nm.ShapeError("layer_norm gain/bias must match the last axis")
@@ -468,8 +585,7 @@ def attention(x, wq, wk, wv, keep, cache=None, lengths=None):
     only while the weights stay unchanged. Cached keys and values are plain
     arrays that cannot pass gradients back, so the result then has no graph.
     """
-    x = nm._wrap(x)
-    ws = [nm._wrap(w) for w in (*wq, *wk, *wv)]
+    ws = [*wq, *wk, *wv]
     heads = len(wq)
     if x.ndim != 2 or not heads or len(wk) != heads or len(wv) != heads:
         raise nm.ShapeError(f"attention needs a 2-D x and equal per-head weight lists, got x {x.shape} and {len(wq)}/{len(wk)}/{len(wv)} heads")
@@ -573,7 +689,7 @@ def _scaled_sum(losses, factor):
     total = losses[0]
     for piece in losses[1:]:
         total = total + piece
-    return nm.scale(total, factor)
+    return scale(total, factor)
 
 
 def mlm_loss_per_sample(encoder, batch):
@@ -606,7 +722,7 @@ def supervised_loss_per_sample(encoder, head, batch):
             fwd, bwd = ([head.params[f"lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
             outs_f, outs_b = lstm_direction_ops(x, *fwd, False), lstm_direction_ops(x, *bwd, True)
             x = nm.concat([outs_f, outs_b], axis=1)
-        features = nm.concat([outs_f[-1:, :], outs_b[0:1, :], states[0:1, :]], axis=1)
+        features = nm.concat([getitem(outs_f, slice(-1, None)), getitem(outs_b, slice(0, 1)), getitem(states, slice(0, 1))], axis=1)
         for w in head.dd_stack():
             features = nm.matmul(features * features, w)
         logits = nm.matmul(features, head.params["dense.w"]) + head.params["dense.b"]

@@ -38,6 +38,7 @@ from oracles import (
     bf_ter,
     bf_transport_cost,
     bf_weighted_prf,
+    grad_check,
 )
 
 
@@ -69,7 +70,7 @@ def test_criterion_01_gradient_integrity():
 
         params = {f"encoder.{k}": v for k, v in encoder.params.items()}
         params.update({f"head.{k}": v for k, v in head.params.items()})
-        err = nm.grad_check(triage_loss, params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
+        err = grad_check(triage_loss, params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
         assert err < 1e-4, f"encoder+triage gradient error {err}"
 
         dec_cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16, context_window=12)
@@ -79,7 +80,7 @@ def test_criterion_01_gradient_integrity():
         def lm_loss_fn():
             return lm_loss(decoder, ids, [True] * len(ids))
 
-        err = nm.grad_check(lm_loss_fn, decoder.params, eps=1e-4, max_entries_per_param=2, rng=Rng(3))
+        err = grad_check(lm_loss_fn, decoder.params, eps=1e-4, max_entries_per_param=2, rng=Rng(3))
         assert err < 1e-4, f"decoder gradient error {err}"
 
         elapsed = time.perf_counter() - started

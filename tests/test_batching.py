@@ -21,6 +21,8 @@ from medkit.triage import TriageConfig, TriageHead, TriageTrainConfig, predict_l
 from oracles import (
     attention,
     attention_ops,
+    getitem,
+    grad_check,
     lm_loss_per_sample,
     lstm_direction_ops,
     mlm_loss_per_sample,
@@ -28,6 +30,7 @@ from oracles import (
     slot_loss_per_sample,
     states_ops,
     supervised_loss_per_sample,
+    tensor_sum,
 )
 
 MAX_LEN = 12
@@ -175,15 +178,15 @@ def test_attention_batch_matches_per_sequence_oracle(causal):
     weights = Tensor(rng.normal(size=(sum(lengths), 8)))
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = attention(leaves[0], leaves[1:3], leaves[3:5], leaves[5:7], keep, lengths=lengths)
-    nm.backward((out * weights).sum())
+    nm.backward(tensor_sum(out * weights))
     oracle_leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     pieces, start = [], 0
     for n in lengths:
-        x = oracle_leaves[0][start : start + n, :]
+        x = getitem(oracle_leaves[0], slice(start, start + n))
         pieces.append(attention_ops(x, oracle_leaves[1:3], oracle_leaves[3:5], oracle_leaves[5:7], np.tril(np.ones((n, n), dtype=bool)) if causal else np.ones((n, n), dtype=bool)))
         start += n
     expected = nm.concat(pieces, axis=0)
-    nm.backward((expected * weights).sum())
+    nm.backward(tensor_sum(expected * weights))
     assert np.max(np.abs(out.data - expected.data)) <= 1e-10
     for leaf, oracle in zip(leaves, oracle_leaves):
         assert np.max(np.abs(leaf.grad - oracle.grad)) <= 1e-10
@@ -197,11 +200,11 @@ def test_lstm_batch_matches_per_sequence_oracle(reverse):
     weights = Tensor(rng.normal(size=(sum(lengths), 2)))
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out, final = triage.lstm_direction(*leaves, reverse=reverse, lengths=lengths)
-    nm.backward((out * weights).sum())
+    nm.backward(tensor_sum(out * weights))
     oracle_leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     ends = np.cumsum(lengths)
-    expected = nm.concat([lstm_direction_ops(oracle_leaves[0][e - n : e, :], *oracle_leaves[1:], reverse) for n, e in zip(lengths, ends)], axis=0)
-    nm.backward((expected * weights).sum())
+    expected = nm.concat([lstm_direction_ops(getitem(oracle_leaves[0], slice(e - n, e)), *oracle_leaves[1:], reverse) for n, e in zip(lengths, ends)], axis=0)
+    nm.backward(tensor_sum(expected * weights))
     assert np.max(np.abs(out.data - expected.data)) <= 1e-10
     assert np.array_equal(final.data, out.data[ends - np.array(lengths) if reverse else ends - 1])
     for leaf, oracle in zip(leaves, oracle_leaves):
@@ -218,10 +221,10 @@ def test_batched_attention_matches_finite_differences(causal):
     weights = Tensor(rng.normal(size=(8, 4)))
 
     def loss_fn():
-        return (attention(x, wq, wk, wv, keep, lengths=lengths) * weights).sum()
+        return tensor_sum(attention(x, wq, wk, wv, keep, lengths=lengths) * weights)
 
     params = {"x": x, **{f"w{kind}{h}": w for kind, ws in zip("qkv", (wq, wk, wv)) for h, w in enumerate(ws)}}
-    assert nm.grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=Rng(0)) < 1e-5
+    assert grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=Rng(0)) < 1e-5
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
@@ -235,9 +238,9 @@ def test_batched_lstm_matches_finite_differences(reverse):
     weights = Tensor(rng.normal(size=(9, 2)))
 
     def loss_fn():
-        return (nm.lstm(x, wx, wh, b, reverse, lengths) * weights).sum()
+        return tensor_sum(nm.lstm(x, wx, wh, b, reverse, lengths) * weights)
 
-    assert nm.grad_check(loss_fn, {"x": x, "wx": wx, "wh": wh, "b": b}, eps=1e-5, max_entries_per_param=6, rng=Rng(0)) < 1e-5
+    assert grad_check(loss_fn, {"x": x, "wx": wx, "wh": wh, "b": b}, eps=1e-5, max_entries_per_param=6, rng=Rng(0)) < 1e-5
 
 
 def test_ragged_lengths_must_split_the_rows():

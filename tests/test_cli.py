@@ -489,13 +489,15 @@ def _write(name, data):
 
 
 def _edit_meta(section, key, value):
-    """Set meta[section][key] (meta[key] when `section` is None) to `value`."""
+    """Set meta[section][key] (meta[key] when `section` is None) to `value`, or to value(old) if callable."""
     def corrupt(ckpt, rng):
         path = ckpt.with_suffix(".meta.json")
         meta = json.loads(path.read_text(encoding="utf-8"))
         target = meta if section is None else meta[section]
         if value is DROP:
             del target[key]
+        elif callable(value):
+            target[key] = value(target[key])
         else:
             target[key] = value
         path.write_text(json.dumps(meta), encoding="utf-8")
@@ -524,6 +526,8 @@ def _common_cases(kind):
         "hidden-dim-a-string": _edit_meta(section, "hidden_dim", "64"),
         "num-layers-a-float": _edit_meta(section, "num_layers", 1.0),
         "num-heads-a-bool": _edit_meta(section, "num_heads", True),
+        "num-layers-negative": _edit_meta(section, "num_layers", -1),
+        "num-layers-fewer": _edit_meta(section, "num_layers", lambda layers: layers - 1),
         "ln-eps-a-string": _edit_meta(section, "ln_eps", "1e-5"),
         "section-not-an-object": _edit_meta(None, section, [1]),
         "vocab-line-added": _edit_vocab(lambda data: data + "多余\n".encode("utf-8")),
@@ -563,8 +567,9 @@ OWN_CASES = {
     },
 }
 CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _common_cases(kind)]
-# A damaged checkpoint exits 1 or 2; anything else is a validation error (exit
-# 1) naming the file at fault: by the case's prefix, or else the meta sidecar.
+# A damaged checkpoint exits 1 or 2 naming the checkpoint; anything else is a
+# validation error (exit 1) naming the file at fault: by the case's prefix, or
+# else the meta sidecar.
 CHECKPOINT_CASES = {"truncated", "flip-in-header", "flip-in-tensor-name"}
 NAMED_FILES = {"vocab-": "vocab.txt", "label-map-": "label_map.json", "verbalizer-": "verbalizer.json"}
 CORRUPTIONS += [(kind, case, READERS[kind][:1]) for kind, cases in OWN_CASES.items() for case in cases]
@@ -585,7 +590,7 @@ def test_corrupt_bundle_exits_with_one_error_line(bundles, tmp_path, corpus_file
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("medkit:"), (reader, err)
         if case in CHECKPOINT_CASES:
-            assert code in (EXIT_USAGE, EXIT_RUNTIME), (reader, code, err)
+            assert code in (EXIT_USAGE, EXIT_RUNTIME) and ckpt.name in err, (reader, code, err)
         else:
             assert code == EXIT_USAGE and named in err, (reader, code, err)
 

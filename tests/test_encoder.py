@@ -16,7 +16,7 @@ from medkit.encoder import (
 from medkit.numerics import Rng, Tensor
 from medkit.tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, TokenSequence, build_vocab, encode
 
-from oracles import attention, layer_norm
+from oracles import attention, grad_check, layer_norm
 
 
 def tiny_config(vocab_size: int, **kw) -> EncoderConfig:
@@ -190,7 +190,7 @@ def test_encoder_gradient_check(vocab):
     def loss_fn():
         return mlm_loss(enc, [(corrupted, positions, originals)])
 
-    err = nm.grad_check(loss_fn, enc.params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
+    err = grad_check(loss_fn, enc.params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
     assert err < 1e-4
 
 

@@ -23,7 +23,7 @@ from medkit.numerics import Rng
 from medkit.tokenizer import EOS_ID, build_vocab, encode
 
 from conftest import CORPUS_SAMPLES
-from oracles import generate_uncached
+from oracles import generate_uncached, grad_check
 
 
 @pytest.fixture()
@@ -76,7 +76,7 @@ def test_lm_logits_gradient_check(vocab):
     def loss_fn():
         return lm_loss(model, ids, [True] * len(ids))
 
-    err = nm.grad_check(loss_fn, model.params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
+    err = grad_check(loss_fn, model.params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
     assert err < 1e-4
 
 

@@ -18,6 +18,8 @@ from medkit.prompt import (
 )
 from medkit.tokenizer import MASK_ID, PAD_ID, SEP_ID, TokenBatch, build_vocab
 
+from oracles import log_softmax
+
 
 @pytest.fixture()
 def vocab():
@@ -263,7 +265,7 @@ def test_score_labels_builds_no_graph(vocab, monkeypatch):
     batch = TokenBatch.stack([seq])
     logits = enc.mlm_logits(batch)
     assert logits.requires_grad
-    logprobs = nm.log_softmax(nm.take_rows(logits, slots), axis=-1).data
+    logprobs = log_softmax(nm.take_rows(logits, slots), axis=-1).data
     expected = {label: sum(float(logprobs[i, t]) for i, t in enumerate(toks)) for label, toks in verb.label_tokens.items()}
     real = enc.mlm_logits
     seen = []

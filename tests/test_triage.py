@@ -20,7 +20,7 @@ from medkit.triage import (
     train_supervised,
 )
 
-from oracles import bf_confusion_metrics, bf_dendrite, lstm_direction_ops
+from oracles import bf_confusion_metrics, bf_dendrite, grad_check, lstm_direction_ops, softmax, tensor_sum
 
 
 @pytest.fixture()
@@ -94,11 +94,11 @@ def test_bilstm_gradient_check(vocab):
 
     def loss_fn():
         out = bilstm(reps, [5], head.params, head.config.num_lstm_layers)
-        return (out * Tensor(weights)).sum()
+        return tensor_sum(out * Tensor(weights))
 
     params = {"reps": reps}
     params.update({k: v for k, v in head.params.items() if k.startswith("lstm")})
-    err = nm.grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
+    err = grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
     assert err < 1e-4
 
 
@@ -119,7 +119,7 @@ def test_lstm_direction_matches_op_by_op_oracle(reverse, seq_len, in_mult):
     for run in (lambda *leaves: triage.lstm_direction(*leaves, reverse=reverse), lambda *leaves: (lstm_direction_ops(*leaves, reverse), None)):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out, final = run(*leaves)
-        nm.backward((out * weights).sum())
+        nm.backward(tensor_sum(out * weights))
         results.append([out.data] + [leaf.grad for leaf in leaves])
         if final is not None:  # the state after the last step taken
             assert np.array_equal(final.data, out.data[[0 if reverse else -1]])
@@ -225,15 +225,15 @@ def test_dendrite_gradient_is_closed_form():
     m = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     out_weights = rng.normal(size=2)
-    loss = (dendrite(m, [w]) * Tensor(out_weights)).sum()
+    loss = tensor_sum(dendrite(m, [w]) * Tensor(out_weights))
     nm.backward(loss)
     expected_m = 2 * m.data * (w.data @ out_weights)
     assert np.allclose(m.grad, expected_m, atol=1e-12)
 
     def loss_fn():
-        return (dendrite(m, [w]) * Tensor(out_weights)).sum()
+        return tensor_sum(dendrite(m, [w]) * Tensor(out_weights))
 
-    assert nm.grad_check(loss_fn, {"m": m, "w": w}, eps=1e-5, rng=Rng(0)) < 1e-6
+    assert grad_check(loss_fn, {"m": m, "w": w}, eps=1e-5, rng=Rng(0)) < 1e-6
 
 
 def _dense_probs(features: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,7 +242,7 @@ def _dense_probs(features: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
     softmax(features @ w + b)."""
     head = _head(hidden=features.shape[0], classes=w.shape[1], use_bilstm=False, use_dd=False)
     head.params["dense.w"].data, head.params["dense.b"].data = w, b
-    return nm.softmax(head.forward_logits(SimpleNamespace(cls_vector=Tensor(features[None, :]))), axis=-1).data[0]
+    return softmax(head.forward_logits(SimpleNamespace(cls_vector=Tensor(features[None, :]))), axis=-1).data[0]
 
 
 def test_classify_zero_weights_uniform():
@@ -271,7 +271,7 @@ def test_classify_is_distribution():
 def test_head_forward_is_distribution(vocab):
     enc = _encoder(vocab)
     head = _head()
-    probs = nm.softmax(head.forward_logits(enc.encode(_batch(vocab, "甲乙丙丁", "东"))), axis=-1)
+    probs = softmax(head.forward_logits(enc.encode(_batch(vocab, "甲乙丙丁", "东"))), axis=-1)
     assert np.all(np.abs(probs.data.sum(axis=1) - 1.0) < 1e-12)
 
 
@@ -350,10 +350,10 @@ def test_full_pipeline_gradient_check_frozen_and_unfrozen(vocab):
         return nm.softmax_cross_entropy(logits, [1])
 
     head_only = dict(head.params)
-    assert nm.grad_check(loss_fn, head_only, eps=1e-4, max_entries_per_param=2, rng=Rng(0)) < 1e-4
+    assert grad_check(loss_fn, head_only, eps=1e-4, max_entries_per_param=2, rng=Rng(0)) < 1e-4
     joint = dict(head.params)
     joint.update(enc.params)
-    assert nm.grad_check(loss_fn, joint, eps=1e-4, max_entries_per_param=1, rng=Rng(1)) < 1e-4
+    assert grad_check(loss_fn, joint, eps=1e-4, max_entries_per_param=1, rng=Rng(1)) < 1e-4
 
 
 def test_ablation_configs_change_parameter_counts():
