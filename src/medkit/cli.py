@@ -30,7 +30,7 @@ from . import kgraph as kg_mod
 from . import prompt as prompt_mod
 from . import triage as triage_mod
 from . import tokenizer as tok_mod
-from .numerics import NumericsError, Rng, load_checkpoint, load_params, save_checkpoint
+from .numerics import NumericsError, Rng, TrainConfig, load_checkpoint, load_params, save_checkpoint
 
 log = logging.getLogger("medkit")
 
@@ -205,11 +205,18 @@ def _read_texts(path) -> list[str]:
 
 
 def _labeled_pairs(samples, granularity: str):
-    field_name = "label_fine" if granularity == "fine" else "label_coarse"
+    field_name = corpus_mod.label_field(samples, granularity) or "label_coarse"  # None: no sample has a label
     pairs = [(s.question, getattr(s, field_name)) for s in samples if getattr(s, field_name) is not None]
     if not pairs:
         raise CliError(f"no samples carry a {field_name} label")
     return pairs
+
+
+def _graph(args, cfg: RunConfig):
+    """The --graph knowledge graph, or None without --graph or under no_input_supplement."""
+    if not args.graph or cfg.no_input_supplement:
+        return None
+    return kg_mod.load_triples(args.graph)[0]
 
 
 # -- model bundles ---------------------------------------------------------------
@@ -404,11 +411,7 @@ def cmd_pretrain_encoder(args) -> int:
         raise CliError("no training texts found")
     encoder, vocab = _base_model(cfg, "encoder", None, texts)
     sequences = [tok_mod.encode(t, vocab, cfg.max_len, mode="encoder") for t in texts]
-    history = enc_mod.pretrain(
-        encoder,
-        sequences,
-        enc_mod.PretrainConfig(epochs=cfg.mlm_epochs, lr=cfg.mlm_lr, batch_size=cfg.batch_size, seed=cfg.seed),
-    )
+    history = enc_mod.pretrain(encoder, sequences, TrainConfig(cfg.mlm_epochs, cfg.mlm_lr, cfg.batch_size, cfg.seed))
     history.write_csv(out / "pretrain.log.csv")
     _save_bundle(out, "encoder", "encoder", {"encoder": encoder}, vocab)
     if history.aborted:
@@ -434,18 +437,7 @@ def cmd_train_triage(args) -> int:
     head = triage_mod.TriageHead(config, Rng(cfg.seed).spawn("triage.init"))
     max_len = encoder.config.max_len  # a loaded bundle fixes the sequence length
     dataset = [(tok_mod.encode(q, vocab, max_len, mode="encoder"), label_map[label]) for q, label in pairs]
-    history = triage_mod.train_supervised(
-        encoder,
-        head,
-        dataset,
-        triage_mod.TriageTrainConfig(
-            epochs=cfg.triage_epochs,
-            lr_encoder=cfg.lr_encoder,
-            lr_head=cfg.lr_head,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-        ),
-    )
+    history = triage_mod.train_supervised(encoder, head, dataset, TrainConfig(cfg.triage_epochs, cfg.lr_head, cfg.batch_size, cfg.seed), cfg.lr_encoder)
     history.write_csv(out / "train.log.csv")
     _write_json(out / "optimizer_state.json", history.optimizer_state)
     _write_json(out / "label_map.json", label_map)
@@ -503,13 +495,7 @@ def cmd_train_prompt(args) -> int:
     template = prompt_mod.PromptTemplate(prefix=cfg.prompt_prefix, suffix=cfg.prompt_suffix, mask_slot_count=verbalizer.mask_slot_count)
     max_len = encoder.config.max_len  # a loaded bundle fixes the sequence length
     history = prompt_mod.train_prompt(
-        encoder,
-        pairs,
-        template,
-        verbalizer,
-        vocab,
-        max_len,
-        prompt_mod.PromptTrainConfig(epochs=cfg.prompt_epochs, lr=cfg.prompt_lr, batch_size=cfg.batch_size, seed=cfg.seed),
+        encoder, pairs, template, verbalizer, vocab, max_len, TrainConfig(cfg.prompt_epochs, cfg.prompt_lr, cfg.batch_size, cfg.seed)
     )
     history.write_csv(out / "train.log.csv")
     _save_bundle(out, "prompt", "prompt", {"encoder": encoder}, vocab, template=asdict(template), include_pad_slots=cfg.include_pad_slots, max_len=max_len)
@@ -547,12 +533,7 @@ def cmd_pretrain_lm(args) -> int:
     if not texts:
         raise CliError("no training texts found")
     decoder, vocab = _base_model(cfg, "decoder", None, texts)
-    history = gen_mod.pretrain_lm(
-        decoder,
-        texts,
-        vocab,
-        gen_mod.LmTrainConfig(epochs=cfg.lm_pretrain_epochs, lr=cfg.lm_lr, batch_size=cfg.batch_size, seed=cfg.seed),
-    )
+    history = gen_mod.pretrain_lm(decoder, texts, vocab, TrainConfig(cfg.lm_pretrain_epochs, cfg.lm_lr, cfg.batch_size, cfg.seed))
     history.write_csv(out / "pretrain.log.csv")
     _save_bundle(out, "lm", "decoder", {"decoder": decoder}, vocab)
     if history.aborted:
@@ -567,9 +548,7 @@ def cmd_train_gen(args) -> int:
     qa_pairs = [(s.question, s.answer) for s in result.samples if s.answer]
     if not qa_pairs:
         raise CliError("no question/answer pairs in the input")
-    graph = None
-    if args.graph and not cfg.no_input_supplement:
-        graph, _ = kg_mod.load_triples(args.graph)
+    graph = _graph(args, cfg)
     if args.lm_ckpt and cfg.no_knowledge:
         log.info("train-gen: --no-knowledge set; ignoring the pretrained LM checkpoint")
     lm_ckpt = None if cfg.no_knowledge else args.lm_ckpt
@@ -578,12 +557,7 @@ def cmd_train_gen(args) -> int:
         texts += [t.render() for t in graph.triples]
     decoder, vocab = _base_model(cfg, "decoder", lm_ckpt, texts)
     fine = gen_mod.finetune_qa(
-        decoder,
-        qa_pairs,
-        graph,
-        vocab,
-        gen_mod.LmTrainConfig(epochs=cfg.lm_finetune_epochs, lr=cfg.lm_lr, batch_size=cfg.batch_size, seed=cfg.seed),
-        supplement_max_chars=cfg.supplement_max_chars,
+        decoder, qa_pairs, graph, vocab, TrainConfig(cfg.lm_finetune_epochs, cfg.lm_lr, cfg.batch_size, cfg.seed), cfg.supplement_max_chars
     )
     fine.history.write_csv(out / "train.log.csv")
     _save_bundle(
@@ -615,9 +589,7 @@ def _answer(cfg: RunConfig, decoder, vocab, meta: dict, graph, question: str) ->
 def cmd_eval_gen(args) -> int:
     cfg, out = _start(args)
     decoder, vocab, meta = _load_decoder_bundle(args.ckpt)
-    graph = None
-    if args.graph and not cfg.no_input_supplement:
-        graph, _ = kg_mod.load_triples(args.graph)
+    graph = _graph(args, cfg)
     result = corpus_mod.ingest(args.inp)
     rows = []
     refs = []
@@ -673,9 +645,7 @@ def cmd_metrics(args) -> int:
 def cmd_chat(args) -> int:
     cfg = _load_config(args)
     decoder, vocab, meta = _load_decoder_bundle(args.ckpt)
-    graph = None
-    if args.graph:
-        graph, _ = kg_mod.load_triples(args.graph)
+    graph = _graph(args, cfg)
     for line in sys.stdin:
         question = line.strip()
         if not question:

@@ -140,7 +140,10 @@ def clean(samples, require_answer: bool = True) -> tuple[list[DialogueSample], l
     return kept, removed
 
 
-def _pick_label_field(samples, granularity: str = "auto") -> str | None:
+def label_field(samples, granularity: str = "auto") -> str | None:
+    """The sample field `granularity` labels by: "auto" picks label_coarse when
+    any sample has a coarse label, else label_fine when any has a fine one,
+    else None."""
     if granularity == "coarse":
         return "label_coarse"
     if granularity == "fine":
@@ -154,10 +157,10 @@ def _pick_label_field(samples, granularity: str = "auto") -> str | None:
     return None
 
 
-def _label_of(sample: DialogueSample, label_field: str | None) -> str | None:
-    if label_field is None:
+def _label_of(sample: DialogueSample, field_name: str | None) -> str | None:
+    if field_name is None:
         return None
-    return getattr(sample, label_field)
+    return getattr(sample, field_name)
 
 
 @dataclass
@@ -189,7 +192,7 @@ def stats(samples, split_assignment=None, granularity: str = "auto") -> DatasetS
                 train += 1
             elif part == "test":
                 test += 1
-    label_field = _pick_label_field(samples, granularity)
+    field_name = label_field(samples, granularity)
     per_category: Counter[str] = Counter()
     ages: Counter[str] = Counter()
     genders: Counter[str] = Counter()
@@ -201,7 +204,7 @@ def stats(samples, split_assignment=None, granularity: str = "auto") -> DatasetS
         if s.answer is not None:
             a_total += len(s.answer)
             a_count += 1
-        label = _label_of(s, label_field)
+        label = _label_of(s, field_name)
         if label is not None:
             per_category[label] += 1
         if s.age is not None:
@@ -235,9 +238,9 @@ def split(samples, test_fraction: float, seed: int, granularity: str = "auto"):
     rng = Rng(seed).spawn("corpus.split")
     total = len(samples)
     target_test = int(round(total * test_fraction))
-    label_field = _pick_label_field(samples, granularity)
+    field_name = label_field(samples, granularity)
 
-    if label_field is None:
+    if field_name is None:
         order = rng.permutation(total)
         test_idx = set(int(i) for i in order[:target_test])
         train = [s for i, s in enumerate(samples) if i not in test_idx]
@@ -246,7 +249,7 @@ def split(samples, test_fraction: float, seed: int, granularity: str = "auto"):
 
     by_class: dict[str, list[int]] = {}
     for i, s in enumerate(samples):
-        label = _label_of(s, label_field) or ""
+        label = _label_of(s, field_name) or ""
         by_class.setdefault(label, []).append(i)
 
     eligible = {}
@@ -283,28 +286,28 @@ def make_small_sample(samples, max_per_class_threshold: float, granularity: str 
     """Drop every category whose sample count exceeds the threshold; returns
     the surviving samples (original order) and the surviving category list."""
     samples = list(samples)
-    label_field = _pick_label_field(samples, granularity)
-    if label_field is None:
+    field_name = label_field(samples, granularity)
+    if field_name is None:
         raise ValueError("make_small_sample needs labeled samples")
     counts: Counter[str] = Counter()
     for s in samples:
-        label = _label_of(s, label_field)
+        label = _label_of(s, field_name)
         if label is not None:
             counts[label] += 1
     surviving = sorted(label for label, c in counts.items() if c <= max_per_class_threshold)
     if not surviving:
         raise ValueError("threshold removed every category")
     keep = set(surviving)
-    subset = [s for s in samples if _label_of(s, label_field) in keep]
+    subset = [s for s in samples if _label_of(s, field_name) in keep]
     return subset, surviving
 
 
 def default_small_sample_threshold(samples, granularity: str = "auto") -> float:
     """Twice the median class count; used when no threshold is given."""
-    label_field = _pick_label_field(list(samples), granularity)
-    if label_field is None:
+    field_name = label_field(list(samples), granularity)
+    if field_name is None:
         raise ValueError("threshold default needs labeled samples")
-    counts = Counter(_label_of(s, label_field) for s in samples if _label_of(s, label_field) is not None)
+    counts = Counter(_label_of(s, field_name) for s in samples if _label_of(s, field_name) is not None)
     sizes = sorted(counts.values())
     if not sizes:
         raise ValueError("no labeled samples")

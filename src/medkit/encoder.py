@@ -190,20 +190,10 @@ def mlm_loss(encoder: Encoder, batch) -> Tensor | None:
     return nm.softmax_cross_entropy(logits, [t for _, _, originals in batch for t in originals], reduction="mean")
 
 
-@dataclass
-class PretrainConfig:
-    epochs: int = 10
-    lr: float = 5e-5
-    batch_size: int = 8
-    seed: int = 0
-
-
-def pretrain(encoder: Encoder, sequences: list[TokenSequence], config: PretrainConfig) -> nm.TrainHistory:
+def pretrain(encoder: Encoder, sequences: list[TokenSequence], config: nm.TrainConfig) -> nm.TrainHistory:
     """Masked-token pretraining through numerics.fit: each batch is corrupted
     with the shuffling stream, scored and stepped; the logged loss is the
     mean over batches. Divergence rolls back to the last completed epoch."""
-    if not sequences:
-        raise ValueError("pretrain needs a non-empty corpus")
 
     def batch_loss(chunk, rng):
         return mlm_loss(encoder, [mask_tokens(seq, encoder.config.mask_rate, rng, encoder.config.vocab_size) for seq in chunk]), 1, 0

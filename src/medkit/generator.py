@@ -195,15 +195,7 @@ def lm_loss(model: Decoder, sequence, loss_mask, targets=None, lengths=None) -> 
     return nm.softmax_cross_entropy(logits, tgt[rows], reduction=1.0 / (counts[owner[rows]] * len(lengths)))
 
 
-@dataclass
-class LmTrainConfig:
-    epochs: int = 10
-    lr: float = 2.6e-5
-    batch_size: int = 8
-    seed: int = 0
-
-
-def _fit(model: Decoder, items, config: LmTrainConfig, tag: str) -> nm.TrainHistory:
+def _fit(model: Decoder, items, config: nm.TrainConfig, tag: str) -> nm.TrainHistory:
     """numerics.fit over (sequence, loss_mask) pairs, each batch one lm_loss
     call on its sequences laid end to end; the logged loss is the mean over
     batches."""
@@ -215,18 +207,15 @@ def _fit(model: Decoder, items, config: LmTrainConfig, tag: str) -> nm.TrainHist
     return nm.fit(batch_loss, items, [{"name": "decoder", "lr": config.lr, "params": model.params}], config, tag)
 
 
-def pretrain_lm(model: Decoder, background_texts, vocab: Vocab, config: LmTrainConfig) -> nm.TrainHistory:
+def pretrain_lm(model: Decoder, background_texts, vocab: Vocab, config: nm.TrainConfig) -> nm.TrainHistory:
     """Next-token training over full sequences (every position in the loss).
 
     Texts longer than the context window are chunked into consecutive windows
     so nothing is silently discarded.
     """
-    texts = list(background_texts)
-    if not texts:
-        raise ValueError("pretrain_lm needs a non-empty corpus")
     window = model.config.context_window
     items = []
-    for text in texts:
+    for text in background_texts:
         seq = encode(text, vocab, max_len=max(window, 3), mode="decoder")
         ids = seq.ids
         for start in range(0, len(ids), window):
@@ -257,7 +246,7 @@ def build_qa_sequence(question: str, answer: str, graph: kg.KnowledgeGraph | Non
     return ids, mask, layout
 
 
-def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab: Vocab, config: LmTrainConfig, supplement_max_chars: int = 64) -> QaFinetuneResult:
+def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab: Vocab, config: nm.TrainConfig, supplement_max_chars: int = 64) -> QaFinetuneResult:
     """Fine-tune on supplemented QA pairs with answer-only loss masking.
 
     Pairs whose composed sequence cannot fit the context window even after

@@ -9,9 +9,10 @@ writes ``data`` in place, and only between graph builds.
 It holds only what the models run: the ops add (+), mul (*), matmul,
 transpose (.T), concat, take_rows, softmax_cross_entropy, lstm and
 transformer_layer (whose array forward, layer_forward, is also the KV-cached
-decode step), backward, no_grad, Rng, the initializers, Adam, fit and the
-checkpoint format. Ops take Tensors only. The reference ops these are checked
-against and the finite-difference grad_check are in tests/oracles.py.
+decode step), backward, no_grad, Rng, the initializers, Adam, fit and its
+TrainConfig, and the checkpoint format. Ops take Tensors only. The reference
+ops these are checked against and the finite-difference grad_check are in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -587,13 +588,13 @@ class Adam:
         self.t = 0
         self._m = {}
         self._v = {}
-        self._scratch = {}  # per parameter: the step's numerator and denominator
         for g in self.groups:
             for name, p in g["params"].items():
                 key = (g["name"], name)
                 self._m[key] = np.zeros_like(p.data)
                 self._v[key] = np.zeros_like(p.data)
-                self._scratch[key] = np.empty((2, *p.data.shape))
+        # the step's numerator and denominator, viewed per parameter
+        self._scratch = np.empty((2, max((m.size for m in self._m.values()), default=0)))
 
     def zero_grad(self) -> None:
         for g in self.groups:
@@ -609,8 +610,8 @@ class Adam:
                 if p.grad is None:
                     continue
                 key = (g["name"], name)
-                m, v, scratch = self._m[key], self._v[key], self._scratch[key]
-                num, den = scratch[0, ...], scratch[1, ...]
+                m, v = self._m[key], self._v[key]
+                num, den = (row[: m.size].reshape(m.shape) for row in self._scratch)
                 # in place, rounding as p -= lr * (m / c1) / (sqrt(v / c2) + eps)
                 m *= self.beta1
                 m += np.multiply(p.grad, 1.0 - self.beta1, out=num)
@@ -652,18 +653,40 @@ class TrainHistory:
                 writer.writerow(row)
 
 
-def fit(batch_loss, items: Sequence, groups: list[dict], config, tag: str, stop_at_train_acc: float | None = None) -> TrainHistory:
+@dataclass
+class TrainConfig:
+    """What fit reads: `epochs` passes over the items, one Adam step per
+    `batch_size` items, `lr` the first parameter group's rate, `seed` the
+    shuffling stream's, and the train accuracy that ends training early
+    (None: run every epoch)."""
+
+    epochs: int
+    lr: float
+    batch_size: int = 8
+    seed: int = 0
+    stop_at_train_acc: float | None = None
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+
+
+def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, tag: str) -> TrainHistory:
     """The training loop: config.epochs passes over `items`, each in a fresh
-    order from Rng(config.seed).spawn(tag), one Adam step (`groups`) per
-    config.batch_size items.
+    order from Rng(config.seed).spawn(tag), one Adam step (`groups`, the first
+    at config.lr) per config.batch_size items.
 
     `batch_loss(batch, rng)` returns (loss, weight, correct): the loss Tensor
     (None skips the batch), the weight of its value in the epoch's logged
-    mean, and how many items it got right, for `stop_at_train_acc`. `rng` is
-    the shuffling stream, for draws the loss makes. The first group's lr is
-    logged. On NumericsError every parameter rolls back to the end of the
-    last completed epoch and the history is marked aborted.
+    mean, and how many items it got right, for config.stop_at_train_acc.
+    `rng` is the shuffling stream, for draws the loss makes. The first
+    group's lr is logged. Empty `items` raise ValueError. On a non-finite
+    value (NumericsError) every parameter rolls back to the end of the last
+    completed epoch and the history is marked aborted; a ShapeError is a bug,
+    not divergence, and propagates as it is.
     """
+    if not items:
+        raise ValueError(f"{tag}: nothing to train on")
     rng = Rng(config.seed).spawn(tag)
     opt = Adam(groups)
     params = [p for g in opt.groups for p in g["params"].values()]
@@ -684,6 +707,8 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config, tag: str, stop_
                 opt.step()
                 total += loss.item() * weight
                 weights += weight
+        except ShapeError:
+            raise
         except NumericsError:
             logger.error("%s: non-finite value at epoch %d; rolling back", tag, epoch)
             for p, data in zip(params, last_good):
@@ -694,7 +719,7 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config, tag: str, stop_
         accuracy = correct / len(items)
         history.rows.append({"epoch": epoch, "loss": total / max(1, weights), "lr": opt.groups[0]["lr"], "seconds": time.perf_counter() - started})
         logger.info("%s epoch %d loss %.4f acc %.3f", tag, epoch, history.rows[-1]["loss"], accuracy)
-        if stop_at_train_acc is not None and accuracy >= stop_at_train_acc:
+        if config.stop_at_train_acc is not None and accuracy >= config.stop_at_train_acc:
             break
     history.optimizer_state = opt.state_summary()
     return history

@@ -156,15 +156,6 @@ def predict(
     return [min(row, key=lambda label: (-row[label], label)) for row in scores]
 
 
-@dataclass
-class PromptTrainConfig:
-    epochs: int = 20
-    lr: float = 2e-5
-    batch_size: int = 8
-    seed: int = 0
-    stop_at_train_acc: float | None = None
-
-
 def slot_loss(encoder: Encoder, batch, _rng=None) -> tuple[nm.Tensor, int, int]:
     """numerics.fit's (loss, weight, correct) for a list of (prompt, slots,
     target_ids): the per-prompt cross-entropy summed over the slots (pad
@@ -184,7 +175,7 @@ def train_prompt(
     verbalizer: Verbalizer,
     vocab: Vocab,
     max_len: int,
-    config: PromptTrainConfig,
+    config: nm.TrainConfig,
 ) -> nm.TrainHistory:
     """Cross-entropy on the label tokens at the mask slots, nothing else,
     through numerics.fit; the logged loss is the per-sample mean, and
@@ -192,10 +183,8 @@ def train_prompt(
 
     `dataset` is a list of (question, label).
     """
-    if not dataset:
-        raise ValueError("empty training set")
     for _, label in dataset:
         if label not in verbalizer.label_tokens:
             raise ValueError(f"label {label!r} missing from the verbalizer")
     encoded = [(*build_prompt(question, template, vocab, max_len), verbalizer.label_tokens[label]) for question, label in dataset]
-    return nm.fit(functools.partial(slot_loss, encoder), encoded, [{"name": "encoder", "lr": config.lr, "params": encoder.params}], config, "prompt.train", config.stop_at_train_acc)
+    return nm.fit(functools.partial(slot_loss, encoder), encoded, [{"name": "encoder", "lr": config.lr, "params": encoder.params}], config, "prompt.train")

@@ -37,6 +37,10 @@ class TriageConfig:
             raise ValueError("at least one of BiLSTM / CLS features must be enabled")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        if self.use_bilstm and self.num_lstm_layers < 1:
+            raise ValueError(f"num_lstm_layers must be >= 1 with the BiLSTM on, got {self.num_lstm_layers}")
+        if self.use_dd and self.num_dd_layers < 1:
+            raise ValueError(f"num_dd_layers must be >= 1 with the dendritic layers on, got {self.num_dd_layers}")
 
     @property
     def fused_dim(self) -> int:
@@ -125,16 +129,6 @@ def dendrite(fused: Tensor, weight_stack: list[Tensor]) -> Tensor:
 # -- training ------------------------------------------------------------------
 
 
-@dataclass
-class TriageTrainConfig:
-    epochs: int = 50
-    lr_encoder: float = 5e-5
-    lr_head: float = 2e-4
-    batch_size: int = 8
-    seed: int = 0
-    stop_at_train_acc: float | None = None
-
-
 def _logits(encoder: Encoder, head: TriageHead, sequences) -> Tensor:
     """(B, num_classes) logits of a list of sequences, one batched forward pass."""
     return head.forward_logits(encoder.encode(TokenBatch.stack(sequences)))
@@ -148,22 +142,21 @@ def supervised_loss(encoder: Encoder, head: TriageHead, batch, _rng=None) -> tup
     return nm.softmax_cross_entropy(logits, labels), len(batch), int(np.sum(np.argmax(logits.data, axis=1) == labels))
 
 
-def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: TriageTrainConfig) -> nm.TrainHistory:
-    """Jointly fine-tune encoder and head with two learning-rate groups
-    through numerics.fit; the logged loss is the per-sample mean, and
-    divergence rolls both back to the last completed epoch.
+def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: nm.TrainConfig, lr_encoder: float) -> nm.TrainHistory:
+    """Jointly fine-tune encoder and head with two learning-rate groups, the
+    head at config.lr and the encoder at `lr_encoder`, through numerics.fit;
+    the logged loss is the per-sample mean, and divergence rolls both back to
+    the last completed epoch.
 
     `dataset` is a list of (TokenSequence, label_id). The returned
     history's optimizer_state shows both groups and their rates.
     """
-    if not dataset:
-        raise ValueError("empty training set")
     num_classes = head.config.num_classes
     for _, label in dataset:
         if not 0 <= label < num_classes:
             raise ValueError(f"label id {label} outside the fixed label set")
-    groups = [{"name": "head", "lr": config.lr_head, "params": head.params}, {"name": "encoder", "lr": config.lr_encoder, "params": encoder.params}]
-    return nm.fit(functools.partial(supervised_loss, encoder, head), dataset, groups, config, "triage.train", config.stop_at_train_acc)
+    groups = [{"name": "head", "lr": config.lr, "params": head.params}, {"name": "encoder", "lr": lr_encoder, "params": encoder.params}]
+    return nm.fit(functools.partial(supervised_loss, encoder, head), dataset, groups, config, "triage.train")
 
 
 def predict_labels(encoder: Encoder, head: TriageHead, sequences, batch_size: int = 8) -> list[int]:

@@ -20,12 +20,12 @@ from medkit import numerics as nm
 from medkit.cli import main as cli_main
 from medkit.corpus import DialogueSample, clean, split, stats
 from medkit.encoder import Encoder, EncoderConfig, mask_tokens
-from medkit.generator import Decoder, DecoderConfig, GenerationRequest, LmTrainConfig, finetune_qa, generate, lm_loss
+from medkit.generator import Decoder, DecoderConfig, GenerationRequest, finetune_qa, generate, lm_loss
 from medkit.kgraph import fixture_graph_path, load_triples, retrieve, supplement
-from medkit.numerics import Rng, Tensor
+from medkit.numerics import Rng, Tensor, TrainConfig
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict
 from medkit.tokenizer import TokenBatch, TokenSequence, build_vocab, encode
-from medkit.triage import TriageConfig, TriageHead, TriageTrainConfig, dendrite, predict_labels, train_supervised
+from medkit.triage import TriageConfig, TriageHead, dendrite, predict_labels, train_supervised
 
 from conftest import write_corpus
 from oracles import (
@@ -164,8 +164,8 @@ def test_criterion_04a_triage_overfits_32_samples():
                 dataset.append((encode(text, vocab, max_len=12), label))
         assert len(dataset) == 32
 
-        cfg = TriageTrainConfig(epochs=200, lr_encoder=2e-3, lr_head=1e-2, batch_size=8, seed=40, stop_at_train_acc=1.0)
-        history = train_supervised(encoder, head, dataset, cfg)
+        cfg = TrainConfig(epochs=200, lr=1e-2, batch_size=8, seed=40, stop_at_train_acc=1.0)
+        history = train_supervised(encoder, head, dataset, cfg, lr_encoder=2e-3)
         assert len(history.rows) <= 200
         preds = predict_labels(encoder, head, [seq for seq, _ in dataset])
         assert preds == [label for _, label in dataset], "final train accuracy below 100%"
@@ -193,7 +193,7 @@ def test_criterion_04b_generator_memorizes_qa_fixture():
         vocab = build_vocab(texts)
         cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=32, num_layers=1, num_heads=2, ffn_dim=64, context_window=64, max_gen_len=12)
         model = Decoder(cfg, Rng(41).spawn("dec"))
-        result = finetune_qa(model, QA_PAIRS, graph, vocab, LmTrainConfig(epochs=200, lr=8e-3, batch_size=8, seed=41), supplement_max_chars=24)
+        result = finetune_qa(model, QA_PAIRS, graph, vocab, TrainConfig(epochs=200, lr=8e-3, batch_size=8, seed=41), supplement_max_chars=24)
         assert result.skipped == 0
         hits = 0
         for question, answer in QA_PAIRS:
@@ -412,7 +412,7 @@ def test_criterion_10_ablation_structure():
         injected = Decoder(dec_cfg, Rng(5).spawn("decoder.init"))
         from medkit.generator import pretrain_lm
 
-        pretrain_lm(injected, ["头痛发烧怎么办"], vocab, LmTrainConfig(epochs=2, lr=1e-3, batch_size=1, seed=5))
+        pretrain_lm(injected, ["头痛发烧怎么办"], vocab, TrainConfig(epochs=2, lr=1e-3, batch_size=1, seed=5))
         diffs = [name for name in fresh.params if not np.array_equal(fresh.params[name].data, injected.params[name].data)]
         assert diffs, "knowledge injection left the starting weights identical"
 

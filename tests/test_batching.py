@@ -16,7 +16,7 @@ from medkit.generator import Decoder, DecoderConfig, lm_loss
 from medkit.numerics import Rng, Tensor
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict, slot_loss
 from medkit.tokenizer import MASK_ID, NUM_RESERVED, UNK_ID, TokenBatch, TokenSequence, build_vocab, encode
-from medkit.triage import TriageConfig, TriageHead, TriageTrainConfig, predict_labels, supervised_loss, train_supervised
+from medkit.triage import TriageConfig, TriageHead, predict_labels, supervised_loss, train_supervised
 
 from oracles import (
     attention,
@@ -265,12 +265,12 @@ def test_predictions_do_not_depend_on_batch_size(vocab):
 def test_train_supervised_divergence_rolls_back_to_last_completed_epoch(monkeypatch, caplog):
     vocab = build_vocab(["甲乙丙东南西北"])
     data = [(encode(char * 3 + "东南西北"[i % 4], vocab, max_len=MAX_LEN), label) for label, char in enumerate("甲乙丙") for i in range(2)]
-    cfg = TriageTrainConfig(epochs=1, lr_encoder=1e-2, lr_head=1e-2, batch_size=3, seed=8)  # two steps per epoch
+    cfg = nm.TrainConfig(epochs=1, lr=1e-2, batch_size=3, seed=8)  # two steps per epoch
 
     def run(epochs):
         enc = _encoder(vocab, seed=8)
         head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), Rng(8).spawn("head"))
-        history = train_supervised(enc, head, data, dataclasses.replace(cfg, epochs=epochs))
+        history = train_supervised(enc, head, data, dataclasses.replace(cfg, epochs=epochs), lr_encoder=1e-2)
         return history, {**{f"e.{k}": v.data for k, v in enc.params.items()}, **{f"h.{k}": v.data for k, v in head.params.items()}}
 
     one_epoch, after_first = run(1)

@@ -188,6 +188,26 @@ def test_train_triage_divergence_keeps_last_completed_epoch_and_exits_two(tmp_pa
     assert (tmp_path / "three" / "triage.ckpt").read_bytes() == (tmp_path / "one" / "triage.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize(("argv", "message"), [
+    (["train-triage", "--set", "lstm_layers=0"], "num_lstm_layers must be >= 1"),
+    (["train-triage", "--set", "dd_layers=0"], "num_dd_layers must be >= 1"),
+    (["pretrain-encoder", "--set", "mlm_epochs=-1"], "epochs must be >= 0"),
+], ids=["lstm-layers-zero", "dd-layers-zero", "mlm-epochs-negative"])
+def test_count_below_its_floor_exits_one_with_one_error_line(tmp_path, corpus_file, capsys, argv, message):
+    assert run(argv[:1] + ["--in", corpus_file, "--out", tmp_path / "out"] + TINY + argv[1:]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("medkit: error:") and message in err
+
+
+def test_auto_granularity_trains_on_fine_labels_when_no_sample_is_coarse(tmp_path):
+    corpus = write_corpus(tmp_path / "fine.jsonl", [{k: v for k, v in row.items() if k != "label_coarse"} for row in CORPUS_SAMPLES])
+    auto = ["--set", "granularity=auto"]
+    assert run(["split", "--in", corpus, "--out", tmp_path / "split"] + auto) == EXIT_OK
+    assert run(["train-triage", "--in", corpus, "--out", tmp_path / "triage"] + TINY + auto) == EXIT_OK
+    label_map = json.loads((tmp_path / "triage" / "label_map.json").read_text(encoding="utf-8"))
+    assert set(label_map) == {row["label_fine"] for row in CORPUS_SAMPLES}
+
+
 def test_prompt_train_eval_round_trip(tmp_path, corpus_file, capsys):
     out = tmp_path / "prompt"
     code = run([
@@ -232,6 +252,14 @@ def test_generator_pipeline_and_chat(tmp_path, corpus_file, capsys, monkeypatch)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("supplement: 头痛")
     assert lines[1].startswith("answer:")
+
+
+def test_chat_under_no_input_supplement_reads_no_graph(capsys, monkeypatch):
+    argv = ["chat", "--ckpt", FIXTURES / "decoder" / "gen.ckpt", "--graph", fixture_graph_path()]
+    for extra, supplemented in [([], True), (["--set", "no_input_supplement=true"], False)]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("头痛好几天了怎么办\n"))
+        assert run(argv + extra) == EXIT_OK
+        assert (capsys.readouterr().out.splitlines()[0] != "supplement: ") is supplemented
 
 
 def test_metrics_subcommand_diagonal(tmp_path, capsys):

@@ -7,13 +7,12 @@ from medkit import numerics as nm
 from medkit.encoder import (
     Encoder,
     EncoderConfig,
-    PretrainConfig,
     layer_weights,
     mask_tokens,
     mlm_loss,
     pretrain,
 )
-from medkit.numerics import Rng, Tensor
+from medkit.numerics import Rng, Tensor, TrainConfig
 from medkit.tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, TokenSequence, build_vocab, encode
 
 from oracles import attention, grad_check, layer_norm
@@ -255,7 +254,7 @@ def _pretrain_fixture(vocab, seed=0, epochs=50):
     texts = ["头痛多喝水", "发烧要休息", "咳嗽要保暖", "感冒要休息"]
     sequences = [encode(t, vocab, 12) for t in texts]
     enc = Encoder(tiny_config(vocab.size, hidden_dim=16, ffn_dim=32), Rng(seed).spawn("init"))
-    history = pretrain(enc, sequences, PretrainConfig(epochs=epochs, lr=0.01, batch_size=4, seed=seed))
+    history = pretrain(enc, sequences, TrainConfig(epochs=epochs, lr=0.01, batch_size=4, seed=seed))
     return enc, history
 
 
@@ -277,7 +276,7 @@ def test_pretrain_logs_configured_lr(vocab, tmp_path):
     texts = ["头痛多喝水", "发烧要休息"]
     sequences = [encode(t, vocab, 12) for t in texts]
     enc = Encoder(tiny_config(vocab.size), Rng(0))
-    history = pretrain(enc, sequences, PretrainConfig(epochs=2, lr=5e-5, batch_size=2, seed=0))
+    history = pretrain(enc, sequences, TrainConfig(epochs=2, lr=5e-5, batch_size=2, seed=0))
     assert all(row["lr"] == 5e-5 for row in history.rows)
     log_path = tmp_path / "log.csv"
     history.write_csv(log_path)
@@ -288,7 +287,7 @@ def test_pretrain_logs_configured_lr(vocab, tmp_path):
 def test_pretrain_rejects_empty_corpus(vocab):
     enc = Encoder(tiny_config(vocab.size), Rng(0))
     with pytest.raises(ValueError):
-        pretrain(enc, [], PretrainConfig(epochs=1))
+        pretrain(enc, [], TrainConfig(epochs=1, lr=5e-5))
 
 
 def test_pretrain_divergence_aborts_with_rollback(vocab, caplog):
@@ -297,7 +296,7 @@ def test_pretrain_divergence_aborts_with_rollback(vocab, caplog):
     snapshot = {k: v.data.copy() for k, v in enc.params.items()}
     sequences = [encode("头痛多喝水", vocab, 12)]
     with caplog.at_level("ERROR"):
-        history = pretrain(enc, sequences, PretrainConfig(epochs=3, lr=0.01, batch_size=1, seed=16))
+        history = pretrain(enc, sequences, TrainConfig(epochs=3, lr=0.01, batch_size=1, seed=16))
     assert history.aborted
     for name, data in snapshot.items():
         assert np.array_equal(enc.params[name].data, data)

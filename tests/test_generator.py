@@ -10,7 +10,6 @@ from medkit.generator import (
     DecoderConfig,
     GenerationRequest,
     KVCache,
-    LmTrainConfig,
     build_qa_sequence,
     finetune_qa,
     generate,
@@ -19,7 +18,7 @@ from medkit.generator import (
     pretrain_lm,
 )
 from medkit.kgraph import load_triples, fixture_graph_path
-from medkit.numerics import Rng
+from medkit.numerics import Rng, TrainConfig
 from medkit.tokenizer import EOS_ID, build_vocab, encode
 
 from conftest import CORPUS_SAMPLES
@@ -141,7 +140,7 @@ def test_pretrain_lm_reduces_loss(vocab):
     texts = ["头痛多喝水", "发烧要休息", "咳嗽要保暖", "头痛要休息", "发烧多喝水",
              "咳嗽多喝水", "头痛要保暖", "发烧要保暖", "咳嗽要休息", "多喝水休息"]
     model = _decoder(vocab, hidden=16, seed=8)
-    history = pretrain_lm(model, texts, vocab, LmTrainConfig(epochs=100, lr=0.01, batch_size=5, seed=8))
+    history = pretrain_lm(model, texts, vocab, TrainConfig(epochs=100, lr=0.01, batch_size=5, seed=8))
     assert not history.aborted
     assert history.rows[-1]["loss"] < 0.3 * history.rows[0]["loss"]
 
@@ -151,7 +150,7 @@ def test_pretrain_lm_config_honored_and_deterministic(vocab):
 
     def run():
         model = _decoder(vocab, seed=9)
-        history = pretrain_lm(model, texts, vocab, LmTrainConfig(epochs=3, lr=2.6e-5, batch_size=2, seed=9))
+        history = pretrain_lm(model, texts, vocab, TrainConfig(epochs=3, lr=2.6e-5, batch_size=2, seed=9))
         return history, {k: p.data.tobytes() for k, p in model.params.items()}
 
     h1, p1 = run()
@@ -164,7 +163,7 @@ def test_pretrain_lm_config_honored_and_deterministic(vocab):
 
 def test_pretrain_lm_chunks_long_texts(vocab):
     model = _decoder(vocab, window=6, seed=10)
-    history = pretrain_lm(model, ["头痛发烧咳嗽多喝水要休息保暖abcd"], vocab, LmTrainConfig(epochs=1, lr=1e-3, batch_size=4, seed=0))
+    history = pretrain_lm(model, ["头痛发烧咳嗽多喝水要休息保暖abcd"], vocab, TrainConfig(epochs=1, lr=1e-3, batch_size=4, seed=0))
     assert len(history.rows) == 1
 
 
@@ -173,7 +172,7 @@ def test_pretrain_lm_divergence_aborts_with_rollback(vocab, caplog):
     model.params["tok_emb"].data[vocab.id_of("头"), 0] = 1e308
     snapshot = {k: v.data.copy() for k, v in model.params.items()}
     with caplog.at_level("ERROR"):
-        history = pretrain_lm(model, ["头痛发烧"], vocab, LmTrainConfig(epochs=2, lr=1e-3, batch_size=1, seed=20))
+        history = pretrain_lm(model, ["头痛发烧"], vocab, TrainConfig(epochs=2, lr=1e-3, batch_size=1, seed=20))
     assert history.aborted
     for name, data in snapshot.items():
         assert np.array_equal(model.params[name].data, data)
@@ -193,7 +192,7 @@ def test_build_qa_sequence_masks_answer_only(vocab):
 def test_finetune_qa_memorizes_pairs(vocab):
     pairs = [("头痛多喝水", "建议休息"), ("发烧要保暖", "多喝水"), ("咳嗽要休息", "要保暖")]
     model = _decoder(vocab, hidden=16, window=32, seed=11)
-    result = finetune_qa(model, pairs, None, vocab, LmTrainConfig(epochs=150, lr=0.01, batch_size=3, seed=11))
+    result = finetune_qa(model, pairs, None, vocab, TrainConfig(epochs=150, lr=0.01, batch_size=3, seed=11))
     assert result.skipped == 0
     hits = 0
     for question, answer in pairs:
@@ -204,7 +203,7 @@ def test_finetune_qa_memorizes_pairs(vocab):
 
 def test_finetune_qa_without_graph_still_trains(vocab):
     model = _decoder(vocab, seed=12, window=32)
-    result = finetune_qa(model, [("头痛多喝水", "建议休息")], None, vocab, LmTrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
+    result = finetune_qa(model, [("头痛多喝水", "建议休息")], None, vocab, TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
     assert not result.history.aborted
 
 
@@ -212,7 +211,7 @@ def test_finetune_qa_skips_overlong_pairs(vocab, caplog):
     model = _decoder(vocab, window=8, seed=13)
     pairs = [("头痛", "好"), ("发烧要保暖咳嗽", "建议充分休息多喝水保暖规律饮食abcd")]
     with caplog.at_level("WARNING"):
-        result = finetune_qa(model, pairs, None, vocab, LmTrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
+        result = finetune_qa(model, pairs, None, vocab, TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
     assert result.skipped == 1
 
 

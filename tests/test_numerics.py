@@ -614,6 +614,22 @@ def test_adam_step_in_place_matches_one_expression_oracle():
         assert opt._v[(g, name)].tobytes() == v.tobytes()
 
 
+def test_fit_lets_a_shape_error_through_without_rollback(caplog):
+    w = nm.zeros_param(1)
+    calls = []
+
+    def batch_loss(batch, _rng):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ShapeError("operand shapes do not conform")
+        return w * w + w, 1, 0  # a non-zero gradient: the first step moves w
+
+    with caplog.at_level("ERROR"), pytest.raises(ShapeError, match="do not conform"):
+        nm.fit(batch_loss, [0, 1], [{"name": "w", "lr": 0.1, "params": {"w": w}}], nm.TrainConfig(epochs=1, lr=0.1, batch_size=1), "shape")
+    assert w.data[0] != 0.0
+    assert not any("rolling back" in rec.message for rec in caplog.records)
+
+
 def _train_trajectory(seed: int) -> list[bytes]:
     rng = Rng(seed)
     x = rng.normal(size=(16, 4))

@@ -5,11 +5,10 @@ import pytest
 
 from medkit import numerics as nm
 from medkit.encoder import Encoder, EncoderConfig
-from medkit.numerics import Rng, Tensor
+from medkit.numerics import Rng, Tensor, TrainConfig
 from medkit.prompt import (
     PromptError,
     PromptTemplate,
-    PromptTrainConfig,
     Verbalizer,
     build_prompt,
     predict,
@@ -225,7 +224,7 @@ def test_train_prompt_initial_loss_matches_uniform_analysis(vocab):
     verb = Verbalizer.from_surfaces({"内科": "内科", "骨科": "骨科"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=2)
     data = [("头痛发烧", "内科"), ("咳嗽", "骨科")]
-    history = train_prompt(enc, data, template, verb, vocab, 16, PromptTrainConfig(epochs=1, lr=0.0, batch_size=2, seed=0))
+    history = train_prompt(enc, data, template, verb, vocab, 16, TrainConfig(epochs=1, lr=0.0, batch_size=2, seed=0))
     expected = verb.mask_slot_count * math.log(vocab.size)
     assert history.rows[0]["loss"] == pytest.approx(expected, abs=1e-9)
 
@@ -235,7 +234,7 @@ def test_train_prompt_overfits_two_classes(vocab):
     verb = Verbalizer.from_surfaces({"内科": "内科", "骨科": "骨科"}, vocab)
     template = PromptTemplate(suffix="这属于{}科", mask_slot_count=verb.mask_slot_count)
     data = [("头痛发烧", "内科"), ("发烧咳嗽", "内科"), ("甲乙丙", "骨科"), ("乙丙甲", "骨科")]
-    cfg = PromptTrainConfig(epochs=100, lr=0.01, batch_size=4, seed=8, stop_at_train_acc=1.0)
+    cfg = TrainConfig(epochs=100, lr=0.01, batch_size=4, seed=8, stop_at_train_acc=1.0)
     train_prompt(enc, data, template, verb, vocab, 16, cfg)
     for question, label in data:
         assert predict(enc, [question], template, verb, vocab, 16) == [label]
@@ -245,7 +244,7 @@ def test_train_prompt_lr_honored_in_history(vocab):
     enc = _encoder(vocab)
     verb = Verbalizer.from_surfaces({"甲": "甲", "乙": "乙"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=1)
-    history = train_prompt(enc, [("头痛", "甲")], template, verb, vocab, 12, PromptTrainConfig(epochs=2, lr=2e-5, batch_size=1, seed=0))
+    history = train_prompt(enc, [("头痛", "甲")], template, verb, vocab, 12, TrainConfig(epochs=2, lr=2e-5, batch_size=1, seed=0))
     assert all(row["lr"] == 2e-5 for row in history.rows)
 
 
@@ -254,7 +253,7 @@ def test_train_prompt_rejects_unknown_label(vocab):
     verb = Verbalizer.from_surfaces({"甲": "甲"}, vocab)
     template = PromptTemplate(suffix="", mask_slot_count=1)
     with pytest.raises(ValueError):
-        train_prompt(enc, [("头痛", "未知")], template, verb, vocab, 12, PromptTrainConfig(epochs=1))
+        train_prompt(enc, [("头痛", "未知")], template, verb, vocab, 12, TrainConfig(epochs=1, lr=2e-5))
 
 
 def test_score_labels_builds_no_graph(vocab, monkeypatch):

@@ -6,12 +6,11 @@ import pytest
 from medkit import numerics as nm
 from medkit import triage
 from medkit.encoder import Encoder, EncoderConfig
-from medkit.numerics import Rng, Tensor
+from medkit.numerics import Rng, Tensor, TrainConfig
 from medkit.tokenizer import TokenBatch, build_vocab, encode
 from medkit.triage import (
     TriageConfig,
     TriageHead,
-    TriageTrainConfig,
     bilstm,
     dendrite,
     evaluate,
@@ -288,8 +287,8 @@ def test_train_supervised_overfits_small_set(vocab):
     enc = _encoder(vocab, hidden=8, seed=1)
     head = _head(hidden=8, classes=3, seed=1)
     data = _synthetic_dataset(vocab)
-    cfg = TriageTrainConfig(epochs=80, lr_encoder=5e-3, lr_head=2e-2, batch_size=4, seed=1, stop_at_train_acc=1.0)
-    train_supervised(enc, head, data, cfg)
+    cfg = TrainConfig(epochs=80, lr=2e-2, batch_size=4, seed=1, stop_at_train_acc=1.0)
+    train_supervised(enc, head, data, cfg, lr_encoder=5e-3)
     preds = predict_labels(enc, head, [seq for seq, _ in data])
     assert preds == [label for _, label in data]
 
@@ -314,8 +313,8 @@ def test_train_supervised_two_lr_groups_in_state(vocab):
     enc = _encoder(vocab, seed=2)
     head = _head(seed=2)
     data = _synthetic_dataset(vocab, per_class=2)
-    cfg = TriageTrainConfig(epochs=1, lr_encoder=5e-5, lr_head=2e-4, batch_size=4, seed=2)
-    state = train_supervised(enc, head, data, cfg).optimizer_state
+    cfg = TrainConfig(epochs=1, lr=2e-4, batch_size=4, seed=2)
+    state = train_supervised(enc, head, data, cfg, lr_encoder=5e-5).optimizer_state
     by_name = {g["name"]: g["lr"] for g in state["groups"]}
     assert by_name == {"head": 2e-4, "encoder": 5e-5}
 
@@ -325,7 +324,7 @@ def test_train_supervised_rejects_out_of_range_label(vocab):
     head = _head(classes=2)
     seq = encode("甲乙丙", vocab, max_len=10)
     with pytest.raises(ValueError):
-        train_supervised(enc, head, [(seq, 5)], TriageTrainConfig(epochs=1))
+        train_supervised(enc, head, [(seq, 5)], TrainConfig(epochs=1, lr=2e-4), lr_encoder=5e-5)
 
 
 def test_train_supervised_seeded_reproducibility(vocab):
@@ -334,7 +333,7 @@ def test_train_supervised_seeded_reproducibility(vocab):
         enc = _encoder(vocab, seed=3)
         head = _head(seed=3)
         data = _synthetic_dataset(vocab, per_class=2)
-        history = train_supervised(enc, head, data, TriageTrainConfig(epochs=3, lr_encoder=1e-3, lr_head=1e-3, batch_size=4, seed=3))
+        history = train_supervised(enc, head, data, TrainConfig(epochs=3, lr=1e-3, batch_size=4, seed=3), lr_encoder=1e-3)
         results.append(([r["loss"] for r in history.rows], {k: v.data.tobytes() for k, v in head.params.items()}))
     assert results[0] == results[1]
 
