@@ -110,6 +110,9 @@ class RunConfig:
         for name in ("max_len", "enc_hidden", "enc_layers", "enc_heads", "dec_hidden", "dec_layers", "dec_heads", "batch_size", "context_window", "max_gen_len"):
             if getattr(self, name) < 1:
                 raise CliError(f"{name} must be >= 1")
+        for name in ("mlm_lr", "lr_encoder", "lr_head", "prompt_lr", "lm_lr"):
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise CliError(f"{name} must be finite and >= 0")
 
     def set_key(self, key: str, raw: str) -> None:
         field_map = {f.name: f for f in fields(self)}

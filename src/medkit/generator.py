@@ -7,15 +7,14 @@ recent `context_window` tokens. Training runs each batch as one causal pass
 over its sequences laid end to end, each attending only within itself.
 
 Decoding is KV-cached and gradient-free: `generate` keeps one `KVCache` per
-request, so each step embeds and runs only the newest token against the
-cached keys and values of the earlier ones. The cache holds, per layer, the
-layer's weight arrays, one (heads, positions, head_dim) numpy array of keys
-and one of values, and each step appends the new position to both. A call
-given a cache runs `numerics.layer_forward`, the array-level forward that
-training runs inside `numerics.transformer_layer`, on plain arrays and wraps
-only the logits in a Tensor, so no autograd graph is built. Once the context
-passes `context_window` the window slides, every absolute position changes,
-and each step recomputes the whole window.
+request, so each step runs only the newest token against the keys and values
+of the earlier ones, written in place into one preallocated buffer per
+layer. A step reads only the last position's next-token distribution, so
+the top layer past its key/value projection, and the output projection, run
+on that row alone. A cached call runs `numerics.layer_forward` on plain
+arrays and wraps only the logits in a Tensor, so no graph is built. Once the
+context passes `context_window` the window slides, every learned absolute
+position changes, and each step recomputes the whole window.
 """
 
 from __future__ import annotations
@@ -77,12 +76,11 @@ class KVCache:
     """Keys and values of a context prefix already run through a Decoder.
 
     `ids` is that prefix (windowed token ids); `layers[i]` is layer i's
-    dict: "w", the layer's weight arrays (numerics.layer_arrays), and "k"
-    and "v", the numpy arrays of shape (heads, len(ids), head_dim) that
-    numerics.layer_forward fills. A cached call runs on these plain arrays
-    and builds no graph, and the cache is valid only while the weights stay
-    unchanged. Create one empty per decoded sequence and pass it to every
-    `lm_logits` call for that sequence.
+    dict: "w", its weight arrays (numerics.layer_arrays), and the key/value
+    buffer and views numerics.layer_forward writes; a dropped cache keeps
+    both and empties the views. It builds no graph and is valid only while
+    the weights stay unchanged. Create one empty per decoded sequence and
+    pass it to every `lm_logits` call for that sequence.
     """
 
     ids: list[int] = field(default_factory=list)
@@ -114,15 +112,15 @@ class Decoder:
         return run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths)
 
     def logits_matrix(self, ids, cache: KVCache | None = None) -> Tensor:
-        """Per-position next-token logits for a full (windowed) sequence.
+        """Next-token logits for a full (windowed) sequence: one row per
+        position or, with a `cache`, the last position's row alone.
 
         With a `cache` whose ids are a proper prefix of the windowed ids, only
-        the positions after that prefix are embedded and run, and only their
-        rows are returned. Any other cache (empty, from another context, or
-        one the sliding window has shifted) is dropped and the whole window
-        recomputed. Either way the cache then covers the whole window. A call
-        with a cache runs numerics.layer_forward on arrays: its result has no
-        graph.
+        the positions after that prefix are embedded and run. Any other cache
+        (empty, from another context, or one the sliding window has shifted)
+        is dropped and the whole window recomputed. Either way the cache then
+        covers the whole window. A call with a cache runs
+        numerics.layer_forward on arrays: its result has no graph.
         """
         ids = list(ids)
         if not ids:
@@ -130,20 +128,25 @@ class Decoder:
         if len(ids) > self.config.context_window:
             ids = ids[-self.config.context_window :]
         n = len(ids)
-        if max(ids) >= self.config.vocab_size or min(ids) < 0:
+        start = 0 if cache is None else len(cache.ids)
+        if not (0 < start < n and cache.ids == ids[:start]):
+            start = 0
+        new = ids[start:]  # a valid cached prefix was checked when it was new
+        if max(new) >= self.config.vocab_size or min(new) < 0:
             raise ValueError("token id out of vocab range")
         if cache is None:
             return nm.matmul(self.hidden_states(ids), self.params["out.w"]) + self.params["out.b"]
         cfg = self.config
-        start = len(cache.ids)
-        if not (0 < start < n and cache.ids == ids[:start]):
-            start = 0
-            cache.layers = [{"w": nm.layer_arrays(layer_weights(self.params, f"layer{i}", cfg.num_heads), cfg.num_heads)} for i in range(cfg.num_layers)]
+        if not cache.layers:
+            shape = (2, cfg.num_heads, cfg.context_window, cfg.hidden_dim // cfg.num_heads)
+            cache.layers = [{"w": nm.layer_arrays(layer_weights(self.params, f"layer{i}", cfg.num_heads), cfg.num_heads), "kv": np.empty(shape)} for i in range(cfg.num_layers)]
+        elif start == 0:
+            cache.layers = [{"w": layer["w"], "kv": layer["kv"]} for layer in cache.layers]  # empty extents, same buffers
         cache.ids = []  # stays invalid unless the stack below completes
-        x = self.params["tok_emb"].data[ids[start:]] + self.params["pos_emb"].data[start:n]
-        keep = np.arange(n) <= np.arange(start, n)[:, None]  # causal rows start..n-1
-        for layer in cache.layers:
-            x = nm.layer_forward(x, layer["w"], cfg.num_heads, keep, cfg.ln_eps, cache=layer)[0]
+        x = self.params["tok_emb"].data[new] + self.params["pos_emb"].data[start:n]
+        keep = None if len(new) == 1 else np.arange(n) <= np.arange(start, n)[:, None]  # causal rows start..n-1
+        for i, layer in enumerate(cache.layers):
+            x = nm.layer_forward(x, layer["w"], cfg.num_heads, keep, cfg.ln_eps, cache=layer, last_only=i == cfg.num_layers - 1)[0]
         logits = Tensor(x @ self.params["out.w"].data + self.params["out.b"].data)
         cache.ids = ids
         return logits
@@ -157,9 +160,9 @@ def lm_logits(model: Decoder, context_ids, cache: KVCache | None = None) -> np.n
     """
     logits = model.logits_matrix(context_ids, cache)
     last = logits.data[-1]
-    shifted = last - last.max()
+    shifted = last - np.maximum.reduce(last)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / np.add.reduce(e)
 
 
 def lm_loss(model: Decoder, sequence, loss_mask, targets=None, lengths=None) -> Tensor:
@@ -269,9 +272,9 @@ def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab
     return QaFinetuneResult(history=history, skipped=skipped)
 
 
-def _sample_from(probs: np.ndarray, request: GenerationRequest, rng: Rng) -> int:
+def _sample_from(probs: np.ndarray, request: GenerationRequest, rng: Rng | None) -> int:
     if request.strategy == "greedy":
-        return int(np.argmax(probs))
+        return int(probs.argmax())
     if request.strategy == "top_k":
         k = min(request.top_k, probs.shape[0])
         order = np.lexsort((np.arange(probs.shape[0]), -probs))  # prob desc, id asc
@@ -302,7 +305,7 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
     supplement_text = kg.retrieve(request.question, graph, supplement_max_chars) if graph is not None else ""
     prompt, _ = kg.supplement(q_seq, supplement_text, vocab, max_len=window)
-    rng = Rng(request.seed).spawn("generator.sample")
+    rng = None if request.strategy == "greedy" else Rng(request.seed).spawn("generator.sample")
     ids = list(prompt.ids)
     generated: list[int] = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len

@@ -318,10 +318,15 @@ def layer_arrays(weights: Sequence[Tensor], heads: int) -> tuple[np.ndarray, ...
 def _layer_norm(h: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     """LayerNorm over the last axis, eps inside the square root; returns the
     output, the normalized rows and their inverse deviations. A sum over n
-    divided by n is what ndarray.mean computes, without its Python wrapper."""
+    divided by n is what ndarray.mean computes; one row (a decode step) takes
+    scalar statistics, the same bits without broadcasting's per-call cost."""
     n = h.shape[-1]
-    centred = h - h.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((centred**2).sum(axis=-1, keepdims=True) / n + eps)
+    if h.shape[0] == 1:
+        centred = h - np.add.reduce(h[0]) / n
+        inv = 1.0 / np.sqrt(np.add.reduce(centred[0] ** 2) / n + eps)
+    else:
+        centred = h - np.add.reduce(h, axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(np.add.reduce(centred**2, axis=-1, keepdims=True) / n + eps)
     y = centred * inv
     return y * gain + bias, y, inv
 
@@ -335,7 +340,7 @@ def _layer_norm_backward(grad: np.ndarray, y: np.ndarray, inv: np.ndarray, gain:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps: float = 1e-5, lengths=None, cache: dict | None = None):
+def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps: float = 1e-5, lengths=None, cache: dict | None = None, last_only: bool = False):
     """transformer_layer on arrays, with `w` from layer_arrays; returns the
     output rows and a function from their gradient to the gradients of x and
     of each of transformer_layer's weights. Training and decoding both run it.
@@ -344,19 +349,23 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
     each attending only within itself; sequences and heads run batched, and
     only the scores are padded, to the longest sequence. `keep[i, j]` says
     whether position i may attend to position j (a 1-D mask is broadcast
-    over queries). A dropped key scores -1e30; a row with no kept key attends
-    to key 0 alone. Scores are scaled by 1/sqrt(head_dim), and GELU is the
-    tanh approximation.
+    over queries; None keeps every key of one sequence). A dropped key scores
+    -1e30; a row with no kept key attends to key 0 alone. Scores are scaled
+    by 1/sqrt(head_dim), and GELU is the tanh approximation.
 
     A non-finite QKV projection, score (also where the mask would hide it) or
     output raises NumericsError. A non-finite value anywhere else reaches the
     output: NaN * 0 is NaN, inf - inf is NaN in LayerNorm and GELU maps -inf
     to NaN.
 
-    With a `cache` (a dict) x is one sequence holding only the positions not
-    yet seen: their keys and values, (heads, positions, head_dim) arrays, are
-    appended to cache["k"] and cache["v"], and `keep` has one column per
-    cached-plus-new key. The gradient function covers calls without a cache.
+    With a `cache` x is one sequence holding only the positions not yet
+    seen: their keys and values are written in place after the cached ones
+    into cache["kv"], a preallocated (2, heads, capacity, head_dim) buffer,
+    and cache["k"] and cache["v"] become (heads, positions, head_dim) views
+    of its filled extent (empty while "k" is absent); `keep` has one column
+    per cached-plus-new key. With `last_only` only the last row queries and
+    runs the rest of the layer, seeing every key as a causal last row does,
+    and one row is returned. The gradient covers calls with neither.
     """
     w_qkv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = w
     grid = None if lengths is None else _grid(lengths, x.shape[0])
@@ -370,28 +379,30 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
             raise NumericsError("non-finite attention projections")
         q, k, v = (proj if grid is None else _spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
         if cache is not None:
-            if "k" in cache:
-                k = np.concatenate([cache["k"], k[0]], axis=1)[None]
-                v = np.concatenate([cache["v"], v[0]], axis=1)[None]
-            cache.update(k=k[0], v=v[0])
-        p = q @ k.transpose(0, 1, 3, 2)
+            kv = cache["kv"]
+            stop = n + (cache["k"].shape[1] if "k" in cache else 0)
+            kv[:, :, stop - n : stop] = proj.reshape(n, 3, heads, d)[:, 1:].transpose(1, 2, 0, 3)
+            cache["k"], cache["v"] = k, v = kv[:, :, :stop]
+        q, rows, keep = (q[:, :, -1:], x[-1:], None) if last_only else (q, x, keep)
+        p = q @ k.swapaxes(-1, -2)
         p *= factor
         if not np.isfinite(p).all():
             raise NumericsError("non-finite attention scores")
-        keep = np.asarray(keep, dtype=bool)
-        if grid is not None:
-            keep = keep & grid[:, None, None, :]
-        if not keep.all():
-            live = keep.any(axis=-1)
-            if not live.all():
-                keep = keep.copy()
-                keep[..., 0] |= ~live
-            np.copyto(p, -1e30, where=~keep)
-        p -= p.max(axis=-1, keepdims=True)
+        if keep is not None:
+            keep = np.asarray(keep, dtype=bool)
+            if grid is not None:
+                keep = keep & grid[:, None, None, :]
+            if not keep.all():
+                live = keep.any(axis=-1)
+                if not live.all():
+                    keep = keep.copy()
+                    keep[..., 0] |= ~live
+                np.copyto(p, -1e30, where=~keep)
+        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)  # the attention weights
-        attn = (p @ v).transpose(0, 2, 1, 3).reshape(batch * n, heads * d)[real]
-        x1, y1, inv1 = _layer_norm(x + (attn @ wo + bo), gain1, bias1, eps)
+        p /= np.add.reduce(p, axis=-1, keepdims=True)  # the attention weights
+        attn = (p @ v).transpose(0, 2, 1, 3).reshape(-1, heads * d)[real]
+        x1, y1, inv1 = _layer_norm(rows + (attn @ wo + bo), gain1, bias1, eps)
         z = x1 @ w1 + b1
         t = z * z * z  # GELU: t = tanh(C * (z + 0.044715 * (z * z * z))), in place with that rounding
         t *= 0.044715
@@ -669,6 +680,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, tag: str) -> TrainHistory:

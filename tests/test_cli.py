@@ -199,6 +199,15 @@ def test_count_below_its_floor_exits_one_with_one_error_line(tmp_path, corpus_fi
     assert len(err.splitlines()) == 1 and err.startswith("medkit: error:") and message in err
 
 
+@pytest.mark.parametrize("value", ["-0.01", "nan", "inf"])
+@pytest.mark.parametrize("key", ["mlm_lr", "lr_encoder", "lr_head", "prompt_lr", "lm_lr"])
+def test_learning_rate_not_finite_and_non_negative_exits_one_with_one_error_line(corpus_file, capsys, key, value):
+    assert run(["stats", "--in", corpus_file, "--set", f"{key}={value}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("medkit: error:") and f"{key} must be finite and >= 0" in err
+    assert run(["stats", "--in", corpus_file, "--set", f"{key}=0"]) == EXIT_OK  # a zero rate stays allowed
+
+
 def test_auto_granularity_trains_on_fine_labels_when_no_sample_is_coarse(tmp_path):
     corpus = write_corpus(tmp_path / "fine.jsonl", [{k: v for k, v in row.items() if k != "label_coarse"} for row in CORPUS_SAMPLES])
     auto = ["--set", "granularity=auto"]

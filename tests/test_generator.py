@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from medkit import numerics as nm
+from medkit.cli import _load_decoder_bundle
 from medkit.generator import (
     Decoder,
     DecoderConfig,
@@ -261,30 +263,53 @@ def _never_eos(model):
     model.params["out.b"].data[EOS_ID] = -1e3  # decode runs to max_gen_len
 
 
-def test_cached_step_matches_full_recompute_at_every_step(vocab):
+def test_cached_step_matches_full_recompute_at_every_step(vocab, monkeypatch):
     model = _decoder(vocab, hidden=16, layers=2, window=12, seed=30)
     ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
-    full_matrix = model.logits_matrix
-    rows_run = []
+    layer_forward = nm.layer_forward
+    rows_run = []  # (rows in, rows out) of each cached layer call, bottom layer first
 
-    def spy(seq, cache=None):
-        out = full_matrix(seq, cache)
-        rows_run.append(out.shape[0])
+    def spy(x, *args, cache=None, **kwargs):
+        out = layer_forward(x, *args, cache=cache, **kwargs)
+        if cache is not None:
+            rows_run.append((x.shape[0], out[0].shape[0]))
         return out
 
-    model.logits_matrix = spy
+    monkeypatch.setattr(nm, "layer_forward", spy)
     cache = KVCache()
     with nm.no_grad():
         for step in range(16):  # runs past the 12-token window
             probs = lm_logits(model, ids, cache)
+            (bottom, bottom_out), (top, top_out) = rows_run
             if step == 0 or len(ids) > 12:
-                assert rows_run[-1] == min(len(ids), 12)  # whole window recomputed
+                assert bottom == min(len(ids), 12)  # whole window recomputed
             else:
-                assert rows_run[-1] == 1  # only the newest position ran
+                assert bottom == 1  # only the newest position ran
+            # Every new row runs the bottom layer and gives the top its keys and
+            # values; only the last row runs the rest of the top layer.
+            assert bottom_out == top == bottom and top_out == 1
+            rows_run.clear()
             assert cache.ids == ids[-12:]
-            full = full_matrix(ids).data[-1]
+            full = model.logits_matrix(ids).data[-1]
             assert np.max(np.abs(probs - _softmax(full))) <= 1e-10
             ids.append(int(np.argmax(probs)))
+
+
+def test_single_row_steps_write_keys_and_values_in_place(vocab):
+    model = _decoder(vocab, hidden=16, layers=2, window=12, seed=38)
+    _never_eos(model)
+    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    cache = KVCache()
+    probs = lm_logits(model, ids, cache)
+    buffers = [layer["kv"] for layer in cache.layers]
+    assert all(buf.shape == (2, 2, 12, 8) for buf in buffers)
+    for _ in range(12):  # single-row steps, then window slides past 12 tokens
+        ids.append(int(np.argmax(probs)))
+        probs = lm_logits(model, ids, cache)
+        for layer, buf in zip(cache.layers, buffers):
+            assert layer["kv"] is buf  # a slide resets the extent, not the buffer
+            assert layer["k"].shape == layer["v"].shape == (2, min(len(ids), 12), 8)  # one more row a step
+            assert layer["k"].base is buf and layer["v"].base is buf
 
 
 def test_cached_logits_build_no_graph_outside_no_grad(vocab):
@@ -350,6 +375,19 @@ def test_cached_greedy_matches_uncached_on_fixture_graph_and_qa_set():
     for row in CORPUS_SAMPLES:
         request = GenerationRequest(question=row["question"], strategy="greedy")
         assert generate(model, request, graph, vocab) == generate_uncached(model, request, graph, vocab)
+
+
+def test_greedy_answers_are_the_recorded_consult_answers():
+    """Every answer perfbench's consult workload recorded (160 questions, two
+    seeds), decoded from the fixture decoder bundle with the fixture graph."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    recorded = json.loads((root / "reference.json").read_text(encoding="utf-8"))["consult"]
+    model, vocab, meta = _load_decoder_bundle(root / "fixtures" / "decoder" / "gen.ckpt")
+    graph, _ = load_triples(fixture_graph_path())
+    assert len(recorded) == 160
+    for question, answer in recorded.items():
+        request = GenerationRequest(question=question, strategy="greedy", max_gen_len=64)
+        assert generate(model, request, graph, vocab, meta["supplement_max_chars"])["answer"] == answer, question
 
 
 def test_cached_greedy_matches_uncached_past_the_context_window(vocab):

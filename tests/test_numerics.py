@@ -422,13 +422,19 @@ def test_transformer_layer_cached_chunks_match_one_full_pass(heads):
     keep = np.tril(np.ones((7, 7), dtype=bool))
     full = encoder_layer_ops(Tensor(x), params, "layer0", keep, heads).data
     w = nm.layer_arrays(layer_weights(params, "layer0", heads), heads)
-    cache: dict = {}
+    cache = {"kv": np.empty((2, heads, 7, 8 // heads))}
     pieces = []
     for start, stop in [(0, 3), (3, 4), (4, 5), (5, 7)]:
         out, _ = nm.layer_forward(x[start:stop], w, heads, keep[start:stop, :stop], 1e-5, cache=cache)
         assert cache["k"].shape == cache["v"].shape == (heads, stop, 8 // heads)
+        assert cache["k"].base is cache["v"].base is cache["kv"]  # views of the buffer
         pieces.append(out)
     assert np.max(np.abs(np.concatenate(pieces) - full)) <= 1e-10
+    # The last row alone, attending to every key as the causal last row does.
+    last = {"kv": np.empty((2, heads, 7, 8 // heads))}
+    out, _ = nm.layer_forward(x, w, heads, None, 1e-5, cache=last, last_only=True)
+    assert out.shape == (1, 8) and np.max(np.abs(out - full[-1:])) <= 1e-10
+    assert max(np.max(np.abs(last[kind] - cache[kind])) for kind in "kv") <= 1e-10
 
 
 @pytest.mark.parametrize("lengths", [None, [2, 1, 4]], ids=["single", "ragged"])
@@ -489,7 +495,7 @@ def test_layer_forward_checks_its_output():
     params["layer0.ffn.w2"].data = params["layer0.ffn.w2"].data * 1e300
     w = nm.layer_arrays(layer_weights(params, "layer0", 2), 2)
     with pytest.raises(NumericsError, match="output"):
-        nm.layer_forward(rng.normal(size=(4, 8)), w, 2, np.tril(np.ones((4, 4), dtype=bool)), cache={})
+        nm.layer_forward(rng.normal(size=(4, 8)), w, 2, np.tril(np.ones((4, 4), dtype=bool)), cache={"kv": np.empty((2, 2, 4, 4))})
 
 
 def test_transformer_layer_rejects_mismatched_shapes():
@@ -526,6 +532,19 @@ def test_layer_norm_gradient():
 
     err = grad_check(loss_fn, {"x": x, "g": gain, "b": bias}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
     assert err < 1e-5
+
+
+def test_layer_norm_of_one_row_is_bit_identical_to_its_row_in_many():
+    """The one-row path (scalar statistics, as a decode step's top layer
+    runs) against the many-row path it stands in for."""
+    rng = Rng(15)
+    gain, bias = rng.normal(size=64), rng.normal(size=64)
+    h = rng.normal(size=(40, 64)) * 10.0 ** rng.integers(-4, 5, size=(40, 1))
+    many = nm._layer_norm(h, gain, bias, 1e-5)
+    for i in range(len(h)):
+        out, y, inv = nm._layer_norm(h[i : i + 1], gain, bias, 1e-5)
+        assert out.tobytes() == many[0][i].tobytes() and y.tobytes() == many[1][i].tobytes()
+        assert np.float64(inv).tobytes() == many[2][i, 0].tobytes()
 
 
 def test_softmax_cross_entropy_gradient_and_value():
@@ -612,6 +631,18 @@ def test_adam_step_in_place_matches_one_expression_oracle():
         assert params[g][name].data.tobytes() == data.tobytes()
         assert opt._m[(g, name)].tobytes() == m.tobytes()
         assert opt._v[(g, name)].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize(("settings", "message"), [
+    ({"lr": -0.01}, "lr must be finite and >= 0"),
+    ({"lr": math.nan}, "lr must be finite and >= 0"),
+    ({"lr": math.inf}, "lr must be finite and >= 0"),
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+], ids=["lr-negative", "lr-nan", "lr-inf", "batch-size-zero"])
+def test_train_config_rejects_a_rate_or_batch_size_out_of_range(settings, message):
+    with pytest.raises(ValueError, match=message):
+        nm.TrainConfig(**{"epochs": 1, "lr": 0.1, **settings})
+    assert nm.TrainConfig(epochs=1, lr=0.0, batch_size=1).lr == 0.0  # a zero rate stays allowed
 
 
 def test_fit_lets_a_shape_error_through_without_rollback(caplog):
