@@ -89,7 +89,7 @@ def layer_weights(params: dict, prefix: str, heads: int) -> list[Tensor]:
     return [params[f"{prefix}.attn.w{kind}{h}"] for kind in "qkv" for h in range(heads)] + [params[f"{prefix}.{name}"] for name in tail]
 
 
-def run_layers(x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float = 1e-5, lengths=None) -> Tensor:
+def run_layers(x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float, lengths) -> Tensor:
     """Run the stack, one numerics.transformer_layer node per layer; `keep`
     and `lengths` go to every layer."""
     for i in range(num_layers):
@@ -128,7 +128,7 @@ class Encoder:
         return nm.take_rows(self.params["tok_emb"], tokens.ids) + nm.take_rows(self.params["pos_emb"], positions)
 
     def _token_states(self, tokens: TokenBatch) -> Tensor:
-        return run_layers(self.embed(tokens), self.params, True, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths=tokens.lengths)
+        return run_layers(self.embed(tokens), self.params, True, self.config.num_layers, self.config.num_heads, self.config.ln_eps, tokens.lengths)
 
     def encode(self, tokens: TokenBatch) -> EncoderOutput:
         reps = self._token_states(tokens)

@@ -6,15 +6,16 @@ is read from the last position. Long contexts are truncated to the most
 recent `context_window` tokens. Training runs each batch as one causal pass
 over its sequences laid end to end, each attending only within itself.
 
-Decoding is KV-cached and gradient-free: `generate` keeps one `KVCache` per
-request, so each step runs only the newest token against the keys and values
-of the earlier ones, written in place into one preallocated buffer per
-layer. A step reads only the last position's next-token distribution, so
-the top layer past its key/value projection, and the output projection, run
-on that row alone. A cached call runs `numerics.layer_forward` on plain
-arrays and wraps only the logits in a Tensor, so no graph is built. Once the
-context passes `context_window` the window slides, every learned absolute
-position changes, and each step recomputes the whole window.
+Decoding has one path, through a `KVCache`, and is gradient-free: `generate`
+keeps one cache per request, so each step runs only the newest token against
+the keys and values of the earlier ones, written in place into one
+preallocated buffer for all layers. A step reads only the last position's
+next-token distribution, so the top layer past its key/value projection, and
+the output projection, run on that row alone. A step runs
+`numerics.layer_forward` on plain arrays and wraps only the logits in a
+Tensor, so no graph is built. Once the context passes `context_window` the
+window slides, every learned absolute position changes, and each step
+recomputes the whole window into the same buffer.
 """
 
 from __future__ import annotations
@@ -75,16 +76,18 @@ class GenerationRequest:
 class KVCache:
     """Keys and values of a context prefix already run through a Decoder.
 
-    `ids` is that prefix (windowed token ids); `layers[i]` is layer i's
-    dict: "w", its weight arrays (numerics.layer_arrays), and the key/value
-    buffer and views numerics.layer_forward writes; a dropped cache keeps
-    both and empties the views. It builds no graph and is valid only while
-    the weights stay unchanged. Create one empty per decoded sequence and
-    pass it to every `lm_logits` call for that sequence.
+    `ids` is that prefix (windowed token ids), whose keys and values fill the
+    first len(ids) positions of `kv`, one (num_layers, 2, heads,
+    context_window, head_dim) buffer; `weights` holds each layer's
+    numerics.layer_arrays. Both are built on first use, and a dropped cache
+    runs from position 0 into the same buffer. It is valid only while the
+    weights stay unchanged. Create one empty per decoded sequence and pass it
+    to every `lm_logits` call for that sequence.
     """
 
     ids: list[int] = field(default_factory=list)
-    layers: list[dict] = field(default_factory=list)
+    kv: np.ndarray | None = None
+    weights: list[tuple] = field(default_factory=list)
 
 
 class Decoder:
@@ -101,65 +104,58 @@ class Decoder:
         params["out.b"] = nm.zeros_param(config.vocab_size)
         self.params = params
 
-    def hidden_states(self, ids, lengths=None) -> Tensor:
-        """Top-layer states under the causal mask: of one sequence of ids or,
-        with `lengths`, of sequences laid end to end in ids, each attending
-        only within itself."""
-        n = len(ids) if lengths is None else max(lengths)
-        positions = np.arange(n) if lengths is None else TokenBatch(np.asarray(ids), np.asarray(lengths)).positions
+    def hidden_states(self, ids, lengths) -> Tensor:
+        """Top-layer states under the causal mask of sequences of `lengths`
+        laid end to end in ids, each attending only within itself."""
+        n = max(lengths)
+        positions = TokenBatch(np.asarray(ids), np.asarray(lengths)).positions
         x = nm.take_rows(self.params["tok_emb"], ids) + nm.take_rows(self.params["pos_emb"], positions)
         keep = np.arange(n) <= np.arange(n)[:, None]
         return run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths)
 
-    def logits_matrix(self, ids, cache: KVCache | None = None) -> Tensor:
-        """Next-token logits for a full (windowed) sequence: one row per
-        position or, with a `cache`, the last position's row alone.
+    def logits_matrix(self, ids, cache: KVCache) -> Tensor:
+        """Next-token logits of the last position of the (windowed) ids, as a
+        one-row Tensor with no graph.
 
         With a `cache` whose ids are a proper prefix of the windowed ids, only
         the positions after that prefix are embedded and run. Any other cache
-        (empty, from another context, or one the sliding window has shifted)
-        is dropped and the whole window recomputed. Either way the cache then
-        covers the whole window. A call with a cache runs
-        numerics.layer_forward on arrays: its result has no graph.
+        (from another context, or one the sliding window has shifted) is
+        dropped and the whole window recomputed. Either way the cache then
+        covers the whole window. Each layer runs numerics.layer_forward on
+        arrays, writing the new positions' keys and values into the cache.
         """
         ids = list(ids)
         if not ids:
             raise ValueError("empty context")
-        if len(ids) > self.config.context_window:
-            ids = ids[-self.config.context_window :]
+        cfg = self.config
+        if len(ids) > cfg.context_window:
+            ids = ids[-cfg.context_window :]
         n = len(ids)
-        start = 0 if cache is None else len(cache.ids)
-        if not (0 < start < n and cache.ids == ids[:start]):
+        start = len(cache.ids)
+        if not (start < n and cache.ids == ids[:start]):
             start = 0
         new = ids[start:]  # a valid cached prefix was checked when it was new
-        if max(new) >= self.config.vocab_size or min(new) < 0:
+        if max(new) >= cfg.vocab_size or min(new) < 0:
             raise ValueError("token id out of vocab range")
-        if cache is None:
-            return nm.matmul(self.hidden_states(ids), self.params["out.w"]) + self.params["out.b"]
-        cfg = self.config
-        if not cache.layers:
-            shape = (2, cfg.num_heads, cfg.context_window, cfg.hidden_dim // cfg.num_heads)
-            cache.layers = [{"w": nm.layer_arrays(layer_weights(self.params, f"layer{i}", cfg.num_heads), cfg.num_heads), "kv": np.empty(shape)} for i in range(cfg.num_layers)]
-        elif start == 0:
-            cache.layers = [{"w": layer["w"], "kv": layer["kv"]} for layer in cache.layers]  # empty extents, same buffers
+        if cache.kv is None:
+            cache.kv = np.empty((cfg.num_layers, 2, cfg.num_heads, cfg.context_window, cfg.hidden_dim // cfg.num_heads))
+            cache.weights = [nm.layer_arrays(layer_weights(self.params, f"layer{i}", cfg.num_heads), cfg.num_heads) for i in range(cfg.num_layers)]
         cache.ids = []  # stays invalid unless the stack below completes
         x = self.params["tok_emb"].data[new] + self.params["pos_emb"].data[start:n]
         keep = None if len(new) == 1 else np.arange(n) <= np.arange(start, n)[:, None]  # causal rows start..n-1
-        for i, layer in enumerate(cache.layers):
-            x = nm.layer_forward(x, layer["w"], cfg.num_heads, keep, cfg.ln_eps, cache=layer, last_only=i == cfg.num_layers - 1)[0]
-        logits = Tensor(x @ self.params["out.w"].data + self.params["out.b"].data)
+        for i, w in enumerate(cache.weights):
+            x = nm.layer_forward(x, w, cfg.num_heads, keep, cfg.ln_eps, kv=cache.kv[i, :, :, :n], last_only=i == cfg.num_layers - 1)[0]
         cache.ids = ids
-        return logits
+        return Tensor(x @ self.params["out.w"].data + self.params["out.b"].data)
 
 
-def lm_logits(model: Decoder, context_ids, cache: KVCache | None = None) -> np.ndarray:
+def lm_logits(model: Decoder, context_ids, cache: KVCache) -> np.ndarray:
     """Distribution over the next token given the (windowed) context.
 
     A `cache` carried across calls for one growing context makes each call
     run only the tokens added since the last one (see Decoder.logits_matrix).
     """
-    logits = model.logits_matrix(context_ids, cache)
-    last = logits.data[-1]
+    last = model.logits_matrix(context_ids, cache).data[0]
     shifted = last - np.maximum.reduce(last)
     e = np.exp(shifted)
     return e / np.add.reduce(e)
@@ -192,7 +188,7 @@ def lm_loss(model: Decoder, sequence, loss_mask, targets=None, lengths=None) -> 
     if not counts.all():
         raise ValueError("loss mask selects no positions")
     rows = np.flatnonzero(picked)
-    states = nm.take_rows(model.hidden_states(ids, lengths=lengths), rows - 1)
+    states = nm.take_rows(model.hidden_states(ids, lengths), rows - 1)
     logits = nm.matmul(states, model.params["out.w"]) + model.params["out.b"]
     tgt = ids if targets is None else np.asarray(targets, dtype=np.int64)
     return nm.softmax_cross_entropy(logits, tgt[rows], reduction=1.0 / (counts[owner[rows]] * len(lengths)))
@@ -234,16 +230,21 @@ class QaFinetuneResult:
     skipped: int = 0
 
 
+def _compose_prompt(question: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, window: int, budget: int, supplement_max_chars: int):
+    """The prompt of at most `budget` ids (kgraph.supplement), its layout and
+    the retrieved supplement text; the question is encoded within `window`."""
+    supplement_text = kg.retrieve(question, graph, supplement_max_chars) if graph is not None else ""
+    prompt, layout = kg.supplement(encode(question, vocab, max_len=window, mode="decoder"), supplement_text, vocab, budget)
+    return prompt, layout, supplement_text
+
+
 def build_qa_sequence(question: str, answer: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, window: int, supplement_max_chars: int = 64):
     """Compose the training/inference sequence for one QA pair.
 
     Layout: [BOS] question [SEP] supplement [SEP] answer [EOS], with the loss
     mask covering the answer tokens and the closing [EOS] only.
     """
-    q_seq = encode(question, vocab, max_len=window, mode="decoder")
-    supplement_text = kg.retrieve(question, graph, supplement_max_chars) if graph is not None else ""
-    prompt_budget = max(3, window - 1 - len(answer))  # leave room for answer + EOS
-    prompt, layout = kg.supplement(q_seq, supplement_text, vocab, prompt_budget)
+    prompt, layout, _ = _compose_prompt(question, graph, vocab, window, max(3, window - 1 - len(answer)), supplement_max_chars)  # room for answer + EOS
     ids = list(prompt.ids) + [vocab.id_of(ch) for ch in answer] + [EOS_ID]
     mask = [False] * layout.prompt_len + [True] * (len(ids) - layout.prompt_len)
     return ids, mask, layout
@@ -302,9 +303,7 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     with one KVCache for the request, so it builds no graph.
     """
     window = model.config.context_window
-    q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
-    supplement_text = kg.retrieve(request.question, graph, supplement_max_chars) if graph is not None else ""
-    prompt, _ = kg.supplement(q_seq, supplement_text, vocab, max_len=window)
+    prompt, _, supplement_text = _compose_prompt(request.question, graph, vocab, window, window, supplement_max_chars)
     rng = None if request.strategy == "greedy" else Rng(request.seed).spawn("generator.sample")
     ids = list(prompt.ids)
     generated: list[int] = []

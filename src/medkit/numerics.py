@@ -10,9 +10,9 @@ It holds only what the models run: the ops add (+), mul (*), matmul,
 transpose (.T), concat, take_rows, softmax_cross_entropy, lstm and
 transformer_layer (whose array forward, layer_forward, is also the KV-cached
 decode step), backward, no_grad, Rng, the initializers, Adam, fit and its
-TrainConfig, and the checkpoint format. Ops take Tensors only. The reference
-ops these are checked against and the finite-difference grad_check are in
-tests/oracles.py.
+TrainConfig, and the checkpoint format. Ops take Tensors only; any other
+operand raises ShapeError. The reference ops these are checked against and
+the finite-difference grad_check are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -124,6 +124,8 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    if not all(isinstance(p, Tensor) for p in parents):  # an ndarray's .data, a memoryview, gets most ops this far
+        raise ShapeError(f"ops take Tensors, got {', '.join(type(p).__name__ for p in parents)}")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -171,8 +173,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError("transpose needs a 2-D tensor")
+    if not isinstance(a, Tensor) or a.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-D Tensor, got {a.shape if isinstance(a, Tensor) else type(a).__name__}")
     return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
@@ -191,8 +193,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def take_rows(a: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D tensor by integer index (duplicates allowed)."""
-    if a.ndim != 2:
-        raise ShapeError("take_rows needs a 2-D tensor")
+    if not isinstance(a, Tensor) or a.ndim != 2:
+        raise ShapeError(f"take_rows needs a 2-D Tensor, got {a.shape if isinstance(a, Tensor) else type(a).__name__}")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("take_rows needs a 1-D index list")
@@ -340,7 +342,7 @@ def _layer_norm_backward(grad: np.ndarray, y: np.ndarray, inv: np.ndarray, gain:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps: float = 1e-5, lengths=None, cache: dict | None = None, last_only: bool = False):
+def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps: float = 1e-5, lengths=None, kv: np.ndarray | None = None, last_only: bool = False):
     """transformer_layer on arrays, with `w` from layer_arrays; returns the
     output rows and a function from their gradient to the gradients of x and
     of each of transformer_layer's weights. Training and decoding both run it.
@@ -358,14 +360,13 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
     output: NaN * 0 is NaN, inf - inf is NaN in LayerNorm and GELU maps -inf
     to NaN.
 
-    With a `cache` x is one sequence holding only the positions not yet
-    seen: their keys and values are written in place after the cached ones
-    into cache["kv"], a preallocated (2, heads, capacity, head_dim) buffer,
-    and cache["k"] and cache["v"] become (heads, positions, head_dim) views
-    of its filled extent (empty while "k" is absent); `keep` has one column
-    per cached-plus-new key. With `last_only` only the last row queries and
-    runs the rest of the layer, seeing every key as a causal last row does,
-    and one row is returned. The gradient covers calls with neither.
+    With `kv`, a (2, heads, positions, head_dim) view of a key/value
+    buffer, x is one sequence's last len(x) positions: their keys and values
+    are written in place into the view's last len(x) positions, and the rows
+    attend over all of it (`keep` has one column per position). With
+    `last_only` only the last row queries and runs the rest of the layer,
+    seeing every key as a causal last row does, and one row is returned. The
+    gradient covers calls with neither.
     """
     w_qkv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = w
     grid = None if lengths is None else _grid(lengths, x.shape[0])
@@ -378,11 +379,9 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
         if not np.isfinite(proj).all():
             raise NumericsError("non-finite attention projections")
         q, k, v = (proj if grid is None else _spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
-        if cache is not None:
-            kv = cache["kv"]
-            stop = n + (cache["k"].shape[1] if "k" in cache else 0)
-            kv[:, :, stop - n : stop] = proj.reshape(n, 3, heads, d)[:, 1:].transpose(1, 2, 0, 3)
-            cache["k"], cache["v"] = k, v = kv[:, :, :stop]
+        if kv is not None:
+            kv[:, :, -n:] = proj.reshape(n, 3, heads, d)[:, 1:].transpose(1, 2, 0, 3)
+            k, v = kv
         q, rows, keep = (q[:, :, -1:], x[-1:], None) if last_only else (q, x, keep)
         p = q @ k.swapaxes(-1, -2)
         p *= factor
@@ -448,9 +447,9 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
 def softmax_cross_entropy(logits: Tensor, targets, reduction="mean") -> Tensor:
     """Fused log-softmax + NLL over rows of `logits`; the gradient with respect
     to the logits is (softmax - one_hot), which stays stable for any scale.
-    `reduction` is "mean", "sum", or one weight per row for a weighted sum."""
-    if logits.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy needs 2-D logits, got {logits.shape}")
+    `reduction` is "mean" or one weight per row for a weighted sum."""
+    if not isinstance(logits, Tensor) or logits.ndim != 2:
+        raise ShapeError(f"softmax_cross_entropy needs 2-D Tensor logits, got {logits.shape if isinstance(logits, Tensor) else type(logits).__name__}")
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
     n, k = logits.data.shape
     if t.shape[0] != n:
@@ -458,9 +457,9 @@ def softmax_cross_entropy(logits: Tensor, targets, reduction="mean") -> Tensor:
     if t.size and (t.min() < 0 or t.max() >= k):
         raise ShapeError("target id out of range")
     if isinstance(reduction, str):
-        if reduction not in ("mean", "sum"):
+        if reduction != "mean":
             raise ValueError(f"unknown reduction {reduction!r}")
-        reduction = np.full(n, 1.0 / n if reduction == "mean" else 1.0)
+        reduction = np.full(n, 1.0 / n)
     weights = np.asarray(reduction, dtype=np.float64).reshape(n)
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     probs = np.exp(shifted)

@@ -14,7 +14,7 @@ import numpy as np
 
 from medkit import kgraph as kg
 from medkit import numerics as nm
-from medkit.generator import _sample_from, lm_logits
+from medkit.generator import _sample_from
 from medkit.numerics import Rng, Tensor
 from medkit.tokenizer import EOS_ID, PAD_ID, decode, encode
 
@@ -292,9 +292,17 @@ def bf_dendrite(vector, weight_stack):
     return current
 
 
+def full_logits(model, ids):
+    """Decoder.logits_matrix without a cache: every position of the windowed
+    ids run through Decoder.hidden_states, recording the autograd graph, and
+    the output projection applied to every row."""
+    ids = list(ids)[-model.config.context_window :]
+    return nm.matmul(model.hidden_states(ids, [len(ids)]), model.params["out.w"]) + model.params["out.b"]
+
+
 def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
     """generate() without a KV cache or no_grad: every step runs the whole
-    windowed context through the stack and records the autograd graph."""
+    windowed context through full_logits and records the autograd graph."""
     window = model.config.context_window
     q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
     supplement_text = kg.retrieve(request.question, graph, supplement_max_chars) if graph is not None else ""
@@ -304,8 +312,9 @@ def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
     generated = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
     for _ in range(limit):
-        probs = lm_logits(model, ids)
-        nxt = _sample_from(probs, request, rng)
+        last = full_logits(model, ids).data[-1]
+        e = np.exp(last - np.maximum.reduce(last))
+        nxt = _sample_from(e / np.add.reduce(e), request, rng)
         if nxt == EOS_ID:
             break
         generated.append(nxt)
@@ -703,7 +712,7 @@ def mlm_loss_per_sample(encoder, batch):
             continue
         states = states_ops(encoder, *padded(corrupted.ids, encoder.config.max_len))
         logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), positions)
-        losses.append(nm.softmax_cross_entropy(logits, originals, reduction="sum"))
+        losses.append(nm.softmax_cross_entropy(logits, originals, reduction=np.ones(len(originals))))
         total += len(positions)
     return _scaled_sum(losses, 1.0 / total)
 
@@ -726,7 +735,7 @@ def supervised_loss_per_sample(encoder, head, batch):
         for w in head.dd_stack():
             features = nm.matmul(features * features, w)
         logits = nm.matmul(features, head.params["dense.w"]) + head.params["dense.b"]
-        losses.append(nm.softmax_cross_entropy(logits, [label], reduction="sum"))
+        losses.append(nm.softmax_cross_entropy(logits, [label], reduction=np.ones(1)))
     return _scaled_sum(losses, 1.0 / len(batch))
 
 
@@ -738,7 +747,7 @@ def slot_loss_per_sample(encoder, batch):
     for seq, slots, targets in batch:
         states = states_ops(encoder, *padded(seq.ids, encoder.config.max_len))
         logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), slots)
-        losses.append(nm.softmax_cross_entropy(logits, targets, reduction="sum"))
+        losses.append(nm.softmax_cross_entropy(logits, targets, reduction=np.ones(len(targets))))
     return _scaled_sum(losses, 1.0 / len(batch))
 
 

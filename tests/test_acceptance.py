@@ -7,6 +7,7 @@ the lines as they stream.
 
 import contextlib
 import io
+import json
 import sys
 import time
 from collections import Counter
@@ -27,7 +28,7 @@ from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict
 from medkit.tokenizer import TokenBatch, TokenSequence, build_vocab, encode
 from medkit.triage import TriageConfig, TriageHead, dendrite, predict_labels, train_supervised
 
-from conftest import write_corpus
+import chain
 from oracles import (
     bf_bleu,
     bf_chrf,
@@ -38,6 +39,7 @@ from oracles import (
     bf_ter,
     bf_transport_cost,
     bf_weighted_prf,
+    full_logits,
     grad_check,
 )
 
@@ -353,7 +355,7 @@ def test_criterion_09_causality_and_loss_masking():
         ids = encode("头痛发烧咳嗽", vocab, max_len=12, mode="decoder").ids
 
         def distributions(sequence):
-            logits = model.logits_matrix(sequence).data
+            logits = full_logits(model, sequence).data
             shifted = logits - logits.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             return e / e.sum(axis=1, keepdims=True)
@@ -420,16 +422,6 @@ def test_criterion_10_ablation_structure():
 # -- 11. CLI determinism ----------------------------------------------------------------
 
 
-TINY_SETS = [
-    "--set", "enc_hidden=8", "--set", "enc_layers=1", "--set", "enc_ffn=16",
-    "--set", "dec_hidden=8", "--set", "dec_layers=1", "--set", "dec_ffn=16",
-    "--set", "max_len=24", "--set", "context_window=48", "--set", "max_gen_len=6",
-    "--set", "mlm_epochs=1", "--set", "triage_epochs=1", "--set", "prompt_epochs=1",
-    "--set", "lm_pretrain_epochs=1", "--set", "lm_finetune_epochs=1",
-    "--set", "lstm_layers=1", "--set", "dd_layers=1",
-]
-
-
 def _normalized_tree(root: Path) -> dict:
     snapshot = {}
     for path in sorted(root.rglob("*")):
@@ -454,60 +446,35 @@ def _run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None) -> str:
 
 
 @pytest.fixture(scope="module")
-def cli_assets(tmp_path_factory):
-    """Shared inputs plus trained bundles for the eval/chat determinism runs."""
+def chain_run(tmp_path_factory):
+    """One run of the seeded chain: its root, and each command's exit code and stdout."""
     root = tmp_path_factory.mktemp("accept-cli")
-    corpus = write_corpus(root / "corpus.jsonl")
-    graph = fixture_graph_path()
-    assert cli_main([str(a) for a in ["pretrain-encoder", "--in", corpus, "--seed", 3, "--out", root / "enc"] + TINY_SETS]) == 0
-    assert cli_main([str(a) for a in ["train-triage", "--in", corpus, "--seed", 3, "--out", root / "triage"] + TINY_SETS]) == 0
-    assert cli_main([str(a) for a in ["train-prompt", "--in", corpus, "--seed", 3, "--out", root / "prompt"] + TINY_SETS]) == 0
-    assert cli_main([str(a) for a in ["pretrain-lm", "--in", corpus, "--seed", 3, "--out", root / "lm"] + TINY_SETS]) == 0
-    assert cli_main([str(a) for a in ["train-gen", "--in", corpus, "--graph", graph, "--seed", 3, "--out", root / "gen"] + TINY_SETS]) == 0
-    gen_eval = root / "gen-eval"
-    assert cli_main([str(a) for a in ["eval-gen", "--in", corpus, "--ckpt", root / "gen/gen.ckpt", "--graph", graph, "--seed", 3, "--out", gen_eval] + TINY_SETS]) == 0
-    return {"root": root, "corpus": corpus, "graph": graph, "gen_eval": gen_eval}
+    return root, chain.run(root)
 
 
-def test_criterion_11_cli_determinism(cli_assets, tmp_path, monkeypatch, capsys):
+def test_criterion_11_cli_determinism(chain_run, tmp_path, monkeypatch, capsys):
     with criterion(11, "every CLI subcommand is bit-reproducible under a fixed seed"):
-        root = cli_assets["root"]
-        corpus = cli_assets["corpus"]
-        graph = cli_assets["graph"]
-        answers = cli_assets["gen_eval"] / "answers.txt"
-        references = cli_assets["gen_eval"] / "references.txt"
-
-        def argv_for(command, out):
-            table = {
-                "stats": ["stats", "--in", corpus, "--seed", 3, "--out", out],
-                "clean": ["clean", "--in", corpus, "--seed", 3, "--out", out],
-                "split": ["split", "--in", corpus, "--seed", 3, "--out", out],
-                "small-sample": ["small-sample", "--in", corpus, "--threshold", 6, "--seed", 3, "--out", out],
-                "pretrain-encoder": ["pretrain-encoder", "--in", corpus, "--seed", 3, "--out", out] + TINY_SETS,
-                "train-triage": ["train-triage", "--in", corpus, "--seed", 3, "--out", out] + TINY_SETS,
-                "eval-triage": ["eval-triage", "--in", corpus, "--ckpt", root / "triage/triage.ckpt", "--seed", 3, "--out", out],
-                "train-prompt": ["train-prompt", "--in", corpus, "--seed", 3, "--out", out] + TINY_SETS,
-                "eval-prompt": ["eval-prompt", "--in", corpus, "--ckpt", root / "prompt/prompt.ckpt", "--seed", 3, "--out", out],
-                "pretrain-lm": ["pretrain-lm", "--in", corpus, "--seed", 3, "--out", out] + TINY_SETS,
-                "train-gen": ["train-gen", "--in", corpus, "--graph", graph, "--seed", 3, "--out", out] + TINY_SETS,
-                "eval-gen": ["eval-gen", "--in", corpus, "--ckpt", root / "gen/gen.ckpt", "--graph", graph, "--seed", 3, "--out", out] + TINY_SETS,
-                "metrics": ["metrics", "--gen", answers, "--ref", references, "--seed", 3, "--out", out],
-            }
-            return table[command]
-
-        for command in [
-            "stats", "clean", "split", "small-sample", "pretrain-encoder", "train-triage",
-            "eval-triage", "train-prompt", "eval-prompt", "pretrain-lm", "train-gen",
-            "eval-gen", "metrics",
-        ]:
+        root, results = chain_run
+        assert all(code == 0 for code, _ in results.values()), results
+        corpus = root / "corpus.jsonl"
+        for command in chain.COMMANDS:
             out_a = tmp_path / f"{command}-a"
             out_b = tmp_path / f"{command}-b"
-            stdout_a = _run_cli(argv_for(command, out_a), capsys=capsys)
-            stdout_b = _run_cli(argv_for(command, out_b), capsys=capsys)
+            stdout_a = _run_cli(chain.argv(command, root, corpus, out_a), capsys=capsys)
+            stdout_b = _run_cli(chain.argv(command, root, corpus, out_b), capsys=capsys)
             assert stdout_a == stdout_b, f"{command}: stdout differs between runs"
             assert _normalized_tree(out_a) == _normalized_tree(out_b), f"{command}: artifacts differ between runs"
 
-        chat_args = ["chat", "--ckpt", root / "gen/gen.ckpt", "--graph", graph, "--seed", 3]
+        chat_args = ["chat", "--ckpt", root / "train-gen/gen.ckpt", "--graph", fixture_graph_path(), "--seed", 3]
         first = _run_cli(chat_args, stdin_text="头痛好几天了怎么办\n", monkeypatch=monkeypatch, capsys=capsys)
         second = _run_cli(chat_args, stdin_text="头痛好几天了怎么办\n", monkeypatch=monkeypatch, capsys=capsys)
         assert first == second and "answer:" in first
+
+
+def test_seeded_chain_matches_its_golden(chain_run):
+    """Exit codes, reports, loss columns, answers and checkpoint fingerprints
+    of the seeded chain against the recorded golden: floats within 1e-9
+    relative, everything else exact."""
+    root, results = chain_run
+    golden = json.loads(chain.GOLDEN.read_text(encoding="utf-8"))
+    assert chain.mismatches(chain.summary(root, results), golden) == []

@@ -24,7 +24,7 @@ from medkit.numerics import Rng, TrainConfig
 from medkit.tokenizer import EOS_ID, build_vocab, encode
 
 from conftest import CORPUS_SAMPLES
-from oracles import generate_uncached, grad_check
+from oracles import full_logits, generate_uncached, grad_check
 
 
 @pytest.fixture()
@@ -46,18 +46,18 @@ def test_zeroed_output_head_gives_uniform(vocab):
     model = _decoder(vocab, seed=1)
     model.params["out.w"].data = np.zeros_like(model.params["out.w"].data)
     model.params["out.b"].data = np.zeros_like(model.params["out.b"].data)
-    probs = lm_logits(model, encode("头痛", vocab, 12, mode="decoder").ids)
+    probs = lm_logits(model, encode("头痛", vocab, 12, mode="decoder").ids, KVCache())
     assert np.allclose(probs, 1.0 / vocab.size, atol=1e-15)
 
 
 def test_causality_future_edits_leave_earlier_rows_bit_identical(vocab):
     model = _decoder(vocab, seed=2)
     ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder").ids
-    base = model.logits_matrix(ids).data
+    base = full_logits(model, ids).data
     for j in range(2, len(ids)):
         tampered = list(ids)
         tampered[j] = vocab.id_of("水")
-        other = model.logits_matrix(tampered).data
+        other = full_logits(model, tampered).data
         assert np.array_equal(base[: j], other[: j])
 
 
@@ -65,8 +65,8 @@ def test_sliding_window_keeps_last_k(vocab):
     model = _decoder(vocab, window=6, seed=3)
     long_ctx = encode("头痛发烧咳嗽多喝水要休息", vocab, 16, mode="decoder").ids
     assert len(long_ctx) > 6
-    direct = lm_logits(model, long_ctx)
-    windowed = lm_logits(model, long_ctx[-6:])
+    direct = lm_logits(model, long_ctx, KVCache())
+    windowed = lm_logits(model, long_ctx[-6:], KVCache())
     assert np.array_equal(direct, windowed)
 
 
@@ -132,8 +132,6 @@ def test_lm_loss_validations(vocab):
 def test_logits_reject_token_ids_outside_the_vocab(vocab):
     model = _decoder(vocab)
     for bad in ([3, vocab.size], [3, -1]):
-        with pytest.raises(ValueError):
-            model.logits_matrix(bad)
         with pytest.raises(ValueError):
             lm_logits(model, bad, KVCache())
 
@@ -269,9 +267,9 @@ def test_cached_step_matches_full_recompute_at_every_step(vocab, monkeypatch):
     layer_forward = nm.layer_forward
     rows_run = []  # (rows in, rows out) of each cached layer call, bottom layer first
 
-    def spy(x, *args, cache=None, **kwargs):
-        out = layer_forward(x, *args, cache=cache, **kwargs)
-        if cache is not None:
+    def spy(x, *args, kv=None, **kwargs):
+        out = layer_forward(x, *args, kv=kv, **kwargs)
+        if kv is not None:
             rows_run.append((x.shape[0], out[0].shape[0]))
         return out
 
@@ -290,7 +288,7 @@ def test_cached_step_matches_full_recompute_at_every_step(vocab, monkeypatch):
             assert bottom_out == top == bottom and top_out == 1
             rows_run.clear()
             assert cache.ids == ids[-12:]
-            full = model.logits_matrix(ids).data[-1]
+            full = full_logits(model, ids).data[-1]
             assert np.max(np.abs(probs - _softmax(full))) <= 1e-10
             ids.append(int(np.argmax(probs)))
 
@@ -301,21 +299,23 @@ def test_single_row_steps_write_keys_and_values_in_place(vocab):
     ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
     cache = KVCache()
     probs = lm_logits(model, ids, cache)
-    buffers = [layer["kv"] for layer in cache.layers]
-    assert all(buf.shape == (2, 2, 12, 8) for buf in buffers)
+    buf = cache.kv
+    assert buf.shape == (2, 2, 2, 12, 8)  # (layers, keys and values, heads, window, head_dim)
     for _ in range(12):  # single-row steps, then window slides past 12 tokens
         ids.append(int(np.argmax(probs)))
         probs = lm_logits(model, ids, cache)
-        for layer, buf in zip(cache.layers, buffers):
-            assert layer["kv"] is buf  # a slide resets the extent, not the buffer
-            assert layer["k"].shape == layer["v"].shape == (2, min(len(ids), 12), 8)  # one more row a step
-            assert layer["k"].base is buf and layer["v"].base is buf
+        assert cache.kv is buf  # a slide starts again at position 0, in the same buffer
+        filled = min(len(ids), 12)  # one more position a step
+        assert cache.ids == ids[-filled:]
+        fresh = KVCache()
+        lm_logits(model, ids, fresh)
+        assert np.max(np.abs(buf[..., :filled, :] - fresh.kv[..., :filled, :])) <= 1e-10
 
 
 def test_cached_logits_build_no_graph_outside_no_grad(vocab):
     model = _decoder(vocab, hidden=16, layers=2, window=16, seed=35)
     ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder").ids
-    full = model.logits_matrix(ids).data
+    full = full_logits(model, ids).data
     cache = KVCache()
     for stop in (3, 4, len(ids)):  # a fresh cache, then two extensions of it
         out = model.logits_matrix(ids[:stop], cache)
@@ -361,7 +361,7 @@ def test_cache_from_another_context_is_dropped(vocab):
     cache = KVCache()
     lm_logits(model, encode("头痛发烧", vocab, 12, mode="decoder").ids, cache)
     other = encode("咳嗽多喝水", vocab, 12, mode="decoder").ids
-    assert np.max(np.abs(lm_logits(model, other, cache) - lm_logits(model, other))) <= 1e-10
+    assert np.max(np.abs(lm_logits(model, other, cache) - _softmax(full_logits(model, other).data[-1]))) <= 1e-10
     assert cache.ids == other
 
 

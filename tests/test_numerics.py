@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -188,7 +189,7 @@ def test_generate_builds_no_graph_and_leaves_grads_unset():
     seen = []
     full = model.logits_matrix
 
-    def spy(ids, cache=None):
+    def spy(ids, cache):
         seen.append(full(ids, cache))
         return seen[-1]
 
@@ -422,19 +423,18 @@ def test_transformer_layer_cached_chunks_match_one_full_pass(heads):
     keep = np.tril(np.ones((7, 7), dtype=bool))
     full = encoder_layer_ops(Tensor(x), params, "layer0", keep, heads).data
     w = nm.layer_arrays(layer_weights(params, "layer0", heads), heads)
-    cache = {"kv": np.empty((2, heads, 7, 8 // heads))}
+    kv = np.full((2, heads, 7, 8 // heads), np.nan)
     pieces = []
     for start, stop in [(0, 3), (3, 4), (4, 5), (5, 7)]:
-        out, _ = nm.layer_forward(x[start:stop], w, heads, keep[start:stop, :stop], 1e-5, cache=cache)
-        assert cache["k"].shape == cache["v"].shape == (heads, stop, 8 // heads)
-        assert cache["k"].base is cache["v"].base is cache["kv"]  # views of the buffer
+        out, _ = nm.layer_forward(x[start:stop], w, heads, keep[start:stop, :stop], 1e-5, kv=kv[:, :, :stop])
+        assert np.isfinite(kv[:, :, :stop]).all() and np.isnan(kv[:, :, stop:]).all()  # written up to stop
         pieces.append(out)
     assert np.max(np.abs(np.concatenate(pieces) - full)) <= 1e-10
     # The last row alone, attending to every key as the causal last row does.
-    last = {"kv": np.empty((2, heads, 7, 8 // heads))}
-    out, _ = nm.layer_forward(x, w, heads, None, 1e-5, cache=last, last_only=True)
+    last = np.empty((2, heads, 7, 8 // heads))
+    out, _ = nm.layer_forward(x, w, heads, None, 1e-5, kv=last, last_only=True)
     assert out.shape == (1, 8) and np.max(np.abs(out - full[-1:])) <= 1e-10
-    assert max(np.max(np.abs(last[kind] - cache[kind])) for kind in "kv") <= 1e-10
+    assert np.max(np.abs(last - kv)) <= 1e-10
 
 
 @pytest.mark.parametrize("lengths", [None, [2, 1, 4]], ids=["single", "ragged"])
@@ -495,7 +495,7 @@ def test_layer_forward_checks_its_output():
     params["layer0.ffn.w2"].data = params["layer0.ffn.w2"].data * 1e300
     w = nm.layer_arrays(layer_weights(params, "layer0", 2), 2)
     with pytest.raises(NumericsError, match="output"):
-        nm.layer_forward(rng.normal(size=(4, 8)), w, 2, np.tril(np.ones((4, 4), dtype=bool)), cache={"kv": np.empty((2, 2, 4, 4))})
+        nm.layer_forward(rng.normal(size=(4, 8)), w, 2, np.tril(np.ones((4, 4), dtype=bool)), kv=np.empty((2, 2, 4, 4)))
 
 
 def test_transformer_layer_rejects_mismatched_shapes():
@@ -570,6 +570,50 @@ def test_softmax_cross_entropy_gradient_and_value():
 def test_softmax_cross_entropy_rejects_bad_shapes_and_targets(logits, targets):
     with pytest.raises(ShapeError):
         nm.softmax_cross_entropy(Tensor(logits, requires_grad=True), targets)
+
+
+def test_softmax_cross_entropy_rejects_an_unknown_reduction():
+    logits = Tensor(np.zeros((2, 3)), requires_grad=True)
+    for reduction in ("sum", "none"):
+        with pytest.raises(ValueError, match="unknown reduction"):
+            nm.softmax_cross_entropy(logits, [0, 1], reduction=reduction)
+
+
+def _with_array_weight(t, a):
+    """A one-head transformer_layer call whose output projection is an ndarray."""
+    weights = layer_weights(_layer_params(Rng(124), 4, 1, 8), "layer0", 1)
+    weights[3] = a(weights[3].shape)
+    return nm.transformer_layer(t((3, 4)), weights, 1, True)
+
+
+_ARRAY_OPERAND_CALLS = {
+    "add": lambda t, a: nm.add(t((2, 3)), a((2, 3))),
+    "mul": lambda t, a: nm.mul(a((2, 3)), t((2, 3))),
+    "matmul": lambda t, a: nm.matmul(t((2, 3)), a((3, 2))),
+    "transpose": lambda t, a: nm.transpose(a((2, 3))),
+    "concat": lambda t, a: nm.concat([t((2, 3)), a((2, 3))]),
+    "take_rows": lambda t, a: nm.take_rows(a((2, 3)), [0]),
+    "softmax_cross_entropy": lambda t, a: nm.softmax_cross_entropy(a((2, 3)), [0, 1]),
+    "lstm": lambda t, a: nm.lstm(t((2, 3)), t((3, 8)), t((2, 8)), a((8,))),
+    "transformer_layer": _with_array_weight,
+}
+
+
+@pytest.mark.parametrize("mode", ["leaf", "constant", "no_grad"])
+@pytest.mark.parametrize("op", sorted(_ARRAY_OPERAND_CALLS))
+def test_ops_reject_an_operand_that_is_not_a_tensor(op, mode):
+    """An ndarray operand raises ShapeError naming its type, whether the
+    Tensor operands are trainable leaves, constants, or run under no_grad."""
+
+    def t(shape):
+        return Tensor(np.full(shape, 0.1), requires_grad=mode == "leaf")
+
+    def a(shape):
+        return np.full(shape, 0.1)
+
+    with nm.no_grad() if mode == "no_grad" else contextlib.nullcontext():
+        with pytest.raises(ShapeError, match="ndarray"):
+            _ARRAY_OPERAND_CALLS[op](t, a)
 
 
 def test_grad_check_linear_regression_closed_form():
