@@ -14,6 +14,7 @@ error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -679,7 +680,10 @@ def _add_common(p: _Parser, out_required: bool = True) -> None:
         p.add_argument("--out", default=None, help="optional output directory")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `medkit` parser, built once per process: `main` parses with it on
+    every call, and parsing leaves it unchanged."""
     parser = _Parser(prog="medkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -269,6 +269,23 @@ def bf_transport_cost(p, q, cost):
     return best
 
 
+def lp_transport_cost(p, q, cost):
+    """The transportation LP handed to scipy's HiGHS solver, the way
+    `transport_cost` solved it before it had its own min-cost flow."""
+    from scipy.optimize import linprog
+    m, n = cost.shape
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    b_eq = np.concatenate([p, q])
+    res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun)
+
+
 def bf_confusion_metrics(preds, gold):
     classes = sorted(set(gold))
     accuracy = sum(1 for p, g in zip(preds, gold) if p == g) / len(gold)

@@ -57,6 +57,46 @@ def test_every_subcommand_help_exits_zero(capsys):
         capsys.readouterr()
 
 
+def test_consecutive_main_calls_match_separate_processes(tmp_path, capsys, monkeypatch):
+    """`main` parses every call with one cached parser: calls with different
+    subcommands and --set lists, one after another in this process, print
+    and write byte for byte what each prints and writes in a fresh process."""
+    import os
+    import subprocess
+
+    commands = [
+        ["stats", "--in", "corpus.jsonl", "--set", "granularity=fine", "--out", "out/stats"],
+        ["split", "--in", "corpus.jsonl", "--set", "test_fraction=0.5", "--set", "seed=2", "--out", "out/split-set"],
+        ["split", "--in", "corpus.jsonl", "--out", "out/split"],
+        ["small-sample", "--in", "corpus.jsonl", "--threshold", "6", "--set", "seed=9", "--out", "out/small-sample"],
+        ["clean", "--in", "corpus.jsonl", "--out", "out/clean"],
+        ["metrics", "--gen", "gen.txt", "--ref", "ref.txt", "--set", "granularity=fine", "--out", "out/metrics"],
+        ["stats", "--in", "corpus.jsonl"],
+    ]
+    roots = {"here": tmp_path / "here", "fresh": tmp_path / "fresh"}
+    for root in roots.values():
+        root.mkdir()
+        write_corpus(root / "corpus.jsonl")
+        (root / "gen.txt").write_text("头痛多喝水\n发烧要休息\n", encoding="utf-8")
+        (root / "ref.txt").write_text("头痛要多喝水\n发烧\n", encoding="utf-8")
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(roots["here"])
+    printed = {"here": [], "fresh": []}
+    for argv in commands:
+        assert main(argv) == EXIT_OK
+        printed["here"].append(capsys.readouterr().out)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), "PYTHONIOENCODING": "utf-8"}
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "medkit.cli", *argv], cwd=roots["fresh"], env=env, capture_output=True, encoding="utf-8")
+        assert done.returncode == EXIT_OK, done.stderr
+        printed["fresh"].append(done.stdout)
+    assert printed["here"] == printed["fresh"]
+    written = {side: {f.relative_to(root): f.read_bytes() for f in sorted((root / "out").rglob("*")) if f.is_file()}
+               for side, root in roots.items()}
+    assert len(written["here"]) >= len(commands) and written["here"] == written["fresh"]
+
+
 def test_missing_required_flag_exits_one(capsys):
     assert run(["stats"]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -18,6 +18,7 @@ from oracles import (
     bf_ter,
     bf_transport_cost,
     bf_weighted_prf,
+    lp_transport_cost,
 )
 
 ALPHABET = ["a", "b", "c", "d", "e"]
@@ -350,6 +351,49 @@ def test_transport_cost_matches_vertex_enumeration_fuzz():
         assert gm.transport_cost(p, q, cost) == pytest.approx(bf_transport_cost(p, q, cost), abs=1e-9)
 
 
+def test_transport_cost_matches_lp_oracle_fuzz():
+    """520 seeded instances from 1x1 to 40x40 against scipy's LP: Euclidean
+    costs between random points; the same rounded to one decimal (tied
+    costs); points drawn from a pool of one to four, so distinct tokens share
+    a vector as [UNK] collisions do (zero costs off the diagonal); 1 x n and
+    m x 1 shapes; and every fifth instance with its last sink mass nudged
+    until the two mass sums differ in the last place."""
+    rng = np.random.default_rng(20)
+    for case in range(520):
+        m, n = [(1, 1), (40, 40), (1, 40), (40, 1)][case] if case < 4 else rng.integers(1, 41, size=2)
+        if case % 8 == 4:
+            m = 1
+        elif case % 8 == 5:
+            n = 1
+        if case % 3 == 2:
+            pool = rng.normal(size=(int(rng.integers(1, 5)), 3))
+            src, snk = pool[rng.integers(0, len(pool), m)], pool[rng.integers(0, len(pool), n)]
+        else:
+            src, snk = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+        cost = np.linalg.norm(src[:, None, :] - snk[None, :, :], axis=2)
+        if case % 3 == 1:
+            cost = np.round(cost, 1)
+        p = rng.integers(1, 5, size=m) / 1.0 if case % 2 else rng.uniform(0.05, 1.0, size=m)
+        q = rng.integers(1, 5, size=n) / 1.0 if case % 2 else rng.uniform(0.05, 1.0, size=n)
+        p, q = p / p.sum(), q / q.sum()
+        while case % 5 == 0 and q.sum() == p.sum():
+            q[-1] = np.nextafter(q[-1], np.inf)
+        assert gm.transport_cost(p, q, cost) == pytest.approx(lp_transport_cost(p, q, cost), rel=1e-12, abs=0), case
+
+
+@pytest.mark.parametrize(("p", "q", "cost"), [
+    ([0.5, 0.5], [0.5, 0.5], np.ones((3, 2))),
+    ([1.2, -0.2], [0.5, 0.5], np.ones((2, 2))),
+    ([0.5, 0.5], [np.nan, 1.0], np.ones((2, 2))),
+    ([0.5, 0.5], [0.5, 0.5], [[1.0, -1.0], [1.0, 1.0]]),
+    ([0.5, 0.5], [0.5, 0.5], [[1.0, np.inf], [1.0, 1.0]]),
+    ([0.5, 0.5], [0.5, 0.5 + 2e-9], np.ones((2, 2))),
+], ids=["unequal-lengths", "negative-mass", "non-finite-mass", "negative-cost", "non-finite-cost", "mass-sums-apart"])
+def test_transport_cost_rejects_malformed_input(p, q, cost):
+    with pytest.raises(ValueError):
+        gm.transport_cost(np.array(p), np.array(q), np.array(cost))
+
+
 def test_wmd_matches_vertex_oracle_on_sentences():
     rng = Rng(109)
     table = _toy_embeddings()
@@ -566,27 +610,35 @@ def test_report_embedding_metrics_none_without_encoder():
 
 
 
-_WMD_EMBEDDINGS = {tok: [float(i), 1.0 - i / 4, (i * 7 % 5) / 3] for i, tok in enumerate("头痛发烧水")} | {"[UNK]": [0.0, 0.0, 0.0]}
-_WMD_IN_FRESH_INTERPRETER = f"""
+_METRICS_WITHOUT_SCIPY = """
 import sys
-import medkit.cli
-from medkit import genmetrics as gm
-assert "scipy" not in sys.modules, "importing medkit.cli loaded scipy"
-print(repr(gm.wmd_similarity(list("头痛多喝水"), list("发烧要喝水"), {_WMD_EMBEDDINGS!r})))
-assert "scipy" in sys.modules
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from medkit import cli
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_cli_import_leaves_scipy_to_the_first_wmd_call():
+def test_metrics_with_encoder_runs_with_scipy_blocked(tmp_path, capsys):
+    import json
     import os
     import subprocess
     import sys
     from pathlib import Path
 
+    from medkit import cli
+
+    gen, ref = tmp_path / "gen.txt", tmp_path / "ref.txt"
+    gen.write_text("头痛多喝水\n发烧要休息\n咳嗽两天了\n", encoding="utf-8")
+    ref.write_text("头痛要多喝水\n发烧好好休息\n咳嗽\n", encoding="utf-8")
+    encoder = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "encoder" / "encoder.ckpt"
+    argv = ["metrics", "--gen", str(gen), "--ref", str(ref), "--encoder", str(encoder)]
     src = str(Path(gm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _WMD_IN_FRESH_INTERPRETER], env=env, capture_output=True, text=True, check=True).stdout
-    assert float(out) == gm.wmd_similarity(list("头痛多喝水"), list("发烧要喝水"), _WMD_EMBEDDINGS)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run([sys.executable, "-c", _METRICS_WITHOUT_SCIPY, *argv], env=env, capture_output=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["wmd_similarity"] is not None
+    assert cli.main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 _EMBEDDING_FIELDS = ("wmd_similarity", "embed_p", "embed_r", "embed_f1")
