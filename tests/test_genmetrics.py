@@ -356,8 +356,9 @@ def test_transport_cost_matches_lp_oracle_fuzz():
     costs between random points; the same rounded to one decimal (tied
     costs); points drawn from a pool of one to four, so distinct tokens share
     a vector as [UNK] collisions do (zero costs off the diagonal); 1 x n and
-    m x 1 shapes; and every fifth instance with its last sink mass nudged
-    until the two mass sums differ in the last place."""
+    m x 1 shapes; masses from token counts or uniform draws; and every fifth
+    instance with its last sink mass nudged until the two mass sums differ
+    in the last place."""
     rng = np.random.default_rng(20)
     for case in range(520):
         m, n = [(1, 1), (40, 40), (1, 40), (40, 1)][case] if case < 4 else rng.integers(1, 41, size=2)
@@ -373,8 +374,8 @@ def test_transport_cost_matches_lp_oracle_fuzz():
         cost = np.linalg.norm(src[:, None, :] - snk[None, :, :], axis=2)
         if case % 3 == 1:
             cost = np.round(cost, 1)
-        p = rng.integers(1, 5, size=m) / 1.0 if case % 2 else rng.uniform(0.05, 1.0, size=m)
-        q = rng.integers(1, 5, size=n) / 1.0 if case % 2 else rng.uniform(0.05, 1.0, size=n)
+        p = rng.integers(1, 5, size=m) if case % 2 else rng.uniform(0.05, 1.0, size=m)
+        q = rng.integers(1, 5, size=n) if case % 2 else rng.uniform(0.05, 1.0, size=n)
         p, q = p / p.sum(), q / q.sum()
         while case % 5 == 0 and q.sum() == p.sum():
             q[-1] = np.nextafter(q[-1], np.inf)
