@@ -106,8 +106,8 @@ class RunConfig:
             raise CliError(f"unknown decode strategy {self.decode!r}")
         if self.granularity not in ("coarse", "fine", "auto"):
             raise CliError(f"unknown granularity {self.granularity!r}")
-        if self.temperature <= 0 or self.top_k < 1:
-            raise CliError("temperature must be > 0 and top_k >= 1")
+        if not 0.0 < self.temperature < float("inf") or self.top_k < 1:
+            raise CliError("temperature must be finite and > 0, and top_k >= 1")
         for name in ("max_len", "enc_hidden", "enc_layers", "enc_heads", "dec_hidden", "dec_layers", "dec_heads", "batch_size", "context_window", "max_gen_len"):
             if getattr(self, name) < 1:
                 raise CliError(f"{name} must be >= 1")
@@ -310,7 +310,7 @@ def _load_bundle(ckpt, *parts: str):
     if vocab.size != configs[0].vocab_size:
         raise CliError(f"{vocab_path} has {vocab.size} entries but the bundle config says vocab_size {configs[0].vocab_size}")
     state = load_checkpoint(ckpt)
-    models = [_BUNDLE_PARTS[part][2](config, Rng(0)) for part, config in zip(parts, configs)]
+    models = [_BUNDLE_PARTS[part][2](config, None) for part, config in zip(parts, configs)]  # zeros, replaced below
     for part, model in zip(parts, models):
         try:
             load_params(model.params, state, _tensor_prefix(meta.get("kind"), part))

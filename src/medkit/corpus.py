@@ -82,7 +82,7 @@ def _parse_sample(obj: dict) -> DialogueSample:
     gender_raw = obj.get("gender")
     gender = None
     if gender_raw is not None:
-        if gender_raw not in _GENDER_IN:
+        if not isinstance(gender_raw, str) or gender_raw not in _GENDER_IN:
             raise CorpusFormatError("'gender' must be 'M', 'F' or null")
         gender = _GENDER_IN[gender_raw]
     return DialogueSample(question, answer, label_coarse, label_fine, age, gender)

@@ -64,7 +64,7 @@ class EncoderOutput:
 # -- shared transformer machinery ---------------------------------------------
 
 
-def init_layer_params(rng: Rng, hidden: int, heads: int, ffn: int, prefix: str, params: dict) -> None:
+def init_layer_params(rng: Rng | None, hidden: int, heads: int, ffn: int, prefix: str, params: dict) -> None:
     """Create one attention + feed-forward block's parameters in `params`."""
     head_dim = hidden // heads
     for h in range(heads):
@@ -109,7 +109,7 @@ class Encoder:
     projection is tied to the input embedding matrix.
     """
 
-    def __init__(self, config: EncoderConfig, rng: Rng):
+    def __init__(self, config: EncoderConfig, rng: Rng | None):
         self.config = config
         params: dict[str, Tensor] = {}
         params["tok_emb"] = nm.xavier_uniform(rng, config.vocab_size, config.hidden_dim)

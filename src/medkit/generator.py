@@ -68,8 +68,8 @@ class GenerationRequest:
             raise ValueError(f"unknown decode strategy {self.strategy!r}")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0.0 < self.temperature < float("inf"):
+            raise ValueError("temperature must be finite and > 0")
 
 
 @dataclass
@@ -93,7 +93,7 @@ class KVCache:
 class Decoder:
     """Causal transformer LM with a separate output projection head."""
 
-    def __init__(self, config: DecoderConfig, rng: Rng):
+    def __init__(self, config: DecoderConfig, rng: Rng | None):
         self.config = config
         params: dict[str, Tensor] = {}
         params["tok_emb"] = nm.xavier_uniform(rng, config.vocab_size, config.hidden_dim)

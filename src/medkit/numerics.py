@@ -342,18 +342,32 @@ def _layer_norm_backward(grad: np.ndarray, y: np.ndarray, inv: np.ndarray, gain:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU's t = tanh(C * (z + 0.044715 * (z * z * z))) and output (t + 1.0)
+    * z * 0.5, in place with that rounding: the backward pass recomputes the
+    bits the forward pass computed, and only z is kept between them."""
+    t = z * z * z
+    t *= 0.044715
+    t += z
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    hidden = (t + 1.0) * z
+    hidden *= 0.5
+    return t, hidden
+
+
 def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps: float = 1e-5, lengths=None, kv: np.ndarray | None = None, last_only: bool = False):
     """transformer_layer on arrays, with `w` from layer_arrays; returns the
     output rows and a function from their gradient to the gradients of x and
     of each of transformer_layer's weights. Training and decoding both run it.
 
     The rows are one sequence or, with `lengths`, sequences laid end to end,
-    each attending only within itself; sequences and heads run batched, and
-    only the scores are padded, to the longest sequence. `keep[i, j]` says
-    whether position i may attend to position j (a 1-D mask is broadcast
-    over queries; None keeps every key of one sequence). A dropped key scores
-    -1e30; a row with no kept key attends to key 0 alone. Scores are scaled
-    by 1/sqrt(head_dim), and GELU is the tanh approximation.
+    each attending only within itself: a sequence of l rows is one unpadded
+    (heads, l, l) block of scores and reads keep[:l, :l], where `keep[i, j]`
+    says whether position i may attend to position j (a 1-D mask is broadcast
+    over queries; None keeps every key). A dropped key scores -1e30; a row
+    with no kept key attends to key 0 alone. Scores are scaled by
+    1/sqrt(head_dim); GELU is the tanh approximation, recomputed in backward.
 
     A non-finite QKV projection, score (also where the mask would hide it) or
     output raises NumericsError. A non-finite value anywhere else reaches the
@@ -369,72 +383,72 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
     gradient covers calls with neither.
     """
     w_qkv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = w
-    grid = None if lengths is None else _grid(lengths, x.shape[0])
-    batch, n = (1, x.shape[0]) if grid is None else grid.shape
-    real = slice(None) if grid is None else np.flatnonzero(grid)  # where the rows sit in the (B * n) padded grid
+    ends = [len(x)] if lengths is None else np.cumsum(_grid(lengths, len(x)).sum(axis=1)).tolist()
+    spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
     d = w_qkv.shape[1] // (3 * heads)
     factor = 1.0 / math.sqrt(d)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value surfaces as the checks
         proj = x @ w_qkv
         if not np.isfinite(proj).all():
             raise NumericsError("non-finite attention projections")
-        q, k, v = (proj if grid is None else _spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
+        qkv = proj.reshape(len(x), 3, heads, d).transpose(1, 2, 0, 3)  # q, k and v, each (heads, rows, d)
+        queries, rows = qkv[0], x
         if kv is not None:
-            kv[:, :, -n:] = proj.reshape(n, 3, heads, d)[:, 1:].transpose(1, 2, 0, 3)
-            k, v = kv
-        q, rows, keep = (q[:, :, -1:], x[-1:], None) if last_only else (q, x, keep)
-        p = q @ k.swapaxes(-1, -2)
-        p *= factor
-        if not np.isfinite(p).all():
-            raise NumericsError("non-finite attention scores")
-        if keep is not None:
-            keep = np.asarray(keep, dtype=bool)
-            if grid is not None:
-                keep = keep & grid[:, None, None, :]
-            if not keep.all():
-                live = keep.any(axis=-1)
+            kv[:, :, -len(x) :] = qkv[1:]
+        if last_only:
+            queries, rows, keep, spans = queries[:, -1:], x[-1:], None, [(0, 1)]
+        keep = None if keep is None else np.atleast_2d(np.asarray(keep, dtype=bool))  # a 1-D mask is one row for every query
+        weights, attn = [], np.empty((len(rows), heads * d))  # each sequence's (heads, l, keys) attention weights, and the heads' outputs
+        for a, b in spans:
+            k, v = qkv[1:, :, a:b] if kv is None else kv
+            p = queries[:, a:b] @ k.swapaxes(-1, -2)
+            p *= factor
+            if not np.isfinite(p).all():
+                raise NumericsError("non-finite attention scores")
+            mask = None if keep is None else keep[: b - a, : k.shape[1]]
+            if mask is not None and not mask.all():
+                live = mask.any(axis=-1)
                 if not live.all():
-                    keep = keep.copy()
-                    keep[..., 0] |= ~live
-                np.copyto(p, -1e30, where=~keep)
-        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= np.add.reduce(p, axis=-1, keepdims=True)  # the attention weights
-        attn = (p @ v).transpose(0, 2, 1, 3).reshape(-1, heads * d)[real]
+                    mask = mask.copy()
+                    mask[:, 0] |= ~live
+                np.copyto(p, -1e30, where=~mask)
+            p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=-1, keepdims=True)
+            np.matmul(p, v, out=attn[a:b].reshape(b - a, heads, d).transpose(1, 0, 2))
+            weights.append(p)
         x1, y1, inv1 = _layer_norm(rows + (attn @ wo + bo), gain1, bias1, eps)
         z = x1 @ w1 + b1
-        t = z * z * z  # GELU: t = tanh(C * (z + 0.044715 * (z * z * z))), in place with that rounding
-        t *= 0.044715
-        t += z
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        hidden = (t + 1.0) * z
-        hidden *= 0.5
+        hidden = _gelu(z)[1]
         out, y2, inv2 = _layer_norm(x1 + (hidden @ w2 + b2), gain2, bias2, eps)
     if not np.isfinite(out).all():
         raise NumericsError("non-finite transformer layer output")
 
     def backward_fn(grad):
         dh2, dgain2, dbias2 = _layer_norm_backward(grad, y2, inv2, gain2)
+        t, hidden = _gelu(z)
         dz = 1.0 - t * t
         dz *= z
         dz *= 0.5 * _GELU_C
         slope = z * (3 * 0.044715) * z
         slope += 1.0
         dz *= slope
-        dz += (t + 1.0) * 0.5  # GELU'(z) = 0.5 * z * (1 - t^2) * C * (1 + 3 * 0.044715 * z^2) + 0.5 * (1 + t)
+        dz += np.multiply(np.add(t, 1.0, out=t), 0.5, out=t)  # GELU'(z) = 0.5 * z * (1 - t^2) * C * (1 + 3 * 0.044715 * z^2) + 0.5 * (1 + t)
         dz *= dh2 @ w2.T
         dh1, dgain1, dbias1 = _layer_norm_backward(dh2 + dz @ w1.T, y1, inv1, gain1)
         g = dh1 @ wo.T
-        g = (g if grid is None else _spread(g, real, batch * n)).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
-        ds = g @ v.transpose(0, 1, 3, 2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= factor  # p * (dp - sum(dp * p)) * factor, dp = g @ v.T
-        dproj = np.empty((batch, n, 3, heads, d))  # dq, dk, dv written through (B, heads, n, d) views
-        for i, (a, b) in enumerate([(ds, k), (ds.transpose(0, 1, 3, 2), q), (p.transpose(0, 1, 3, 2), g)]):
-            np.matmul(a, b, out=dproj[:, :, i].transpose(0, 2, 1, 3))
-        dproj = dproj.reshape(batch * n, 3 * heads * d)[real]
+        dproj = np.empty((len(x), 3, heads, d))
+        dqkv = dproj.transpose(1, 2, 0, 3)  # dq, dk and dv, written through (heads, rows, d) views
+        for (a, b), p in zip(spans, weights):
+            q, k, v = qkv[:, :, a:b]
+            gs = g[a:b].reshape(b - a, heads, d).transpose(1, 0, 2)
+            ds = gs @ v.swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= factor  # p * (dp - sum(dp * p)) * factor, dp = g @ v.T
+            for i, (m, n) in enumerate([(ds, k), (ds.swapaxes(-1, -2), q), (p.swapaxes(-1, -2), gs)]):
+                np.matmul(m, n, out=dqkv[i, :, a:b])
+        dproj = dproj.reshape(len(x), 3 * heads * d)
         dw = (attn.T @ dh1, dh1.sum(axis=0), dgain1, dbias1, x1.T @ dz, dz.sum(axis=0), hidden.T @ dh2, dh2.sum(axis=0), dgain2, dbias2)
         return (dh1 + dproj @ w_qkv.T, *np.split(x.T @ dproj, 3 * heads, axis=1), *dw)
 
@@ -564,10 +578,10 @@ class Rng:
         return self._gen.choice(n, size=k, replace=replace)
 
 
-def xavier_uniform(rng: Rng, rows: int, cols: int) -> Tensor:
-    """Xavier/Glorot uniform weight init for an (in, out)-shaped matrix."""
+def xavier_uniform(rng: Rng | None, rows: int, cols: int) -> Tensor:
+    """Xavier/Glorot uniform weight init for an (in, out)-shaped matrix; zeros without an `rng`."""
     limit = np.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform(-limit, limit, (rows, cols)), requires_grad=True)
+    return Tensor(np.zeros((rows, cols)) if rng is None else rng.uniform(-limit, limit, (rows, cols)), requires_grad=True)
 
 
 def zeros_param(*shape: int) -> Tensor:
@@ -740,8 +754,8 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, ta
 
 
 def load_params(params: Mapping[str, Tensor], state: Mapping[str, np.ndarray], prefix: str = "") -> None:
-    """Copy `state[prefix + name]` into each named parameter; shapes must
-    match, and every tensor of `state` under `prefix` must go to a parameter."""
+    """Point each named parameter at `state[prefix + name]` as float64, a float64 array uncopied;
+    shapes must match, and every tensor of `state` under `prefix` must go to a parameter."""
     unused = sorted(set(key for key in state if key.startswith(prefix)) - {prefix + name for name in params})
     if unused:
         raise ValueError(f"checkpoint tensors {unused} fit no parameter")
@@ -751,7 +765,7 @@ def load_params(params: Mapping[str, Tensor], state: Mapping[str, np.ndarray], p
         arr = state[prefix + name]
         if arr.shape != p.data.shape:
             raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-        p.data = np.asarray(arr, dtype=np.float64).copy()
+        p.data = np.asarray(arr, dtype=np.float64)
 
 
 # -- checkpoint file format ---------------------------------------------------

@@ -59,7 +59,7 @@ def lstm_direction(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool, 
 class TriageHead:
     """Trainable parameters for the BiLSTM + fusion + dendritic + dense head."""
 
-    def __init__(self, config: TriageConfig, rng: Rng):
+    def __init__(self, config: TriageConfig, rng: Rng | None):
         self.config = config
         k = config.hidden_dim
         params: dict[str, Tensor] = {}

@@ -14,7 +14,7 @@ from medkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig, build_parse
 from medkit.encoder import EncoderConfig
 from medkit.generator import Decoder, DecoderConfig
 from medkit.kgraph import fixture_graph_path
-from medkit.numerics import NumericsError, load_checkpoint
+from medkit.numerics import NumericsError, Rng, load_checkpoint
 from medkit.tokenizer import Vocab
 
 from conftest import CORPUS_SAMPLES, write_corpus
@@ -134,6 +134,14 @@ def test_stats_matches_hand_counts(corpus_file, capsys):
     assert abs(payload["avg_question_length"] - expected_q) < 1e-9
     assert payload["gender_counts"] == {"female": 6, "male": 6}
     assert payload["rejects"] == 0
+
+
+@pytest.mark.parametrize("gender", [["F"], {"sex": "M"}], ids=["list", "object"])
+def test_unhashable_gender_is_a_reject_row(tmp_path, capsys, gender):
+    rows = list(CORPUS_SAMPLES[:3]) + [{**CORPUS_SAMPLES[3], "gender": gender}]
+    assert run(["stats", "--in", write_corpus(tmp_path / "corpus.jsonl", rows)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["total_count"] == 3 and payload["rejects"] == 1
 
 
 def test_clean_writes_kept_and_removed(tmp_path, capsys):
@@ -272,6 +280,18 @@ def test_prompt_train_eval_round_trip(tmp_path, corpus_file, capsys):
     assert code == EXIT_OK
     payload = json.loads((eval_out / "metrics.json").read_text())
     assert payload["accuracy"] >= 0.9
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_temperature_not_finite_and_positive_exits_one_with_one_error_line(tmp_path, corpus_file, capsys, value):
+    """An infinite temperature is rejected too: it would sample uniformly,
+    ignoring the model."""
+    argv = ["eval-gen", "--in", corpus_file, "--ckpt", FIXTURES / "decoder" / "gen.ckpt", "--graph", fixture_graph_path(),
+            "--out", tmp_path / "out", "--set", "decode=temperature", "--set", f"temperature={value}"]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("medkit: error:") and "temperature must be finite and > 0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_generator_pipeline_and_chat(tmp_path, corpus_file, capsys, monkeypatch):
@@ -706,3 +726,16 @@ def test_load_decoder_bundle_returns_decoder_vocab_and_meta():
     decoder, vocab, meta = cli._load_decoder_bundle(FIXTURES / "decoder" / "gen.ckpt")
     assert isinstance(decoder, Decoder) and isinstance(vocab, Vocab) and isinstance(meta, dict)
     assert asdict(decoder.config) == meta["decoder_config"] and vocab.size == decoder.config.vocab_size
+
+
+@pytest.mark.parametrize(("kind", "parts"), [("encoder", ["encoder"]), ("triage", ["encoder", "head"]), ("decoder", ["decoder"])], ids=["encoder", "triage", "decoder"])
+def test_bundle_load_draws_no_weights_and_holds_one_copy_of_each(bundles, monkeypatch, kind, parts):
+    """The models are built as zeros, the shapes load_params checks, and each
+    parameter then holds the array load_checkpoint returned."""
+    monkeypatch.setattr(Rng, "uniform", lambda *args: pytest.fail("a bundle load drew initial weights"))
+    state = {}
+    real = cli.load_checkpoint
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: state.update(real(path)) or state)
+    *models, _, _ = cli._load_bundle(bundles[kind], *parts)
+    loaded = [p.data for model in models for p in model.params.values()]
+    assert len(loaded) == len(state) and {id(a) for a in loaded} == {id(a) for a in state.values()}

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,43 @@ def test_transformer_layer_ragged_batch_matches_oracle(heads, causal):
     keep = np.tril(np.ones((6, 6), dtype=bool)) if causal else True
     weights = Tensor(rng.normal(size=(sum(lengths), 8)))
     _assert_layers_agree(*(_layer_run(run, x, params, keep, heads, weights, lengths) for run in (_fused_layer, encoder_layer_ops)))
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+@pytest.mark.parametrize("lengths", [[1, 128], [128] + [1] * 7], ids=["1-128", "128-7x1"])
+def test_transformer_layer_long_sequence_among_short_ones_matches_oracle(lengths, causal):
+    """A batch whose padded score grid would be mostly padding: the oracle
+    pads to the longest sequence, the layer runs each sequence alone."""
+    rng = Rng(95)
+    params = _layer_params(rng, 8, 2, 16)
+    x = rng.normal(size=(sum(lengths), 8))
+    keep = np.tril(np.ones((128, 128), dtype=bool)) if causal else True
+    weights = Tensor(rng.normal(size=(sum(lengths), 8)))
+    _assert_layers_agree(*(_layer_run(run, x, params, keep, 2, weights, lengths) for run in (_fused_layer, encoder_layer_ops)))
+
+
+def test_transformer_layer_memory_follows_the_packed_scores():
+    """Forward and backward of one layer over lengths [128] + [1] * 7 hold
+    the scores of each sequence, not of a (B, heads, 128, 128) grid padded to
+    the longest: the traced peak stays under three copies of the packed
+    scores (the weights, their gradient and its product with them) plus
+    twelve (rows, ffn) arrays, about 3.9 MiB. A layer that pads each sequence
+    to the longest holds a 2 MiB grid and its temporaries, about 10 MiB."""
+    lengths, hidden, heads, ffn = [128] + [1] * 7, 64, 2, 256
+    rng = Rng(96)
+    params = _layer_params(rng, hidden, heads, ffn)
+    weights = layer_weights(params, "layer0", heads)
+    x = Tensor(rng.normal(size=(sum(lengths), hidden)), requires_grad=True)
+    keep = np.tril(np.ones((128, 128), dtype=bool))
+    scores = 8 * heads * sum(n * n for n in lengths)
+    rows = 8 * sum(lengths) * ffn
+    tracemalloc.start()
+    try:
+        nm.backward(tensor_sum(nm.transformer_layer(x, weights, heads, keep, 1e-5, lengths)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * scores + 12 * rows, (peak, scores, rows)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
