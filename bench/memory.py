@@ -2,8 +2,8 @@
 
     python3 bench/memory.py [--tree DIR] [--seed 0] [--tiny]
 
-Runs the chain that perfbench's ``pipeline`` workload runs (same inputs,
-commands, settings and seed) once, in a fresh interpreter that imports
+Runs perfbench's ``pipeline`` chain once through its own ``Pipeline.run``
+(same inputs, commands, settings, seed and output checks), in a fresh interpreter that imports
 medkit from ``DIR/src`` and perfbench from ``DIR/perfbench`` (default: this
 repository), so two trees, e.g. two ``git archive`` extracts, compare side by
 side. For each command it prints the tracemalloc peak of that command alone
@@ -23,26 +23,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs in the child: argv is (tree, work directory, seed, tiny).
+# Runs in the child: argv is (tree, work directory, seed, tiny). perfbench's
+# call_cli opens tracer.span("cli.<command>") around each command, so the
+# tracer below measures each command alone, and Pipeline.run checks its output.
 CHILD = """
-import json, resource, sys, tracemalloc
+import contextlib, json, resource, sys, tracemalloc
 from pathlib import Path
 
 tree, work, seed, tiny = Path(sys.argv[1]), Path(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
 sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-from workloads import Pipeline, call_cli
+from workloads import Pipeline
 import medkit.cli  # imported before tracing starts: the peaks count the commands' own memory
 
-pipeline = Pipeline(work, seed, tiny)
+
+class Peaks:
+    def __init__(self):
+        self.rows = []
+
+    @contextlib.contextmanager
+    def span(self, name):
+        tracemalloc.reset_peak()
+        yield
+        self.rows.append({"traced_peak_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 2),
+                          "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)})
+
+
+pipeline, peaks = Pipeline(work, seed, tiny), Peaks()
 pipeline.prepare()
-settings = [arg for key in Pipeline.EPOCHS for arg in ("--set", f"{key}=1")]
 tracemalloc.start()
-for argv in pipeline._commands(work / "chain"):
-    tracemalloc.reset_peak()
-    code, _, seconds = call_cli(argv + settings + ["--seed", str(seed)])
-    print(json.dumps({"command": argv[0], "exit": code, "seconds": round(seconds, 3),
-                      "traced_peak_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 2),
-                      "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}), flush=True)
+ops = pipeline.run("chain", peaks)
+for op, row in zip(ops, peaks.rows, strict=True):
+    print(json.dumps({"command": op.name, "ok": op.ok, "seconds": round(op.seconds, 3), **row}))
 """
 
 
@@ -64,9 +75,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rows = measure(args.tree.resolve(), args.seed, args.tiny)
     for row in rows:
-        print(f"{row['command']:<17} exit {row['exit']}  {row['seconds']:7.3f} s  traced peak {row['traced_peak_mb']:6.2f} MB  maxrss {row['maxrss_mb']:6.1f} MB")
+        print(f"{row['command']:<17} {'ok    ' if row['ok'] else 'FAILED'}  {row['seconds']:7.3f} s  traced peak {row['traced_peak_mb']:6.2f} MB  maxrss {row['maxrss_mb']:6.1f} MB")
     print(json.dumps({"tree": str(args.tree.resolve()), "seed": args.seed, "tiny": args.tiny, "commands": rows}))
-    return 0 if rows and all(row["exit"] == 0 for row in rows) else 1
+    return 0 if rows and all(row["ok"] for row in rows) else 1
 
 
 if __name__ == "__main__":

@@ -24,4 +24,4 @@ def test_tiny_chain_reports_each_command(tmp_path):
     rss = [row["maxrss_mb"] for row in report["commands"]]
     assert rss == sorted(rss) and rss[0] > 0  # a high-water mark never falls
     for row in report["commands"]:
-        assert row["exit"] == 0 and row["seconds"] > 0 and 0 < row["traced_peak_mb"] <= row["maxrss_mb"]
+        assert row["ok"] and row["seconds"] > 0 and 0 < row["traced_peak_mb"] <= row["maxrss_mb"]

@@ -343,9 +343,8 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def _gelu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU's t = tanh(C * (z + 0.044715 * (z * z * z))) and output (t + 1.0)
-    * z * 0.5, in place with that rounding: the backward pass recomputes the
-    bits the forward pass computed, and only z is kept between them."""
+    """GELU's t = tanh(C * (z + 0.044715 * (z * z * z))) and output (t + 1.0) * z * 0.5, in place with that
+    rounding: the backward pass recomputes the bits the forward pass computed, and only z is kept between them."""
     t = z * z * z
     t *= 0.044715
     t += z
@@ -383,7 +382,9 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
     gradient covers calls with neither.
     """
     w_qkv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = w
-    ends = [len(x)] if lengths is None else np.cumsum(_grid(lengths, len(x)).sum(axis=1)).tolist()
+    if lengths is not None:
+        _grid(lengths, len(x))  # validates the lengths
+    ends = [len(x)] if lengths is None else np.cumsum(lengths).tolist()
     spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
     d = w_qkv.shape[1] // (3 * heads)
     factor = 1.0 / math.sqrt(d)

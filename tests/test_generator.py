@@ -248,9 +248,10 @@ def test_generation_request_validation():
         GenerationRequest(question="q", strategy="beam")
     with pytest.raises(ValueError):
         GenerationRequest(question="q", top_k=0)
-    for temperature in (0.0, -1.0, math.nan, math.inf):  # inf would sample uniformly, ignoring the model
-        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
-            GenerationRequest(question="q", strategy="temperature", temperature=temperature)
+    for strategy in ("greedy", "temperature"):  # the check holds whatever the strategy
+        for temperature in (0.0, -1.0, math.nan, math.inf):  # inf would sample uniformly, ignoring the model
+            with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+                GenerationRequest(question="q", strategy=strategy, temperature=temperature)
 
 
 def _softmax(row):
