@@ -9,6 +9,11 @@ file (--config), overridden by flags (including repeated ``--set key=value``).
 Every run writes its resolved configuration next to its outputs, and nothing
 is written outside the --out directory. Exit codes: 0 success, 1 validation
 error, 2 runtime failure.
+
+Internals: `_COMMANDS` is the one table of subcommands and their flags. A flag
+whose dest names a `RunConfig` field sets that field after --config and
+--set, and only when it is given. Every command opens with `_start` and every
+trainer closes with `_finish`.
 """
 
 from __future__ import annotations
@@ -108,9 +113,10 @@ class RunConfig:
             raise CliError(f"unknown granularity {self.granularity!r}")
         if not 0.0 < self.temperature < float("inf") or self.top_k < 1:
             raise CliError("temperature must be finite and > 0, and top_k >= 1")
-        for name in ("max_len", "enc_hidden", "enc_layers", "enc_heads", "dec_hidden", "dec_layers", "dec_heads", "batch_size", "context_window", "max_gen_len"):
-            if getattr(self, name) < 1:
-                raise CliError(f"{name} must be >= 1")
+        floors = dict.fromkeys(("max_len", "enc_hidden", "enc_layers", "enc_heads", "dec_hidden", "dec_layers", "dec_heads", "batch_size", "context_window", "max_gen_len"), 1)
+        for name, floor in {**floors, "enc_ffn": 0, "dec_ffn": 0, "supplement_max_chars": 0}.items():
+            if getattr(self, name) < floor:
+                raise CliError(f"{name} must be >= {floor}")
         for name in ("mlm_lr", "lr_encoder", "lr_head", "prompt_lr", "lm_lr"):
             if not 0.0 <= getattr(self, name) < float("inf"):
                 raise CliError(f"{name} must be finite and >= 0")
@@ -155,42 +161,40 @@ class RunConfig:
         return "\n".join(sorted(lines)) + "\n"
 
 
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise CliError(f"--set expects key=value, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        cfg.set_key(key, raw)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    for flag in ("no_dd", "no_bilstm", "no_cls_fusion", "no_knowledge", "no_input_supplement"):
-        if getattr(args, flag, False):
-            setattr(cfg, flag, True)
-    cfg.validate()
-    return cfg
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _snapshot_config(cfg: RunConfig, out: Path) -> None:
+def _start(args) -> tuple[RunConfig, Path | None]:
+    """The run's config, from the defaults, then --config, then each --set,
+    then each config flag given, and its --out directory (None without --out),
+    created, holding that config."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    for item in args.set or []:
+        if "=" not in item:
+            raise CliError(f"--set expects key=value, got {item!r}")
+        key, raw = (part.strip() for part in item.split("=", 1))
+        cfg.set_key(key, raw)
+    for key in {f.name for f in fields(cfg)} & vars(args).keys():  # a config flag is in args only when given
+        setattr(cfg, key, getattr(args, key))
+    cfg.validate()
+    if args.out is None:
+        return cfg, None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(cfg.resolved_text(), encoding="utf-8")
-
-
-def _start(args) -> tuple[RunConfig, Path]:
-    """The run's config and its --out directory, created, holding that config."""
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    _snapshot_config(cfg, out)
     return cfg, out
+
+
+def _finish(out: Path, log_name: str, history, what: str, bundle: tuple, summary: str, **extra) -> int:
+    """A trainer's epilogue: write its log and its bundle (name, kind, parts,
+    vocab), then raise if training diverged, else print `summary`."""
+    history.write_csv(out / log_name)
+    _save_bundle(out, *bundle, **extra)
+    if history.aborted:
+        raise NumericsError(f"{what} diverged; last good checkpoint saved")
+    print(summary)
+    return EXIT_OK
 
 
 def _read_texts(path) -> list[str]:
@@ -357,15 +361,12 @@ def _base_model(cfg: RunConfig, part: str, ckpt, texts: list[str]):
 
 
 def cmd_stats(args) -> int:
-    cfg = _load_config(args)
+    cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
-    report = corpus_mod.stats(result.samples, granularity=cfg.granularity if args.granularity is None else args.granularity)
-    payload = asdict(report)
+    payload = asdict(corpus_mod.stats(result.samples, granularity=cfg.granularity))
     payload["rejects"] = len(result.rejects)
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-    if args.out:
-        out = _out_dir(args)
-        _snapshot_config(cfg, out)
+    if out:
         (out / "stats.json").write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
@@ -387,8 +388,7 @@ def cmd_clean(args) -> int:
 def cmd_split(args) -> int:
     cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
-    fraction = args.test_fraction if args.test_fraction is not None else cfg.test_fraction
-    train, test = corpus_mod.split(result.samples, fraction, cfg.seed, granularity=cfg.granularity)
+    train, test = corpus_mod.split(result.samples, cfg.test_fraction, cfg.seed, granularity=cfg.granularity)
     corpus_mod.write_jsonl(out / "train.jsonl", train)
     corpus_mod.write_jsonl(out / "test.jsonl", test)
     print(f"train {len(train)} test {len(test)}")
@@ -416,12 +416,8 @@ def cmd_pretrain_encoder(args) -> int:
     encoder, vocab = _base_model(cfg, "encoder", None, texts)
     sequences = [tok_mod.encode(t, vocab, cfg.max_len, mode="encoder") for t in texts]
     history = enc_mod.pretrain(encoder, sequences, TrainConfig(cfg.mlm_epochs, cfg.mlm_lr, cfg.batch_size, cfg.seed))
-    history.write_csv(out / "pretrain.log.csv")
-    _save_bundle(out, "encoder", "encoder", {"encoder": encoder}, vocab)
-    if history.aborted:
-        raise NumericsError("pretraining diverged; last good checkpoint saved")
-    print(f"pretrained encoder for {len(history.rows)} epochs")
-    return EXIT_OK
+    bundle = ("encoder", "encoder", {"encoder": encoder}, vocab)
+    return _finish(out, "pretrain.log.csv", history, "pretraining", bundle, f"pretrained encoder for {len(history.rows)} epochs")
 
 
 def cmd_train_triage(args) -> int:
@@ -442,14 +438,10 @@ def cmd_train_triage(args) -> int:
     max_len = encoder.config.max_len  # a loaded bundle fixes the sequence length
     dataset = [(tok_mod.encode(q, vocab, max_len, mode="encoder"), label_map[label]) for q, label in pairs]
     history = triage_mod.train_supervised(encoder, head, dataset, TrainConfig(cfg.triage_epochs, cfg.lr_head, cfg.batch_size, cfg.seed), cfg.lr_encoder)
-    history.write_csv(out / "train.log.csv")
     _write_json(out / "optimizer_state.json", history.optimizer_state)
     _write_json(out / "label_map.json", label_map)
-    _save_bundle(out, "triage", "triage", {"encoder": encoder, "head": head}, vocab)
-    if history.aborted:
-        raise NumericsError("triage training diverged; last good checkpoint saved")
-    print(f"trained triage model over {len(dataset)} samples, {len(label_map)} classes")
-    return EXIT_OK
+    bundle = ("triage", "triage", {"encoder": encoder, "head": head}, vocab)
+    return _finish(out, "train.log.csv", history, "triage training", bundle, f"trained triage model over {len(dataset)} samples, {len(label_map)} classes")
 
 
 def _report_accuracy(out: Path, preds, gold, skipped: int) -> int:
@@ -501,13 +493,12 @@ def cmd_train_prompt(args) -> int:
     history = prompt_mod.train_prompt(
         encoder, pairs, template, verbalizer, vocab, max_len, TrainConfig(cfg.prompt_epochs, cfg.prompt_lr, cfg.batch_size, cfg.seed)
     )
-    history.write_csv(out / "train.log.csv")
-    _save_bundle(out, "prompt", "prompt", {"encoder": encoder}, vocab, template=asdict(template), include_pad_slots=cfg.include_pad_slots, max_len=max_len)
     _write_json(out / "verbalizer.json", {label: "".join(vocab.token_of(t) for t in toks if t >= tok_mod.NUM_RESERVED) for label, toks in verbalizer.label_tokens.items()})
-    if history.aborted:
-        raise NumericsError("prompt training diverged; last good checkpoint saved")
-    print(f"prompt-trained on {len(pairs)} samples, {len(verbalizer.labels)} labels")
-    return EXIT_OK
+    return _finish(
+        out, "train.log.csv", history, "prompt training", ("prompt", "prompt", {"encoder": encoder}, vocab),
+        f"prompt-trained on {len(pairs)} samples, {len(verbalizer.labels)} labels",
+        template=asdict(template), include_pad_slots=cfg.include_pad_slots, max_len=max_len,
+    )
 
 
 def cmd_eval_prompt(args) -> int:
@@ -538,12 +529,8 @@ def cmd_pretrain_lm(args) -> int:
         raise CliError("no training texts found")
     decoder, vocab = _base_model(cfg, "decoder", None, texts)
     history = gen_mod.pretrain_lm(decoder, texts, vocab, TrainConfig(cfg.lm_pretrain_epochs, cfg.lm_lr, cfg.batch_size, cfg.seed))
-    history.write_csv(out / "pretrain.log.csv")
-    _save_bundle(out, "lm", "decoder", {"decoder": decoder}, vocab)
-    if history.aborted:
-        raise NumericsError("LM pretraining diverged; last good checkpoint saved")
-    print(f"pretrained LM for {len(history.rows)} epochs")
-    return EXIT_OK
+    bundle = ("lm", "decoder", {"decoder": decoder}, vocab)
+    return _finish(out, "pretrain.log.csv", history, "LM pretraining", bundle, f"pretrained LM for {len(history.rows)} epochs")
 
 
 def cmd_train_gen(args) -> int:
@@ -563,18 +550,14 @@ def cmd_train_gen(args) -> int:
     fine = gen_mod.finetune_qa(
         decoder, qa_pairs, graph, vocab, TrainConfig(cfg.lm_finetune_epochs, cfg.lm_lr, cfg.batch_size, cfg.seed), cfg.supplement_max_chars
     )
-    fine.history.write_csv(out / "train.log.csv")
-    _save_bundle(
-        out, "gen", "decoder", {"decoder": decoder}, vocab,
+    return _finish(
+        out, "train.log.csv", fine.history, "fine-tuning", ("gen", "decoder", {"decoder": decoder}, vocab),
+        f"fine-tuned generator on {len(qa_pairs) - fine.skipped} pairs ({fine.skipped} skipped)",
         supplement_max_chars=cfg.supplement_max_chars,
         uses_input_supplement=graph is not None,
         knowledge_base="pretrained" if lm_ckpt else "fresh",
         skipped_pairs=fine.skipped,
     )
-    if fine.history.aborted:
-        raise NumericsError("fine-tuning diverged; last good checkpoint saved")
-    print(f"fine-tuned generator on {len(qa_pairs) - fine.skipped} pairs ({fine.skipped} skipped)")
-    return EXIT_OK
 
 
 def _answer(cfg: RunConfig, decoder, vocab, meta: dict, graph, question: str) -> dict:
@@ -630,7 +613,7 @@ def _read_metric_lines(path) -> list[str]:
 
 
 def cmd_metrics(args) -> int:
-    cfg = _load_config(args)
+    _, out = _start(args)
     gen_lines = _read_metric_lines(args.gen)
     ref_lines = _read_metric_lines(args.ref)
     encoder = vocab = None
@@ -638,16 +621,14 @@ def cmd_metrics(args) -> int:
         encoder, vocab, _ = _load_bundle(args.encoder, "encoder")
     report = genmetrics.report(gen_lines, ref_lines, encoder=encoder, vocab=vocab)
     text = json.dumps(report.to_json(), ensure_ascii=False, sort_keys=True, indent=2)
-    if args.out:
-        out = _out_dir(args)
-        _snapshot_config(cfg, out)
+    if out:
         (out / "metrics.json").write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
 
 
 def cmd_chat(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _start(args)
     decoder, vocab, meta = _load_decoder_bundle(args.ckpt)
     graph = _graph(args, cfg)
     for line in sys.stdin:
@@ -670,115 +651,70 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p: _Parser, out_required: bool = True) -> None:
-    p.add_argument("--config", help="plain-text key = value configuration file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key (repeatable)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (overrides config)")
-    if out_required:
-        p.add_argument("--out", required=True, help="output directory (all artifacts land here)")
-    else:
-        p.add_argument("--out", default=None, help="optional output directory")
+def _in(help_text=None):
+    return "--in", {"dest": "inp", "required": True, "help": help_text}
+
+
+def _switch(flag, help_text=None):
+    return flag, {"action": "store_true", "help": help_text}
+
+
+_GRAPH = ("--graph", {})
+_COMMON = [
+    ("--config", {"help": "plain-text key = value configuration file"}),
+    ("--set", {"action": "append", "metavar": "KEY=VALUE", "help": "override one config key (repeatable)"}),
+    ("--seed", {"type": int, "help": "random seed (overrides config)"}),
+]
+_COMMANDS = [  # (command, help, whether --out is required, its own flags, function)
+    ("stats", "dataset statistics", False, [_in("corpus JSONL"), ("--granularity", {"choices": ["coarse", "fine", "auto"]})], cmd_stats),
+    ("clean", "apply the cleaning rules", True, [_in(), _switch("--no-require-answer", "keep samples without answers (triage mode)")], cmd_clean),
+    ("split", "stratified train/test split", True, [_in(), ("--test-fraction", {"type": float})], cmd_split),
+    ("small-sample", "drop high-frequency categories", True,
+     [_in(), ("--threshold", {"type": float, "help": "max per-class count kept (default: 2x median)"})], cmd_small_sample),
+    ("pretrain-encoder", "masked-token pretraining", True, [_in("text file (one per line) or corpus JSONL")], cmd_pretrain_encoder),
+    ("train-triage", "supervised triage training", True, [
+        _in(), ("--encoder-ckpt", {"help": "start from a pretrained encoder bundle"}),
+        _switch("--no-dd", "ablation: remove the dendritic layers"),
+        _switch("--no-bilstm", "ablation: remove the recurrent summary"),
+        _switch("--no-cls-fusion", "ablation: remove the [CLS] feature"),
+    ], cmd_train_triage),
+    ("eval-triage", "evaluate a triage model", True, [_in(), ("--ckpt", {"required": True, "help": "triage checkpoint (.ckpt)"})], cmd_eval_triage),
+    ("train-prompt", "prompt-learning triage training", True, [
+        _in(), ("--encoder-ckpt", {}), ("--verbalizer", {"help": "JSON {label: surface}; default maps labels to themselves"}),
+    ], cmd_train_prompt),
+    ("eval-prompt", "evaluate a prompt model", True, [_in(), ("--ckpt", {"required": True})], cmd_eval_prompt),
+    ("pretrain-lm", "background-knowledge LM pretraining", True, [_in()], cmd_pretrain_lm),
+    ("train-gen", "fine-tune the consultation generator", True, [
+        _in("QA corpus JSONL"), ("--graph", {"help": "knowledge triples JSONL"}),
+        ("--lm-ckpt", {"help": "knowledge-injected LM bundle to start from"}),
+        _switch("--no-knowledge", "ablation: skip the knowledge-injected base"),
+        _switch("--no-input-supplement", "ablation: no retrieval supplement"),
+    ], cmd_train_gen),
+    ("eval-gen", "generate answers for a QA corpus", True, [_in(), ("--ckpt", {"required": True}), _GRAPH, _switch("--no-input-supplement")], cmd_eval_gen),
+    ("metrics", "generation metric report", False, [
+        ("--gen", {"required": True, "help": "generated text file or generations JSONL"}),
+        ("--ref", {"required": True, "help": "reference text file or JSONL"}),
+        ("--encoder", {"help": "encoder bundle (.ckpt) enabling embedding metrics"}),
+    ], cmd_metrics),
+    ("chat", "interactive consultation REPL (reads stdin)", False, [("--ckpt", {"required": True, "help": "generator checkpoint (.ckpt)"}), _GRAPH], cmd_chat),
+]
 
 
 @functools.cache
 def build_parser() -> _Parser:
     """The `medkit` parser, built once per process: `main` parses with it on
     every call, and parsing leaves it unchanged."""
-    parser = _Parser(prog="medkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="medkit", description=__doc__.partition("\nInternals:")[0], formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", help="dataset statistics", parents=[], add_help=True)
-    p.add_argument("--in", dest="inp", required=True, help="corpus JSONL")
-    p.add_argument("--granularity", choices=["coarse", "fine", "auto"], default=None)
-    _add_common(p, out_required=False)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("clean", help="apply the cleaning rules")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--no-require-answer", action="store_true", help="keep samples without answers (triage mode)")
-    _add_common(p)
-    p.set_defaults(func=cmd_clean)
-
-    p = sub.add_parser("split", help="stratified train/test split")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--test-fraction", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("small-sample", help="drop high-frequency categories")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--threshold", type=float, default=None, help="max per-class count kept (default: 2x median)")
-    _add_common(p)
-    p.set_defaults(func=cmd_small_sample)
-
-    p = sub.add_parser("pretrain-encoder", help="masked-token pretraining")
-    p.add_argument("--in", dest="inp", required=True, help="text file (one per line) or corpus JSONL")
-    _add_common(p)
-    p.set_defaults(func=cmd_pretrain_encoder)
-
-    p = sub.add_parser("train-triage", help="supervised triage training")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--encoder-ckpt", default=None, help="start from a pretrained encoder bundle")
-    p.add_argument("--no-dd", action="store_true", help="ablation: remove the dendritic layers")
-    p.add_argument("--no-bilstm", action="store_true", help="ablation: remove the recurrent summary")
-    p.add_argument("--no-cls-fusion", action="store_true", help="ablation: remove the [CLS] feature")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_triage)
-
-    p = sub.add_parser("eval-triage", help="evaluate a triage model")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--ckpt", required=True, help="triage checkpoint (.ckpt)")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval_triage)
-
-    p = sub.add_parser("train-prompt", help="prompt-learning triage training")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--encoder-ckpt", default=None)
-    p.add_argument("--verbalizer", default=None, help="JSON {label: surface}; default maps labels to themselves")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_prompt)
-
-    p = sub.add_parser("eval-prompt", help="evaluate a prompt model")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--ckpt", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval_prompt)
-
-    p = sub.add_parser("pretrain-lm", help="background-knowledge LM pretraining")
-    p.add_argument("--in", dest="inp", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_pretrain_lm)
-
-    p = sub.add_parser("train-gen", help="fine-tune the consultation generator")
-    p.add_argument("--in", dest="inp", required=True, help="QA corpus JSONL")
-    p.add_argument("--graph", default=None, help="knowledge triples JSONL")
-    p.add_argument("--lm-ckpt", default=None, help="knowledge-injected LM bundle to start from")
-    p.add_argument("--no-knowledge", action="store_true", help="ablation: skip the knowledge-injected base")
-    p.add_argument("--no-input-supplement", action="store_true", help="ablation: no retrieval supplement")
-    _add_common(p)
-    p.set_defaults(func=cmd_train_gen)
-
-    p = sub.add_parser("eval-gen", help="generate answers for a QA corpus")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--graph", default=None)
-    p.add_argument("--no-input-supplement", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval_gen)
-
-    p = sub.add_parser("metrics", help="generation metric report")
-    p.add_argument("--gen", required=True, help="generated text file or generations JSONL")
-    p.add_argument("--ref", required=True, help="reference text file or JSONL")
-    p.add_argument("--encoder", default=None, help="encoder bundle (.ckpt) enabling embedding metrics")
-    _add_common(p, out_required=False)
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("chat", help="interactive consultation REPL (reads stdin)")
-    p.add_argument("--ckpt", required=True, help="generator checkpoint (.ckpt)")
-    p.add_argument("--graph", default=None)
-    _add_common(p, out_required=False)
-    p.set_defaults(func=cmd_chat)
-
+    config_keys = {f.name for f in fields(RunConfig)}
+    for command, help_text, out_required, specs, func in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        out = {"required": True, "help": "output directory (all artifacts land here)"} if out_required else {"help": "optional output directory"}
+        for flag, kwargs in specs + _COMMON + [("--out", out)]:
+            action = p.add_argument(flag, **kwargs)
+            if action.dest in config_keys:  # absent unless given, so it cannot mask --config or --set
+                action.default = argparse.SUPPRESS
+        p.set_defaults(func=func)
     return parser
 
 

@@ -41,6 +41,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.ffn_dim is None:
             self.ffn_dim = 4 * self.hidden_dim
+        if self.ffn_dim < 1:
+            raise ValueError("ffn_dim must be >= 1")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError("hidden_dim must be divisible by num_heads")
         if not 0.0 < self.mask_rate < 1.0:

@@ -566,17 +566,11 @@ class Rng:
     def uniform(self, low: float, high: float, size=None):
         return self._gen.uniform(low, high, size)
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=k, replace=replace)
 
 
 def xavier_uniform(rng: Rng | None, rows: int, cols: int) -> Tensor:

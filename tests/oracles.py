@@ -418,7 +418,7 @@ def grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=4, rng=None):
     error |analytic - numeric| / max(1e-8, |analytic| + |numeric|) over a
     sampled subset of scalar entries.
     """
-    rng = rng or Rng(0)
+    rng = rng or np.random.default_rng(0)
     items = list(params.items())
     nm.zero_grads(p for _, p in items)
     loss = loss_fn()
@@ -434,7 +434,7 @@ def grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=4, rng=None):
         if size <= max_entries_per_param:
             picks = np.arange(size)
         else:
-            picks = rng.choice(size, max_entries_per_param)
+            picks = rng.choice(size, max_entries_per_param, replace=False)
         for idx in picks:
             orig = flat[idx]
             flat[idx] = orig + eps

@@ -72,7 +72,7 @@ def test_criterion_01_gradient_integrity():
 
         params = {f"encoder.{k}": v for k, v in encoder.params.items()}
         params.update({f"head.{k}": v for k, v in head.params.items()})
-        err = grad_check(triage_loss, params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
+        err = grad_check(triage_loss, params, eps=1e-4, max_entries_per_param=2, rng=np.random.default_rng(0))
         assert err < 1e-4, f"encoder+triage gradient error {err}"
 
         dec_cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16, context_window=12)
@@ -82,7 +82,7 @@ def test_criterion_01_gradient_integrity():
         def lm_loss_fn():
             return lm_loss(decoder, ids, [True] * len(ids))
 
-        err = grad_check(lm_loss_fn, decoder.params, eps=1e-4, max_entries_per_param=2, rng=Rng(3))
+        err = grad_check(lm_loss_fn, decoder.params, eps=1e-4, max_entries_per_param=2, rng=np.random.default_rng(3))
         assert err < 1e-4, f"decoder gradient error {err}"
 
         elapsed = time.perf_counter() - started
@@ -94,7 +94,7 @@ def test_criterion_01_gradient_integrity():
 
 def test_criterion_02_dendrite_oracle_and_defaults():
     with criterion(2, "dendritic oracle (1000 stacks, 1e-12) and depth defaults 3/2"):
-        rng = Rng(20)
+        rng = np.random.default_rng(20)
         for _ in range(1000):
             depth = int(rng.integers(1, 4))
             dims = [int(rng.integers(2, 7)) for _ in range(depth + 1)]
@@ -242,7 +242,7 @@ def test_criterion_05_metric_oracle_equivalence():
             n = int(rng.integers(2, 4))
             assert gm.self_bleu(corpus, n) == pytest.approx(bf_self_bleu(corpus, n), abs=1e-9)
 
-        table = {tok: Rng(57).spawn(tok).normal(size=3) for tok in "abcde"}
+        table = {tok: np.random.default_rng(Rng(57).spawn(tok).seed).normal(size=3) for tok in "abcde"}
         table["[UNK]"] = np.zeros(3)
         for cand, ref in _fuzz_pairs(58, count=40, lo=1, hi=4):
             if Counter(cand) == Counter(ref):

@@ -171,7 +171,7 @@ def test_lm_loss_batch_rejects_a_sequence_without_targets():
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
 def test_attention_batch_matches_per_sequence_oracle(causal):
-    rng = Rng(70)
+    rng = np.random.default_rng(70)
     lengths = [3, 1, 6, 4]  # 1 and the longest included
     arrays = [rng.normal(size=(sum(lengths), 8))] + [rng.normal(scale=0.5, size=(8, 4)) for _ in range(6)]
     keep = np.tril(np.ones((6, 6), dtype=bool)) if causal else True
@@ -194,7 +194,7 @@ def test_attention_batch_matches_per_sequence_oracle(causal):
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
 def test_lstm_batch_matches_per_sequence_oracle(reverse):
-    rng = Rng(71)
+    rng = np.random.default_rng(71)
     lengths = [4, 1, 7, 2]
     arrays = [rng.normal(size=(sum(lengths), 3)), rng.normal(scale=0.5, size=(3, 8)), rng.normal(scale=0.5, size=(2, 8)), rng.normal(scale=0.5, size=8)]
     weights = Tensor(rng.normal(size=(sum(lengths), 2)))
@@ -213,7 +213,7 @@ def test_lstm_batch_matches_per_sequence_oracle(reverse):
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
 def test_batched_attention_matches_finite_differences(causal):
-    rng = Rng(72)
+    rng = np.random.default_rng(72)
     lengths = [2, 1, 5]
     x = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
     wq, wk, wv = ([Tensor(rng.normal(scale=0.5, size=(4, 2)), requires_grad=True) for _ in range(2)] for _ in range(3))
@@ -224,12 +224,12 @@ def test_batched_attention_matches_finite_differences(causal):
         return tensor_sum(attention(x, wq, wk, wv, keep, lengths=lengths) * weights)
 
     params = {"x": x, **{f"w{kind}{h}": w for kind, ws in zip("qkv", (wq, wk, wv)) for h, w in enumerate(ws)}}
-    assert grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=Rng(0)) < 1e-5
+    assert grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0)) < 1e-5
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
 def test_batched_lstm_matches_finite_differences(reverse):
-    rng = Rng(73)
+    rng = np.random.default_rng(73)
     lengths = [3, 1, 5]
     x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
     wx = Tensor(rng.normal(scale=0.5, size=(3, 8)), requires_grad=True)
@@ -240,7 +240,7 @@ def test_batched_lstm_matches_finite_differences(reverse):
     def loss_fn():
         return tensor_sum(nm.lstm(x, wx, wh, b, reverse, lengths) * weights)
 
-    assert grad_check(loss_fn, {"x": x, "wx": wx, "wh": wh, "b": b}, eps=1e-5, max_entries_per_param=6, rng=Rng(0)) < 1e-5
+    assert grad_check(loss_fn, {"x": x, "wx": wx, "wh": wh, "b": b}, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0)) < 1e-5
 
 
 def test_ragged_lengths_must_split_the_rows():

@@ -17,6 +17,7 @@ from medkit.kgraph import fixture_graph_path
 from medkit.numerics import NumericsError, Rng, load_checkpoint
 from medkit.tokenizer import Vocab
 
+import cli_help
 from conftest import CORPUS_SAMPLES, write_corpus
 
 TINY = [
@@ -55,6 +56,15 @@ def test_every_subcommand_help_exits_zero(capsys):
     for command in commands:
         assert run([command, "--help"]) == 0
         capsys.readouterr()
+
+
+def test_help_and_usage_errors_match_their_golden():
+    """`medkit`'s help and usage errors print byte for byte what
+    cli_help_golden.json recorded, on the Python minor it was recorded on."""
+    golden = json.loads(cli_help.GOLDEN.read_text(encoding="utf-8"))
+    if golden["python"] != cli_help.python_minor():
+        pytest.skip(f"help recorded on Python {golden['python']}; argparse lays it out differently on {cli_help.python_minor()}")
+    assert cli_help.capture() == golden["runs"]
 
 
 def test_consecutive_main_calls_match_separate_processes(tmp_path, capsys, monkeypatch):
@@ -122,6 +132,37 @@ def test_config_file_and_flag_precedence(tmp_path, corpus_file):
     resolved = (out / "config.resolved").read_text()
     assert "test_fraction = 0.5" in resolved
     assert "seed = 7" in resolved
+
+
+@pytest.mark.parametrize(("argv", "lines"), [
+    (["split", "--test-fraction", "0.5"], ["test_fraction = 0.5"]),
+    (["split", "--set", "test_fraction=0.25", "--test-fraction", "0.5"], ["test_fraction = 0.5"]),
+    (["stats", "--granularity", "fine"], ["granularity = fine"]),
+    (["stats", "--set", "granularity=coarse", "--granularity", "fine"], ["granularity = fine"]),
+    (["train-gen", "--no-input-supplement", "--seed", "4"], ["no_input_supplement = True", "seed = 4"]),
+], ids=["split-flag", "split-flag-over-set", "stats-flag", "stats-flag-over-set", "train-gen-ablation"])
+def test_config_flag_sets_its_key_in_config_resolved(tmp_path, corpus_file, argv, lines):
+    """A flag named after a config key sets it after --config and --set, and
+    config.resolved records the value the run used."""
+    out = tmp_path / "out"
+    assert run(argv[:1] + ["--in", corpus_file, "--out", out] + TINY + argv[1:]) == EXIT_OK
+    resolved = (out / "config.resolved").read_text(encoding="utf-8").splitlines()
+    assert all(line in resolved for line in lines), resolved
+
+
+def test_config_resolved_is_written_before_any_input_is_read(tmp_path, capsys, monkeypatch):
+    """stats, metrics and chat write --out/config.resolved first, as every
+    other command does, so a run whose input is missing still leaves it."""
+    missing = tmp_path / "missing.jsonl"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    for argv, code in [
+        (["stats", "--in", missing], EXIT_USAGE),
+        (["metrics", "--gen", missing, "--ref", missing], EXIT_USAGE),
+        (["chat", "--ckpt", FIXTURES / "decoder" / "gen.ckpt"], EXIT_OK),
+    ]:
+        out = tmp_path / argv[0]
+        assert run(argv + ["--out", out]) == code
+        assert (out / "config.resolved").read_text(encoding="utf-8") == RunConfig().resolved_text()
 
 
 def test_stats_matches_hand_counts(corpus_file, capsys):
@@ -240,7 +281,10 @@ def test_train_triage_divergence_keeps_last_completed_epoch_and_exits_two(tmp_pa
     (["train-triage", "--set", "lstm_layers=0"], "num_lstm_layers must be >= 1"),
     (["train-triage", "--set", "dd_layers=0"], "num_dd_layers must be >= 1"),
     (["pretrain-encoder", "--set", "mlm_epochs=-1"], "epochs must be >= 0"),
-], ids=["lstm-layers-zero", "dd-layers-zero", "mlm-epochs-negative"])
+    (["pretrain-encoder", "--set", "enc_ffn=-1"], "enc_ffn must be >= 0"),
+    (["pretrain-lm", "--set", "dec_ffn=-1"], "dec_ffn must be >= 0"),
+    (["train-gen", "--set", "supplement_max_chars=-5"], "supplement_max_chars must be >= 0"),
+], ids=["lstm-layers-zero", "dd-layers-zero", "mlm-epochs-negative", "enc-ffn-negative", "dec-ffn-negative", "supplement-negative"])
 def test_count_below_its_floor_exits_one_with_one_error_line(tmp_path, corpus_file, capsys, argv, message):
     assert run(argv[:1] + ["--in", corpus_file, "--out", tmp_path / "out"] + TINY + argv[1:]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -626,6 +670,7 @@ def _common_cases(kind):
         "num-layers-negative": _edit_meta(section, "num_layers", -1),
         "num-layers-fewer": _edit_meta(section, "num_layers", lambda layers: layers - 1),
         "ln-eps-a-string": _edit_meta(section, "ln_eps", "1e-5"),
+        "ffn-dim-zero": _edit_meta(section, "ffn_dim", 0),
         "section-not-an-object": _edit_meta(None, section, [1]),
         "vocab-line-added": _edit_vocab(lambda data: data + "多余\n".encode("utf-8")),
         "vocab-line-dropped": _edit_vocab(lambda data: data[: data.rstrip(b"\n").rfind(b"\n") + 1]),
@@ -669,6 +714,8 @@ CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _comm
 # else the meta sidecar.
 CHECKPOINT_CASES = {"truncated", "flip-in-header", "flip-in-tensor-name"}
 NAMED_FILES = {"vocab-": "vocab.txt", "label-map-": "label_map.json", "verbalizer-": "verbalizer.json"}
+# What the error line of a case must also say, where naming the file is not enough.
+MESSAGES = {"ffn-dim-zero": "ffn_dim must be >= 1"}
 CORRUPTIONS += [(kind, case, READERS[kind][:1]) for kind, cases in OWN_CASES.items() for case in cases]
 
 
@@ -689,7 +736,7 @@ def test_corrupt_bundle_exits_with_one_error_line(bundles, tmp_path, corpus_file
         if case in CHECKPOINT_CASES:
             assert code in (EXIT_USAGE, EXIT_RUNTIME) and ckpt.name in err, (reader, code, err)
         else:
-            assert code == EXIT_USAGE and named in err, (reader, code, err)
+            assert code == EXIT_USAGE and named in err and MESSAGES.get(case, "") in err, (reader, code, err)
 
 
 @pytest.mark.parametrize("text", ["", "{not json", "[1]", '{"内科": 1}'], ids=["empty", "not-json", "not-an-object", "surface-an-int"])

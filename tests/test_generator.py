@@ -77,7 +77,7 @@ def test_lm_logits_gradient_check(vocab):
     def loss_fn():
         return lm_loss(model, ids, [True] * len(ids))
 
-    err = grad_check(loss_fn, model.params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
+    err = grad_check(loss_fn, model.params, eps=1e-4, max_entries_per_param=2, rng=np.random.default_rng(0))
     assert err < 1e-4
 
 

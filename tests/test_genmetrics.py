@@ -310,7 +310,7 @@ def test_ter_matches_oracle_exactly_at_benchmark_shape():
 
 
 def _toy_embeddings():
-    rng = Rng(42)
+    rng = np.random.default_rng(42)
     table = {tok: rng.normal(size=3) for tok in ALPHABET}
     table["[UNK]"] = np.zeros(3)
     return table
@@ -339,7 +339,7 @@ def test_wmd_empty_sentence_errors():
 
 
 def test_transport_cost_matches_vertex_enumeration_fuzz():
-    rng = Rng(108)
+    rng = np.random.default_rng(108)
     for _ in range(25):
         m = int(rng.integers(1, 4))
         n = int(rng.integers(1, 4))
@@ -435,7 +435,7 @@ def test_embed_score_identical_sentence_is_unity():
     from medkit.tokenizer import build_vocab
 
     vocab = build_vocab(["abc"])
-    rng = Rng(7)
+    rng = np.random.default_rng(7)
     vectors = {i: rng.normal(size=4) for i in range(vocab.size)}
     enc = _StubEncoder(vectors, hidden=4)
     p, r, f1 = gm.embed_score("abc", "abc", enc, vocab)

@@ -26,7 +26,7 @@ def test_matmul_hand_case():
 
 
 def test_matmul_zero_annihilates():
-    rng = Rng(1)
+    rng = np.random.default_rng(1)
     a = Tensor(rng.normal(size=(3, 4)))
     z = Tensor(np.zeros((4, 2)))
     assert np.array_equal(nm.matmul(a, z).data, np.zeros((3, 2)))
@@ -40,7 +40,7 @@ def test_matmul_shape_mismatch():
 
 
 def test_matmul_associativity_fuzz():
-    rng = Rng(7)
+    rng = np.random.default_rng(7)
     for _ in range(20):
         a = Tensor(rng.normal(size=(3, 4)))
         b = Tensor(rng.normal(size=(4, 5)))
@@ -66,7 +66,7 @@ def test_softmax_shift_stability():
 
 
 def test_softmax_sums_to_one_and_shift_invariant():
-    rng = Rng(3)
+    rng = np.random.default_rng(3)
     logits = rng.normal(scale=5.0, size=(10_000, 7))
     out = softmax(Tensor(logits), axis=-1).data
     assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
@@ -166,7 +166,7 @@ def test_no_grad_nests():
 
 
 def test_backward_after_no_grad_block_matches_plain_backward():
-    rng = Rng(13)
+    rng = np.random.default_rng(13)
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     x = Tensor(rng.normal(size=(2, 3)))
 
@@ -225,7 +225,7 @@ def test_non_finite_forward_rejected():
     ],
 )
 def test_elementwise_ops_match_finite_differences(name, build):
-    rng = Rng(11)
+    rng = np.random.default_rng(11)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     weights = rng.normal(size=build(x, y).shape)
@@ -233,13 +233,13 @@ def test_elementwise_ops_match_finite_differences(name, build):
     def loss_fn():
         return tensor_sum(build(x, y) * Tensor(weights))
 
-    err = grad_check(loss_fn, {"x": x, "y": y}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    err = grad_check(loss_fn, {"x": x, "y": y}, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0))
     assert err < 1e-5, f"{name}: {err}"
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
 def test_lstm_matches_finite_differences(reverse):
-    rng = Rng(15)
+    rng = np.random.default_rng(15)
     x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     wx = Tensor(rng.normal(scale=0.5, size=(3, 8)), requires_grad=True)
     wh = Tensor(rng.normal(scale=0.5, size=(2, 8)), requires_grad=True)
@@ -249,7 +249,7 @@ def test_lstm_matches_finite_differences(reverse):
     def loss_fn():
         return tensor_sum(nm.lstm(x, wx, wh, b, reverse) * weights)
 
-    err = grad_check(loss_fn, {"x": x, "wx": wx, "wh": wh, "b": b}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    err = grad_check(loss_fn, {"x": x, "wx": wx, "wh": wh, "b": b}, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0))
     assert err < 1e-5
 
 
@@ -286,7 +286,7 @@ def _attention_keep(kind, n, rng):
 @pytest.mark.parametrize("kind", ["full", "padding", "causal", "dead"])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_matches_op_by_op_oracle(heads, kind):
-    rng = Rng(40 + heads)
+    rng = np.random.default_rng(40 + heads)
     arrays = [rng.normal(size=(6, 8))] + [rng.normal(scale=0.5, size=(8, 8 // heads)) for _ in range(3 * heads)]
     keep = _attention_keep(kind, 6, rng)
     weights = Tensor(rng.normal(size=(6, 8)))
@@ -304,7 +304,7 @@ def test_attention_matches_op_by_op_oracle(heads, kind):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_cached_calls_match_one_full_pass(heads):
-    rng = Rng(50 + heads)
+    rng = np.random.default_rng(50 + heads)
     x, (wq, wk, wv) = _attention_leaves(rng, 7, 8, heads)
     keep = np.tril(np.ones((7, 7), dtype=bool))
     full = attention(x, wq, wk, wv, keep).data
@@ -320,7 +320,7 @@ def test_attention_cached_calls_match_one_full_pass(heads):
 
 @pytest.mark.parametrize("heads", [1, 2])
 def test_attention_matches_finite_differences(heads):
-    rng = Rng(60 + heads)
+    rng = np.random.default_rng(60 + heads)
     x, (wq, wk, wv) = _attention_leaves(rng, 5, 4, heads)
     keep = np.tril(np.ones((5, 5), dtype=bool))
     keep[3] = False  # one dead row
@@ -330,7 +330,7 @@ def test_attention_matches_finite_differences(heads):
         return tensor_sum(attention(x, wq, wk, wv, keep) * weights)
 
     params = {"x": x, **{f"w{kind}{h}": w for kind, ws in zip("qkv", (wq, wk, wv)) for h, w in enumerate(ws)}}
-    err = grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    err = grad_check(loss_fn, params, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0))
     assert err < 1e-5
 
 
@@ -369,7 +369,8 @@ def _fused_layer(x, params, prefix, keep, heads, eps=1e-5, lengths=None):
 
 def _layer_params(rng, hidden, heads, ffn):
     """One layer's parameters with every bias, gain and weight perturbed, so
-    each gradient is exercised."""
+    each gradient is exercised. `rng` is a numpy Generator: init_layer_params
+    draws from it only through `uniform`, which it shares with `Rng`."""
     params: dict = {}
     init_layer_params(rng, hidden, heads, ffn, "layer0", params)
     for p in params.values():
@@ -396,7 +397,7 @@ def _assert_layers_agree(fused, oracle):
 @pytest.mark.parametrize("kind", ["padding", "causal", "dead"])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_transformer_layer_matches_op_by_op_oracle(heads, kind):
-    rng = Rng(80 + heads)
+    rng = np.random.default_rng(80 + heads)
     params = _layer_params(rng, 8, heads, 16)
     x = rng.normal(size=(6, 8))
     keep = _attention_keep(kind, 6, rng)
@@ -407,7 +408,7 @@ def test_transformer_layer_matches_op_by_op_oracle(heads, kind):
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_transformer_layer_ragged_batch_matches_oracle(heads, causal):
-    rng = Rng(90 + heads)
+    rng = np.random.default_rng(90 + heads)
     lengths = [3, 1, 6, 4, 6]  # 1 and the longest, 6 (max_len), included
     params = _layer_params(rng, 8, heads, 16)
     x = rng.normal(size=(sum(lengths), 8))
@@ -421,7 +422,7 @@ def test_transformer_layer_ragged_batch_matches_oracle(heads, causal):
 def test_transformer_layer_long_sequence_among_short_ones_matches_oracle(lengths, causal):
     """A batch whose padded score grid would be mostly padding: the oracle
     pads to the longest sequence, the layer runs each sequence alone."""
-    rng = Rng(95)
+    rng = np.random.default_rng(95)
     params = _layer_params(rng, 8, 2, 16)
     x = rng.normal(size=(sum(lengths), 8))
     keep = np.tril(np.ones((128, 128), dtype=bool)) if causal else True
@@ -437,7 +438,7 @@ def test_transformer_layer_memory_follows_the_packed_scores():
     twelve (rows, ffn) arrays, about 3.9 MiB. A layer that pads each sequence
     to the longest holds a 2 MiB grid and its temporaries, about 10 MiB."""
     lengths, hidden, heads, ffn = [128] + [1] * 7, 64, 2, 256
-    rng = Rng(96)
+    rng = np.random.default_rng(96)
     params = _layer_params(rng, hidden, heads, ffn)
     weights = layer_weights(params, "layer0", heads)
     x = Tensor(rng.normal(size=(sum(lengths), hidden)), requires_grad=True)
@@ -455,7 +456,7 @@ def test_transformer_layer_memory_follows_the_packed_scores():
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_transformer_layer_cached_chunks_match_one_full_pass(heads):
-    rng = Rng(100 + heads)
+    rng = np.random.default_rng(100 + heads)
     params = _layer_params(rng, 8, heads, 16)
     x = rng.normal(size=(7, 8))
     keep = np.tril(np.ones((7, 7), dtype=bool))
@@ -478,7 +479,7 @@ def test_transformer_layer_cached_chunks_match_one_full_pass(heads):
 @pytest.mark.parametrize("lengths", [None, [2, 1, 4]], ids=["single", "ragged"])
 @pytest.mark.parametrize("heads", [1, 2])
 def test_transformer_layer_matches_finite_differences(heads, lengths):
-    rng = Rng(110 + heads)
+    rng = np.random.default_rng(110 + heads)
     params = _layer_params(rng, 4, heads, 8)
     x = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     keep = np.tril(np.ones((7, 7), dtype=bool)) if lengths is None else np.tril(np.ones((4, 4), dtype=bool))
@@ -489,7 +490,7 @@ def test_transformer_layer_matches_finite_differences(heads, lengths):
     def loss_fn():
         return tensor_sum(_fused_layer(x, params, "layer0", keep, heads, lengths=lengths) * weights)
 
-    err = grad_check(loss_fn, {"x": x, **params}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    err = grad_check(loss_fn, {"x": x, **params}, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0))
     assert err < 1e-5
 
 
@@ -501,7 +502,7 @@ def test_transformer_layer_overflowing_weight_raises(forward, name):
     inf - inf in LayerNorm (wo), GELU (w1) or the second residual (w2). The
     large inputs and first LayerNorm gain make each product overflow; without
     the scaling the layer stays finite."""
-    rng = Rng(120)
+    rng = np.random.default_rng(120)
     params = _layer_params(rng, 8, 2, 16)
     params["layer0.ln1.gain"].data = np.full(8, 1e9)
     x = Tensor(rng.normal(size=(4, 8)) * 1e9)
@@ -515,7 +516,7 @@ def test_transformer_layer_overflowing_weight_raises(forward, name):
 @pytest.mark.parametrize("masked", [False, True], ids=["kept", "masked"])
 @pytest.mark.parametrize("forward", [_fused_layer, encoder_layer_ops], ids=["fused", "oracle"])
 def test_transformer_layer_overflowing_score_raises(forward, masked):
-    params = _layer_params(Rng(121), 2, 1, 4)
+    params = _layer_params(np.random.default_rng(121), 2, 1, 4)
     for kind in "qkv":
         params[f"layer0.attn.w{kind}0"].data = np.eye(2)
     x = Tensor([[1e160, 0.0], [1.0, 0.0]])  # projections finite, q0 . k0 = 1e320
@@ -527,7 +528,7 @@ def test_transformer_layer_overflowing_score_raises(forward, masked):
 def test_layer_forward_checks_its_output():
     """The array-level forward, which KV-cached decoding runs without a
     Tensor around it, raises on a non-finite output itself."""
-    rng = Rng(123)
+    rng = np.random.default_rng(123)
     params = _layer_params(rng, 8, 2, 16)
     params["layer0.ln1.gain"].data = np.full(8, 1e9)
     params["layer0.ffn.w2"].data = params["layer0.ffn.w2"].data * 1e300
@@ -537,7 +538,7 @@ def test_layer_forward_checks_its_output():
 
 
 def test_transformer_layer_rejects_mismatched_shapes():
-    params = _layer_params(Rng(122), 4, 2, 8)
+    params = _layer_params(np.random.default_rng(122), 4, 2, 8)
     weights = layer_weights(params, "layer0", 2)
     keep = np.ones(3, dtype=bool)
     with pytest.raises(ShapeError):
@@ -551,7 +552,7 @@ def test_transformer_layer_rejects_mismatched_shapes():
 
 
 def test_transformer_layer_rejects_non_integer_lengths():
-    params = _layer_params(Rng(122), 4, 2, 8)
+    params = _layer_params(np.random.default_rng(122), 4, 2, 8)
     weights = layer_weights(params, "layer0", 2)
     for lengths in ([True] * 3, [1.0, 2.0]):
         with pytest.raises(ShapeError, match="do not split"):
@@ -559,7 +560,7 @@ def test_transformer_layer_rejects_non_integer_lengths():
 
 
 def test_layer_norm_gradient():
-    rng = Rng(12)
+    rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     gain = Tensor(rng.normal(size=4), requires_grad=True)
     bias = Tensor(rng.normal(size=4), requires_grad=True)
@@ -568,14 +569,14 @@ def test_layer_norm_gradient():
     def loss_fn():
         return tensor_sum(layer_norm(x, gain, bias) * Tensor(weights))
 
-    err = grad_check(loss_fn, {"x": x, "g": gain, "b": bias}, eps=1e-5, max_entries_per_param=6, rng=Rng(0))
+    err = grad_check(loss_fn, {"x": x, "g": gain, "b": bias}, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0))
     assert err < 1e-5
 
 
 def test_layer_norm_of_one_row_is_bit_identical_to_its_row_in_many():
     """The one-row path (scalar statistics, as a decode step's top layer
     runs) against the many-row path it stands in for."""
-    rng = Rng(15)
+    rng = np.random.default_rng(15)
     gain, bias = rng.normal(size=64), rng.normal(size=64)
     h = rng.normal(size=(40, 64)) * 10.0 ** rng.integers(-4, 5, size=(40, 1))
     many = nm._layer_norm(h, gain, bias, 1e-5)
@@ -586,14 +587,14 @@ def test_layer_norm_of_one_row_is_bit_identical_to_its_row_in_many():
 
 
 def test_softmax_cross_entropy_gradient_and_value():
-    rng = Rng(13)
+    rng = np.random.default_rng(13)
     logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
     targets = [0, 3, 6, 2, 2]
 
     def loss_fn():
         return nm.softmax_cross_entropy(logits, targets)
 
-    err = grad_check(loss_fn, {"logits": logits}, eps=1e-5, max_entries_per_param=10, rng=Rng(0))
+    err = grad_check(loss_fn, {"logits": logits}, eps=1e-5, max_entries_per_param=10, rng=np.random.default_rng(0))
     assert err < 1e-6
     probs = softmax(logits, axis=-1).data
     manual = -np.log(probs[np.arange(5), targets]).mean()
@@ -619,7 +620,7 @@ def test_softmax_cross_entropy_rejects_an_unknown_reduction():
 
 def _with_array_weight(t, a):
     """A one-head transformer_layer call whose output projection is an ndarray."""
-    weights = layer_weights(_layer_params(Rng(124), 4, 1, 8), "layer0", 1)
+    weights = layer_weights(_layer_params(np.random.default_rng(124), 4, 1, 8), "layer0", 1)
     weights[3] = a(weights[3].shape)
     return nm.transformer_layer(t((3, 4)), weights, 1, True)
 
@@ -655,7 +656,7 @@ def test_ops_reject_an_operand_that_is_not_a_tensor(op, mode):
 
 
 def test_grad_check_linear_regression_closed_form():
-    rng = Rng(21)
+    rng = np.random.default_rng(21)
     x = rng.normal(size=(8, 3))
     y = rng.normal(size=(8, 1))
     w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
@@ -664,7 +665,7 @@ def test_grad_check_linear_regression_closed_form():
         resid = nm.matmul(Tensor(x), w) + Tensor(-y)
         return scale(tensor_sum(resid * resid), 1.0 / 8)
 
-    err = grad_check(loss_fn, {"w": w}, eps=1e-5, max_entries_per_param=3, rng=Rng(0))
+    err = grad_check(loss_fn, {"w": w}, eps=1e-5, max_entries_per_param=3, rng=np.random.default_rng(0))
     assert err < 1e-6
 
 
@@ -697,7 +698,7 @@ def test_adam_two_groups_visible_in_state_dump():
 
 def test_adam_step_in_place_matches_one_expression_oracle():
     """20 steps on two groups, one gradient missing on some steps: bit-identical parameters and moments."""
-    rng = Rng(24)
+    rng = np.random.default_rng(24)
     groups = {"encoder": (5e-3, {"w": (3, 4), "b": (4,)}), "head": (2e-2, {"w": (2, 5), "s": ()})}
     params = {g: {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in shapes.items()} for g, (_, shapes) in groups.items()}
     opt = Adam([{"name": g, "lr": lr, "params": params[g]} for g, (lr, _) in groups.items()])
@@ -744,7 +745,7 @@ def test_fit_lets_a_shape_error_through_without_rollback(caplog):
 
 
 def _train_trajectory(seed: int) -> list[bytes]:
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=(16, 4))
     y = rng.normal(size=(16, 1))
     w = nm.xavier_uniform(Rng(seed).spawn("w"), 4, 1)
@@ -765,7 +766,7 @@ def test_same_seed_bit_identical_training_trajectory():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    rng = Rng(8)
+    rng = np.random.default_rng(8)
     named = {"a.weight": Tensor(rng.normal(size=(3, 4))), "b": Tensor(rng.normal(size=5)), "scalarish": Tensor(np.asarray(2.5))}
     path = tmp_path / "model.ckpt"
     nm.save_checkpoint(path, named)

@@ -87,7 +87,7 @@ def test_bilstm_ignores_neighbouring_sequences(vocab):
 
 def test_bilstm_gradient_check(vocab):
     head = _head(hidden=4)
-    rng = Rng(3)
+    rng = np.random.default_rng(3)
     reps = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     weights = rng.normal(size=8)
 
@@ -97,7 +97,7 @@ def test_bilstm_gradient_check(vocab):
 
     params = {"reps": reps}
     params.update({k: v for k, v in head.params.items() if k.startswith("lstm")})
-    err = grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=2, rng=Rng(0))
+    err = grad_check(loss_fn, params, eps=1e-4, max_entries_per_param=2, rng=np.random.default_rng(0))
     assert err < 1e-4
 
 
@@ -106,7 +106,7 @@ def test_bilstm_gradient_check(vocab):
 @pytest.mark.parametrize("in_mult", [1, 2], ids=["in=k", "in=2k"])
 def test_lstm_direction_matches_op_by_op_oracle(reverse, seq_len, in_mult):
     k = 5
-    rng = Rng(20 + seq_len + in_mult)
+    rng = np.random.default_rng(20 + seq_len + in_mult)
     arrays = [
         rng.normal(size=(seq_len, in_mult * k)),
         rng.normal(scale=0.5, size=(in_mult * k, 4 * k)),
@@ -208,7 +208,7 @@ def test_dendrite_hand_sum():
 
 
 def test_dendrite_matches_numpy_oracle():
-    rng = Rng(4)
+    rng = np.random.default_rng(4)
     for _ in range(50):
         depth = int(rng.integers(1, 4))
         dims = [int(rng.integers(2, 6)) for _ in range(depth + 1)]
@@ -220,7 +220,7 @@ def test_dendrite_matches_numpy_oracle():
 
 def test_dendrite_gradient_is_closed_form():
     # single layer: d/dm of W^T(m*m) is 2 diag(m) W
-    rng = Rng(5)
+    rng = np.random.default_rng(5)
     m = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     out_weights = rng.normal(size=2)
@@ -232,7 +232,7 @@ def test_dendrite_gradient_is_closed_form():
     def loss_fn():
         return tensor_sum(dendrite(m, [w]) * Tensor(out_weights))
 
-    assert grad_check(loss_fn, {"m": m, "w": w}, eps=1e-5, rng=Rng(0)) < 1e-6
+    assert grad_check(loss_fn, {"m": m, "w": w}, eps=1e-5, rng=np.random.default_rng(0)) < 1e-6
 
 
 def _dense_probs(features: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,7 +250,7 @@ def test_classify_zero_weights_uniform():
 
 
 def test_classify_argmax_invariant_to_bias_shift():
-    rng = Rng(6)
+    rng = np.random.default_rng(6)
     features = rng.normal(size=4)
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=3)
@@ -260,7 +260,7 @@ def test_classify_argmax_invariant_to_bias_shift():
 
 
 def test_classify_is_distribution():
-    rng = Rng(7)
+    rng = np.random.default_rng(7)
     for _ in range(20):
         out = _dense_probs(rng.normal(size=6), rng.normal(size=(6, 4)), rng.normal(size=4))
         assert abs(out.sum() - 1.0) < 1e-12
@@ -349,10 +349,10 @@ def test_full_pipeline_gradient_check_frozen_and_unfrozen(vocab):
         return nm.softmax_cross_entropy(logits, [1])
 
     head_only = dict(head.params)
-    assert grad_check(loss_fn, head_only, eps=1e-4, max_entries_per_param=2, rng=Rng(0)) < 1e-4
+    assert grad_check(loss_fn, head_only, eps=1e-4, max_entries_per_param=2, rng=np.random.default_rng(0)) < 1e-4
     joint = dict(head.params)
     joint.update(enc.params)
-    assert grad_check(loss_fn, joint, eps=1e-4, max_entries_per_param=1, rng=Rng(1)) < 1e-4
+    assert grad_check(loss_fn, joint, eps=1e-4, max_entries_per_param=1, rng=np.random.default_rng(1)) < 1e-4
 
 
 def test_ablation_configs_change_parameter_counts():
