@@ -114,7 +114,7 @@ class RunConfig:
         if not 0.0 < self.temperature < float("inf") or self.top_k < 1:
             raise CliError("temperature must be finite and > 0, and top_k >= 1")
         floors = dict.fromkeys(("max_len", "enc_hidden", "enc_layers", "enc_heads", "dec_hidden", "dec_layers", "dec_heads", "batch_size", "context_window", "max_gen_len"), 1)
-        for name, floor in {**floors, "enc_ffn": 0, "dec_ffn": 0, "supplement_max_chars": 0}.items():
+        for name, floor in {**floors, "seed": 0, "enc_ffn": 0, "dec_ffn": 0, "supplement_max_chars": 0}.items():
             if getattr(self, name) < floor:
                 raise CliError(f"{name} must be >= {floor}")
         for name in ("mlm_lr", "lr_encoder", "lr_head", "prompt_lr", "lm_lr"):

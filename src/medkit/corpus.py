@@ -166,8 +166,6 @@ def _label_of(sample: DialogueSample, field_name: str | None) -> str | None:
 @dataclass
 class DatasetStats:
     total_count: int
-    train_count: int
-    test_count: int
     avg_question_length: float
     avg_answer_length: float | None
     category_count: int
@@ -176,22 +174,12 @@ class DatasetStats:
     gender_counts: dict[str, int]
 
 
-def stats(samples, split_assignment=None, granularity: str = "auto") -> DatasetStats:
-    """Exact counts and arithmetic-mean character lengths.
-
-    `split_assignment` maps sample index -> "train"|"test" (optional). Age is
-    bucketed by decade; gender counts cover only samples that report one.
+def stats(samples, granularity: str = "auto") -> DatasetStats:
+    """Exact counts and arithmetic-mean character lengths. Age is bucketed by
+    decade; gender counts cover only samples that report one.
     """
     samples = list(samples)
     total = len(samples)
-    train = test = 0
-    if split_assignment is not None:
-        for i in range(total):
-            part = split_assignment.get(i)
-            if part == "train":
-                train += 1
-            elif part == "test":
-                test += 1
     field_name = label_field(samples, granularity)
     per_category: Counter[str] = Counter()
     ages: Counter[str] = Counter()
@@ -214,8 +202,6 @@ def stats(samples, split_assignment=None, granularity: str = "auto") -> DatasetS
             genders[s.gender] += 1
     return DatasetStats(
         total_count=total,
-        train_count=train,
-        test_count=test,
         avg_question_length=q_total / total if total else 0.0,
         avg_answer_length=a_total / a_count if a_count else None,
         category_count=len(per_category),

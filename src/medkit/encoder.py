@@ -91,11 +91,11 @@ def layer_weights(params: dict, prefix: str, heads: int) -> list[Tensor]:
     return [params[f"{prefix}.attn.w{kind}{h}"] for kind in "qkv" for h in range(heads)] + [params[f"{prefix}.{name}"] for name in tail]
 
 
-def run_layers(x: Tensor, params: dict, keep: np.ndarray, num_layers: int, num_heads: int, ln_eps: float, lengths) -> Tensor:
-    """Run the stack, one numerics.transformer_layer node per layer; `keep`
+def run_layers(x: Tensor, params: dict, causal: bool, num_layers: int, num_heads: int, ln_eps: float, lengths) -> Tensor:
+    """Run the stack, one numerics.transformer_layer node per layer; `causal`
     and `lengths` go to every layer."""
     for i in range(num_layers):
-        x = nm.transformer_layer(x, layer_weights(params, f"layer{i}", num_heads), num_heads, keep, ln_eps, lengths)
+        x = nm.transformer_layer(x, layer_weights(params, f"layer{i}", num_heads), num_heads, causal, ln_eps, lengths)
     return x
 
 
@@ -130,7 +130,7 @@ class Encoder:
         return nm.take_rows(self.params["tok_emb"], tokens.ids) + nm.take_rows(self.params["pos_emb"], positions)
 
     def _token_states(self, tokens: TokenBatch) -> Tensor:
-        return run_layers(self.embed(tokens), self.params, True, self.config.num_layers, self.config.num_heads, self.config.ln_eps, tokens.lengths)
+        return run_layers(self.embed(tokens), self.params, False, self.config.num_layers, self.config.num_heads, self.config.ln_eps, tokens.lengths)
 
     def encode(self, tokens: TokenBatch) -> EncoderOutput:
         reps = self._token_states(tokens)

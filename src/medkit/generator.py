@@ -109,11 +109,9 @@ class Decoder:
     def hidden_states(self, ids, lengths) -> Tensor:
         """Top-layer states under the causal mask of sequences of `lengths`
         laid end to end in ids, each attending only within itself."""
-        n = max(lengths)
         positions = TokenBatch(np.asarray(ids), np.asarray(lengths)).positions
         x = nm.take_rows(self.params["tok_emb"], ids) + nm.take_rows(self.params["pos_emb"], positions)
-        keep = np.arange(n) <= np.arange(n)[:, None]
-        return run_layers(x, self.params, keep, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths)
+        return run_layers(x, self.params, True, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths)
 
     def logits_matrix(self, ids, cache: KVCache) -> Tensor:
         """Next-token logits of the last position of the (windowed) ids, as a
@@ -144,9 +142,8 @@ class Decoder:
             cache.weights = [nm.layer_arrays(layer_weights(self.params, f"layer{i}", cfg.num_heads), cfg.num_heads) for i in range(cfg.num_layers)]
         cache.ids = []  # stays invalid unless the stack below completes
         x = self.params["tok_emb"].data[new] + self.params["pos_emb"].data[start:n]
-        keep = None if len(new) == 1 else np.arange(n) <= np.arange(start, n)[:, None]  # causal rows start..n-1
         for i, w in enumerate(cache.weights):
-            x = nm.layer_forward(x, w, cfg.num_heads, keep, cfg.ln_eps, kv=cache.kv[i, :, :, :n], last_only=i == cfg.num_layers - 1)[0]
+            x = nm.layer_forward(x, w, cfg.num_heads, True, cfg.ln_eps, kv=cache.kv[i, :, :, :n], last_only=i == cfg.num_layers - 1)[0]
         cache.ids = ids
         return Tensor(x @ self.params["out.w"].data + self.params["out.b"].data)
 

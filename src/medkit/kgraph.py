@@ -51,15 +51,18 @@ def load_triples(path) -> tuple[KnowledgeGraph, list[dict]]:
     """Read {head, relation, tail} JSONL into an indexed graph.
 
     Duplicate triples are deduplicated; malformed lines are reported, not
-    silently dropped.
+    silently dropped. Raises ValueError naming the file when more than half
+    of the non-empty lines are malformed (it is probably not a graph at all).
     """
     graph = KnowledgeGraph()
     rejects: list[dict] = []
     seen: set[KnowledgeTriple] = set()
+    total = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            total += 1
             try:
                 obj = json.loads(line)
                 head, relation, tail = obj["head"], obj["relation"], obj["tail"]
@@ -76,6 +79,8 @@ def load_triples(path) -> tuple[KnowledgeGraph, list[dict]]:
             seen.add(triple)
             graph.index.setdefault(triple.head, []).append(len(graph.triples))
             graph.triples.append(triple)
+    if len(rejects) * 2 > total:
+        raise ValueError(f"{len(rejects)} of {total} lines malformed in {path}")
     if graph.size == 0:
         log.warning("load_triples: %s produced an empty graph", path)
     return graph, rejects

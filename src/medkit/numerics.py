@@ -11,8 +11,11 @@ transpose (.T), concat, take_rows, softmax_cross_entropy, lstm and
 transformer_layer (whose array forward, layer_forward, is also the KV-cached
 decode step), backward, no_grad, Rng, the initializers, Adam, fit and its
 TrainConfig, and the checkpoint format. Ops take Tensors only; any other
-operand raises ShapeError. The reference ops these are checked against and
-the finite-difference grad_check are in tests/oracles.py.
+operand raises ShapeError. The two fused layers take sequences laid end to
+end with their lengths and pad nothing; attention is either over every key
+or causal, the two masks the models use. The reference ops these are
+checked against (attention under any mask among them) and the
+finite-difference grad_check are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -213,21 +216,14 @@ def take_rows(a: Tensor, ids) -> Tensor:
 # -- fused layers --------------------------------------------------------------
 
 
-def _grid(lengths, rows: int) -> np.ndarray:
-    """(B, longest) mask of the positions of sequences of `lengths` (default:
-    one) laid end to end in `rows` rows. Lengths must be integers: a boolean
-    mask is not a list of lengths."""
+def _lengths(lengths, rows: int) -> np.ndarray:
+    """The lengths of the sequences laid end to end in `rows` rows (default:
+    one sequence), checked to be integers of at least 1 that sum to `rows`;
+    a boolean mask is not a list of lengths."""
     lengths = np.asarray([rows] if lengths is None else lengths)
     if lengths.dtype.kind not in "iu" or lengths.ndim != 1 or lengths.sum() != rows or lengths.min() < 1:
         raise ShapeError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
-    return np.arange(lengths.max()) < lengths[:, None]
-
-
-def _spread(rows: np.ndarray, at, size: int) -> np.ndarray:
-    """A zero array of `size` rows with `rows` written at row indices `at`."""
-    out = np.zeros((size,) + rows.shape[1:])
-    out[at] = rows
-    return out
+    return lengths
 
 
 _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])  # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 for the i, f, o gates
@@ -238,60 +234,66 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, le
     """One LSTM pass from zero states over the rows of x (rows, in_dim), one
     sequence or, with `lengths`, sequences laid end to end, as one graph node;
     returns the (rows, hidden) hidden states in row order. The 4 * hidden
-    columns of wx, wh and b are the [input, forget, cell, output] gates. Step s
-    is one gate matmul over position s (reverse: s-th from the end) of every
-    sequence still going. The backward pass is hand-written BPTT; non-finite
-    gate pre-activations raise NumericsError.
+    columns of wx, wh and b are the [input, forget, cell, output] gates.
+
+    The pass runs over a step-major copy of the rows, with the sequences
+    sorted longest first: block 0 holds their zero start states and block
+    s + 1 holds position s (reverse: s-th from the end) of every sequence
+    still going. Step s is one gate matmul from the first rows of block s to
+    block s + 1, on contiguous slices; rows move between the two orders once
+    each way. The backward pass is hand-written BPTT; non-finite gate
+    pre-activations raise NumericsError.
     """
     k = wh.shape[0]
     if x.ndim != 2 or wx.shape != (x.shape[1], 4 * k) or wh.shape != (k, 4 * k) or b.shape != (4 * k,):
         raise ShapeError(f"lstm shapes disagree: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-    grid = _grid(lengths, x.shape[0])
-    lengths = grid.sum(axis=1)
-    batch, n = grid.shape
-    # time-major states hold the sequences longest first: the first going[s] run step s
-    rank = np.empty(batch, dtype=np.int64)
-    rank[np.argsort(-lengths, kind="stable")] = np.arange(batch)
-    going = (lengths > np.arange(n)[:, None]).sum(axis=1)
-    owner, position = np.divmod(np.flatnonzero(grid), n)
-    step = lengths[owner] - 1 - position if reverse else position
-    slot = step * batch + rank[owner]  # each row's (step, sequence) cell, flattened
+    lengths = _lengths(lengths, x.shape[0])
+    batch = len(lengths)
+    going = batch - np.cumsum(np.bincount(lengths))[:-1]  # going[s]: the sequences that run step s
+    at = np.cumsum([0, batch, *going]).tolist()  # block t is rows at[t]:at[t + 1]
+    rank = np.argsort(np.argsort(-lengths, kind="stable"))  # each sequence's place, longest first
+    owner = np.repeat(np.arange(batch), lengths)
+    position = np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
+    slot = np.take(at, lengths[owner] - position if reverse else position + 1) + rank[owner]  # each row's step-major row
     scale, shift = np.repeat(_GATE_SCALE, k), np.repeat(_GATE_SHIFT, k)
-    hs, cs = np.zeros((n + 1, batch, k)), np.zeros((n + 1, batch, k))  # hs[s]: the state before step s
+    z, hs, cs = np.zeros((at[-1], 4 * k)), np.zeros((at[-1], k)), np.zeros((at[-1], k))
+    acts = np.zeros_like(z)
+    i, f, g, o = np.split(acts, 4, axis=1)  # gate views of acts
     with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as the check below
-        z = _spread(x.data @ wx.data, slot, n * batch).reshape(n, batch, 4 * k)
-        acts = np.zeros_like(z)
-        i, f, g, o = np.split(acts, 4, axis=2)  # gate views of acts
-        for s, m in enumerate(going):
-            z[s, :m] = z[s, :m] + hs[s, :m] @ wh.data + b.data
-            acts[s, :m] = np.tanh(z[s, :m] * scale) * scale + shift
-            cs[s + 1, :m] = f[s, :m] * cs[s, :m] + i[s, :m] * g[s, :m]
-            hs[s + 1, :m] = o[s, :m] * np.tanh(cs[s + 1, :m])
+        z[slot] = x.data @ wx.data
+        for p, a, e in zip(at, at[1:], at[2:]):  # rows a:e start from the states in rows p:p + e - a
+            z[a:e] = z[a:e] + hs[p : p + e - a] @ wh.data + b.data
+            acts[a:e] = np.tanh(z[a:e] * scale) * scale + shift
+            cs[a:e] = f[a:e] * cs[p : p + e - a] + i[a:e] * g[a:e]
+            hs[a:e] = o[a:e] * np.tanh(cs[a:e])
     if not np.isfinite(z).all():
         raise NumericsError("non-finite lstm gate pre-activations")
 
     def backward_fn(grad):
-        carried = _spread(grad, slot, n * batch).reshape(n, batch, k)
-        tanh_c = np.tanh(cs[1:])
+        carried = np.zeros_like(hs)
+        carried[slot] = grad
+        prev = np.arange(at[-1])  # each row's previous state: block 0 is its own
+        prev[batch:] -= np.repeat([batch, *going[:-1]], going)
+        tanh_c = np.tanh(cs)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        # dz[s] = [dc, dc, dc, dh] * coef[s]: each gate's partner in c or h times its slope
-        coef = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=2)
-        dz = np.zeros((n, batch, 4 * k))
+        # dz = [dc, dc, dc, dh] * coef: each gate's partner in c or h times its slope
+        coef = np.concatenate([g * i * (1.0 - i), cs[prev] * f * (1.0 - f), i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=1)
+        dz = np.zeros_like(z)
         dh, dc = np.zeros((batch, k)), np.zeros((batch, k))
-        for s in range(n - 1, -1, -1):
-            m = going[s]
-            dh[:m] += carried[s, :m]
-            dc[:m] += dh[:m] * dc_dh[s, :m]
-            dz[s, :m] = np.concatenate([dc[:m], dc[:m], dc[:m], dh[:m]], axis=1) * coef[s, :m]
-            dc[:m] *= f[s, :m]
-            dh[:m] = dz[s, :m] @ wh.data.T
-        rows = dz.reshape(n * batch, 4 * k)[slot]
-        return rows @ wx.data.T, x.data.T @ rows, hs[:-1].reshape(n * batch, k).T @ dz.reshape(n * batch, 4 * k), rows.sum(axis=0)
+        for a, e in reversed(list(zip(at[1:], at[2:]))):
+            m = e - a
+            dh[:m] += carried[a:e]
+            dc[:m] += dh[:m] * dc_dh[a:e]
+            dz[a:e] = np.concatenate([dc[:m], dc[:m], dc[:m], dh[:m]], axis=1) * coef[a:e]
+            dc[:m] *= f[a:e]
+            dh[:m] = dz[a:e] @ wh.data.T
+        rows = dz[slot]
+        return rows @ wx.data.T, x.data.T @ rows, hs[prev].T @ dz, rows.sum(axis=0)
 
-    return _make(hs[1:].reshape(n * batch, k)[slot], (x, wx, wh, b), backward_fn)
+    return _make(hs[slot], (x, wx, wh, b), backward_fn)
 
 
-def transformer_layer(x: Tensor, weights: Sequence[Tensor], heads: int, keep, eps: float = 1e-5, lengths=None) -> Tensor:
+def transformer_layer(x: Tensor, weights: Sequence[Tensor], heads: int, causal: bool, eps: float = 1e-5, lengths=None) -> Tensor:
     """One transformer layer over the rows of x (rows, hidden) as one graph
     node whose parents are x and `weights`: multi-head attention, its output
     projection, residual and LayerNorm, then a GELU feed-forward block,
@@ -299,7 +301,8 @@ def transformer_layer(x: Tensor, weights: Sequence[Tensor], heads: int, keep, ep
     order: every head's query weight, every head's key weight, every head's
     value weight (each (hidden, head_dim)), then wo, bo, the first LayerNorm's
     gain and bias, w1, b1, w2, b2, the second LayerNorm's gain and bias.
-    The forward pass is layer_forward; the backward pass is hand-written.
+    `causal` and `lengths` are layer_forward's; the backward pass is
+    hand-written.
     """
     if x.ndim != 2 or heads < 1 or len(weights) != 3 * heads + 10:
         raise ShapeError(f"transformer_layer needs a 2-D x and 3 * heads + 10 weights, got x {x.shape}, {len(weights)} weights and {heads} heads")
@@ -307,7 +310,7 @@ def transformer_layer(x: Tensor, weights: Sequence[Tensor], heads: int, keep, ep
     shapes = [(hidden, d)] * (3 * heads) + [(heads * d, hidden), (hidden,), (hidden,), (hidden,), (hidden, ffn), (ffn,), (ffn, hidden), (hidden,), (hidden,), (hidden,)]
     if [w.shape for w in weights] != shapes:
         raise ShapeError(f"transformer_layer weight shapes {[w.shape for w in weights]} do not fit x {x.shape} and {heads} heads")
-    out, backward_fn = layer_forward(x.data, layer_arrays(weights, heads), heads, keep, eps, lengths)
+    out, backward_fn = layer_forward(x.data, layer_arrays(weights, heads), heads, causal, eps, lengths)
     return _make(out, (x, *weights), backward_fn)
 
 
@@ -355,20 +358,21 @@ def _gelu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, hidden
 
 
-def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps: float = 1e-5, lengths=None, kv: np.ndarray | None = None, last_only: bool = False):
+def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bool, eps: float = 1e-5, lengths=None, kv: np.ndarray | None = None, last_only: bool = False):
     """transformer_layer on arrays, with `w` from layer_arrays; returns the
     output rows and a function from their gradient to the gradients of x and
     of each of transformer_layer's weights. Training and decoding both run it.
 
     The rows are one sequence or, with `lengths`, sequences laid end to end,
     each attending only within itself: a sequence of l rows is one unpadded
-    (heads, l, l) block of scores and reads keep[:l, :l], where `keep[i, j]`
-    says whether position i may attend to position j (a 1-D mask is broadcast
-    over queries; None keeps every key). A dropped key scores -1e30; a row
-    with no kept key attends to key 0 alone. Scores are scaled by
-    1/sqrt(head_dim); GELU is the tanh approximation, recomputed in backward.
+    (heads, l, l) block of scores. Without `causal` every query sees every
+    key of its sequence. With it, a span of q query rows over K keys drops
+    key j for query i when j > K - q + i, so each position sees itself and
+    the positions before it, and a single row sees every key. A dropped key
+    scores -1e30. Scores are scaled by 1/sqrt(head_dim); GELU is the tanh
+    approximation, recomputed in backward.
 
-    A non-finite QKV projection, score (also where the mask would hide it) or
+    A non-finite QKV projection, score (also one that causality drops) or
     output raises NumericsError. A non-finite value anywhere else reaches the
     output: NaN * 0 is NaN, inf - inf is NaN in LayerNorm and GELU maps -inf
     to NaN.
@@ -376,15 +380,12 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
     With `kv`, a (2, heads, positions, head_dim) view of a key/value
     buffer, x is one sequence's last len(x) positions: their keys and values
     are written in place into the view's last len(x) positions, and the rows
-    attend over all of it (`keep` has one column per position). With
-    `last_only` only the last row queries and runs the rest of the layer,
-    seeing every key as a causal last row does, and one row is returned. The
-    gradient covers calls with neither.
+    attend over all of it. With `last_only` only the last row queries and
+    runs the rest of the layer, and one row is returned. The gradient covers
+    calls with neither.
     """
     w_qkv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = w
-    if lengths is not None:
-        _grid(lengths, len(x))  # validates the lengths
-    ends = [len(x)] if lengths is None else np.cumsum(lengths).tolist()
+    ends = [len(x)] if lengths is None else np.cumsum(_lengths(lengths, len(x))).tolist()
     spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
     d = w_qkv.shape[1] // (3 * heads)
     factor = 1.0 / math.sqrt(d)
@@ -397,8 +398,7 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
         if kv is not None:
             kv[:, :, -len(x) :] = qkv[1:]
         if last_only:
-            queries, rows, keep, spans = queries[:, -1:], x[-1:], None, [(0, 1)]
-        keep = None if keep is None else np.atleast_2d(np.asarray(keep, dtype=bool))  # a 1-D mask is one row for every query
+            queries, rows, spans = queries[:, -1:], x[-1:], [(0, 1)]
         weights, attn = [], np.empty((len(rows), heads * d))  # each sequence's (heads, l, keys) attention weights, and the heads' outputs
         for a, b in spans:
             k, v = qkv[1:, :, a:b] if kv is None else kv
@@ -406,13 +406,8 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, keep, eps:
             p *= factor
             if not np.isfinite(p).all():
                 raise NumericsError("non-finite attention scores")
-            mask = None if keep is None else keep[: b - a, : k.shape[1]]
-            if mask is not None and not mask.all():
-                live = mask.any(axis=-1)
-                if not live.all():
-                    mask = mask.copy()
-                    mask[:, 0] |= ~live
-                np.copyto(p, -1e30, where=~mask)
+            if causal and b - a > 1:
+                np.copyto(p, -1e30, where=~np.tri(b - a, k.shape[1], k.shape[1] - (b - a), dtype=bool))
             p -= np.maximum.reduce(p, axis=-1, keepdims=True)
             np.exp(p, out=p)
             p /= np.add.reduce(p, axis=-1, keepdims=True)

@@ -589,13 +589,35 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return nm._make(out, (x, gain, bias), backward_fn)
 
 
+def causal_mask(queries, keys):
+    """The keep mask of `queries` rows that are the last positions of `keys`:
+    query i (position keys - queries + i) may attend to key j when j is not
+    after it."""
+    return np.arange(keys)[None, :] <= keys - queries + np.arange(queries)[:, None]
+
+
+def padded_grid(lengths, rows):
+    """(B, longest) mask of the positions of sequences of `lengths` laid end
+    to end in `rows` rows, each padded to the longest."""
+    lengths = nm._lengths(lengths, rows)
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def spread(rows, at, size):
+    """A zero array of `size` rows with `rows` written at row indices `at`."""
+    out = np.zeros((size,) + rows.shape[1:])
+    out[at] = rows
+    return out
+
+
 def attention(x, wq, wk, wv, keep, cache=None, lengths=None):
     """Multi-head scaled dot-product attention over the rows of x (rows,
     hidden) as one graph node; returns the (rows, heads * head_dim) head
     outputs side by side. wq, wk and wv list one (hidden, head_dim) weight per
     head; all 3 * heads of them are one projection matmul. The rows are one
     sequence or, with `lengths`, sequences laid end to end, each attending
-    only within itself; sequences and heads run batched.
+    only within itself; sequences run padded to the longest in one grid, and
+    heads run batched.
 
     `keep[i, j]` says whether position i may attend to position j (a 1-D mask
     is broadcast over queries). A dropped key scores -1e30; a row with no kept
@@ -618,7 +640,7 @@ def attention(x, wq, wk, wv, keep, cache=None, lengths=None):
     d = ws[0].shape[1]
     if any(w.shape != (x.shape[1], d) for w in ws):
         raise nm.ShapeError(f"attention weights must all be ({x.shape[1]}, {d})")
-    grid = None if lengths is None else nm._grid(lengths, x.shape[0])
+    grid = None if lengths is None else padded_grid(lengths, x.shape[0])
     batch, n = (1, x.shape[0]) if grid is None else grid.shape
     real = slice(None) if grid is None else np.flatnonzero(grid)  # where the rows sit in the (B * n) padded grid
     w_all = cache["w"] if cache else np.concatenate([w.data for w in ws], axis=1)
@@ -626,7 +648,7 @@ def attention(x, wq, wk, wv, keep, cache=None, lengths=None):
         proj = x.data @ w_all
         if not np.isfinite(proj).all():
             raise nm.NumericsError("non-finite attention projections")
-        q, k, v = (proj if grid is None else nm._spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
+        q, k, v = (proj if grid is None else spread(proj, real, batch * n)).reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)  # each (B, heads, n, d)
         if cache is not None:
             if cache:
                 k = np.concatenate([cache["k"], k[0]], axis=1)[None]
@@ -653,7 +675,7 @@ def attention(x, wq, wk, wv, keep, cache=None, lengths=None):
         return Tensor(out)
 
     def backward_fn(grad):
-        g = (grad if grid is None else nm._spread(grad, real, batch * n)).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
+        g = (grad if grid is None else spread(grad, real, batch * n)).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
         ds = g @ v.transpose(0, 1, 3, 2)
         ds -= (ds * weights).sum(axis=-1, keepdims=True)
         ds *= weights

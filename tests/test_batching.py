@@ -192,10 +192,7 @@ def test_attention_batch_matches_per_sequence_oracle(causal):
         assert np.max(np.abs(leaf.grad - oracle.grad)) <= 1e-10
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
-def test_lstm_batch_matches_per_sequence_oracle(reverse):
-    rng = np.random.default_rng(71)
-    lengths = [4, 1, 7, 2]
+def _assert_lstm_batch_matches_per_sequence_oracle(lengths, reverse, rng):
     arrays = [rng.normal(size=(sum(lengths), 3)), rng.normal(scale=0.5, size=(3, 8)), rng.normal(scale=0.5, size=(2, 8)), rng.normal(scale=0.5, size=8)]
     weights = Tensor(rng.normal(size=(sum(lengths), 2)))
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -209,6 +206,19 @@ def test_lstm_batch_matches_per_sequence_oracle(reverse):
     assert np.array_equal(final.data, out.data[ends - np.array(lengths) if reverse else ends - 1])
     for leaf, oracle in zip(leaves, oracle_leaves):
         assert np.max(np.abs(leaf.grad - oracle.grad)) <= 1e-10
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+def test_lstm_batch_matches_per_sequence_oracle(reverse):
+    _assert_lstm_batch_matches_per_sequence_oracle([4, 1, 7, 2], reverse, np.random.default_rng(71))
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 3, 5, 1, 3], [2, 2], [1, 1, 1], [1]], ids=["ties", "all-equal", "all-one-row", "one-row"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+def test_lstm_batch_with_equal_lengths_matches_per_sequence_oracle(reverse, lengths):
+    """Ties in length, equal lengths and one-row sequences, each checked
+    against the per-sequence oracle."""
+    _assert_lstm_batch_matches_per_sequence_oracle(lengths, reverse, np.random.default_rng(74))
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])

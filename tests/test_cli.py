@@ -284,7 +284,10 @@ def test_train_triage_divergence_keeps_last_completed_epoch_and_exits_two(tmp_pa
     (["pretrain-encoder", "--set", "enc_ffn=-1"], "enc_ffn must be >= 0"),
     (["pretrain-lm", "--set", "dec_ffn=-1"], "dec_ffn must be >= 0"),
     (["train-gen", "--set", "supplement_max_chars=-5"], "supplement_max_chars must be >= 0"),
-], ids=["lstm-layers-zero", "dd-layers-zero", "mlm-epochs-negative", "enc-ffn-negative", "dec-ffn-negative", "supplement-negative"])
+    (["split", "--seed", "-1"], "seed must be >= 0"),
+    (["split", "--set", "seed=-3"], "seed must be >= 0"),
+], ids=["lstm-layers-zero", "dd-layers-zero", "mlm-epochs-negative", "enc-ffn-negative", "dec-ffn-negative", "supplement-negative",
+        "seed-negative-flag", "seed-negative-set"])
 def test_count_below_its_floor_exits_one_with_one_error_line(tmp_path, corpus_file, capsys, argv, message):
     assert run(argv[:1] + ["--in", corpus_file, "--out", tmp_path / "out"] + TINY + argv[1:]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -336,6 +339,16 @@ def test_temperature_not_finite_and_positive_exits_one_with_one_error_line(tmp_p
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("medkit: error:") and "temperature must be finite and > 0" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_graph_file_with_no_valid_triple_exits_one_naming_it(tmp_path, corpus_file, capsys):
+    graph = tmp_path / "graph.jsonl"
+    graph.write_text('not json\n{"head": "头痛"}\n', encoding="utf-8")
+    argv = ["eval-gen", "--in", corpus_file, "--ckpt", FIXTURES / "decoder" / "gen.ckpt", "--graph", graph, "--out", tmp_path / "out"]
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("medkit: error:") and f"2 of 2 lines malformed in {graph}" in err
+    assert not (tmp_path / "out" / "generations.jsonl").exists()
 
 
 def test_generator_pipeline_and_chat(tmp_path, corpus_file, capsys, monkeypatch):

@@ -132,9 +132,8 @@ def test_stats_counts_and_histograms():
         _sample(label_coarse="内科", age=34, gender="female"),
         _sample(label_coarse="骨科", age=7, gender="male"),
     ]
-    report = corpus.stats(samples, split_assignment={0: "train", 1: "train", 2: "test"})
-    assert report.train_count == 2 and report.test_count == 1
-    assert report.train_count + report.test_count == report.total_count
+    report = corpus.stats(samples)
+    assert report.total_count == 3
     assert report.category_count == 2
     assert report.per_category == {"内科": 2, "骨科": 1}
     assert report.age_histogram == {"0-9": 1, "20-29": 1, "30-39": 1}

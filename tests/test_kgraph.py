@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -66,10 +67,19 @@ def test_load_rejects_malformed(tmp_path):
         {"head": "头痛", "relation": "症状"},
         {"head": "", "relation": "症状", "tail": "胀痛"},
         {"head": "发烧", "relation": "治疗", "tail": "降温"},
+        {"head": "头痛", "relation": "症状", "tail": "胀痛"},
+        {"head": "咳嗽", "relation": "科室", "tail": "呼吸科"},
     ])
     graph, rejects = load_triples(path)
-    assert graph.size == 1
+    assert graph.size == 3
     assert [r["line"] for r in rejects] == [1, 2, 3]
+
+
+def test_load_with_most_lines_malformed_raises_naming_the_file(tmp_path):
+    path = tmp_path / "g.jsonl"
+    _write(path, ["not json", {"head": "头痛", "relation": "症状"}, {"head": "发烧", "relation": "治疗", "tail": "降温"}, ""])
+    with pytest.raises(ValueError, match=re.escape(f"2 of 3 lines malformed in {path}")):
+        load_triples(path)
 
 
 def test_match_single_entity():

@@ -10,7 +10,7 @@ from medkit import numerics as nm
 from medkit.encoder import init_layer_params, layer_weights
 from medkit.numerics import Adam, NumericsError, Rng, ShapeError, Tensor
 
-from oracles import adam_step, attention, attention_ops, cross_entropy, encoder_layer_ops, gelu, getitem, grad_check, layer_norm, log_softmax, masked_fill, scale, sigmoid, softmax, tanh, tensor_sum
+from oracles import adam_step, attention, attention_ops, causal_mask, cross_entropy, encoder_layer_ops, gelu, getitem, grad_check, layer_norm, log_softmax, masked_fill, scale, sigmoid, softmax, tanh, tensor_sum
 
 
 def test_matmul_identity():
@@ -362,9 +362,16 @@ def test_attention_rejects_mismatched_shapes():
         attention(Tensor(np.zeros((4, 2))), w, w, w, np.ones(4, dtype=bool))
 
 
-def _fused_layer(x, params, prefix, keep, heads, eps=1e-5, lengths=None):
-    """numerics.transformer_layer with encoder_layer_ops' signature."""
-    return nm.transformer_layer(x, layer_weights(params, prefix, heads), heads, keep, eps, lengths)
+def _fused_layer(x, params, prefix, causal, heads, eps=1e-5, lengths=None):
+    """numerics.transformer_layer with _oracle_layer's signature."""
+    return nm.transformer_layer(x, layer_weights(params, prefix, heads), heads, causal, eps, lengths)
+
+
+def _oracle_layer(x, params, prefix, causal, heads, eps=1e-5, lengths=None):
+    """encoder_layer_ops under the mask that `causal` names: causal_mask over
+    the longest sequence, or every key."""
+    n = x.shape[0] if lengths is None else max(lengths)
+    return encoder_layer_ops(x, params, prefix, causal_mask(n, n) if causal else True, heads, eps, lengths=lengths)
 
 
 def _layer_params(rng, hidden, heads, ffn):
@@ -378,11 +385,11 @@ def _layer_params(rng, hidden, heads, ffn):
     return params
 
 
-def _layer_run(run, x_data, params, keep, heads, weights, lengths=None):
+def _layer_run(run, x_data, params, causal, heads, weights, lengths=None):
     """Output and the gradients of x and of every parameter of one layer."""
     x = Tensor(x_data.copy(), requires_grad=True)
     leaves = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
-    out = run(x, leaves, "layer0", keep, heads, 1e-5, lengths=lengths)
+    out = run(x, leaves, "layer0", causal, heads, 1e-5, lengths=lengths)
     nm.backward(tensor_sum(out * weights))
     return [out.data, x.grad] + [leaves[name].grad for name in sorted(leaves)]
 
@@ -394,15 +401,14 @@ def _assert_layers_agree(fused, oracle):
         assert np.max(np.abs(a - b)) <= 1e-10, i
 
 
-@pytest.mark.parametrize("kind", ["padding", "causal", "dead"])
+@pytest.mark.parametrize("kind", ["full", "causal"])
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_transformer_layer_matches_op_by_op_oracle(heads, kind):
     rng = np.random.default_rng(80 + heads)
     params = _layer_params(rng, 8, heads, 16)
     x = rng.normal(size=(6, 8))
-    keep = _attention_keep(kind, 6, rng)
     weights = Tensor(rng.normal(size=(6, 8)))
-    _assert_layers_agree(*(_layer_run(run, x, params, keep, heads, weights) for run in (_fused_layer, encoder_layer_ops)))
+    _assert_layers_agree(*(_layer_run(run, x, params, kind == "causal", heads, weights) for run in (_fused_layer, _oracle_layer)))
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
@@ -412,9 +418,8 @@ def test_transformer_layer_ragged_batch_matches_oracle(heads, causal):
     lengths = [3, 1, 6, 4, 6]  # 1 and the longest, 6 (max_len), included
     params = _layer_params(rng, 8, heads, 16)
     x = rng.normal(size=(sum(lengths), 8))
-    keep = np.tril(np.ones((6, 6), dtype=bool)) if causal else True
     weights = Tensor(rng.normal(size=(sum(lengths), 8)))
-    _assert_layers_agree(*(_layer_run(run, x, params, keep, heads, weights, lengths) for run in (_fused_layer, encoder_layer_ops)))
+    _assert_layers_agree(*(_layer_run(run, x, params, causal, heads, weights, lengths) for run in (_fused_layer, _oracle_layer)))
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
@@ -425,9 +430,8 @@ def test_transformer_layer_long_sequence_among_short_ones_matches_oracle(lengths
     rng = np.random.default_rng(95)
     params = _layer_params(rng, 8, 2, 16)
     x = rng.normal(size=(sum(lengths), 8))
-    keep = np.tril(np.ones((128, 128), dtype=bool)) if causal else True
     weights = Tensor(rng.normal(size=(sum(lengths), 8)))
-    _assert_layers_agree(*(_layer_run(run, x, params, keep, 2, weights, lengths) for run in (_fused_layer, encoder_layer_ops)))
+    _assert_layers_agree(*(_layer_run(run, x, params, causal, 2, weights, lengths) for run in (_fused_layer, _oracle_layer)))
 
 
 def test_transformer_layer_memory_follows_the_packed_scores():
@@ -442,12 +446,11 @@ def test_transformer_layer_memory_follows_the_packed_scores():
     params = _layer_params(rng, hidden, heads, ffn)
     weights = layer_weights(params, "layer0", heads)
     x = Tensor(rng.normal(size=(sum(lengths), hidden)), requires_grad=True)
-    keep = np.tril(np.ones((128, 128), dtype=bool))
     scores = 8 * heads * sum(n * n for n in lengths)
     rows = 8 * sum(lengths) * ffn
     tracemalloc.start()
     try:
-        nm.backward(tensor_sum(nm.transformer_layer(x, weights, heads, keep, 1e-5, lengths)))
+        nm.backward(tensor_sum(nm.transformer_layer(x, weights, heads, True, 1e-5, lengths)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -459,21 +462,43 @@ def test_transformer_layer_cached_chunks_match_one_full_pass(heads):
     rng = np.random.default_rng(100 + heads)
     params = _layer_params(rng, 8, heads, 16)
     x = rng.normal(size=(7, 8))
-    keep = np.tril(np.ones((7, 7), dtype=bool))
-    full = encoder_layer_ops(Tensor(x), params, "layer0", keep, heads).data
+    full = encoder_layer_ops(Tensor(x), params, "layer0", causal_mask(7, 7), heads).data
     w = nm.layer_arrays(layer_weights(params, "layer0", heads), heads)
     kv = np.full((2, heads, 7, 8 // heads), np.nan)
     pieces = []
     for start, stop in [(0, 3), (3, 4), (4, 5), (5, 7)]:
-        out, _ = nm.layer_forward(x[start:stop], w, heads, keep[start:stop, :stop], 1e-5, kv=kv[:, :, :stop])
+        out, _ = nm.layer_forward(x[start:stop], w, heads, True, 1e-5, kv=kv[:, :, :stop])
         assert np.isfinite(kv[:, :, :stop]).all() and np.isnan(kv[:, :, stop:]).all()  # written up to stop
         pieces.append(out)
     assert np.max(np.abs(np.concatenate(pieces) - full)) <= 1e-10
     # The last row alone, attending to every key as the causal last row does.
     last = np.empty((2, heads, 7, 8 // heads))
-    out, _ = nm.layer_forward(x, w, heads, None, 1e-5, kv=last, last_only=True)
+    out, _ = nm.layer_forward(x, w, heads, True, 1e-5, kv=last, last_only=True)
     assert out.shape == (1, 8) and np.max(np.abs(out - full[-1:])) <= 1e-10
     assert np.max(np.abs(last - kv)) <= 1e-10
+
+
+@pytest.mark.parametrize("queries", [1, 2, 7])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_causal_layer_forward_on_a_kv_view_matches_the_offset_causal_mask(heads, queries):
+    """`queries` new rows over a view of 7 keys, the first 7 - queries of them
+    cached: causal layer_forward drops key j for row i when j > 7 - queries +
+    i, as the oracle does under causal_mask(queries, 7), and it writes the
+    new rows' keys and values into the view."""
+    rng = np.random.default_rng(105 + heads)
+    params = _layer_params(rng, 8, heads, 16)
+    x = rng.normal(size=(7, 8))
+    cached = 7 - queries
+    cache: dict = {}
+    if cached:
+        encoder_layer_ops(Tensor(x[:cached]), params, "layer0", causal_mask(cached, cached), heads, cache=cache)
+    want = encoder_layer_ops(Tensor(x[cached:]), params, "layer0", causal_mask(queries, 7), heads, cache=cache).data
+    keys_values = np.stack([cache["k"], cache["v"]])
+    kv = np.full((2, heads, 7, 8 // heads), np.nan)
+    kv[:, :, :cached] = keys_values[:, :, :cached]
+    got, _ = nm.layer_forward(x[cached:], nm.layer_arrays(layer_weights(params, "layer0", heads), heads), heads, True, 1e-5, kv=kv)
+    assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-10
+    assert np.max(np.abs(kv - keys_values)) <= 1e-10
 
 
 @pytest.mark.parametrize("lengths", [None, [2, 1, 4]], ids=["single", "ragged"])
@@ -482,20 +507,17 @@ def test_transformer_layer_matches_finite_differences(heads, lengths):
     rng = np.random.default_rng(110 + heads)
     params = _layer_params(rng, 4, heads, 8)
     x = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
-    keep = np.tril(np.ones((7, 7), dtype=bool)) if lengths is None else np.tril(np.ones((4, 4), dtype=bool))
-    if lengths is None:
-        keep[3] = False  # one dead row
     weights = Tensor(rng.normal(size=(7, 4)))
 
     def loss_fn():
-        return tensor_sum(_fused_layer(x, params, "layer0", keep, heads, lengths=lengths) * weights)
+        return tensor_sum(_fused_layer(x, params, "layer0", True, heads, lengths=lengths) * weights)
 
     err = grad_check(loss_fn, {"x": x, **params}, eps=1e-5, max_entries_per_param=6, rng=np.random.default_rng(0))
     assert err < 1e-5
 
 
 @pytest.mark.parametrize("name", ["attn.wq0", "attn.wk1", "attn.wo", "ffn.w1", "ffn.w2"])
-@pytest.mark.parametrize("forward", [_fused_layer, encoder_layer_ops], ids=["fused", "oracle"])
+@pytest.mark.parametrize("forward", [_fused_layer, _oracle_layer], ids=["fused", "oracle"])
 def test_transformer_layer_overflowing_weight_raises(forward, name):
     """A weight scaled by 1e300 overflows its stage: the QKV projection (wq,
     wk), or a value that only the layer output shows, through NaN * 0 or
@@ -506,23 +528,21 @@ def test_transformer_layer_overflowing_weight_raises(forward, name):
     params = _layer_params(rng, 8, 2, 16)
     params["layer0.ln1.gain"].data = np.full(8, 1e9)
     x = Tensor(rng.normal(size=(4, 8)) * 1e9)
-    keep = np.tril(np.ones((4, 4), dtype=bool))
-    assert np.isfinite(forward(x, params, "layer0", keep, 2).data).all()
+    assert np.isfinite(forward(x, params, "layer0", True, 2).data).all()
     params[f"layer0.{name}"].data = params[f"layer0.{name}"].data * 1e300
     with pytest.raises(NumericsError):
-        forward(x, params, "layer0", keep, 2)
+        forward(x, params, "layer0", True, 2)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["kept", "masked"])
-@pytest.mark.parametrize("forward", [_fused_layer, encoder_layer_ops], ids=["fused", "oracle"])
+@pytest.mark.parametrize("forward", [_fused_layer, _oracle_layer], ids=["fused", "oracle"])
 def test_transformer_layer_overflowing_score_raises(forward, masked):
     params = _layer_params(np.random.default_rng(121), 2, 1, 4)
-    for kind in "qkv":
-        params[f"layer0.attn.w{kind}0"].data = np.eye(2)
-    x = Tensor([[1e160, 0.0], [1.0, 0.0]])  # projections finite, q0 . k0 = 1e320
-    keep = np.array([not masked, True])  # masked: the overflowed key is dropped
+    params["layer0.attn.wq0"].data = params["layer0.attn.wv0"].data = np.eye(2)
+    params["layer0.attn.wk0"].data = np.array([[0.0, 0.0], [1.0, 0.0]])  # k0 = 0, k1 = (1e160, 0)
+    x = Tensor([[1e160, 0.0], [0.0, 1e160]])  # projections finite; only q0 . k1 = 1e320 overflows
     with pytest.raises(NumericsError):
-        forward(x, params, "layer0", keep, 1)
+        forward(x, params, "layer0", masked, 1)  # masked: causal, which drops key 1 for query 0
 
 
 def test_layer_forward_checks_its_output():
@@ -534,21 +554,20 @@ def test_layer_forward_checks_its_output():
     params["layer0.ffn.w2"].data = params["layer0.ffn.w2"].data * 1e300
     w = nm.layer_arrays(layer_weights(params, "layer0", 2), 2)
     with pytest.raises(NumericsError, match="output"):
-        nm.layer_forward(rng.normal(size=(4, 8)), w, 2, np.tril(np.ones((4, 4), dtype=bool)), kv=np.empty((2, 2, 4, 4)))
+        nm.layer_forward(rng.normal(size=(4, 8)), w, 2, True, kv=np.empty((2, 2, 4, 4)))
 
 
 def test_transformer_layer_rejects_mismatched_shapes():
     params = _layer_params(np.random.default_rng(122), 4, 2, 8)
     weights = layer_weights(params, "layer0", 2)
-    keep = np.ones(3, dtype=bool)
     with pytest.raises(ShapeError):
-        nm.transformer_layer(Tensor(np.zeros((3, 5))), weights, 2, keep)
+        nm.transformer_layer(Tensor(np.zeros((3, 5))), weights, 2, False)
     with pytest.raises(ShapeError):
-        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 1, keep)
+        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 1, False)
     with pytest.raises(ShapeError):
-        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights[:-1], 2, keep)
+        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights[:-1], 2, False)
     with pytest.raises(ShapeError):
-        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 2, keep, lengths=[3, 0])
+        nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 2, False, lengths=[3, 0])
 
 
 def test_transformer_layer_rejects_non_integer_lengths():
@@ -556,7 +575,7 @@ def test_transformer_layer_rejects_non_integer_lengths():
     weights = layer_weights(params, "layer0", 2)
     for lengths in ([True] * 3, [1.0, 2.0]):
         with pytest.raises(ShapeError, match="do not split"):
-            nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 2, np.ones(3, dtype=bool), lengths=lengths)
+            nm.transformer_layer(Tensor(np.zeros((3, 4))), weights, 2, False, lengths=lengths)
 
 
 def test_layer_norm_gradient():
@@ -622,7 +641,7 @@ def _with_array_weight(t, a):
     """A one-head transformer_layer call whose output projection is an ndarray."""
     weights = layer_weights(_layer_params(np.random.default_rng(124), 4, 1, 8), "layer0", 1)
     weights[3] = a(weights[3].shape)
-    return nm.transformer_layer(t((3, 4)), weights, 1, True)
+    return nm.transformer_layer(t((3, 4)), weights, 1, False)
 
 
 _ARRAY_OPERAND_CALLS = {
