@@ -220,11 +220,16 @@ def _labeled_pairs(samples, granularity: str):
     return pairs
 
 
-def _graph(args, cfg: RunConfig):
-    """The --graph knowledge graph, or None without --graph or under no_input_supplement."""
+def _graph(args, cfg: RunConfig, out: Path | None):
+    """The --graph graph (None without it or under no_input_supplement); malformed lines warn, and go to graph_rejects.jsonl under --out."""
     if not args.graph or cfg.no_input_supplement:
         return None
-    return kg_mod.load_triples(args.graph)[0]
+    graph, rejects = kg_mod.load_triples(args.graph)
+    if rejects:
+        sys.stderr.write(f"medkit: warning: {args.graph}: {len(rejects)} malformed lines skipped (first: line {rejects[0]['line']})\n")
+    if rejects and out:
+        corpus_mod.write_rejects(out / "graph_rejects.jsonl", [corpus_mod.Reject(**r) for r in rejects])
+    return graph
 
 
 # -- model bundles ---------------------------------------------------------------
@@ -539,7 +544,7 @@ def cmd_train_gen(args) -> int:
     qa_pairs = [(s.question, s.answer) for s in result.samples if s.answer]
     if not qa_pairs:
         raise CliError("no question/answer pairs in the input")
-    graph = _graph(args, cfg)
+    graph = _graph(args, cfg, out)
     if args.lm_ckpt and cfg.no_knowledge:
         log.info("train-gen: --no-knowledge set; ignoring the pretrained LM checkpoint")
     lm_ckpt = None if cfg.no_knowledge else args.lm_ckpt
@@ -576,7 +581,7 @@ def _answer(cfg: RunConfig, decoder, vocab, meta: dict, graph, question: str) ->
 def cmd_eval_gen(args) -> int:
     cfg, out = _start(args)
     decoder, vocab, meta = _load_decoder_bundle(args.ckpt)
-    graph = _graph(args, cfg)
+    graph = _graph(args, cfg, out)
     result = corpus_mod.ingest(args.inp)
     rows = []
     refs = []
@@ -628,9 +633,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_chat(args) -> int:
-    cfg, _ = _start(args)
+    cfg, out = _start(args)
     decoder, vocab, meta = _load_decoder_bundle(args.ckpt)
-    graph = _graph(args, cfg)
+    graph = _graph(args, cfg, out)
     for line in sys.stdin:
         question = line.strip()
         if not question:

@@ -2,9 +2,9 @@
 
 Everything downstream (encoder, classifier heads, generator) is built from the
 ops in this module. The graph is define-by-run: every op returns a new Tensor
-that remembers its parents and a closure computing parent gradients. Tensors
-are value-like: treat them as immutable once constructed; only the optimizer
-writes ``data`` in place, and only between graph builds.
+that remembers its parents and a closure computing parent gradients until
+backward consumes both. Tensors are otherwise value-like: immutable once
+constructed, except that the optimizer writes ``data`` between graph builds.
 
 It holds only what the models run: the ops add (+), mul (*), matmul,
 transpose (.T), concat, take_rows, softmax_cross_entropy, lstm and
@@ -188,8 +188,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [p.data.shape[axis] for p in parts]
 
     def backward_fn(g):
-        splits = np.cumsum(sizes)[:-1]
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _make(out, tuple(parts), backward_fn)
 
@@ -276,15 +275,20 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, le
         prev[batch:] -= np.repeat([batch, *going[:-1]], going)
         tanh_c = np.tanh(cs)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        # dz = [dc, dc, dc, dh] * coef: each gate's partner in c or h times its slope
-        coef = np.concatenate([g * i * (1.0 - i), cs[prev] * f * (1.0 - f), i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=1)
-        dz = np.zeros_like(z)
+        # dz = [dc, dc, dc, dh] * coef, coef built in dz: each gate's partner in c or h times its slope, 0 in block 0's gateless rows
+        dz = np.empty_like(acts)
+        gates = dz.reshape(-1, 4, k)
+        np.multiply(g * i, 1.0 - i, out=gates[:, 0])
+        np.multiply(cs[prev] * f, 1.0 - f, out=gates[:, 1])
+        np.multiply(i, 1.0 - g * g, out=gates[:, 2])
+        np.multiply(tanh_c * o, 1.0 - o, out=gates[:, 3])
         dh, dc = np.zeros((batch, k)), np.zeros((batch, k))
         for a, e in reversed(list(zip(at[1:], at[2:]))):
             m = e - a
             dh[:m] += carried[a:e]
             dc[:m] += dh[:m] * dc_dh[a:e]
-            dz[a:e] = np.concatenate([dc[:m], dc[:m], dc[:m], dh[:m]], axis=1) * coef[a:e]
+            gates[a:e, :3] *= dc[:m, None]
+            gates[a:e, 3] *= dh[:m]
             dc[:m] *= f[a:e]
             dh[:m] = dz[a:e] @ wh.data.T
         rows = dz[slot]
@@ -358,6 +362,23 @@ def _gelu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, hidden
 
 
+def _gelu_backward(z: np.ndarray, dh2: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of z and w2 from dh2, the gradient of _gelu(z)[1] @ w2. z's, GELU'(z) * (dh2 @ w2.T), goes into
+    the recomputed GELU output once w2's has used it, with one scratch array and the bits fresh arrays would give."""
+    t, dz = _gelu(z)
+    dw2 = dz.T @ dh2
+    np.subtract(1.0, np.multiply(t, t, out=dz), out=dz)
+    dz *= z
+    dz *= 0.5 * _GELU_C
+    scratch = np.multiply(z, 3 * 0.044715)
+    scratch *= z
+    scratch += 1.0
+    dz *= scratch
+    dz += np.multiply(np.add(t, 1.0, out=t), 0.5, out=t)  # GELU'(z) = 0.5 * z * (1 - t^2) * C * (1 + 3 * 0.044715 * z^2) + 0.5 * (1 + t)
+    dz *= np.matmul(dh2, w2.T, out=scratch)
+    return dz, dw2
+
+
 def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bool, eps: float = 1e-5, lengths=None, kv: np.ndarray | None = None, last_only: bool = False):
     """transformer_layer on arrays, with `w` from layer_arrays; returns the
     output rows and a function from their gradient to the gradients of x and
@@ -422,15 +443,7 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bo
 
     def backward_fn(grad):
         dh2, dgain2, dbias2 = _layer_norm_backward(grad, y2, inv2, gain2)
-        t, hidden = _gelu(z)
-        dz = 1.0 - t * t
-        dz *= z
-        dz *= 0.5 * _GELU_C
-        slope = z * (3 * 0.044715) * z
-        slope += 1.0
-        dz *= slope
-        dz += np.multiply(np.add(t, 1.0, out=t), 0.5, out=t)  # GELU'(z) = 0.5 * z * (1 - t^2) * C * (1 + 3 * 0.044715 * z^2) + 0.5 * (1 + t)
-        dz *= dh2 @ w2.T
+        dz, dw2 = _gelu_backward(z, dh2, w2)
         dh1, dgain1, dbias1 = _layer_norm_backward(dh2 + dz @ w1.T, y1, inv1, gain1)
         g = dh1 @ wo.T
         dproj = np.empty((len(x), 3, heads, d))
@@ -445,7 +458,7 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bo
             for i, (m, n) in enumerate([(ds, k), (ds.swapaxes(-1, -2), q), (p.swapaxes(-1, -2), gs)]):
                 np.matmul(m, n, out=dqkv[i, :, a:b])
         dproj = dproj.reshape(len(x), 3 * heads * d)
-        dw = (attn.T @ dh1, dh1.sum(axis=0), dgain1, dbias1, x1.T @ dz, dz.sum(axis=0), hidden.T @ dh2, dh2.sum(axis=0), dgain2, dbias2)
+        dw = (attn.T @ dh1, dh1.sum(axis=0), dgain1, dbias1, x1.T @ dz, dz.sum(axis=0), dw2, dh2.sum(axis=0), dgain2, dbias2)
         return (dh1 + dproj @ w_qkv.T, *np.split(x.T @ dproj, 3 * heads, axis=1), *dw)
 
     return out, backward_fn
@@ -489,18 +502,21 @@ def softmax_cross_entropy(logits: Tensor, targets, reduction="mean") -> Tensor:
 # -- backward pass -----------------------------------------------------------
 
 
+def _consumed(grad):
+    raise NumericsError("backward already ran through this graph")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of `loss` into every reachable requires_grad leaf
-    (a tensor no recorded op produced). Repeated calls without zeroing keep
-    accumulating."""
+    (a tensor no recorded op produced), also across graphs until zeroed. It
+    consumes the graph: an op output drops its parents and saved arrays once
+    its gradients reach them; backward through it again raises NumericsError."""
     if not isinstance(loss, Tensor):
         raise NumericsError("backward needs a Tensor")
     if loss.data.size != 1:
         raise NumericsError("backward needs a scalar loss")
 
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    topo, seen, stack = [], set(), [(loss, False)]  # post-order, the ids visited, (node, children pushed)
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -515,22 +531,18 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = pending.pop(id(node), None)
-        if g is None:
-            continue
         if node._backward_fn is None:  # a leaf: keep its gradient
-            if node.requires_grad:
+            if g is not None and node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        parent_grads = node._backward_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            if id(parent) in pending:
-                pending[id(parent)] = pending[id(parent)] + pg
-            else:
-                pending[id(parent)] = np.asarray(pg, dtype=np.float64)
+        parents, backward_fn = node._parents, node._backward_fn
+        node._parents, node._backward_fn = (), _consumed
+        for parent, pg in zip(parents, () if g is None else backward_fn(g)):
+            if pg is not None and parent.requires_grad:
+                pending[id(parent)] = pending[id(parent)] + pg if id(parent) in pending else np.asarray(pg, dtype=np.float64)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -594,19 +606,12 @@ class Adam:
     """
 
     def __init__(self, groups: list[dict], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.groups = []
-        for g in groups:
-            params = dict(g["params"])
-            self.groups.append({"name": g.get("name", "group"), "lr": float(g["lr"]), "params": params})
+        self.groups = [{"name": g.get("name", "group"), "lr": float(g["lr"]), "params": dict(g["params"])} for g in groups]
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._m = {}
-        self._v = {}
-        for g in self.groups:
-            for name, p in g["params"].items():
-                key = (g["name"], name)
-                self._m[key] = np.zeros_like(p.data)
-                self._v[key] = np.zeros_like(p.data)
+        keyed = {(g["name"], name): p for g in self.groups for name, p in g["params"].items()}
+        self._m = {key: np.zeros_like(p.data) for key, p in keyed.items()}
+        self._v = {key: np.zeros_like(p.data) for key, p in keyed.items()}
         # the step's numerator and denominator, viewed per parameter
         self._scratch = np.empty((2, max((m.size for m in self._m.values()), default=0)))
 
@@ -623,8 +628,7 @@ class Adam:
             for name, p in g["params"].items():
                 if p.grad is None:
                     continue
-                key = (g["name"], name)
-                m, v = self._m[key], self._v[key]
+                m, v = self._m[g["name"], name], self._v[g["name"], name]
                 num, den = (row[: m.size].reshape(m.shape) for row in self._scratch)
                 # in place, rounding as p -= lr * (m / c1) / (sqrt(v / c2) + eps)
                 m *= self.beta1
@@ -638,16 +642,8 @@ class Adam:
 
     def state_summary(self) -> dict:
         """Small JSON-able snapshot; exposes the learning-rate groups."""
-        return {
-            "step": self.t,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "groups": [
-                {"name": g["name"], "lr": g["lr"], "param_count": int(sum(p.size for p in g["params"].values())), "params": sorted(g["params"])}
-                for g in self.groups
-            ],
-        }
+        groups = [{"name": g["name"], "lr": g["lr"], "param_count": int(sum(p.size for p in g["params"].values())), "params": sorted(g["params"])} for g in self.groups]
+        return {"step": self.t, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps, "groups": groups}
 
 
 @dataclass
@@ -663,8 +659,7 @@ class TrainHistory:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "lr", "seconds"])
             writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
+            writer.writerows(self.rows)
 
 
 @dataclass

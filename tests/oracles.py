@@ -485,6 +485,55 @@ def lstm_direction_ops(x, wx, wh, b, reverse):
     return nm.concat(outputs, axis=0)
 
 
+def lstm_allocating(x, wx, wh, b, reverse=False, lengths=None):
+    """numerics.lstm as it was before its backward built the gate
+    coefficients inside dz: the same step-major pass, with the pre-activations
+    kept, a concatenated (rows, 4 * hidden) coefficient array and one
+    concatenated [dc, dc, dc, dh] array per step. The gradients it gives are
+    the bits numerics.lstm must still give."""
+    k = wh.shape[0]
+    lengths = nm._lengths(lengths, x.shape[0])
+    batch = len(lengths)
+    going = batch - np.cumsum(np.bincount(lengths))[:-1]
+    at = np.cumsum([0, batch, *going]).tolist()
+    rank = np.argsort(np.argsort(-lengths, kind="stable"))
+    owner = np.repeat(np.arange(batch), lengths)
+    position = np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
+    slot = np.take(at, lengths[owner] - position if reverse else position + 1) + rank[owner]
+    scale, shift = np.repeat(nm._GATE_SCALE, k), np.repeat(nm._GATE_SHIFT, k)
+    z, hs, cs = np.zeros((at[-1], 4 * k)), np.zeros((at[-1], k)), np.zeros((at[-1], k))
+    acts = np.zeros_like(z)
+    i, f, g, o = np.split(acts, 4, axis=1)
+    z[slot] = x.data @ wx.data
+    for p, a, e in zip(at, at[1:], at[2:]):
+        z[a:e] = z[a:e] + hs[p : p + e - a] @ wh.data + b.data
+        acts[a:e] = np.tanh(z[a:e] * scale) * scale + shift
+        cs[a:e] = f[a:e] * cs[p : p + e - a] + i[a:e] * g[a:e]
+        hs[a:e] = o[a:e] * np.tanh(cs[a:e])
+
+    def backward_fn(grad):
+        carried = np.zeros_like(hs)
+        carried[slot] = grad
+        prev = np.arange(at[-1])
+        prev[batch:] -= np.repeat([batch, *going[:-1]], going)
+        tanh_c = np.tanh(cs)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        coef = np.concatenate([g * i * (1.0 - i), cs[prev] * f * (1.0 - f), i * (1.0 - g * g), tanh_c * o * (1.0 - o)], axis=1)
+        dz = np.zeros_like(z)
+        dh, dc = np.zeros((batch, k)), np.zeros((batch, k))
+        for a, e in reversed(list(zip(at[1:], at[2:]))):
+            m = e - a
+            dh[:m] += carried[a:e]
+            dc[:m] += dh[:m] * dc_dh[a:e]
+            dz[a:e] = np.concatenate([dc[:m], dc[:m], dc[:m], dh[:m]], axis=1) * coef[a:e]
+            dc[:m] *= f[a:e]
+            dh[:m] = dz[a:e] @ wh.data.T
+        rows = dz[slot]
+        return rows @ wx.data.T, x.data.T @ rows, hs[prev].T @ dz, rows.sum(axis=0)
+
+    return nm._make(hs[slot], (x, wx, wh, b), backward_fn)
+
+
 def attention_ops(x, wq, wk, wv, keep):
     """Multi-head attention built op by op from autograd Tensors (about ten
     graph nodes per head): per head three projections, the scaled scores, a
@@ -564,6 +613,22 @@ def gelu(a):
         return (d,)
 
     return nm._make(out, (a,), backward_fn)
+
+
+def gelu_backward_allocating(z, dh2, w2):
+    """numerics._gelu_backward as it was before it reused its buffers: every
+    step of GELU'(z) * (dh2 @ w2.T) on a fresh array, with the GELU output
+    kept to the end for w2's gradient. The bits numerics must still give."""
+    t, hidden = nm._gelu(z)
+    dz = 1.0 - t * t
+    dz *= z
+    dz *= 0.5 * _GELU_C
+    slope = z * (3 * 0.044715) * z
+    slope += 1.0
+    dz *= slope
+    dz += np.multiply(np.add(t, 1.0, out=t), 0.5, out=t)
+    dz *= dh2 @ w2.T
+    return dz, hidden.T @ dh2
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

@@ -351,6 +351,25 @@ def test_graph_file_with_no_valid_triple_exits_one_naming_it(tmp_path, corpus_fi
     assert not (tmp_path / "out" / "generations.jsonl").exists()
 
 
+def test_graph_file_with_a_malformed_line_warns_and_writes_its_rejects(tmp_path, corpus_file, capsys):
+    graph = tmp_path / "graph.jsonl"
+    triple = '{"head": "头痛", "relation": "症状", "tail": "发热"}'
+    graph.write_text(f"{triple}\nnot json\n{triple.replace('发热', '乏力')}\n", encoding="utf-8")
+    argv = ["eval-gen", "--in", corpus_file, "--ckpt", FIXTURES / "decoder" / "gen.ckpt", "--graph", graph, "--out", tmp_path / "out"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().err == f"medkit: warning: {graph}: 1 malformed lines skipped (first: line 2)\n"
+    rejects = [json.loads(line) for line in (tmp_path / "out" / "graph_rejects.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["line"] for r in rejects] == [2]
+    assert (tmp_path / "out" / "generations.jsonl").exists()
+
+
+def test_clean_graph_writes_no_rejects(tmp_path, corpus_file, capsys):
+    argv = ["eval-gen", "--in", corpus_file, "--ckpt", FIXTURES / "decoder" / "gen.ckpt", "--graph", fixture_graph_path(), "--out", tmp_path / "out"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "out" / "graph_rejects.jsonl").exists()
+
+
 def test_generator_pipeline_and_chat(tmp_path, corpus_file, capsys, monkeypatch):
     lm_out = tmp_path / "lm"
     assert run(["pretrain-lm", "--in", corpus_file, "--seed", 5, "--out", lm_out] + TINY) == EXIT_OK

@@ -2,6 +2,7 @@ import contextlib
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from medkit import numerics as nm
 from medkit.encoder import init_layer_params, layer_weights
 from medkit.numerics import Adam, NumericsError, Rng, ShapeError, Tensor
 
-from oracles import adam_step, attention, attention_ops, causal_mask, cross_entropy, encoder_layer_ops, gelu, getitem, grad_check, layer_norm, log_softmax, masked_fill, scale, sigmoid, softmax, tanh, tensor_sum
+from oracles import (
+    adam_step, attention, attention_ops, causal_mask, cross_entropy, encoder_layer_ops, gelu, gelu_backward_allocating, getitem, grad_check, layer_norm,
+    log_softmax, lstm_allocating, masked_fill, scale, sigmoid, softmax, tanh, tensor_sum,
+)
 
 
 def test_matmul_identity():
@@ -133,6 +137,42 @@ def test_backward_accumulates_without_zeroing():
     nm.backward(tensor_sum(x * x))
     nm.backward(tensor_sum(x * x))
     assert np.allclose(x.grad, [8.0])
+
+
+def test_second_backward_through_one_graph_raises():
+    x = Tensor([2.0], requires_grad=True)
+    loss = tensor_sum(x * x)
+    nm.backward(loss)
+    with pytest.raises(NumericsError, match="backward already ran through this graph"):
+        nm.backward(loss)
+    assert np.allclose(x.grad, [4.0])
+
+
+def test_backward_through_a_consumed_node_of_a_new_graph_raises():
+    x = Tensor([2.0], requires_grad=True)
+    y = x * x
+    nm.backward(tensor_sum(y))
+    with pytest.raises(NumericsError, match="backward already ran through this graph"):
+        nm.backward(tensor_sum(y * x))
+
+
+def test_fit_frees_each_step_graph_before_the_next_forward():
+    """No array of step k's graph, here a transformer layer's output, is
+    alive while step k + 1 builds its graph: backward consumed the graph,
+    so the loss fit still holds references nothing."""
+    rng = np.random.default_rng(17)
+    params = _layer_params(rng, 8, 2, 16)
+    weights = layer_weights(params, "layer0", 2)
+    outputs, alive = [], []
+
+    def batch_loss(batch, _):
+        alive.append(sum(ref() is not None for ref in outputs))
+        out = nm.transformer_layer(Tensor(rng.normal(size=(5, 8))), weights, 2, True, 1e-5, [3, 2])
+        outputs.append(weakref.ref(out.data))
+        return tensor_sum(out * Tensor(rng.normal(size=(5, 8)))), 1.0, 0
+
+    nm.fit(batch_loss, list(range(4)), [{"name": "layer", "lr": 0.01, "params": params}], nm.TrainConfig(epochs=2, lr=0.01, batch_size=1), "free")
+    assert alive == [0] * 8
 
 
 def test_no_grad_records_no_graph():
@@ -420,6 +460,39 @@ def test_transformer_layer_ragged_batch_matches_oracle(heads, causal):
     x = rng.normal(size=(sum(lengths), 8))
     weights = Tensor(rng.normal(size=(sum(lengths), 8)))
     _assert_layers_agree(*(_layer_run(run, x, params, causal, heads, weights, lengths) for run in (_fused_layer, _oracle_layer)))
+
+
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_transformer_layer_gradients_equal_the_allocating_gelu_backward(monkeypatch, heads, causal):
+    """GELU's backward built in reused buffers gives the bits of the same
+    steps run on fresh arrays, over a ragged batch."""
+    rng = np.random.default_rng(97 + heads)
+    lengths = [3, 1, 6, 4, 6]
+    params = _layer_params(rng, 8, heads, 16)
+    x = rng.normal(size=(sum(lengths), 8))
+    weights = Tensor(rng.normal(size=(sum(lengths), 8)))
+    lean = _layer_run(_fused_layer, x, params, causal, heads, weights, lengths)
+    monkeypatch.setattr(nm, "_gelu_backward", gelu_backward_allocating)
+    allocating = _layer_run(_fused_layer, x, params, causal, heads, weights, lengths)
+    assert len(lean) == len(allocating) and all(np.array_equal(a, b) for a, b in zip(lean, allocating))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+@pytest.mark.parametrize("lengths", [[3, 1, 5, 3, 5], [1], [4, 4]], ids=["ties-and-one-row", "one-row", "equal"])
+def test_lstm_gradients_equal_the_allocating_backward(lengths, reverse):
+    """The gate coefficients built in place inside dz give the bits of the
+    concatenated coefficient arrays they replaced."""
+    rng = np.random.default_rng(18)
+    arrays = [rng.normal(size=(sum(lengths), 3)), rng.normal(scale=0.5, size=(3, 8)), rng.normal(scale=0.5, size=(2, 8)), rng.normal(size=8)]
+    weights = Tensor(rng.normal(size=(sum(lengths), 2)))
+    results = []
+    for run in (nm.lstm, lstm_allocating):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = run(*leaves, reverse, lengths)
+        nm.backward(tensor_sum(out * weights))
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
 @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
