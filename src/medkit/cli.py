@@ -114,7 +114,8 @@ class RunConfig:
         if not 0.0 < self.temperature < float("inf") or self.top_k < 1:
             raise CliError("temperature must be finite and > 0, and top_k >= 1")
         floors = dict.fromkeys(("max_len", "enc_hidden", "enc_layers", "enc_heads", "dec_hidden", "dec_layers", "dec_heads", "batch_size", "context_window", "max_gen_len"), 1)
-        for name, floor in {**floors, "seed": 0, "enc_ffn": 0, "dec_ffn": 0, "supplement_max_chars": 0}.items():
+        floors.update(dict.fromkeys(("seed", "enc_ffn", "dec_ffn", "supplement_max_chars", "mlm_epochs", "triage_epochs", "prompt_epochs", "lm_pretrain_epochs", "lm_finetune_epochs"), 0))
+        for name, floor in floors.items():
             if getattr(self, name) < floor:
                 raise CliError(f"{name} must be >= {floor}")
         for name in ("mlm_lr", "lr_encoder", "lr_head", "prompt_lr", "lm_lr"):
@@ -145,15 +146,14 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         cfg = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise CliError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in stripped.split("=", 1))
-                cfg.set_key(key, raw)
+        for lineno, line in enumerate(corpus_mod.read_lines(path), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            cfg.set_key(key, raw)
         return cfg
 
     def resolved_text(self) -> str:
@@ -208,8 +208,7 @@ def _read_texts(path) -> list[str]:
             if s.answer:
                 texts.append(s.answer)
         return texts
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+    return [line for line in corpus_mod.read_lines(path) if line.strip()]
 
 
 def _labeled_pairs(samples, granularity: str):
@@ -226,9 +225,9 @@ def _graph(args, cfg: RunConfig, out: Path | None):
         return None
     graph, rejects = kg_mod.load_triples(args.graph)
     if rejects:
-        sys.stderr.write(f"medkit: warning: {args.graph}: {len(rejects)} malformed lines skipped (first: line {rejects[0]['line']})\n")
+        sys.stderr.write(f"medkit: warning: {args.graph}: {len(rejects)} malformed lines skipped (first: line {rejects[0].line})\n")
     if rejects and out:
-        corpus_mod.write_rejects(out / "graph_rejects.jsonl", [corpus_mod.Reject(**r) for r in rejects])
+        corpus_mod.write_rejects(out / "graph_rejects.jsonl", rejects)
     return graph
 
 
@@ -599,8 +598,7 @@ def cmd_eval_gen(args) -> int:
 
 def _read_metric_lines(path) -> list[str]:
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = corpus_mod.read_lines(path)
     while lines and lines[-1] == "":
         lines.pop()
     if path.suffix != ".jsonl":

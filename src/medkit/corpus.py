@@ -13,6 +13,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .numerics import Rng
 
@@ -88,29 +89,42 @@ def _parse_sample(obj: dict) -> DialogueSample:
     return DialogueSample(question, answer, label_coarse, label_fine, age, gender)
 
 
-def ingest(path) -> IngestResult:
-    """Parse a JSONL corpus file; malformed lines land in the rejects report.
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file `path`, newlines stripped; a file that
+    is not UTF-8 raises ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_jsonl(path, parse) -> tuple[list, list[Reject]]:
+    """`parse` of the JSON value of each non-empty line of `path`, and a Reject
+    for each line that is not JSON or that `parse` refuses (ValueError,
+    KeyError or TypeError).
 
     Raises CorpusFormatError when more than half of the non-empty lines are
     malformed (the file is probably not in this format at all).
     """
-    samples: list[DialogueSample] = []
+    values: list = []
     rejects: list[Reject] = []
-    total = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            total += 1
-            try:
-                obj = json.loads(line)
-                samples.append(_parse_sample(obj))
-            except (json.JSONDecodeError, CorpusFormatError) as exc:
-                rejects.append(Reject(lineno, str(exc)))
-    if total == 0:
+    lines = [(lineno, line) for lineno, line in enumerate(read_lines(path), start=1) if line.strip()]
+    for lineno, line in lines:
+        try:
+            values.append(parse(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            rejects.append(Reject(lineno, str(exc)))
+    if len(rejects) * 2 > len(lines):
+        raise CorpusFormatError(f"{len(rejects)} of {len(lines)} lines malformed in {path}")
+    return values, rejects
+
+
+def ingest(path) -> IngestResult:
+    """Parse a JSONL corpus file (read_jsonl); malformed lines land in the
+    rejects report."""
+    samples, rejects = read_jsonl(path, _parse_sample)
+    if not samples and not rejects:
         log.warning("ingest: %s is empty", path)
-    elif len(rejects) * 2 > total:
-        raise CorpusFormatError(f"{len(rejects)} of {total} lines malformed in {path}")
     return IngestResult(samples, rejects)
 
 

@@ -48,10 +48,6 @@ class EncoderConfig:
         if not 0.0 < self.mask_rate < 1.0:
             raise ValueError("mask_rate must be in (0, 1)")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
-
 
 @dataclass
 class EncoderOutput:

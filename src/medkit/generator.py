@@ -230,11 +230,11 @@ class QaFinetuneResult:
 
 
 def _compose_prompt(question: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, window: int, budget: int, supplement_max_chars: int):
-    """The prompt of at most `budget` ids (kgraph.supplement), its layout and
-    the retrieved supplement text; the question is encoded within `window`."""
+    """The prompt of at most `budget` ids (kgraph.supplement) and the
+    retrieved supplement text; the question is encoded within `window`."""
     supplement_text = kg.retrieve(question, graph, supplement_max_chars) if graph is not None else ""
-    prompt, layout = kg.supplement(encode(question, vocab, max_len=window, mode="decoder"), supplement_text, vocab, budget)
-    return prompt, layout, supplement_text
+    prompt = kg.supplement(encode(question, vocab, max_len=window, mode="decoder"), supplement_text, vocab, budget)
+    return prompt, supplement_text
 
 
 def build_qa_sequence(question: str, answer: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, window: int, supplement_max_chars: int = 64):
@@ -243,10 +243,10 @@ def build_qa_sequence(question: str, answer: str, graph: kg.KnowledgeGraph | Non
     Layout: [BOS] question [SEP] supplement [SEP] answer [EOS], with the loss
     mask covering the answer tokens and the closing [EOS] only.
     """
-    prompt, layout, _ = _compose_prompt(question, graph, vocab, window, max(3, window - 1 - len(answer)), supplement_max_chars)  # room for answer + EOS
+    prompt, _ = _compose_prompt(question, graph, vocab, window, max(3, window - 1 - len(answer)), supplement_max_chars)  # room for answer + EOS
     ids = list(prompt.ids) + [vocab.id_of(ch) for ch in answer] + [EOS_ID]
-    mask = [False] * layout.prompt_len + [True] * (len(ids) - layout.prompt_len)
-    return ids, mask, layout
+    mask = [False] * len(prompt.ids) + [True] * (len(ids) - len(prompt.ids))
+    return ids, mask
 
 
 def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab: Vocab, config: nm.TrainConfig, supplement_max_chars: int = 64) -> QaFinetuneResult:
@@ -259,7 +259,7 @@ def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab
     items = []
     skipped = 0
     for question, answer in qa_pairs:
-        ids, mask, _ = build_qa_sequence(question, answer, graph, vocab, window, supplement_max_chars)
+        ids, mask = build_qa_sequence(question, answer, graph, vocab, window, supplement_max_chars)
         if len(ids) > window or not any(mask):
             skipped += 1
             continue
@@ -302,7 +302,7 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     with one KVCache for the request, so it builds no graph.
     """
     window = model.config.context_window
-    prompt, _, supplement_text = _compose_prompt(request.question, graph, vocab, window, window, supplement_max_chars)
+    prompt, supplement_text = _compose_prompt(request.question, graph, vocab, window, window, supplement_max_chars)
     rng = None if request.strategy == "greedy" else Rng(request.seed).spawn("generator.sample")
     ids = list(prompt.ids)
     generated: list[int] = []

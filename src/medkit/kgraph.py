@@ -8,11 +8,11 @@ that is appended to the question before generation.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .corpus import Reject, read_jsonl
 from .tokenizer import BOS_ID, CLS_ID, EOS_ID, MASK_ID, PAD_ID, SEP_ID, TokenSequence, Vocab, _normalize
 
 _STRUCTURAL_IDS = {PAD_ID, CLS_ID, SEP_ID, MASK_ID, BOS_ID, EOS_ID}
@@ -47,40 +47,27 @@ class KnowledgeGraph:
         return [self.triples[i] for i in self.index.get(head, [])]
 
 
-def load_triples(path) -> tuple[KnowledgeGraph, list[dict]]:
+def _parse_triple(obj) -> KnowledgeTriple:
+    head, relation, tail = obj["head"], obj["relation"], obj["tail"]
+    if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
+        raise ValueError("head/relation/tail must be strings")
+    if not (head and relation and tail):
+        raise ValueError("head/relation/tail must be non-empty")
+    return KnowledgeTriple(_normalize(head), _normalize(relation), _normalize(tail))
+
+
+def load_triples(path) -> tuple[KnowledgeGraph, list[Reject]]:
     """Read {head, relation, tail} JSONL into an indexed graph.
 
     Duplicate triples are deduplicated; malformed lines are reported, not
     silently dropped. Raises ValueError naming the file when more than half
-    of the non-empty lines are malformed (it is probably not a graph at all).
+    of the non-empty lines are malformed (corpus.read_jsonl).
     """
     graph = KnowledgeGraph()
-    rejects: list[dict] = []
-    seen: set[KnowledgeTriple] = set()
-    total = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            total += 1
-            try:
-                obj = json.loads(line)
-                head, relation, tail = obj["head"], obj["relation"], obj["tail"]
-                if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
-                    raise ValueError("head/relation/tail must be strings")
-                if not (head and relation and tail):
-                    raise ValueError("head/relation/tail must be non-empty")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                rejects.append({"line": lineno, "reason": str(exc)})
-                continue
-            triple = KnowledgeTriple(_normalize(head), _normalize(relation), _normalize(tail))
-            if triple in seen:
-                continue
-            seen.add(triple)
-            graph.index.setdefault(triple.head, []).append(len(graph.triples))
-            graph.triples.append(triple)
-    if len(rejects) * 2 > total:
-        raise ValueError(f"{len(rejects)} of {total} lines malformed in {path}")
+    triples, rejects = read_jsonl(path, _parse_triple)
+    for triple in dict.fromkeys(triples):  # the first of each duplicate, in file order
+        graph.index.setdefault(triple.head, []).append(len(graph.triples))
+        graph.triples.append(triple)
     if graph.size == 0:
         log.warning("load_triples: %s produced an empty graph", path)
     return graph, rejects
@@ -136,21 +123,12 @@ def retrieve(question: str, graph: KnowledgeGraph, max_chars: int) -> str:
     return "".join(pieces)
 
 
-@dataclass
-class SupplementLayout:
-    """Index spans inside the supplemented sequence (end-exclusive)."""
-
-    question_span: tuple[int, int]
-    supplement_span: tuple[int, int]
-    prompt_len: int  # total context length incl. specials
-
-
-def supplement(question_tokens: TokenSequence, supplement_text: str, vocab: Vocab, max_len: int) -> tuple[TokenSequence, SupplementLayout]:
+def supplement(question_tokens: TokenSequence, supplement_text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """Assemble [BOS] question [SEP] supplement [SEP] within max_len.
 
     Over-length input is resolved by truncating the supplement first, the
-    question second, so the primary signal survives. The returned layout lets
-    the generator mask its loss to answer tokens only.
+    question second, so the primary signal survives. The whole sequence is
+    the prompt: the generator's loss covers only the tokens after it.
     """
     if max_len < 3:
         raise ValueError("max_len must leave room for the specials")
@@ -162,10 +140,4 @@ def supplement(question_tokens: TokenSequence, supplement_text: str, vocab: Voca
         i_ids = []
     elif len(q_ids) + len(i_ids) > budget:
         i_ids = i_ids[: budget - len(q_ids)]
-    ids = [BOS_ID] + q_ids + [SEP_ID] + i_ids + [SEP_ID]
-    layout = SupplementLayout(
-        question_span=(1, 1 + len(q_ids)),
-        supplement_span=(2 + len(q_ids), 2 + len(q_ids) + len(i_ids)),
-        prompt_len=len(ids),
-    )
-    return TokenSequence(ids), layout
+    return TokenSequence([BOS_ID] + q_ids + [SEP_ID] + i_ids + [SEP_ID])

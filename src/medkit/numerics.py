@@ -605,9 +605,10 @@ class Adam:
     freshly initialized heads.
     """
 
-    def __init__(self, groups: list[dict], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.groups = [{"name": g.get("name", "group"), "lr": float(g["lr"]), "params": dict(g["params"])} for g in groups]
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, groups: list[dict]):
+        self.groups = [{"name": g["name"], "lr": float(g["lr"]), "params": dict(g["params"])} for g in groups]
         self.t = 0
         keyed = {(g["name"], name): p for g in self.groups for name, p in g["params"].items()}
         self._m = {key: np.zeros_like(p.data) for key, p in keyed.items()}
@@ -621,8 +622,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - self.BETA1**self.t
+        c2 = 1.0 - self.BETA2**self.t
         for g in self.groups:
             lr = g["lr"]
             for name, p in g["params"].items():
@@ -631,19 +632,19 @@ class Adam:
                 m, v = self._m[g["name"], name], self._v[g["name"], name]
                 num, den = (row[: m.size].reshape(m.shape) for row in self._scratch)
                 # in place, rounding as p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                m *= self.beta1
-                m += np.multiply(p.grad, 1.0 - self.beta1, out=num)
-                v *= self.beta2
-                v += np.multiply(np.multiply(p.grad, p.grad, out=den), 1.0 - self.beta2, out=den)
+                m *= self.BETA1
+                m += np.multiply(p.grad, 1.0 - self.BETA1, out=num)
+                v *= self.BETA2
+                v += np.multiply(np.multiply(p.grad, p.grad, out=den), 1.0 - self.BETA2, out=den)
                 np.multiply(np.divide(m, c1, out=num), lr, out=num)
                 np.sqrt(np.divide(v, c2, out=den), out=den)
-                den += self.eps
+                den += self.EPS
                 p.data -= np.divide(num, den, out=num)
 
     def state_summary(self) -> dict:
         """Small JSON-able snapshot; exposes the learning-rate groups."""
         groups = [{"name": g["name"], "lr": g["lr"], "param_count": int(sum(p.size for p in g["params"].values())), "params": sorted(g["params"])} for g in self.groups]
-        return {"step": self.t, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps, "groups": groups}
+        return {"step": self.t, "beta1": self.BETA1, "beta2": self.BETA2, "eps": self.EPS, "groups": groups}
 
 
 @dataclass
@@ -665,15 +666,13 @@ class TrainHistory:
 @dataclass
 class TrainConfig:
     """What fit reads: `epochs` passes over the items, one Adam step per
-    `batch_size` items, `lr` the first parameter group's rate, `seed` the
-    shuffling stream's, and the train accuracy that ends training early
-    (None: run every epoch)."""
+    `batch_size` items, `lr` the first parameter group's rate and `seed` the
+    shuffling stream's."""
 
     epochs: int
     lr: float
     batch_size: int = 8
     seed: int = 0
-    stop_at_train_acc: float | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -691,7 +690,7 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, ta
 
     `batch_loss(batch, rng)` returns (loss, weight, correct): the loss Tensor
     (None skips the batch), the weight of its value in the epoch's logged
-    mean, and how many items it got right, for config.stop_at_train_acc.
+    mean, and how many items it got right, for the logged train accuracy.
     `rng` is the shuffling stream, for draws the loss makes. The first
     group's lr is logged. Empty `items` raise ValueError. On a non-finite
     value (NumericsError) every parameter rolls back to the end of the last
@@ -732,8 +731,6 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, ta
         accuracy = correct / len(items)
         history.rows.append({"epoch": epoch, "loss": total / max(1, weights), "lr": opt.groups[0]["lr"], "seconds": time.perf_counter() - started})
         logger.info("%s epoch %d loss %.4f acc %.3f", tag, epoch, history.rows[-1]["loss"], accuracy)
-        if config.stop_at_train_acc is not None and accuracy >= config.stop_at_train_acc:
-            break
     history.optimizer_state = opt.state_summary()
     return history
 

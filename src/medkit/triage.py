@@ -80,17 +80,14 @@ class TriageHead:
         params["dense.b"] = nm.zeros_param(config.num_classes)
         self.params = params
 
-    def dd_stack(self) -> list[Tensor]:
-        return [self.params[f"dd{i}.w"] for i in range(self.config.num_dd_layers)]
-
     def forward_logits(self, encoder_output: EncoderOutput) -> Tensor:
         """(B, num_classes) logits of a batch of encoded sequences."""
         cfg = self.config
         fused = encoder_output.cls_vector
         if cfg.use_bilstm:
             summary = bilstm(encoder_output.token_reps, encoder_output.lengths, self.params, cfg.num_lstm_layers)
-            fused = fuse(summary, fused) if cfg.use_cls else summary
-        features = dendrite(fused, self.dd_stack()) if cfg.use_dd else fused
+            fused = nm.concat([summary, fused], axis=1) if cfg.use_cls else summary
+        features = dendrite(fused, [self.params[f"dd{i}.w"] for i in range(cfg.num_dd_layers)]) if cfg.use_dd else fused
         return nm.matmul(features, self.params["dense.w"]) + self.params["dense.b"]
 
 
@@ -108,14 +105,6 @@ def bilstm(token_reps: Tensor, lengths, params: dict, num_layers: int) -> Tensor
         outs_b, final_b = lstm_direction(x, params[f"lstm{layer}.bwd.wx"], params[f"lstm{layer}.bwd.wh"], params[f"lstm{layer}.bwd.b"], reverse=True, lengths=lengths)
         x = nm.concat([outs_f, outs_b], axis=1)
     return nm.concat([final_f, final_b], axis=1)
-
-
-def fuse(summary: Tensor, cls_vector: Tensor) -> Tensor:
-    """Concatenate each sequence's summary with its [CLS] vector, summary
-    first: (B, a) and (B, b) give (B, a + b)."""
-    if summary.ndim != 2 or cls_vector.ndim != 2 or summary.shape[0] != cls_vector.shape[0]:
-        raise nm.ShapeError(f"fuse needs two equally long batches of vectors, got {summary.shape} and {cls_vector.shape}")
-    return nm.concat([summary, cls_vector], axis=1)
 
 
 def dendrite(fused: Tensor, weight_stack: list[Tensor]) -> Tensor:

@@ -16,7 +16,7 @@ from medkit import kgraph as kg
 from medkit import numerics as nm
 from medkit.generator import _sample_from
 from medkit.numerics import Rng, Tensor
-from medkit.tokenizer import EOS_ID, PAD_ID, decode, encode
+from medkit.tokenizer import EOS_ID, PAD_ID, SEP_ID, decode, encode
 
 
 def occurrences(tokens, gram):
@@ -317,13 +317,23 @@ def full_logits(model, ids):
     return nm.matmul(model.hidden_states(ids, [len(ids)]), model.params["out.w"]) + model.params["out.b"]
 
 
+def supplement_spans(ids):
+    """The question and supplement spans (end-exclusive) of a kgraph.supplement
+    sequence [BOS] question [SEP] supplement [SEP], found from its two [SEP]
+    ids: no character maps to SEP_ID, so neither span holds one."""
+    ids = list(ids)
+    first = ids.index(SEP_ID)
+    second = ids.index(SEP_ID, first + 1)
+    return (1, first), (first + 1, second)
+
+
 def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
     """generate() without a KV cache or no_grad: every step runs the whole
     windowed context through full_logits and records the autograd graph."""
     window = model.config.context_window
     q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
     supplement_text = kg.retrieve(request.question, graph, supplement_max_chars) if graph is not None else ""
-    prompt, _ = kg.supplement(q_seq, supplement_text, vocab, max_len=window)
+    prompt = kg.supplement(q_seq, supplement_text, vocab, max_len=window)
     rng = Rng(request.seed).spawn("generator.sample")
     ids = list(prompt.ids)
     generated = []
@@ -836,7 +846,7 @@ def supervised_loss_per_sample(encoder, head, batch):
             outs_f, outs_b = lstm_direction_ops(x, *fwd, False), lstm_direction_ops(x, *bwd, True)
             x = nm.concat([outs_f, outs_b], axis=1)
         features = nm.concat([getitem(outs_f, slice(-1, None)), getitem(outs_b, slice(0, 1)), getitem(states, slice(0, 1))], axis=1)
-        for w in head.dd_stack():
+        for w in (head.params[f"dd{i}.w"] for i in range(head.config.num_dd_layers)):
             features = nm.matmul(features * features, w)
         logits = nm.matmul(features, head.params["dense.w"]) + head.params["dense.b"]
         losses.append(nm.softmax_cross_entropy(logits, [label], reduction=np.ones(1)))

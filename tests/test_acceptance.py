@@ -41,6 +41,7 @@ from oracles import (
     bf_weighted_prf,
     full_logits,
     grad_check,
+    supplement_spans,
 )
 
 
@@ -166,9 +167,9 @@ def test_criterion_04a_triage_overfits_32_samples():
                 dataset.append((encode(text, vocab, max_len=12), label))
         assert len(dataset) == 32
 
-        cfg = TrainConfig(epochs=200, lr=1e-2, batch_size=8, seed=40, stop_at_train_acc=1.0)
+        cfg = TrainConfig(epochs=200, lr=1e-2, batch_size=8, seed=40)
         history = train_supervised(encoder, head, dataset, cfg, lr_encoder=2e-3)
-        assert len(history.rows) <= 200
+        assert len(history.rows) == 200  # every epoch runs
         preds = predict_labels(encoder, head, [seq for seq, _ in dataset])
         assert preds == [label for _, label in dataset], "final train accuracy below 100%"
         elapsed = time.perf_counter() - started
@@ -402,10 +403,12 @@ def test_criterion_10_ablation_structure():
         vocab = build_vocab(["头痛发烧症状胀痛科室神经内怎么办"])
         graph, _ = load_triples(fixture_graph_path())
         q = encode("头痛怎么办", vocab, max_len=32, mode="decoder")
-        with_supp, layout_with = supplement(q, retrieve("头痛怎么办", graph, 24), vocab, 32)
-        without, layout_without = supplement(q, "", vocab, 32)
-        assert layout_with.supplement_span[1] - layout_with.supplement_span[0] > 0
-        assert layout_without.supplement_span[1] - layout_without.supplement_span[0] == 0
+        with_supp = supplement(q, retrieve("头痛怎么办", graph, 24), vocab, 32)
+        without = supplement(q, "", vocab, 32)
+        lo, hi = supplement_spans(with_supp.ids)[1]
+        assert hi - lo > 0
+        lo, hi = supplement_spans(without.ids)[1]
+        assert hi - lo == 0
         assert with_supp.ids != without.ids
 
         # knowledge ablation: fine-tuning starts from a strictly different state

@@ -281,17 +281,28 @@ def test_train_triage_divergence_keeps_last_completed_epoch_and_exits_two(tmp_pa
     (["train-triage", "--set", "lstm_layers=0"], "num_lstm_layers must be >= 1"),
     (["train-triage", "--set", "dd_layers=0"], "num_dd_layers must be >= 1"),
     (["pretrain-encoder", "--set", "mlm_epochs=-1"], "epochs must be >= 0"),
+    (["train-triage", "--set", "triage_epochs=-1"], "triage_epochs must be >= 0"),
+    (["train-prompt", "--set", "prompt_epochs=-2"], "prompt_epochs must be >= 0"),
+    (["pretrain-lm", "--set", "lm_pretrain_epochs=-1"], "lm_pretrain_epochs must be >= 0"),
+    (["pretrain-encoder", "--set", "lm_finetune_epochs=-1"], "lm_finetune_epochs must be >= 0"),
     (["pretrain-encoder", "--set", "enc_ffn=-1"], "enc_ffn must be >= 0"),
     (["pretrain-lm", "--set", "dec_ffn=-1"], "dec_ffn must be >= 0"),
     (["train-gen", "--set", "supplement_max_chars=-5"], "supplement_max_chars must be >= 0"),
     (["split", "--seed", "-1"], "seed must be >= 0"),
     (["split", "--set", "seed=-3"], "seed must be >= 0"),
-], ids=["lstm-layers-zero", "dd-layers-zero", "mlm-epochs-negative", "enc-ffn-negative", "dec-ffn-negative", "supplement-negative",
+], ids=["lstm-layers-zero", "dd-layers-zero", "mlm-epochs-negative", "triage-epochs-negative", "prompt-epochs-negative",
+        "lm-pretrain-epochs-negative", "lm-finetune-epochs-negative", "enc-ffn-negative", "dec-ffn-negative", "supplement-negative",
         "seed-negative-flag", "seed-negative-set"])
 def test_count_below_its_floor_exits_one_with_one_error_line(tmp_path, corpus_file, capsys, argv, message):
     assert run(argv[:1] + ["--in", corpus_file, "--out", tmp_path / "out"] + TINY + argv[1:]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("medkit: error:") and message in err
+
+
+def test_negative_epochs_exit_one_before_config_resolved_is_written(tmp_path, corpus_file, capsys):
+    assert run(["stats", "--in", corpus_file, "--out", tmp_path / "out", "--set", "lm_finetune_epochs=-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "medkit: error: lm_finetune_epochs must be >= 0\n"
+    assert not (tmp_path / "out" / "config.resolved").exists()
 
 
 @pytest.mark.parametrize("value", ["-0.01", "nan", "inf"])
@@ -368,6 +379,24 @@ def test_clean_graph_writes_no_rejects(tmp_path, corpus_file, capsys):
     assert run(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
     assert not (tmp_path / "out" / "graph_rejects.jsonl").exists()
+
+
+@pytest.mark.parametrize(("argv", "bad"), [
+    (["stats", "--in", "{bad}"], "bad.jsonl"),
+    (["pretrain-encoder", "--in", "{bad}", "--out", "{out}"], "bad.txt"),
+    (["chat", "--ckpt", FIXTURES / "decoder" / "gen.ckpt", "--graph", "{bad}"], "badg.jsonl"),
+    (["metrics", "--gen", "{bad}", "--ref", "{good}"], "gen.txt"),
+    (["metrics", "--gen", "{good}", "--ref", "{bad}"], "ref.jsonl"),
+    (["stats", "--in", "{corpus}", "--config", "{bad}"], "run.cfg"),
+], ids=["corpus", "plain-text-in", "graph", "gen", "ref", "config"])
+def test_input_file_that_is_not_utf8_exits_one_naming_itself(tmp_path, corpus_file, capsys, monkeypatch, argv, bad):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("头痛怎么办\n"))
+    (tmp_path / bad).write_bytes(b"\xff\xfe not text\n")
+    (tmp_path / "good.txt").write_text("头痛多喝水\n", encoding="utf-8")
+    paths = {"bad": tmp_path / bad, "good": tmp_path / "good.txt", "out": tmp_path / "out", "corpus": corpus_file}
+    assert run([str(a).format(**paths) for a in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"medkit: error: {tmp_path / bad}: 'utf-8' codec can't decode")
 
 
 def test_generator_pipeline_and_chat(tmp_path, corpus_file, capsys, monkeypatch):

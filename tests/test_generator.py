@@ -24,7 +24,7 @@ from medkit.numerics import Rng, TrainConfig
 from medkit.tokenizer import EOS_ID, build_vocab, encode
 
 from conftest import CORPUS_SAMPLES
-from oracles import full_logits, generate_uncached, grad_check
+from oracles import full_logits, generate_uncached, grad_check, supplement_spans
 
 
 @pytest.fixture()
@@ -180,12 +180,13 @@ def test_pretrain_lm_divergence_aborts_with_rollback(vocab, caplog):
 
 def test_build_qa_sequence_masks_answer_only(vocab):
     graph, _ = load_triples(fixture_graph_path())
-    ids, mask, layout = build_qa_sequence("头痛多喝水", "建议休息", graph, vocab, window=64, supplement_max_chars=20)
+    ids, mask = build_qa_sequence("头痛多喝水", "建议休息", graph, vocab, window=64, supplement_max_chars=20)
     assert len(ids) == len(mask)
-    assert not any(mask[: layout.prompt_len])
-    assert all(mask[layout.prompt_len :])
+    (q_lo, q_hi), (_, s_hi) = supplement_spans(ids)
+    prompt_len = s_hi + 1  # through the second [SEP]
+    assert not any(mask[:prompt_len])
+    assert all(mask[prompt_len:])
     assert ids[-1] == EOS_ID
-    q_lo, q_hi = layout.question_span
     assert q_hi - q_lo == 5
 
 

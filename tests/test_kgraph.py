@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from medkit.corpus import Reject
 from medkit.kgraph import (
     KnowledgeGraph,
     KnowledgeTriple,
@@ -13,6 +14,8 @@ from medkit.kgraph import (
     supplement,
 )
 from medkit.tokenizer import BOS_ID, SEP_ID, build_vocab, encode
+
+from oracles import supplement_spans
 
 
 def _graph_from(triples) -> KnowledgeGraph:
@@ -72,7 +75,8 @@ def test_load_rejects_malformed(tmp_path):
     ])
     graph, rejects = load_triples(path)
     assert graph.size == 3
-    assert [r["line"] for r in rejects] == [1, 2, 3]
+    assert [r.line for r in rejects] == [1, 2, 3]
+    assert all(type(r) is Reject for r in rejects)  # the record corpus.ingest returns
 
 
 def test_load_with_most_lines_malformed_raises_naming_the_file(tmp_path):
@@ -152,41 +156,42 @@ def vocab():
 
 def test_supplement_empty_supplement(vocab):
     q = encode("头痛", vocab, max_len=16, mode="decoder")
-    seq, layout = supplement(q, "", vocab, max_len=16)
+    seq = supplement(q, "", vocab, max_len=16)
     assert seq.ids == [BOS_ID, vocab.id_of("头"), vocab.id_of("痛"), SEP_ID, SEP_ID]
-    assert layout.supplement_span == (4, 4)
-    assert layout.prompt_len == 5
+    assert supplement_spans(seq.ids)[1] == (4, 4)
+    assert len(seq.ids) == 5
 
 
 def test_supplement_exact_fit(vocab):
     q = encode("abcde", vocab, max_len=16, mode="decoder")  # 5 content tokens
-    seq, layout = supplement(q, "头痛症状", vocab, max_len=12)
+    seq = supplement(q, "头痛症状", vocab, max_len=12)
     assert len(seq.ids) == 12
-    assert layout.question_span == (1, 6)
-    assert layout.supplement_span == (7, 11)
+    assert supplement_spans(seq.ids) == ((1, 6), (7, 11))
 
 
 def test_supplement_never_exceeds_max_len(vocab):
     q = encode("abcdef", vocab, max_len=16, mode="decoder")
     for max_len in range(3, 20):
-        seq, _ = supplement(q, "头痛症状胀痛科室", vocab, max_len=max_len)
+        seq = supplement(q, "头痛症状胀痛科室", vocab, max_len=max_len)
         assert len(seq.ids) <= max_len
 
 
 def test_supplement_truncates_supplement_before_question(vocab):
     q = encode("abcde", vocab, max_len=16, mode="decoder")
-    seq, layout = supplement(q, "头痛症状胀痛", vocab, max_len=10)
+    seq = supplement(q, "头痛症状胀痛", vocab, max_len=10)
     # 5 question tokens survive; supplement squeezed into the leftover 2 slots
-    assert layout.question_span == (1, 6)
-    assert layout.supplement_span[1] - layout.supplement_span[0] == 2
+    question_span, (lo, hi) = supplement_spans(seq.ids)
+    assert question_span == (1, 6)
+    assert hi - lo == 2
 
 
 def test_supplement_truncates_question_when_alone_too_long(vocab):
     q = encode("abcdef", vocab, max_len=16, mode="decoder")
-    seq, layout = supplement(q, "头痛", vocab, max_len=6)
+    seq = supplement(q, "头痛", vocab, max_len=6)
     assert len(seq.ids) == 6
-    assert layout.question_span == (1, 4)
-    assert layout.supplement_span[1] - layout.supplement_span[0] == 0
+    question_span, (lo, hi) = supplement_spans(seq.ids)
+    assert question_span == (1, 4)
+    assert hi - lo == 0
 
 
 def test_bundled_fixture_graph_loads():

@@ -234,7 +234,7 @@ def test_train_prompt_overfits_two_classes(vocab):
     verb = Verbalizer.from_surfaces({"内科": "内科", "骨科": "骨科"}, vocab)
     template = PromptTemplate(suffix="这属于{}科", mask_slot_count=verb.mask_slot_count)
     data = [("头痛发烧", "内科"), ("发烧咳嗽", "内科"), ("甲乙丙", "骨科"), ("乙丙甲", "骨科")]
-    cfg = TrainConfig(epochs=100, lr=0.01, batch_size=4, seed=8, stop_at_train_acc=1.0)
+    cfg = TrainConfig(epochs=100, lr=0.01, batch_size=4, seed=8)
     train_prompt(enc, data, template, verb, vocab, 16, cfg)
     for question, label in data:
         assert predict(enc, [question], template, verb, vocab, 16) == [label]

@@ -5,7 +5,7 @@ import pytest
 
 from medkit import numerics as nm
 from medkit import triage
-from medkit.encoder import Encoder, EncoderConfig
+from medkit.encoder import Encoder, EncoderConfig, EncoderOutput
 from medkit.numerics import Rng, Tensor, TrainConfig
 from medkit.tokenizer import TokenBatch, build_vocab, encode
 from medkit.triage import (
@@ -14,7 +14,6 @@ from medkit.triage import (
     bilstm,
     dendrite,
     evaluate,
-    fuse,
     predict_labels,
     train_supervised,
 )
@@ -149,46 +148,31 @@ def test_bilstm_calls_lstm_direction_twice_per_layer(monkeypatch):
     assert directions == [False, True] * 3
 
 
-def test_head_fuses_summary_with_cls_through_fuse(vocab, monkeypatch):
-    real = triage.fuse
-    calls = []
-
-    def counted(summary, cls_vector):
-        calls.append((summary.shape, cls_vector.shape))
-        return real(summary, cls_vector)
-
-    monkeypatch.setattr(triage, "fuse", counted)
-    out = _encoder(vocab).encode(_batch(vocab, "甲乙丙"))
-    _head().forward_logits(out)
-    assert calls == [((1, 16), (1, 8))]
-    _head(use_bilstm=False).forward_logits(out)  # one feature source: nothing to fuse
-    assert len(calls) == 1
-
-
-def test_fuse_concatenates_in_order():
-    out = fuse(Tensor([[1.0, 2.0]]), Tensor([[3.0]]))
-    assert out.data.tolist() == [[1.0, 2.0, 3.0]]
+def test_fuse_concatenates_in_order(vocab):
+    """Without the dendritic layers the dense layer reads the fused vector:
+    [BiLSTM summary ; CLS], summary first, or the one source that is on."""
+    out = _encoder(vocab).encode(_batch(vocab, "甲乙丙", "丁戊"))
+    for use_bilstm, use_cls in ((True, True), (True, False), (False, True)):
+        head = _head(use_dd=False, use_bilstm=use_bilstm, use_cls=use_cls)
+        parts = [bilstm(out.token_reps, out.lengths, head.params, head.config.num_lstm_layers).data] if use_bilstm else []
+        fused = np.concatenate(parts + ([out.cls_vector.data] if use_cls else []), axis=1)
+        want = fused @ head.params["dense.w"].data + head.params["dense.b"].data
+        assert np.array_equal(head.forward_logits(out).data, want)
 
 
 def test_fuse_zero_inputs():
-    out = fuse(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))))
-    assert np.array_equal(out.data, np.zeros((1, 6)))
+    # zero token states and [CLS] vectors fuse to zero (the zero-bias LSTM
+    # keeps a zero state), the dendritic stack keeps zero, so the logits are the dense bias
+    head = _head()
+    out = EncoderOutput(Tensor(np.zeros((2, 8))), Tensor(np.zeros((5, 8))), np.array([3, 2]))
+    assert np.array_equal(head.forward_logits(out).data, np.tile(head.params["dense.b"].data, (2, 1)))
 
 
 def test_fuse_width_is_three_hidden(vocab):
-    enc = _encoder(vocab)
     head = _head()
-    batch = _batch(vocab, "甲乙丙")
-    out = enc.encode(batch)
-    fused = fuse(bilstm(out.token_reps, batch.lengths, head.params, head.config.num_lstm_layers), out.cls_vector)
-    assert fused.shape == (1, 3 * 8)
-
-
-def test_fuse_rejects_matrices():
-    with pytest.raises(nm.ShapeError):
-        fuse(Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
-    with pytest.raises(nm.ShapeError):
-        fuse(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
+    assert head.config.fused_dim == 3 * 8 and head.params["dd0.w"].shape == (3 * 8, 8)
+    out = _encoder(vocab).encode(_batch(vocab, "甲乙丙"))
+    assert head.forward_logits(out).shape == (1, 3)  # the fused (1, 24) batch met the first dendritic layer
 
 
 def test_dendrite_identity_weight_squares():
@@ -287,7 +271,7 @@ def test_train_supervised_overfits_small_set(vocab):
     enc = _encoder(vocab, hidden=8, seed=1)
     head = _head(hidden=8, classes=3, seed=1)
     data = _synthetic_dataset(vocab)
-    cfg = TrainConfig(epochs=80, lr=2e-2, batch_size=4, seed=1, stop_at_train_acc=1.0)
+    cfg = TrainConfig(epochs=80, lr=2e-2, batch_size=4, seed=1)
     train_supervised(enc, head, data, cfg, lr_encoder=5e-3)
     preds = predict_labels(enc, head, [seq for seq, _ in data])
     assert preds == [label for _, label in data]
