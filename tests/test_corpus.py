@@ -69,10 +69,11 @@ def test_ingest_schema_violations_rejected(tmp_path):
         {"question": "合法的问题二字数足够长", "answer": "合法的回答字数足够长"},
         {"question": "合法的问题三字数足够长", "answer": "合法的回答字数足够长"},
         {"question": "合法的问题四字数足够长", "answer": "合法的回答字数足够长"},
+        '{"question": "整数位数超出解析上限", "age": ' + "1" * 5000 + "}",  # json.loads raises a plain ValueError
     ])
     result = corpus.ingest(path)
     assert len(result.samples) == 4
-    assert {r.line for r in result.rejects} == {2, 3, 4}
+    assert {r.line for r in result.rejects} == {2, 3, 4, 8}
 
 
 def test_clean_removes_nine_char_question():
