@@ -148,6 +148,27 @@ def test_bilstm_calls_lstm_direction_twice_per_layer(monkeypatch):
     assert directions == [False, True] * 3
 
 
+def test_head_fuses_summary_with_cls_through_fuse(vocab, monkeypatch):
+    """The dendritic stack reads [BiLSTM summary ; CLS]; with the BiLSTM off
+    it reads the CLS vector alone."""
+    real = triage.dendrite
+    inputs = []
+
+    def counted(fused, weight_stack):
+        inputs.append(fused.data)
+        return real(fused, weight_stack)
+
+    monkeypatch.setattr(triage, "dendrite", counted)
+    out = _encoder(vocab).encode(_batch(vocab, "甲乙丙"))
+    head = _head()
+    head.forward_logits(out)
+    summary = bilstm(out.token_reps, out.lengths, head.params, head.config.num_lstm_layers)
+    assert [x.shape for x in inputs] == [(1, 24)]
+    assert np.array_equal(inputs[0], np.concatenate([summary.data, out.cls_vector.data], axis=1))
+    _head(use_bilstm=False).forward_logits(out)  # one feature source: nothing to fuse
+    assert len(inputs) == 2 and np.array_equal(inputs[1], out.cls_vector.data)
+
+
 def test_fuse_concatenates_in_order(vocab):
     """Without the dendritic layers the dense layer reads the fused vector:
     [BiLSTM summary ; CLS], summary first, or the one source that is on."""
