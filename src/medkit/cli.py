@@ -197,18 +197,26 @@ def _finish(out: Path, log_name: str, history, what: str, bundle: tuple, summary
     return EXIT_OK
 
 
-def _read_texts(path) -> list[str]:
+def _skip_rejects(path, rejects, out: Path | None, name: str) -> None:
+    """An input file's malformed lines: one stderr warning naming the file, and under --out the list in `name`."""
+    if rejects:
+        sys.stderr.write(f"medkit: warning: {path}: {len(rejects)} malformed lines skipped (first: line {rejects[0].line})\n")
+    if rejects and out:
+        corpus_mod.write_rejects(out / name, rejects)
+
+
+def _samples(args, out: Path | None) -> list[corpus_mod.DialogueSample]:
+    """The samples of the --in corpus; its malformed lines go through _skip_rejects into rejects.jsonl."""
+    result = corpus_mod.ingest(args.inp)
+    _skip_rejects(args.inp, result.rejects, out, "rejects.jsonl")
+    return result.samples
+
+
+def _read_texts(args, out: Path) -> list[str]:
     """Plain text (one per line) or corpus JSONL (questions plus answers)."""
-    path = Path(path)
-    if path.suffix == ".jsonl":
-        result = corpus_mod.ingest(path)
-        texts = []
-        for s in result.samples:
-            texts.append(s.question)
-            if s.answer:
-                texts.append(s.answer)
-        return texts
-    return [line for line in corpus_mod.read_lines(path) if line.strip()]
+    if Path(args.inp).suffix == ".jsonl":
+        return [text for s in _samples(args, out) for text in ([s.question, s.answer] if s.answer else [s.question])]
+    return [line for line in corpus_mod.read_lines(args.inp) if line.strip()]
 
 
 def _labeled_pairs(samples, granularity: str):
@@ -220,14 +228,11 @@ def _labeled_pairs(samples, granularity: str):
 
 
 def _graph(args, cfg: RunConfig, out: Path | None):
-    """The --graph graph (None without it or under no_input_supplement); malformed lines warn, and go to graph_rejects.jsonl under --out."""
+    """The --graph graph (None without it or under no_input_supplement); its malformed lines go through _skip_rejects into graph_rejects.jsonl."""
     if not args.graph or cfg.no_input_supplement:
         return None
     graph, rejects = kg_mod.load_triples(args.graph)
-    if rejects:
-        sys.stderr.write(f"medkit: warning: {args.graph}: {len(rejects)} malformed lines skipped (first: line {rejects[0].line})\n")
-    if rejects and out:
-        corpus_mod.write_rejects(out / "graph_rejects.jsonl", rejects)
+    _skip_rejects(args.graph, rejects, out, "graph_rejects.jsonl")
     return graph
 
 
@@ -263,7 +268,7 @@ def _read_json(path) -> dict:
     """The JSON object in `path`; anything else is a CliError naming the file."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, too deeply nested
         raise CliError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise CliError(f"{path}: expected a JSON object, got {type(obj).__name__}")
@@ -310,6 +315,8 @@ def _load_bundle(ckpt, *parts: str):
     for key, hint in _META_TYPES.items():
         if key in meta and not _is_a(meta[key], hint):
             raise CliError(f"{meta_path}: {key} is {meta[key]!r}, expected a {hint.__name__}")
+    if meta.get("supplement_max_chars", 0) < 0:
+        raise CliError(f"{meta_path}: supplement_max_chars is {meta['supplement_max_chars']}, expected an int >= 0")
     vocab_path = Path(ckpt).parent / "vocab.txt"
     try:
         vocab = tok_mod.Vocab.load(vocab_path)
@@ -391,8 +398,7 @@ def cmd_clean(args) -> int:
 
 def cmd_split(args) -> int:
     cfg, out = _start(args)
-    result = corpus_mod.ingest(args.inp)
-    train, test = corpus_mod.split(result.samples, cfg.test_fraction, cfg.seed, granularity=cfg.granularity)
+    train, test = corpus_mod.split(_samples(args, out), cfg.test_fraction, cfg.seed, granularity=cfg.granularity)
     corpus_mod.write_jsonl(out / "train.jsonl", train)
     corpus_mod.write_jsonl(out / "test.jsonl", test)
     print(f"train {len(train)} test {len(test)}")
@@ -401,11 +407,11 @@ def cmd_split(args) -> int:
 
 def cmd_small_sample(args) -> int:
     cfg, out = _start(args)
-    result = corpus_mod.ingest(args.inp)
+    samples = _samples(args, out)
     threshold = args.threshold
     if threshold is None:
-        threshold = corpus_mod.default_small_sample_threshold(result.samples, cfg.granularity)
-    subset, categories = corpus_mod.make_small_sample(result.samples, threshold, granularity=cfg.granularity)
+        threshold = corpus_mod.default_small_sample_threshold(samples, cfg.granularity)
+    subset, categories = corpus_mod.make_small_sample(samples, threshold, granularity=cfg.granularity)
     corpus_mod.write_jsonl(out / "subset.jsonl", subset)
     _write_json(out / "categories.json", {"threshold": threshold, "categories": categories})
     print(f"kept {len(subset)} samples across {len(categories)} categories")
@@ -414,7 +420,7 @@ def cmd_small_sample(args) -> int:
 
 def cmd_pretrain_encoder(args) -> int:
     cfg, out = _start(args)
-    texts = _read_texts(args.inp)
+    texts = _read_texts(args, out)
     if not texts:
         raise CliError("no training texts found")
     encoder, vocab = _base_model(cfg, "encoder", None, texts)
@@ -426,7 +432,7 @@ def cmd_pretrain_encoder(args) -> int:
 
 def cmd_train_triage(args) -> int:
     cfg, out = _start(args)
-    pairs = _labeled_pairs(corpus_mod.ingest(args.inp).samples, cfg.granularity)
+    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
     label_map = {label: i for i, label in enumerate(sorted({label for _, label in pairs}))}
     encoder, vocab = _base_model(cfg, "encoder", args.encoder_ckpt, [q for q, _ in pairs])
     config = triage_mod.TriageConfig(
@@ -465,8 +471,7 @@ def cmd_eval_triage(args) -> int:
     ids = list(label_map.values())
     if any(type(i) is not int for i in ids) or sorted(ids) != list(range(head.config.num_classes)):
         raise CliError(f"{label_map_path} must map labels to the distinct ints 0..{head.config.num_classes - 1}")
-    result = corpus_mod.ingest(args.inp)
-    pairs = _labeled_pairs(result.samples, cfg.granularity)
+    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
     known = [(q, label) for q, label in pairs if label in label_map]
     sequences = [tok_mod.encode(q, vocab, encoder.config.max_len, mode="encoder") for q, _ in known]
     preds = triage_mod.predict_labels(encoder, head, sequences, cfg.batch_size)
@@ -483,8 +488,7 @@ def _read_surfaces(path) -> dict[str, str]:
 
 def cmd_train_prompt(args) -> int:
     cfg, out = _start(args)
-    result = corpus_mod.ingest(args.inp)
-    pairs = _labeled_pairs(result.samples, cfg.granularity)
+    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
     # with no --verbalizer, label strings verbalize themselves
     surfaces = _read_surfaces(args.verbalizer) if args.verbalizer else {label: label for _, label in pairs}
     texts = [q for q, _ in pairs] + [label for _, label in pairs] + [cfg.prompt_prefix, cfg.prompt_suffix.replace("{}", "")]
@@ -497,7 +501,7 @@ def cmd_train_prompt(args) -> int:
     history = prompt_mod.train_prompt(
         encoder, pairs, template, verbalizer, vocab, max_len, TrainConfig(cfg.prompt_epochs, cfg.prompt_lr, cfg.batch_size, cfg.seed)
     )
-    _write_json(out / "verbalizer.json", {label: "".join(vocab.token_of(t) for t in toks if t >= tok_mod.NUM_RESERVED) for label, toks in verbalizer.label_tokens.items()})
+    _write_json(out / "verbalizer.json", {label: tok_mod.decode(toks, vocab) for label, toks in verbalizer.label_tokens.items()})
     return _finish(
         out, "train.log.csv", history, "prompt training", ("prompt", "prompt", {"encoder": encoder}, vocab),
         f"prompt-trained on {len(pairs)} samples, {len(verbalizer.labels)} labels",
@@ -513,8 +517,7 @@ def cmd_eval_prompt(args) -> int:
     if type(max_len) is not int or max_len < 1:
         raise CliError(f"{_meta_path(args.ckpt)}: max_len is {max_len!r}, expected an int >= 1")
     verbalizer = prompt_mod.Verbalizer.from_surfaces(_read_surfaces(Path(args.ckpt).parent / "verbalizer.json"), vocab)
-    result = corpus_mod.ingest(args.inp)
-    pairs = _labeled_pairs(result.samples, cfg.granularity)
+    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
     known = [(q, label) for q, label in pairs if label in verbalizer.label_tokens]
     preds, gold = [], []
     label_ids = {label: i for i, label in enumerate(verbalizer.labels)}
@@ -528,7 +531,7 @@ def cmd_eval_prompt(args) -> int:
 
 def cmd_pretrain_lm(args) -> int:
     cfg, out = _start(args)
-    texts = _read_texts(args.inp)
+    texts = _read_texts(args, out)
     if not texts:
         raise CliError("no training texts found")
     decoder, vocab = _base_model(cfg, "decoder", None, texts)
@@ -539,8 +542,7 @@ def cmd_pretrain_lm(args) -> int:
 
 def cmd_train_gen(args) -> int:
     cfg, out = _start(args)
-    result = corpus_mod.ingest(args.inp)
-    qa_pairs = [(s.question, s.answer) for s in result.samples if s.answer]
+    qa_pairs = [(s.question, s.answer) for s in _samples(args, out) if s.answer]
     if not qa_pairs:
         raise CliError("no question/answer pairs in the input")
     graph = _graph(args, cfg, out)
@@ -581,10 +583,9 @@ def cmd_eval_gen(args) -> int:
     cfg, out = _start(args)
     decoder, vocab, meta = _load_decoder_bundle(args.ckpt)
     graph = _graph(args, cfg, out)
-    result = corpus_mod.ingest(args.inp)
     rows = []
     refs = []
-    for s in result.samples:
+    for s in _samples(args, out):
         rows.append(_answer(cfg, decoder, vocab, meta, graph, s.question))
         refs.append(s.answer or "")
     with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
@@ -607,7 +608,7 @@ def _read_metric_lines(path) -> list[str]:
     for lineno, line in enumerate(lines, start=1):
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, an int too long to convert, too deeply nested
             raise CliError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(row, dict) or not isinstance(row.get("answer"), str):
             raise CliError(f"{path}:{lineno}: expected a JSON object with a string \"answer\"")

@@ -100,8 +100,8 @@ def read_lines(path) -> list[str]:
 
 def read_jsonl(path, parse) -> tuple[list, list[Reject]]:
     """`parse` of the JSON value of each non-empty line of `path`, and a Reject
-    for each line that is not JSON or that `parse` refuses (ValueError,
-    KeyError or TypeError).
+    for each line that is not JSON (or nests too deeply for the decoder) or
+    that `parse` refuses (ValueError, KeyError or TypeError).
 
     Raises CorpusFormatError when more than half of the non-empty lines are
     malformed (the file is probably not in this format at all).
@@ -112,7 +112,7 @@ def read_jsonl(path, parse) -> tuple[list, list[Reject]]:
     for lineno, line in lines:
         try:
             values.append(parse(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             rejects.append(Reject(lineno, str(exc)))
     if len(rejects) * 2 > len(lines):
         raise CorpusFormatError(f"{len(rejects)} of {len(lines)} lines malformed in {path}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Rng, Tensor
-from .tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, TokenSequence
+from .tokenizer import MASK_ID, NUM_RESERVED, TokenBatch
 
 log = logging.getLogger(__name__)
 
@@ -141,8 +141,8 @@ class Encoder:
         return nm.matmul(reps, self.params["tok_emb"].T)
 
 
-def mask_tokens(tokens: TokenSequence, rate: float, rng: Rng, vocab_size: int):
-    """Corrupt a sequence for masked-token pretraining.
+def mask_tokens(tokens: list[int], rate: float, rng: Rng, vocab_size: int):
+    """Corrupt a copy of a list of ids for masked-token pretraining.
 
     Each non-special position is independently selected with probability
     `rate`. Of the selected positions 80% become [MASK], 10% a random content
@@ -150,10 +150,10 @@ def mask_tokens(tokens: TokenSequence, rate: float, rng: Rng, vocab_size: int):
     """
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must be in (0, 1)")
-    ids = list(tokens.ids)
+    ids = list(tokens)
     positions: list[int] = []
     originals: list[int] = []
-    for i, tok in enumerate(tokens.ids):
+    for i, tok in enumerate(tokens):
         if tok < NUM_RESERVED:
             continue
         if rng.random() >= rate:
@@ -168,7 +168,7 @@ def mask_tokens(tokens: TokenSequence, rate: float, rng: Rng, vocab_size: int):
                 ids[i] = int(rng.integers(NUM_RESERVED, vocab_size))
             # else: no content tokens to draw from; leave unchanged
         # else: keep the original token
-    return TokenSequence(ids), positions, originals
+    return ids, positions, originals
 
 
 def mlm_loss(encoder: Encoder, batch) -> Tensor | None:
@@ -188,7 +188,7 @@ def mlm_loss(encoder: Encoder, batch) -> Tensor | None:
     return nm.softmax_cross_entropy(logits, [t for _, _, originals in batch for t in originals], reduction="mean")
 
 
-def pretrain(encoder: Encoder, sequences: list[TokenSequence], config: nm.TrainConfig) -> nm.TrainHistory:
+def pretrain(encoder: Encoder, sequences: list[list[int]], config: nm.TrainConfig) -> nm.TrainHistory:
     """Masked-token pretraining through numerics.fit: each batch is corrupted
     with the shuffling stream, scored and stepped; the logged loss is the
     mean over batches. Divergence rolls back to the last completed epoch."""

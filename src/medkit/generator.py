@@ -214,8 +214,7 @@ def pretrain_lm(model: Decoder, background_texts, vocab: Vocab, config: nm.Train
     window = model.config.context_window
     items = []
     for text in background_texts:
-        seq = encode(text, vocab, max_len=max(window, 3), mode="decoder")
-        ids = seq.ids
+        ids = encode(text, vocab, max_len=max(window, 3), mode="decoder")
         for start in range(0, len(ids), window):
             chunk = ids[start : start + window]
             if len(chunk) >= 2:
@@ -229,12 +228,11 @@ class QaFinetuneResult:
     skipped: int = 0
 
 
-def _compose_prompt(question: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, window: int, budget: int, supplement_max_chars: int):
-    """The prompt of at most `budget` ids (kgraph.supplement) and the
-    retrieved supplement text; the question is encoded within `window`."""
+def _compose_prompt(question: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, budget: int, supplement_max_chars: int):
+    """The prompt ids, at most `budget` of them (kgraph.supplement of the
+    question text), and the retrieved supplement text."""
     supplement_text = kg.retrieve(question, graph, supplement_max_chars) if graph is not None else ""
-    prompt = kg.supplement(encode(question, vocab, max_len=window, mode="decoder"), supplement_text, vocab, budget)
-    return prompt, supplement_text
+    return kg.supplement(question, supplement_text, vocab, budget), supplement_text
 
 
 def build_qa_sequence(question: str, answer: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, window: int, supplement_max_chars: int = 64):
@@ -243,10 +241,10 @@ def build_qa_sequence(question: str, answer: str, graph: kg.KnowledgeGraph | Non
     Layout: [BOS] question [SEP] supplement [SEP] answer [EOS], with the loss
     mask covering the answer tokens and the closing [EOS] only.
     """
-    prompt, _ = _compose_prompt(question, graph, vocab, window, max(3, window - 1 - len(answer)), supplement_max_chars)  # room for answer + EOS
-    ids = list(prompt.ids) + [vocab.id_of(ch) for ch in answer] + [EOS_ID]
-    mask = [False] * len(prompt.ids) + [True] * (len(ids) - len(prompt.ids))
-    return ids, mask
+    answer_ids = vocab.ids(answer)
+    prompt, _ = _compose_prompt(question, graph, vocab, max(3, window - 1 - len(answer_ids)), supplement_max_chars)  # room for answer + EOS
+    ids = prompt + answer_ids + [EOS_ID]
+    return ids, [False] * len(prompt) + [True] * (len(ids) - len(prompt))
 
 
 def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab: Vocab, config: nm.TrainConfig, supplement_max_chars: int = 64) -> QaFinetuneResult:
@@ -301,10 +299,8 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     the question, the retrieved supplement and the generated answer. Runs
     with one KVCache for the request, so it builds no graph.
     """
-    window = model.config.context_window
-    prompt, supplement_text = _compose_prompt(request.question, graph, vocab, window, window, supplement_max_chars)
+    ids, supplement_text = _compose_prompt(request.question, graph, vocab, model.config.context_window, supplement_max_chars)
     rng = None if request.strategy == "greedy" else Rng(request.seed).spawn("generator.sample")
-    ids = list(prompt.ids)
     generated: list[int] = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
     cache = KVCache()

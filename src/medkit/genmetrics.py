@@ -489,10 +489,10 @@ def _token_vectors(text: str, encoder, vocab) -> np.ndarray:
     from .numerics import no_grad
     from .tokenizer import NUM_RESERVED, UNK_ID, TokenBatch, encode
 
-    seq = encode(text, vocab, max_len=encoder.config.max_len, mode="encoder")
+    ids = encode(text, vocab, max_len=encoder.config.max_len, mode="encoder")
     with no_grad():
-        reps = encoder.encode(TokenBatch.stack([seq])).token_reps.data
-    return reps[[i for i, tok in enumerate(seq.ids) if tok >= NUM_RESERVED or tok == UNK_ID]]
+        reps = encoder.encode(TokenBatch.stack([ids])).token_reps.data
+    return reps[[i for i, tok in enumerate(ids) if tok >= NUM_RESERVED or tok == UNK_ID]]
 
 
 def _cosine_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import Reject, read_jsonl
-from .tokenizer import BOS_ID, CLS_ID, EOS_ID, MASK_ID, PAD_ID, SEP_ID, TokenSequence, Vocab, _normalize
-
-_STRUCTURAL_IDS = {PAD_ID, CLS_ID, SEP_ID, MASK_ID, BOS_ID, EOS_ID}
+from .tokenizer import BOS_ID, SEP_ID, Vocab, _normalize
 
 log = logging.getLogger(__name__)
 
@@ -123,8 +121,9 @@ def retrieve(question: str, graph: KnowledgeGraph, max_chars: int) -> str:
     return "".join(pieces)
 
 
-def supplement(question_tokens: TokenSequence, supplement_text: str, vocab: Vocab, max_len: int) -> TokenSequence:
-    """Assemble [BOS] question [SEP] supplement [SEP] within max_len.
+def supplement(question: str, supplement_text: str, vocab: Vocab, max_len: int) -> list[int]:
+    """The ids of [BOS] question [SEP] supplement [SEP] within max_len, each
+    text mapped through Vocab.ids.
 
     Over-length input is resolved by truncating the supplement first, the
     question second, so the primary signal survives. The whole sequence is
@@ -132,12 +131,12 @@ def supplement(question_tokens: TokenSequence, supplement_text: str, vocab: Voca
     """
     if max_len < 3:
         raise ValueError("max_len must leave room for the specials")
-    q_ids = [i for i in question_tokens.ids if i not in _STRUCTURAL_IDS]
-    i_ids = [vocab.id_of(ch) for ch in _normalize(supplement_text)]
+    q_ids = vocab.ids(question)
+    i_ids = vocab.ids(supplement_text)
     budget = max_len - 3  # BOS + two SEPs
     if len(q_ids) > budget:
         q_ids = q_ids[:budget]
         i_ids = []
     elif len(q_ids) + len(i_ids) > budget:
         i_ids = i_ids[: budget - len(q_ids)]
-    return TokenSequence([BOS_ID] + q_ids + [SEP_ID] + i_ids + [SEP_ID])
+    return [BOS_ID] + q_ids + [SEP_ID] + i_ids + [SEP_ID]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .encoder import Encoder
-from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenBatch, TokenSequence, Vocab, _normalize
+from .tokenizer import CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenBatch, Vocab
 
 SLOT_MARKER = "{}"
 
@@ -63,7 +63,7 @@ class Verbalizer:
     def from_surfaces(cls, surfaces: dict[str, str], vocab: Vocab) -> "Verbalizer":
         if not surfaces:
             raise PromptError("verbalizer needs at least one label")
-        raw = {label: [vocab.id_of(ch) for ch in _normalize(text)] for label, text in surfaces.items()}
+        raw = {label: vocab.ids(text) for label, text in surfaces.items()}
         width = max(len(ids) for ids in raw.values())
         padded = {label: ids + [PAD_ID] * (width - len(ids)) for label, ids in raw.items()}
         seen = {}
@@ -79,31 +79,23 @@ class Verbalizer:
         return sorted(self.label_tokens)
 
 
-def build_prompt(question: str, template: PromptTemplate, vocab: Vocab, max_len: int) -> tuple[TokenSequence, list[int]]:
+def build_prompt(question: str, template: PromptTemplate, vocab: Vocab, max_len: int) -> tuple[list[int], list[int]]:
     """Render [CLS] prefix question suffix-with-slots [SEP], at most max_len.
 
     The question is truncated first when the total is over length; if the
     template alone does not fit, that is a configuration error. Returns the
-    sequence and the slot positions.
+    ids and the slot positions.
     """
     if not question:
         raise PromptError("question must be non-empty")
-    prefix, before, after = template.parts()
+    prefix, before, after = (vocab.ids(part) for part in template.parts())
     fixed = len(prefix) + len(before) + template.mask_slot_count + len(after)
     room = max_len - 2 - fixed
     if room < 0:
         raise PromptError(f"template needs {fixed + 2} positions but max_len is {max_len}")
-    chars = list(_normalize(question))[:room]
-    ids = [CLS_ID]
-    ids += [vocab.id_of(ch) for ch in prefix]
-    ids += [vocab.id_of(ch) for ch in chars]
-    ids += [vocab.id_of(ch) for ch in before]
-    slot_start = len(ids)
-    ids += [MASK_ID] * template.mask_slot_count
-    slots = list(range(slot_start, len(ids)))
-    ids += [vocab.id_of(ch) for ch in after]
-    ids.append(SEP_ID)
-    return TokenSequence(ids), slots
+    head = [CLS_ID, *prefix, *vocab.ids(question)[:room], *before]
+    slots = list(range(len(head), len(head) + template.mask_slot_count))
+    return head + [MASK_ID] * template.mask_slot_count + after + [SEP_ID], slots
 
 
 def _slot_rows(prompts: TokenBatch, slots) -> np.ndarray:

@@ -52,8 +52,9 @@ class Vocab:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def id_of(self, char: str) -> int:
-        return self.token_to_id.get(char, UNK_ID)
+    def ids(self, text: str) -> list[int]:
+        """The id of each character of the NFC-normalized text, [UNK] when unknown."""
+        return [self.token_to_id.get(ch, UNK_ID) for ch in _normalize(text)]
 
     def token_of(self, idx: int) -> str:
         if not 0 <= idx < len(self.id_to_token):
@@ -75,13 +76,6 @@ class Vocab:
 
 
 @dataclass
-class TokenSequence:
-    """The encoded ids of one sequence; every position is real (no padding)."""
-
-    ids: list[int]
-
-
-@dataclass
 class TokenBatch:
     """Sequences laid end to end: `ids` holds each one's tokens in turn,
     `lengths` how many each has; there is no padding."""
@@ -91,7 +85,7 @@ class TokenBatch:
 
     @classmethod
     def stack(cls, sequences) -> "TokenBatch":
-        return cls(np.array([i for seq in sequences for i in seq.ids], dtype=np.int64), np.array([len(seq.ids) for seq in sequences]))
+        return cls(np.array([i for seq in sequences for i in seq], dtype=np.int64), np.array([len(seq) for seq in sequences]))
 
     @property
     def attention_mask(self) -> np.ndarray:
@@ -122,7 +116,7 @@ def build_vocab(corpus_texts, min_freq: int = 1) -> Vocab:
     return Vocab(RESERVED_TOKENS + kept)
 
 
-def encode(text: str, vocab: Vocab, max_len: int, mode: str = "encoder") -> TokenSequence:
+def encode(text: str, vocab: Vocab, max_len: int, mode: str = "encoder") -> list[int]:
     """Encode text as [CLS] chars [SEP] or [BOS] chars [EOS], never padded.
 
     Characters beyond max_len - 2 are dropped; unknown characters map to [UNK].
@@ -131,8 +125,8 @@ def encode(text: str, vocab: Vocab, max_len: int, mode: str = "encoder") -> Toke
         raise TokenizerError("max_len must be at least 3")
     if mode not in ("encoder", "decoder"):
         raise TokenizerError(f"unknown mode {mode!r}")
-    body = [vocab.id_of(ch) for ch in _normalize(text)[: max_len - 2]]
-    return TokenSequence([CLS_ID, *body, SEP_ID] if mode == "encoder" else [BOS_ID, *body, EOS_ID])
+    body = vocab.ids(text)[: max_len - 2]
+    return [CLS_ID, *body, SEP_ID] if mode == "encoder" else [BOS_ID, *body, EOS_ID]
 
 
 def decode(ids, vocab: Vocab) -> str:

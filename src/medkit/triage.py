@@ -124,8 +124,8 @@ def _logits(encoder: Encoder, head: TriageHead, sequences) -> Tensor:
 
 
 def supervised_loss(encoder: Encoder, head: TriageHead, batch, _rng=None) -> tuple[Tensor, int, int]:
-    """numerics.fit's (loss, weight, correct) for a list of (TokenSequence,
-    label_id) pairs: the mean cross-entropy, logged per sample."""
+    """numerics.fit's (loss, weight, correct) for a list of (ids, label_id)
+    pairs, ids from tokenizer.encode: the mean cross-entropy, logged per sample."""
     labels = [label for _, label in batch]
     logits = _logits(encoder, head, [seq for seq, _ in batch])
     return nm.softmax_cross_entropy(logits, labels), len(batch), int(np.sum(np.argmax(logits.data, axis=1) == labels))
@@ -137,7 +137,7 @@ def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: nm.Tra
     the logged loss is the per-sample mean, and divergence rolls both back to
     the last completed epoch.
 
-    `dataset` is a list of (TokenSequence, label_id). The returned
+    `dataset` is a list of (tokenizer.encode ids, label_id). The returned
     history's optimizer_state shows both groups and their rates.
     """
     num_classes = head.config.num_classes

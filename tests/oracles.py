@@ -16,7 +16,7 @@ from medkit import kgraph as kg
 from medkit import numerics as nm
 from medkit.generator import _sample_from
 from medkit.numerics import Rng, Tensor
-from medkit.tokenizer import EOS_ID, PAD_ID, SEP_ID, decode, encode
+from medkit.tokenizer import EOS_ID, PAD_ID, SEP_ID, decode
 
 
 def occurrences(tokens, gram):
@@ -331,11 +331,9 @@ def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
     """generate() without a KV cache or no_grad: every step runs the whole
     windowed context through full_logits and records the autograd graph."""
     window = model.config.context_window
-    q_seq = encode(request.question, vocab, max_len=window, mode="decoder")
     supplement_text = kg.retrieve(request.question, graph, supplement_max_chars) if graph is not None else ""
-    prompt = kg.supplement(q_seq, supplement_text, vocab, max_len=window)
+    ids = kg.supplement(request.question, supplement_text, vocab, max_len=window)
     rng = Rng(request.seed).spawn("generator.sample")
-    ids = list(prompt.ids)
     generated = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
     for _ in range(limit):
@@ -824,7 +822,7 @@ def mlm_loss_per_sample(encoder, batch):
     for corrupted, positions, originals in batch:
         if not positions:
             continue
-        states = states_ops(encoder, *padded(corrupted.ids, encoder.config.max_len))
+        states = states_ops(encoder, *padded(corrupted, encoder.config.max_len))
         logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), positions)
         losses.append(nm.softmax_cross_entropy(logits, originals, reduction=np.ones(len(originals))))
         total += len(positions)
@@ -839,8 +837,8 @@ def supervised_loss_per_sample(encoder, head, batch):
     cross-entropy over the batch."""
     losses = []
     for seq, label in batch:
-        states = states_ops(encoder, *padded(seq.ids, encoder.config.max_len))
-        x = nm.take_rows(states, list(range(len(seq.ids))))
+        states = states_ops(encoder, *padded(seq, encoder.config.max_len))
+        x = nm.take_rows(states, list(range(len(seq))))
         for layer in range(head.config.num_lstm_layers):
             fwd, bwd = ([head.params[f"lstm{layer}.{d}.{w}"] for w in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
             outs_f, outs_b = lstm_direction_ops(x, *fwd, False), lstm_direction_ops(x, *bwd, True)
@@ -859,7 +857,7 @@ def slot_loss_per_sample(encoder, batch):
     prompt, averaged over the batch."""
     losses = []
     for seq, slots, targets in batch:
-        states = states_ops(encoder, *padded(seq.ids, encoder.config.max_len))
+        states = states_ops(encoder, *padded(seq, encoder.config.max_len))
         logits = nm.take_rows(nm.matmul(states, encoder.params["tok_emb"].T), slots)
         losses.append(nm.softmax_cross_entropy(logits, targets, reduction=np.ones(len(targets))))
     return _scaled_sum(losses, 1.0 / len(batch))

@@ -25,7 +25,7 @@ from medkit.generator import Decoder, DecoderConfig, GenerationRequest, finetune
 from medkit.kgraph import fixture_graph_path, load_triples, retrieve, supplement
 from medkit.numerics import Rng, Tensor, TrainConfig
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict
-from medkit.tokenizer import TokenBatch, TokenSequence, build_vocab, encode
+from medkit.tokenizer import TokenBatch, build_vocab, encode
 from medkit.triage import TriageConfig, TriageHead, dendrite, predict_labels, train_supervised
 
 import chain
@@ -78,7 +78,7 @@ def test_criterion_01_gradient_integrity():
 
         dec_cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16, context_window=12)
         decoder = Decoder(dec_cfg, Rng(2).spawn("dec"))
-        ids = encode("咳嗽多喝水", vocab, max_len=10, mode="decoder").ids
+        ids = encode("咳嗽多喝水", vocab, max_len=10, mode="decoder")
 
         def lm_loss_fn():
             return lm_loss(decoder, ids, [True] * len(ids))
@@ -123,7 +123,7 @@ def test_criterion_03_mlm_masking_statistics():
         sequences = []
         for _ in range(200):
             ids = [int(t) for t in rng.integers(7, vocab_size, seq_len)]
-            sequences.append(TokenSequence(ids=ids))
+            sequences.append(ids)
         eligible = 200 * seq_len
         assert eligible >= 100_000
 
@@ -132,7 +132,7 @@ def test_criterion_03_mlm_masking_statistics():
             corrupted, positions, originals = mask_tokens(seq, 0.15, rng, vocab_size)
             selected += len(positions)
             for pos, orig in zip(positions, originals):
-                new = corrupted.ids[pos]
+                new = corrupted[pos]
                 if new == 4:  # [MASK]
                     masked += 1
                 elif new == orig:
@@ -339,8 +339,8 @@ def test_criterion_08_prompt_equivalence_over_500_states():
         for state in range(500):
             encoder = Encoder(cfg, Rng(state).spawn("state"))
             logits = encoder.mlm_logits(TokenBatch.stack([seq])).data[slots[0]]
-            best_score = max(logits[vocab.id_of(surfaces[lab])] for lab in labels)
-            expected = min(lab for lab in labels if logits[vocab.id_of(surfaces[lab])] == best_score)
+            best_score = max(logits[vocab.ids(surfaces[lab])[0]] for lab in labels)
+            expected = min(lab for lab in labels if logits[vocab.ids(surfaces[lab])[0]] == best_score)
             [got] = predict(encoder, ["头痛发烧"], template, verbalizer, vocab, max_len=12)
             assert got == expected, f"state {state}: {got} != {expected}"
 
@@ -353,7 +353,7 @@ def test_criterion_09_causality_and_loss_masking():
         vocab = build_vocab(["头痛发烧咳嗽多喝水休息"])
         cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16, context_window=16)
         model = Decoder(cfg, Rng(90).spawn("dec"))
-        ids = encode("头痛发烧咳嗽", vocab, max_len=12, mode="decoder").ids
+        ids = encode("头痛发烧咳嗽", vocab, max_len=12, mode="decoder")
 
         def distributions(sequence):
             logits = full_logits(model, sequence).data
@@ -364,7 +364,7 @@ def test_criterion_09_causality_and_loss_masking():
         base = distributions(ids)
         for j in range(1, len(ids)):
             tampered = list(ids)
-            tampered[j] = vocab.id_of("水")
+            tampered[j] = vocab.ids("水")[0]
             assert np.array_equal(base[:j], distributions(tampered)[:j]), f"future edit at {j} leaked backwards"
 
         mask = [False] * len(ids)
@@ -376,7 +376,7 @@ def test_criterion_09_causality_and_loss_masking():
             return {k: p.grad.tobytes() for k, p in model.params.items()}
 
         tampered_targets = list(ids)
-        tampered_targets[1] = vocab.id_of("息")  # a question-region target
+        tampered_targets[1] = vocab.ids("息")[0]  # a question-region target
         assert grads_for(list(ids)) == grads_for(tampered_targets)
 
 
@@ -402,14 +402,13 @@ def test_criterion_10_ablation_structure():
         # input-supplement ablation: the training sequence layout changes
         vocab = build_vocab(["头痛发烧症状胀痛科室神经内怎么办"])
         graph, _ = load_triples(fixture_graph_path())
-        q = encode("头痛怎么办", vocab, max_len=32, mode="decoder")
-        with_supp = supplement(q, retrieve("头痛怎么办", graph, 24), vocab, 32)
-        without = supplement(q, "", vocab, 32)
-        lo, hi = supplement_spans(with_supp.ids)[1]
+        with_supp = supplement("头痛怎么办", retrieve("头痛怎么办", graph, 24), vocab, 32)
+        without = supplement("头痛怎么办", "", vocab, 32)
+        lo, hi = supplement_spans(with_supp)[1]
         assert hi - lo > 0
-        lo, hi = supplement_spans(without.ids)[1]
+        lo, hi = supplement_spans(without)[1]
         assert hi - lo == 0
-        assert with_supp.ids != without.ids
+        assert with_supp != without
 
         # knowledge ablation: fine-tuning starts from a strictly different state
         dec_cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=16, context_window=32)

@@ -15,7 +15,7 @@ from medkit.encoder import Encoder, EncoderConfig, mask_tokens, mlm_loss
 from medkit.generator import Decoder, DecoderConfig, lm_loss
 from medkit.numerics import Rng, Tensor
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict, slot_loss
-from medkit.tokenizer import MASK_ID, NUM_RESERVED, UNK_ID, TokenBatch, TokenSequence, build_vocab, encode
+from medkit.tokenizer import MASK_ID, NUM_RESERVED, UNK_ID, TokenBatch, build_vocab, encode
 from medkit.triage import TriageConfig, TriageHead, predict_labels, supervised_loss, train_supervised
 
 from oracles import (
@@ -65,9 +65,9 @@ def _assert_equal_within_1e10(batched, oracle):
 def test_token_batch_lays_real_tokens_end_to_end(vocab):
     seqs = [encode(text, vocab, max_len=MAX_LEN) for text in TEXTS]
     batch = TokenBatch.stack(seqs)
-    lengths = [len(seq.ids) for seq in seqs]
+    lengths = [len(seq) for seq in seqs]
     assert batch.lengths.tolist() == lengths == [5, 2, 10, 3, 12, 4]
-    assert batch.ids.tolist() == [i for seq in seqs for i in seq.ids]
+    assert batch.ids.tolist() == [i for seq in seqs for i in seq]
     assert batch.starts.tolist() == [0, 5, 7, 17, 20, 32]
     assert batch.positions.tolist() == [p for n in lengths for p in range(n)]
     assert batch.attention_mask.all() and len(batch.attention_mask) == len(batch.ids) == 36
@@ -80,7 +80,7 @@ def test_packed_sequence_matches_padded_oracle(vocab):
     for text in TEXTS:
         seq = encode(text, vocab, max_len=MAX_LEN)
         out = enc.encode(TokenBatch.stack([seq]))
-        oracle = states_ops(enc, *padded(seq.ids, MAX_LEN)).data[: len(seq.ids)]
+        oracle = states_ops(enc, *padded(seq, MAX_LEN)).data[: len(seq)]
         assert out.token_reps.shape == oracle.shape and out.cls_vector.shape == (1, oracle.shape[1])
         assert np.max(np.abs(out.token_reps.data - oracle)) <= 1e-10
         assert np.max(np.abs(out.cls_vector.data[0] - oracle[0])) <= 1e-10
@@ -91,8 +91,8 @@ def test_embed_score_matches_padded_oracle(vocab):
 
     def vectors(text):  # content and [UNK] rows of the padded oracle's states
         seq = encode(text, vocab, max_len=MAX_LEN)
-        states = states_ops(enc, *padded(seq.ids, MAX_LEN)).data
-        return [states[i] for i, tok in enumerate(seq.ids) if tok >= NUM_RESERVED or tok == UNK_ID]
+        states = states_ops(enc, *padded(seq, MAX_LEN)).data
+        return [states[i] for i, tok in enumerate(seq) if tok >= NUM_RESERVED or tok == UNK_ID]
 
     def cosine(u, v):
         return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -117,9 +117,9 @@ def test_mlm_batch_matches_per_sample_oracle(vocab):
     batch = [mask_tokens(encode(text, vocab, max_len=MAX_LEN), 0.5, rng, vocab.size) for text in TEXTS]
     corrupted, positions, originals = batch[0]
     if not positions:  # keep at least the first sample in the loss
-        ids = list(corrupted.ids)
+        ids = list(corrupted)
         originals, positions, ids[1] = [ids[1]], [1], MASK_ID
-        batch[0] = (TokenSequence(ids), positions, originals)
+        batch[0] = (ids, positions, originals)
     assert not batch[1][1]  # [CLS] [SEP] has nothing to mask and drops out of the batch
     batched = _loss_and_grads(lambda: mlm_loss(enc, batch), enc.params)
     _assert_equal_within_1e10(batched, _loss_and_grads(lambda: mlm_loss_per_sample(enc, batch), enc.params))
@@ -141,7 +141,7 @@ def test_prompt_batch_matches_per_sample_oracle(vocab):
     template = PromptTemplate(suffix="这属于{}科", mask_slot_count=verbalizer.mask_slot_count)
     questions = ["甲", "甲乙丙丁戊己庚辛壬癸子丑寅卯", "乙丙", "丁戊己庚"]  # the second fills max_len
     batch = [(*build_prompt(q, template, vocab, 16), verbalizer.label_tokens["内科" if i % 2 else "外"]) for i, q in enumerate(questions)]
-    assert len(batch[1][0].ids) == 16
+    assert len(batch[1][0]) == 16
     batched = _loss_and_grads(lambda: slot_loss(enc, batch)[0], enc.params)
     _assert_equal_within_1e10(batched, _loss_and_grads(lambda: slot_loss_per_sample(enc, batch), enc.params))
 

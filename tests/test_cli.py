@@ -399,6 +399,38 @@ def test_input_file_that_is_not_utf8_exits_one_naming_itself(tmp_path, corpus_fi
     assert len(err.splitlines()) == 1 and err.startswith(f"medkit: error: {tmp_path / bad}: 'utf-8' codec can't decode")
 
 
+DEEP = "[" * 200_000  # deeper than json's decoder recurses
+
+
+@pytest.mark.parametrize(("argv", "bad", "text", "code", "stderr"), [
+    (["metrics", "--gen", "{good}", "--ref", "{good}", "--encoder", "{enc}"], "enc/encoder.meta.json", DEEP, EXIT_USAGE, "medkit: error: {bad}: maximum recursion"),
+    (["train-prompt", "--in", "{corpus}", "--verbalizer", "{bad}", "--out", "{out}"], "verbalizer.json", DEEP, EXIT_USAGE, "medkit: error: {bad}: maximum recursion"),
+    (["split", "--in", "{bad}", "--out", "{out}"], "deep.jsonl", "{corpus_text}" + DEEP + "\n", EXIT_OK, "medkit: warning: {bad}: 1 malformed lines skipped (first: line 13)\n"),
+    (["metrics", "--gen", "{bad}", "--ref", "{good}"], "gen.jsonl", '{{"answer": {digits}}}\n', EXIT_USAGE, "medkit: error: {bad}:1: Exceeds the limit"),
+], ids=["bundle-meta", "verbalizer", "corpus-line", "gen-row-long-int"])
+def test_json_the_decoder_refuses_is_named_with_its_file(tmp_path, corpus_file, capsys, argv, bad, text, code, stderr):
+    shutil.copytree(FIXTURES / "encoder", tmp_path / "enc")
+    corpus_text = Path(corpus_file).read_text(encoding="utf-8")
+    (tmp_path / bad).write_text(text.format(corpus_text=corpus_text, digits="9" * 5000), encoding="utf-8")
+    (tmp_path / "good.txt").write_text("头痛多喝水\n", encoding="utf-8")
+    paths = {"bad": tmp_path / bad, "good": tmp_path / "good.txt", "out": tmp_path / "out", "corpus": corpus_file, "enc": tmp_path / "enc" / "encoder.ckpt"}
+    assert run([str(a).format(**paths) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(stderr.format(bad=tmp_path / bad)), err
+
+
+@pytest.mark.parametrize("command", ["split", "train-triage"])
+def test_malformed_corpus_lines_warn_once_and_land_in_rejects(tmp_path, capsys, command):
+    lines = [json.dumps(row, ensure_ascii=False) for row in CORPUS_SAMPLES[3:9]]  # two classes
+    lines[2:2] = ["not json", '{"question": 5}']
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run([command, "--in", corpus, "--seed", 3, "--out", tmp_path / "out"] + TINY) == EXIT_OK
+    assert capsys.readouterr().err == f"medkit: warning: {corpus}: 2 malformed lines skipped (first: line 3)\n"
+    rejects = [json.loads(line) for line in (tmp_path / "out" / "rejects.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["line"] for r in rejects] == [3, 4]
+
+
 def test_generator_pipeline_and_chat(tmp_path, corpus_file, capsys, monkeypatch):
     lm_out = tmp_path / "lm"
     assert run(["pretrain-lm", "--in", corpus_file, "--seed", 5, "--out", lm_out] + TINY) == EXIT_OK
@@ -742,7 +774,10 @@ def _common_cases(kind):
 
 # Corruptions of what only the first reader of a kind reads.
 OWN_CASES = {
-    "decoder": {"supplement-a-string": _edit_meta(None, "supplement_max_chars", "64")},
+    "decoder": {
+        "supplement-a-string": _edit_meta(None, "supplement_max_chars", "64"),
+        "supplement-negative": _edit_meta(None, "supplement_max_chars", -1),
+    },
     "triage": {
         "head-section-missing": _edit_meta(None, "head_config", DROP),
         "head-section-not-an-object": _edit_meta(None, "head_config", [1]),
@@ -776,7 +811,7 @@ CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _comm
 CHECKPOINT_CASES = {"truncated", "flip-in-header", "flip-in-tensor-name"}
 NAMED_FILES = {"vocab-": "vocab.txt", "label-map-": "label_map.json", "verbalizer-": "verbalizer.json"}
 # What the error line of a case must also say, where naming the file is not enough.
-MESSAGES = {"ffn-dim-zero": "ffn_dim must be >= 1"}
+MESSAGES = {"ffn-dim-zero": "ffn_dim must be >= 1", "supplement-negative": "supplement_max_chars is -1"}
 CORRUPTIONS += [(kind, case, READERS[kind][:1]) for kind, cases in OWN_CASES.items() for case in cases]
 
 

@@ -13,7 +13,7 @@ from medkit.encoder import (
     pretrain,
 )
 from medkit.numerics import Rng, Tensor, TrainConfig
-from medkit.tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, TokenSequence, build_vocab, encode
+from medkit.tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, build_vocab, encode
 
 from oracles import attention, grad_check, layer_norm
 
@@ -38,8 +38,8 @@ def test_embed_is_token_plus_position(vocab):
     enc = Encoder(tiny_config(vocab.size), Rng(0))
     seq = encode("头痛", vocab, max_len=6)
     out = enc.embed(TokenBatch.stack([seq])).data
-    tok = enc.params["tok_emb"].data[seq.ids]
-    pos = enc.params["pos_emb"].data[: len(seq.ids)]
+    tok = enc.params["tok_emb"].data[seq]
+    pos = enc.params["pos_emb"].data[: len(seq)]
     assert np.array_equal(out, tok + pos)
 
 
@@ -163,7 +163,7 @@ def test_encode_neighbour_content_cannot_leak(vocab):
     seq = encode("头痛", vocab, max_len=9)
     base = enc.encode(TokenBatch.stack([seq, encode("发烧咳嗽", vocab, max_len=9)]))
     other = enc.encode(TokenBatch.stack([seq, encode("多喝水要", vocab, max_len=9)]))  # same length, other content
-    real = len(seq.ids)
+    real = len(seq)
     assert np.array_equal(base.cls_vector.data[0], other.cls_vector.data[0])
     assert np.array_equal(base.token_reps.data[:real], other.token_reps.data[:real])
 
@@ -180,10 +180,9 @@ def test_encoder_gradient_check(vocab):
     seq = encode("头痛发", vocab, max_len=8)
     corrupted, positions, originals = mask_tokens(seq, 0.5, Rng(9), vocab.size)
     if not positions:  # force at least one masked position
-        positions, originals = [1], [seq.ids[1]]
-        ids = list(seq.ids)
-        ids[1] = MASK_ID
-        corrupted = TokenSequence(ids)
+        positions, originals = [1], [seq[1]]
+        corrupted = list(seq)
+        corrupted[1] = MASK_ID
 
     def loss_fn():
         return mlm_loss(enc, [(corrupted, positions, originals)])
@@ -195,7 +194,7 @@ def test_encoder_gradient_check(vocab):
 def test_mask_tokens_rate_statistics(vocab):
     rng = Rng(10)
     seq = encode("头痛发烧咳嗽多喝水要", vocab, max_len=12)
-    eligible = sum(1 for t in seq.ids if t >= NUM_RESERVED)
+    eligible = sum(1 for t in seq if t >= NUM_RESERVED)
     total = 0
     selected = 0
     for _ in range(400):
@@ -209,7 +208,7 @@ def test_mask_tokens_same_seed_same_corruption(vocab):
     seq = encode("头痛发烧咳嗽", vocab, max_len=12)
     a = mask_tokens(seq, 0.3, Rng(77), vocab.size)
     b = mask_tokens(seq, 0.3, Rng(77), vocab.size)
-    assert a[0].ids == b[0].ids and a[1] == b[1] and a[2] == b[2]
+    assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
 
 
 def test_mask_tokens_rejects_bad_rate(vocab):
@@ -223,11 +222,11 @@ def test_mask_tokens_never_touches_specials_or_padding(vocab):
     rng = Rng(11)
     for _ in range(50):
         corrupted, positions, _ = mask_tokens(seq, 0.9, rng, vocab.size)
-        assert len(corrupted.ids) == len(seq.ids)
+        assert len(corrupted) == len(seq)
         for pos in positions:
-            assert seq.ids[pos] >= NUM_RESERVED
-        assert corrupted.ids[0] == seq.ids[0]
-        assert corrupted.ids[len(seq.ids) - 1] == seq.ids[-1]
+            assert seq[pos] >= NUM_RESERVED
+        assert corrupted[0] == seq[0]
+        assert corrupted[len(seq) - 1] == seq[-1]
 
 
 def test_mlm_loss_uniform_model_is_log_vocab(vocab):

@@ -21,7 +21,7 @@ from medkit.generator import (
 )
 from medkit.kgraph import load_triples, fixture_graph_path
 from medkit.numerics import Rng, TrainConfig
-from medkit.tokenizer import EOS_ID, build_vocab, encode
+from medkit.tokenizer import EOS_ID, UNK_ID, build_vocab, encode
 
 from conftest import CORPUS_SAMPLES
 from oracles import full_logits, generate_uncached, grad_check, supplement_spans
@@ -46,24 +46,24 @@ def test_zeroed_output_head_gives_uniform(vocab):
     model = _decoder(vocab, seed=1)
     model.params["out.w"].data = np.zeros_like(model.params["out.w"].data)
     model.params["out.b"].data = np.zeros_like(model.params["out.b"].data)
-    probs = lm_logits(model, encode("头痛", vocab, 12, mode="decoder").ids, KVCache())
+    probs = lm_logits(model, encode("头痛", vocab, 12, mode="decoder"), KVCache())
     assert np.allclose(probs, 1.0 / vocab.size, atol=1e-15)
 
 
 def test_causality_future_edits_leave_earlier_rows_bit_identical(vocab):
     model = _decoder(vocab, seed=2)
-    ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder")
     base = full_logits(model, ids).data
     for j in range(2, len(ids)):
         tampered = list(ids)
-        tampered[j] = vocab.id_of("水")
+        tampered[j] = vocab.ids("水")[0]
         other = full_logits(model, tampered).data
         assert np.array_equal(base[: j], other[: j])
 
 
 def test_sliding_window_keeps_last_k(vocab):
     model = _decoder(vocab, window=6, seed=3)
-    long_ctx = encode("头痛发烧咳嗽多喝水要休息", vocab, 16, mode="decoder").ids
+    long_ctx = encode("头痛发烧咳嗽多喝水要休息", vocab, 16, mode="decoder")
     assert len(long_ctx) > 6
     direct = lm_logits(model, long_ctx, KVCache())
     windowed = lm_logits(model, long_ctx[-6:], KVCache())
@@ -72,7 +72,7 @@ def test_sliding_window_keeps_last_k(vocab):
 
 def test_lm_logits_gradient_check(vocab):
     model = _decoder(vocab, hidden=4, seed=4)
-    ids = encode("头痛发", vocab, 8, mode="decoder").ids
+    ids = encode("头痛发", vocab, 8, mode="decoder")
 
     def loss_fn():
         return lm_loss(model, ids, [True] * len(ids))
@@ -84,7 +84,7 @@ def test_lm_logits_gradient_check(vocab):
 def test_lm_loss_uniform_model_is_log_vocab(vocab):
     model = _decoder(vocab, seed=5)
     _zero(model)
-    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧", vocab, 12, mode="decoder")
     loss = lm_loss(model, ids, [True] * len(ids))
     assert loss.item() == pytest.approx(math.log(vocab.size), abs=1e-12)
 
@@ -92,7 +92,7 @@ def test_lm_loss_uniform_model_is_log_vocab(vocab):
 def test_lm_loss_perfect_model_is_zero(vocab):
     model = _decoder(vocab, seed=6)
     _zero(model)
-    a = vocab.id_of("a")
+    a = vocab.ids("a")[0]
     model.params["out.b"].data[a] = 1000.0  # certain of 'a' everywhere
     ids = [a, a, a, a]
     loss = lm_loss(model, ids, [True] * 4)
@@ -101,7 +101,7 @@ def test_lm_loss_perfect_model_is_zero(vocab):
 
 def test_lm_loss_mask_contract_bit_identical(vocab):
     model = _decoder(vocab, seed=7)
-    ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder")
     mask = [False] * len(ids)
     mask[-2] = mask[-1] = True
 
@@ -112,7 +112,7 @@ def test_lm_loss_mask_contract_bit_identical(vocab):
         return loss.item(), {k: p.grad.tobytes() for k, p in model.params.items()}
 
     tampered = list(ids)
-    tampered[1] = vocab.id_of("水")  # masked-out target position
+    tampered[1] = vocab.ids("水")[0]  # masked-out target position
     base_loss, base_grads = run(list(ids))
     new_loss, new_grads = run(tampered)
     assert base_loss == new_loss
@@ -169,7 +169,7 @@ def test_pretrain_lm_chunks_long_texts(vocab):
 
 def test_pretrain_lm_divergence_aborts_with_rollback(vocab, caplog):
     model = _decoder(vocab, seed=20)
-    model.params["tok_emb"].data[vocab.id_of("头"), 0] = 1e308
+    model.params["tok_emb"].data[vocab.ids("头")[0], 0] = 1e308
     snapshot = {k: v.data.copy() for k, v in model.params.items()}
     with caplog.at_level("ERROR"):
         history = pretrain_lm(model, ["头痛发烧"], vocab, TrainConfig(epochs=2, lr=1e-3, batch_size=1, seed=20))
@@ -188,6 +188,13 @@ def test_build_qa_sequence_masks_answer_only(vocab):
     assert all(mask[prompt_len:])
     assert ids[-1] == EOS_ID
     assert q_hi - q_lo == 5
+
+
+def test_build_qa_sequence_maps_the_answer_as_encode_does():
+    vocab = build_vocab(["头痛多喝水\uf914"])  # U+F914, a CJK compatibility ideograph, is U+6A02 under NFC
+    ids, mask = build_qa_sequence("头痛", "多喝\uf914水", None, vocab, window=32)
+    assert [i for i, m in zip(ids, mask) if m] == encode("多喝\uf914水", vocab, 32, mode="decoder")[1:]
+    assert UNK_ID not in ids
 
 
 def test_finetune_qa_memorizes_pairs(vocab):
@@ -266,7 +273,7 @@ def _never_eos(model):
 
 def test_cached_step_matches_full_recompute_at_every_step(vocab, monkeypatch):
     model = _decoder(vocab, hidden=16, layers=2, window=12, seed=30)
-    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧", vocab, 12, mode="decoder")
     layer_forward = nm.layer_forward
     rows_run = []  # (rows in, rows out) of each cached layer call, bottom layer first
 
@@ -299,7 +306,7 @@ def test_cached_step_matches_full_recompute_at_every_step(vocab, monkeypatch):
 def test_single_row_steps_write_keys_and_values_in_place(vocab):
     model = _decoder(vocab, hidden=16, layers=2, window=12, seed=38)
     _never_eos(model)
-    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧", vocab, 12, mode="decoder")
     cache = KVCache()
     probs = lm_logits(model, ids, cache)
     buf = cache.kv
@@ -317,7 +324,7 @@ def test_single_row_steps_write_keys_and_values_in_place(vocab):
 
 def test_cached_logits_build_no_graph_outside_no_grad(vocab):
     model = _decoder(vocab, hidden=16, layers=2, window=16, seed=35)
-    ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder")
     full = full_logits(model, ids).data
     cache = KVCache()
     for stop in (3, 4, len(ids)):  # a fresh cache, then two extensions of it
@@ -329,7 +336,7 @@ def test_cached_logits_build_no_graph_outside_no_grad(vocab):
 
 def test_warm_cache_decode_step_builds_at_most_two_tensors(vocab, monkeypatch):
     model = _decoder(vocab, hidden=16, layers=2, window=16, seed=36)
-    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧", vocab, 12, mode="decoder")
     cache = KVCache()
     lm_logits(model, ids, cache)  # fills the cache
     built = []
@@ -340,7 +347,7 @@ def test_warm_cache_decode_step_builds_at_most_two_tensors(vocab, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(nm.Tensor, "__init__", counting)
-    for token in encode("咳嗽多", vocab, 12, mode="decoder").ids[1:4]:
+    for token in encode("咳嗽多", vocab, 12, mode="decoder")[1:4]:
         ids = ids + [token]
         before = len(built)
         lm_logits(model, ids, cache)
@@ -350,7 +357,7 @@ def test_warm_cache_decode_step_builds_at_most_two_tensors(vocab, monkeypatch):
 
 def test_cached_decode_overflow_raises_and_drops_the_cache(vocab):
     model = _decoder(vocab, hidden=16, layers=2, window=16, seed=37)
-    ids = encode("头痛发烧", vocab, 12, mode="decoder").ids
+    ids = encode("头痛发烧", vocab, 12, mode="decoder")
     model.params["layer0.ln2.gain"].data *= 1e9
     model.params["layer1.attn.wq0"].data *= 1e300  # the second layer's projection overflows
     cache = KVCache()
@@ -362,8 +369,8 @@ def test_cached_decode_overflow_raises_and_drops_the_cache(vocab):
 def test_cache_from_another_context_is_dropped(vocab):
     model = _decoder(vocab, hidden=16, window=16, seed=31)
     cache = KVCache()
-    lm_logits(model, encode("头痛发烧", vocab, 12, mode="decoder").ids, cache)
-    other = encode("咳嗽多喝水", vocab, 12, mode="decoder").ids
+    lm_logits(model, encode("头痛发烧", vocab, 12, mode="decoder"), cache)
+    other = encode("咳嗽多喝水", vocab, 12, mode="decoder")
     assert np.max(np.abs(lm_logits(model, other, cache) - _softmax(full_logits(model, other).data[-1]))) <= 1e-10
     assert cache.ids == other
 
@@ -397,7 +404,7 @@ def test_cached_greedy_matches_uncached_past_the_context_window(vocab):
     model = _decoder(vocab, hidden=16, layers=2, window=10, seed=33)
     _never_eos(model)
     request = GenerationRequest(question="头痛发烧咳嗽", strategy="greedy", max_gen_len=12)
-    prompt_len = len(encode(request.question, vocab, 10, mode="decoder").ids)
+    prompt_len = len(encode(request.question, vocab, 10, mode="decoder"))
     out = generate(model, request, None, vocab)
     assert prompt_len + len(out["answer"]) > 10  # the window slid and the cache was rebuilt
     assert out == generate_uncached(model, request, None, vocab)

@@ -448,7 +448,7 @@ def test_embed_score_hand_cosine_table():
     from medkit.tokenizer import build_vocab
 
     vocab = build_vocab(["ab"])
-    a_id, b_id = vocab.id_of("a"), vocab.id_of("b")
+    a_id, b_id = vocab.ids("a")[0], vocab.ids("b")[0]
     vectors = {a_id: np.array([1.0, 0.0]), b_id: np.array([0.0, 1.0])}
     enc = _StubEncoder(vectors, hidden=2)
     # candidate "a", reference "ab": best cosine for 'a' is 1; recall side: 'a'->1, 'b'->0
@@ -462,7 +462,7 @@ def test_embed_score_negative_cosines_floor_to_zero():
     from medkit.tokenizer import build_vocab
 
     vocab = build_vocab(["ab"])
-    a_id, b_id = vocab.id_of("a"), vocab.id_of("b")
+    a_id, b_id = vocab.ids("a")[0], vocab.ids("b")[0]
     vectors = {a_id: np.array([1.0, 0.0]), b_id: np.array([-1.0, 0.0])}
     enc = _StubEncoder(vectors, hidden=2)
     p, r, f1 = gm.embed_score("a", "b", enc, vocab)

@@ -13,7 +13,7 @@ from medkit.kgraph import (
     retrieve,
     supplement,
 )
-from medkit.tokenizer import BOS_ID, SEP_ID, build_vocab, encode
+from medkit.tokenizer import BOS_ID, SEP_ID, build_vocab
 
 from oracles import supplement_spans
 
@@ -155,41 +155,36 @@ def vocab():
 
 
 def test_supplement_empty_supplement(vocab):
-    q = encode("头痛", vocab, max_len=16, mode="decoder")
-    seq = supplement(q, "", vocab, max_len=16)
-    assert seq.ids == [BOS_ID, vocab.id_of("头"), vocab.id_of("痛"), SEP_ID, SEP_ID]
-    assert supplement_spans(seq.ids)[1] == (4, 4)
-    assert len(seq.ids) == 5
+    seq = supplement("头痛", "", vocab, max_len=16)
+    assert seq == [BOS_ID, *vocab.ids("头痛"), SEP_ID, SEP_ID]
+    assert supplement_spans(seq)[1] == (4, 4)
+    assert len(seq) == 5
 
 
 def test_supplement_exact_fit(vocab):
-    q = encode("abcde", vocab, max_len=16, mode="decoder")  # 5 content tokens
-    seq = supplement(q, "头痛症状", vocab, max_len=12)
-    assert len(seq.ids) == 12
-    assert supplement_spans(seq.ids) == ((1, 6), (7, 11))
+    seq = supplement("abcde", "头痛症状", vocab, max_len=12)  # 5 content tokens
+    assert len(seq) == 12
+    assert supplement_spans(seq) == ((1, 6), (7, 11))
 
 
 def test_supplement_never_exceeds_max_len(vocab):
-    q = encode("abcdef", vocab, max_len=16, mode="decoder")
     for max_len in range(3, 20):
-        seq = supplement(q, "头痛症状胀痛科室", vocab, max_len=max_len)
-        assert len(seq.ids) <= max_len
+        seq = supplement("abcdef", "头痛症状胀痛科室", vocab, max_len=max_len)
+        assert len(seq) <= max_len
 
 
 def test_supplement_truncates_supplement_before_question(vocab):
-    q = encode("abcde", vocab, max_len=16, mode="decoder")
-    seq = supplement(q, "头痛症状胀痛", vocab, max_len=10)
+    seq = supplement("abcde", "头痛症状胀痛", vocab, max_len=10)
     # 5 question tokens survive; supplement squeezed into the leftover 2 slots
-    question_span, (lo, hi) = supplement_spans(seq.ids)
+    question_span, (lo, hi) = supplement_spans(seq)
     assert question_span == (1, 6)
     assert hi - lo == 2
 
 
 def test_supplement_truncates_question_when_alone_too_long(vocab):
-    q = encode("abcdef", vocab, max_len=16, mode="decoder")
-    seq = supplement(q, "头痛", vocab, max_len=6)
-    assert len(seq.ids) == 6
-    question_span, (lo, hi) = supplement_spans(seq.ids)
+    seq = supplement("abcdef", "头痛", vocab, max_len=6)
+    assert len(seq) == 6
+    question_span, (lo, hi) = supplement_spans(seq)
     assert question_span == (1, 4)
     assert hi - lo == 0
 

@@ -15,7 +15,7 @@ from medkit.prompt import (
     score_labels,
     train_prompt,
 )
-from medkit.tokenizer import MASK_ID, PAD_ID, SEP_ID, TokenBatch, build_vocab
+from medkit.tokenizer import MASK_ID, PAD_ID, SEP_ID, UNK_ID, TokenBatch, build_vocab, encode
 
 from oracles import log_softmax
 
@@ -49,16 +49,16 @@ def test_build_prompt_places_requested_mask_slots(vocab):
     template = PromptTemplate(prefix="", suffix="这属于{}科", mask_slot_count=2)
     seq, slots = build_prompt("头痛", template, vocab, max_len=16)
     assert len(slots) == 2
-    assert [seq.ids[s] for s in slots] == [MASK_ID, MASK_ID]
+    assert [seq[s] for s in slots] == [MASK_ID, MASK_ID]
     # layout: [CLS] 头 痛 这 属 于 [MASK] [MASK] 科 [SEP]
     assert slots == [6, 7]
-    assert seq.ids[slots[1] + 1] == vocab.id_of("科")
+    assert seq[slots[1] + 1] == vocab.ids("科")[0]
 
 
 def test_build_prompt_empty_suffix_puts_masks_before_sep(vocab):
     template = PromptTemplate(prefix="", suffix="", mask_slot_count=2)
     seq, slots = build_prompt("头痛", template, vocab, max_len=10)
-    sep_pos = seq.ids.index(SEP_ID)
+    sep_pos = seq.index(SEP_ID)
     assert slots == [sep_pos - 2, sep_pos - 1]
 
 
@@ -66,16 +66,24 @@ def test_build_prompt_deterministic(vocab):
     template = PromptTemplate(suffix="这属于{}科", mask_slot_count=1)
     a = build_prompt("发烧", template, vocab, max_len=16)
     b = build_prompt("发烧", template, vocab, max_len=16)
-    assert a[0].ids == b[0].ids and a[1] == b[1]
+    assert a[0] == b[0] and a[1] == b[1]
 
 
 def test_build_prompt_truncates_question_first(vocab):
     template = PromptTemplate(suffix="这属于{}科", mask_slot_count=1)
     # fixed parts: 这属于 + 1 slot + 科 = 5, plus [CLS]/[SEP] = 7; room = 3
     seq, slots = build_prompt("头痛发烧咳嗽", template, vocab, max_len=10)
-    assert len(seq.ids) == 10
-    decoded_front = [seq.ids[1], seq.ids[2], seq.ids[3]]
-    assert decoded_front == [vocab.id_of("头"), vocab.id_of("痛"), vocab.id_of("发")]
+    assert len(seq) == 10
+    decoded_front = [seq[1], seq[2], seq[3]]
+    assert decoded_front == vocab.ids("头痛发")
+
+
+def test_build_prompt_maps_the_template_as_encode_does():
+    vocab = build_vocab(["头痛这属于\uf914科"])  # U+F914, a CJK compatibility ideograph, is U+6A02 under NFC
+    template = PromptTemplate(prefix="\uf914", suffix="这\uf914{}科\uf914", mask_slot_count=1)
+    seq, slots = build_prompt("头痛", template, vocab, max_len=16)
+    assert seq == encode("\uf914头痛这\uf914", vocab, 16)[:-1] + [MASK_ID] + encode("科\uf914", vocab, 16)[1:]
+    assert slots == [6] and UNK_ID not in seq
 
 
 def test_build_prompt_template_too_large_is_config_error(vocab):
@@ -92,7 +100,7 @@ def test_build_prompt_requires_question(vocab):
 def test_verbalizer_pads_to_common_width(vocab):
     verb = Verbalizer.from_surfaces({"内科": "内科", "骨": "骨"}, vocab)
     assert verb.mask_slot_count == 2
-    assert verb.label_tokens["骨"] == [vocab.id_of("骨"), PAD_ID]
+    assert verb.label_tokens["骨"] == [vocab.ids("骨")[0], PAD_ID]
 
 
 def test_verbalizer_rejects_identical_surfaces(vocab):
@@ -105,13 +113,13 @@ def test_score_labels_hand_arithmetic(vocab):
     template = PromptTemplate(suffix="", mask_slot_count=1)
     seq, slots = build_prompt("头痛", template, vocab, max_len=8)
     probs = np.full(vocab.size, 1e-9)
-    probs[vocab.id_of("甲")] = 0.6
-    probs[vocab.id_of("乙")] = 0.3
+    probs[vocab.ids("甲")[0]] = 0.6
+    probs[vocab.ids("乙")[0]] = 0.3
     probs /= probs.sum()
-    stub = StubModel({slots[0]: np.log(probs).tolist()}, len(seq.ids), vocab.size)
+    stub = StubModel({slots[0]: np.log(probs).tolist()}, len(seq), vocab.size)
     [scores] = score_labels(stub, TokenBatch.stack([seq]), [slots], verb)
-    assert scores["甲"] == pytest.approx(math.log(probs[vocab.id_of("甲")]), abs=1e-9)
-    assert scores["乙"] == pytest.approx(math.log(probs[vocab.id_of("乙")]), abs=1e-9)
+    assert scores["甲"] == pytest.approx(math.log(probs[vocab.ids("甲")[0]]), abs=1e-9)
+    assert scores["乙"] == pytest.approx(math.log(probs[vocab.ids("乙")[0]]), abs=1e-9)
 
 
 def test_score_labels_two_slot_sum(vocab):
@@ -119,17 +127,17 @@ def test_score_labels_two_slot_sum(vocab):
     template = PromptTemplate(suffix="", mask_slot_count=2)
     seq, slots = build_prompt("头痛", template, vocab, max_len=10)
     row0 = np.zeros(vocab.size)
-    row0[vocab.id_of("内")] = 2.0
+    row0[vocab.ids("内")[0]] = 2.0
     row1 = np.zeros(vocab.size)
-    row1[vocab.id_of("科")] = 1.0
-    stub = StubModel({slots[0]: row0, slots[1]: row1}, len(seq.ids), vocab.size)
+    row1[vocab.ids("科")[0]] = 1.0
+    stub = StubModel({slots[0]: row0, slots[1]: row1}, len(seq), vocab.size)
     [scores] = score_labels(stub, TokenBatch.stack([seq]), [slots], verb)
 
     def logsumexp(row):
         m = row.max()
         return m + math.log(np.exp(row - m).sum())
 
-    expected_nei = (row0[vocab.id_of("内")] - logsumexp(row0)) + (row1[vocab.id_of("科")] - logsumexp(row1))
+    expected_nei = (row0[vocab.ids("内")[0]] - logsumexp(row0)) + (row1[vocab.ids("科")[0]] - logsumexp(row1))
     assert scores["内科"] == pytest.approx(expected_nei, abs=1e-9)
 
 
@@ -138,8 +146,8 @@ def test_score_labels_confident_model_scores_zero(vocab):
     template = PromptTemplate(suffix="", mask_slot_count=1)
     seq, slots = build_prompt("头痛", template, vocab, max_len=8)
     row = np.zeros(vocab.size)
-    row[vocab.id_of("甲")] = 1000.0
-    stub = StubModel({slots[0]: row}, len(seq.ids), vocab.size)
+    row[vocab.ids("甲")[0]] = 1000.0
+    stub = StubModel({slots[0]: row}, len(seq), vocab.size)
     [scores] = score_labels(stub, TokenBatch.stack([seq]), [slots], verb)
     assert scores["甲"] == pytest.approx(0.0, abs=1e-9)
     assert scores["乙"] < -100
@@ -171,8 +179,8 @@ def test_predict_matches_restricted_argmax_for_single_token_labels(vocab):
         seq, slots = build_prompt("头痛发烧", template, vocab, max_len=12)
         logits = enc.mlm_logits(TokenBatch.stack([seq])).data[slots[0]]
         candidates = sorted(surfaces)
-        best = max(candidates, key=lambda lab: (logits[vocab.id_of(surfaces[lab])], ))
-        ties = [lab for lab in candidates if logits[vocab.id_of(surfaces[lab])] == logits[vocab.id_of(surfaces[best])]]
+        best = max(candidates, key=lambda lab: (logits[vocab.ids(surfaces[lab])[0]], ))
+        ties = [lab for lab in candidates if logits[vocab.ids(surfaces[lab])[0]] == logits[vocab.ids(surfaces[best])[0]]]
         expected = min(ties)
         assert predict(enc, ["头痛发烧"], template, verb, vocab, max_len=12) == [expected]
 

@@ -9,6 +9,7 @@ from medkit.tokenizer import (
     NUM_RESERVED,
     PAD_ID,
     SEP_ID,
+    UNK_ID,
     TokenizerError,
     Vocab,
     build_vocab,
@@ -20,8 +21,8 @@ from medkit.tokenizer import (
 def test_build_vocab_hand_count():
     vocab = build_vocab(["aab"], min_freq=1)
     assert vocab.size == 9  # 7 reserved + 'a' + 'b'
-    assert vocab.id_of("a") == NUM_RESERVED  # higher frequency first
-    assert vocab.id_of("b") == NUM_RESERVED + 1
+    assert vocab.ids("a")[0] == NUM_RESERVED  # higher frequency first
+    assert vocab.ids("b")[0] == NUM_RESERVED + 1
 
 
 def test_build_vocab_min_freq_excludes():
@@ -38,7 +39,7 @@ def test_build_vocab_deterministic():
 
 def test_build_vocab_ties_break_by_codepoint():
     vocab = build_vocab(["ba"])
-    assert vocab.id_of("a") < vocab.id_of("b")
+    assert vocab.ids("a")[0] < vocab.ids("b")[0]
 
 
 def test_build_vocab_empty_corpus_rejected():
@@ -49,13 +50,13 @@ def test_build_vocab_empty_corpus_rejected():
 def test_encode_empty_text():
     vocab = build_vocab(["ab"])
     seq = encode("", vocab, max_len=6)
-    assert seq.ids == [CLS_ID, SEP_ID]
+    assert seq == [CLS_ID, SEP_ID]
 
 
 def test_encode_truncates_to_max_len():
     vocab = build_vocab(["ab"])
     seq = encode("ab", vocab, max_len=3)
-    assert seq.ids == [CLS_ID, vocab.id_of("a"), SEP_ID]
+    assert seq == [CLS_ID, vocab.ids("a")[0], SEP_ID]
 
 
 def test_encode_and_build_prompt_write_no_pad_and_stay_within_max_len():
@@ -64,42 +65,47 @@ def test_encode_and_build_prompt_write_no_pad_and_stay_within_max_len():
     for max_len in (3, 8, 20):
         for text in ["", "头", "头痛发烧", "头痛发烧咳嗽" * 5]:
             for mode in ("encoder", "decoder"):
-                ids = encode(text, vocab, max_len=max_len, mode=mode).ids
+                ids = encode(text, vocab, max_len=max_len, mode=mode)
                 assert PAD_ID not in ids and len(ids) == min(len(text), max_len - 2) + 2
             if text:
                 prompt, slots = build_prompt(text, template, vocab, max_len)
-                assert PAD_ID not in prompt.ids and len(prompt.ids) == min(len(text), max_len - 3) + 3
-                assert prompt.ids[slots[0]] == MASK_ID
+                assert PAD_ID not in prompt and len(prompt) == min(len(text), max_len - 3) + 3
+                assert prompt[slots[0]] == MASK_ID
 
 
 def test_decoder_mode_brackets_with_bos_eos():
     vocab = build_vocab(["ab"])
     seq = encode("ab", vocab, max_len=8, mode="decoder")
-    assert seq.ids == [BOS_ID, vocab.id_of("a"), vocab.id_of("b"), EOS_ID]
+    assert seq == [BOS_ID, vocab.ids("a")[0], vocab.ids("b")[0], EOS_ID]
+
+
+def test_vocab_ids_normalizes_and_maps_unknown_chars_to_unk():
+    vocab = build_vocab(["a\uf914"])
+    assert vocab.ids("a\uf914x") == vocab.ids("a\u6a02") + [UNK_ID] == [NUM_RESERVED, NUM_RESERVED + 1, UNK_ID]
 
 
 def test_unknown_char_maps_to_unk():
     vocab = build_vocab(["ab"])
     seq = encode("ax", vocab, max_len=6)
-    assert seq.ids[2] == 1  # [UNK]
+    assert seq[2] == 1  # [UNK]
 
 
 def test_round_trip():
     vocab = build_vocab(["头痛发烧咳嗽"])
     for text in ["头痛", "咳嗽发烧", ""]:
-        assert decode(encode(text, vocab, max_len=16).ids, vocab) == text
-        assert decode(encode(text, vocab, max_len=16, mode="decoder").ids, vocab) == text
+        assert decode(encode(text, vocab, max_len=16), vocab) == text
+        assert decode(encode(text, vocab, max_len=16, mode="decoder"), vocab) == text
 
 
 def test_decode_skips_specials():
     vocab = build_vocab(["ab"])
-    a, b = vocab.id_of("a"), vocab.id_of("b")
+    a, b = vocab.ids("ab")
     assert decode([CLS_ID, a, b, SEP_ID, PAD_ID], vocab) == "ab"
 
 
 def test_decode_stops_at_eos():
     vocab = build_vocab(["ab"])
-    a, b = vocab.id_of("a"), vocab.id_of("b")
+    a, b = vocab.ids("ab")
     assert decode([BOS_ID, a, EOS_ID, b], vocab) == "a"
 
 
@@ -130,5 +136,5 @@ def test_vocab_file_round_trip(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[:NUM_RESERVED] == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[BOS]", "[EOS]"]
     for offset, token in enumerate(lines[NUM_RESERVED:]):
-        assert vocab.id_of(token) == offset + NUM_RESERVED
+        assert vocab.ids(token)[0] == offset + NUM_RESERVED
 
