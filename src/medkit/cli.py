@@ -248,7 +248,7 @@ _BUNDLE_PARTS = {  # part: (meta section, config class, model class)
     "head": ("head_config", triage_mod.TriageConfig, triage_mod.TriageHead),
 }
 # Top-level meta keys that commands read, with their types.
-_META_TYPES = {"include_pad_slots": bool, "supplement_max_chars": int}
+_META_TYPES = {"include_pad_slots": bool, "supplement_max_chars": int, "checkpoint_sha256": str}
 
 
 def _tensor_prefix(kind, part: str) -> str:
@@ -259,8 +259,8 @@ def _save_bundle(out: Path, name: str, kind: str, parts: dict, vocab: tok_mod.Vo
     """Write the bundle of the models in `parts` (part name: model)."""
     params = {_tensor_prefix(kind, part) + k: v for part, model in parts.items() for k, v in model.params.items()}
     sections = {_BUNDLE_PARTS[part][0]: asdict(model.config) for part, model in parts.items()}
-    save_checkpoint(out / f"{name}.ckpt", params)
-    _write_json(out / f"{name}.meta.json", {"kind": kind, **sections, **extra})
+    digest = save_checkpoint(out / f"{name}.ckpt", params)
+    _write_json(out / f"{name}.meta.json", {"kind": kind, **sections, "checkpoint_sha256": digest, **extra})
     vocab.save(out / "vocab.txt")
 
 
@@ -324,7 +324,7 @@ def _load_bundle(ckpt, *parts: str):
         raise CliError(f"{vocab_path}: {exc}") from None
     if vocab.size != configs[0].vocab_size:
         raise CliError(f"{vocab_path} has {vocab.size} entries but the bundle config says vocab_size {configs[0].vocab_size}")
-    state = load_checkpoint(ckpt)
+    state = load_checkpoint(ckpt, meta.get("checkpoint_sha256"))
     models = [_BUNDLE_PARTS[part][2](config, None) for part, config in zip(parts, configs)]  # zeros, replaced below
     for part, model in zip(parts, models):
         try:
@@ -501,11 +501,11 @@ def cmd_train_prompt(args) -> int:
     history = prompt_mod.train_prompt(
         encoder, pairs, template, verbalizer, vocab, max_len, TrainConfig(cfg.prompt_epochs, cfg.prompt_lr, cfg.batch_size, cfg.seed)
     )
-    _write_json(out / "verbalizer.json", {label: tok_mod.decode(toks, vocab) for label, toks in verbalizer.label_tokens.items()})
+    _write_json(out / "verbalizer.json", surfaces)
     return _finish(
         out, "train.log.csv", history, "prompt training", ("prompt", "prompt", {"encoder": encoder}, vocab),
         f"prompt-trained on {len(pairs)} samples, {len(verbalizer.labels)} labels",
-        template=asdict(template), include_pad_slots=cfg.include_pad_slots, max_len=max_len,
+        template=asdict(template), include_pad_slots=cfg.include_pad_slots,
     )
 
 
@@ -513,9 +513,6 @@ def cmd_eval_prompt(args) -> int:
     cfg, out = _start(args)
     encoder, vocab, meta = _load_bundle(args.ckpt, "encoder")
     template = _config(prompt_mod.PromptTemplate, meta, "template", _meta_path(args.ckpt))
-    max_len = meta.get("max_len")
-    if type(max_len) is not int or max_len < 1:
-        raise CliError(f"{_meta_path(args.ckpt)}: max_len is {max_len!r}, expected an int >= 1")
     verbalizer = prompt_mod.Verbalizer.from_surfaces(_read_surfaces(Path(args.ckpt).parent / "verbalizer.json"), vocab)
     pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
     known = [(q, label) for q, label in pairs if label in verbalizer.label_tokens]
@@ -523,7 +520,7 @@ def cmd_eval_prompt(args) -> int:
     label_ids = {label: i for i, label in enumerate(verbalizer.labels)}
     for start in range(0, len(known), cfg.batch_size):
         chunk = known[start : start + cfg.batch_size]
-        choices = prompt_mod.predict(encoder, [q for q, _ in chunk], template, verbalizer, vocab, max_len, meta.get("include_pad_slots", True))
+        choices = prompt_mod.predict(encoder, [q for q, _ in chunk], template, verbalizer, vocab, encoder.config.max_len, meta.get("include_pad_slots", True))
         preds += [label_ids[choice] for choice in choices]
         gold += [label_ids[label] for _, label in chunk]
     return _report_accuracy(out, preds, gold, len(pairs) - len(known))
@@ -551,7 +548,7 @@ def cmd_train_gen(args) -> int:
     lm_ckpt = None if cfg.no_knowledge else args.lm_ckpt
     texts = [q for q, _ in qa_pairs] + [a for _, a in qa_pairs]
     if graph is not None:
-        texts += [t.render() for t in graph.triples]
+        texts += [t.render() for facts in graph.values() for t in facts]
     decoder, vocab = _base_model(cfg, "decoder", lm_ckpt, texts)
     fine = gen_mod.finetune_qa(
         decoder, qa_pairs, graph, vocab, TrainConfig(cfg.lm_finetune_epochs, cfg.lm_lr, cfg.batch_size, cfg.seed), cfg.supplement_max_chars

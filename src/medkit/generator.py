@@ -12,10 +12,10 @@ the keys and values of the earlier ones, written in place into one
 preallocated buffer for all layers. A step reads only the last position's
 next-token distribution, so the top layer past its key/value projection, and
 the output projection, run on that row alone. A step runs
-`numerics.layer_forward` on plain arrays and wraps only the logits in a
-Tensor, so no graph is built. Once the context passes `context_window` the
-window slides, every learned absolute position changes, and each step
-recomputes the whole window into the same buffer.
+`numerics.layer_forward` on plain arrays and builds no Tensor, so no graph.
+Once the context passes `context_window` the window slides, every learned
+absolute position changes, and each step recomputes the whole window into the
+same buffer.
 """
 
 from __future__ import annotations
@@ -113,50 +113,41 @@ class Decoder:
         x = nm.take_rows(self.params["tok_emb"], ids) + nm.take_rows(self.params["pos_emb"], positions)
         return run_layers(x, self.params, True, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths)
 
-    def logits_matrix(self, ids, cache: KVCache) -> Tensor:
-        """Next-token logits of the last position of the (windowed) ids, as a
-        one-row Tensor with no graph.
-
-        With a `cache` whose ids are a proper prefix of the windowed ids, only
-        the positions after that prefix are embedded and run. Any other cache
-        (from another context, or one the sliding window has shifted) is
-        dropped and the whole window recomputed. Either way the cache then
-        covers the whole window. Each layer runs numerics.layer_forward on
-        arrays, writing the new positions' keys and values into the cache.
-        """
-        ids = list(ids)
-        if not ids:
-            raise ValueError("empty context")
-        cfg = self.config
-        if len(ids) > cfg.context_window:
-            ids = ids[-cfg.context_window :]
-        n = len(ids)
-        start = len(cache.ids)
-        if not (start < n and cache.ids == ids[:start]):
-            start = 0
-        new = ids[start:]  # a valid cached prefix was checked when it was new
-        if max(new) >= cfg.vocab_size or min(new) < 0:
-            raise ValueError("token id out of vocab range")
-        if cache.kv is None:
-            cache.kv = np.empty((cfg.num_layers, 2, cfg.num_heads, cfg.context_window, cfg.hidden_dim // cfg.num_heads))
-            cache.weights = [nm.layer_arrays(layer_weights(self.params, f"layer{i}", cfg.num_heads), cfg.num_heads) for i in range(cfg.num_layers)]
-        cache.ids = []  # stays invalid unless the stack below completes
-        x = self.params["tok_emb"].data[new] + self.params["pos_emb"].data[start:n]
-        for i, w in enumerate(cache.weights):
-            x = nm.layer_forward(x, w, cfg.num_heads, True, cfg.ln_eps, kv=cache.kv[i, :, :, :n], last_only=i == cfg.num_layers - 1)[0]
-        cache.ids = ids
-        return Tensor(x @ self.params["out.w"].data + self.params["out.b"].data)
-
 
 def lm_logits(model: Decoder, context_ids, cache: KVCache) -> np.ndarray:
-    """Distribution over the next token given the (windowed) context.
+    """Distribution over the next token given the last `context_window` ids
+    of the context, as a plain array: a step builds no Tensor.
 
-    A `cache` carried across calls for one growing context makes each call
-    run only the tokens added since the last one (see Decoder.logits_matrix).
+    With a `cache` whose ids are a proper prefix of the windowed ids, only
+    the positions after that prefix are embedded and run. Any other cache
+    (from another context, or one the sliding window has shifted) is dropped
+    and the whole window recomputed. Either way the cache then covers the
+    whole window. A non-finite logit raises NumericsError.
     """
-    last = model.logits_matrix(context_ids, cache).data[0]
-    shifted = last - np.maximum.reduce(last)
-    e = np.exp(shifted)
+    cfg = model.config
+    ids = list(context_ids)[-cfg.context_window :]
+    if not ids:
+        raise ValueError("empty context")
+    n = len(ids)
+    start = len(cache.ids)
+    if not (start < n and cache.ids == ids[:start]):
+        start = 0
+    new = ids[start:]  # a valid cached prefix was checked when it was new
+    if max(new) >= cfg.vocab_size or min(new) < 0:
+        raise ValueError("token id out of vocab range")
+    if cache.kv is None:
+        cache.kv = np.empty((cfg.num_layers, 2, cfg.num_heads, cfg.context_window, cfg.hidden_dim // cfg.num_heads))
+        cache.weights = [nm.layer_arrays(layer_weights(model.params, f"layer{i}", cfg.num_heads), cfg.num_heads) for i in range(cfg.num_layers)]
+    cache.ids = []  # stays invalid unless the stack below completes
+    x = model.params["tok_emb"].data[new] + model.params["pos_emb"].data[start:n]
+    for i, w in enumerate(cache.weights):
+        x = nm.layer_forward(x, w, cfg.num_heads, True, cfg.ln_eps, kv=cache.kv[i, :, :, :n], last_only=i == cfg.num_layers - 1)[0]
+    cache.ids = ids
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite logit surfaces as the check below
+        last = (x @ model.params["out.w"].data + model.params["out.b"].data)[0]
+    if not np.isfinite(last).all():
+        raise nm.NumericsError("non-finite logits")
+    e = np.exp(last - np.maximum.reduce(last))
     return e / np.add.reduce(e)
 
 

@@ -297,9 +297,10 @@ def _ref_spans(reference, max_len: int) -> set[tuple]:
     return spans
 
 
-def _best_shift(current, masks, m, ref_spans) -> tuple[int, list] | None:
+def _best_shift(current, masks, m, ref_spans, floor: int) -> tuple[int, list] | None:
     """First shift (span length asc, start asc, destination asc) reaching the
-    minimal post-shift edit distance; None when no shift is possible."""
+    minimal post-shift edit distance, or `floor`, which no shift can beat;
+    None when no shift is possible."""
     best_dist = None
     best_seq = None
     n = len(current)
@@ -315,15 +316,16 @@ def _best_shift(current, masks, m, ref_spans) -> tuple[int, list] | None:
                 shifted = rest[:dest] + list(span) + rest[dest:]
                 d = _edit_distance(shifted, masks, m)
                 if best_dist is None or d < best_dist:
-                    best_dist = d
-                    best_seq = shifted
-    if best_dist is None:
-        return None
-    return best_dist, best_seq
+                    best_dist, best_seq = d, shifted
+                    if d == floor:
+                        return d, shifted
+    return None if best_dist is None else (best_dist, best_seq)
 
 
 def ter(candidate, reference) -> float:
-    """Translation edit rate: (edits + block shifts) / reference length."""
+    """Translation edit rate: (edits + block shifts) / reference length.
+    Shifting stops at the longer length minus the shared tokens, a floor under
+    the edit distance of every reordering of the candidate."""
     cand = list(candidate)
     ref = list(reference)
     if not ref:
@@ -333,8 +335,9 @@ def ter(candidate, reference) -> float:
     shifts = 0
     current = cand
     dist = _edit_distance(current, masks, len(ref))
-    while dist > 0:
-        found = _best_shift(current, masks, len(ref), spans)
+    floor = max(len(cand), len(ref)) - sum((Counter(cand) & Counter(ref)).values())
+    while dist > floor:
+        found = _best_shift(current, masks, len(ref), spans, floor)
         if found is None:
             break
         new_dist, shifted = found

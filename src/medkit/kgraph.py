@@ -1,15 +1,15 @@
 """Knowledge-graph storage, entity matching and input supplementation.
 
-The graph is a flat list of (head, relation, tail) facts indexed by head
-surface. Questions are scanned with greedy longest-match against the indexed
-heads; the matched entities' facts are serialized into a supplement string
-that is appended to the question before generation.
+The graph is a dict from each head surface to its (head, relation, tail)
+facts in file order. Questions are scanned with greedy longest-match against
+the heads; the matched entities' facts are serialized into a supplement
+string that is appended to the question before generation.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .corpus import Reject, read_jsonl
@@ -28,21 +28,7 @@ class KnowledgeTriple:
         return f"{self.head} {self.relation} {self.tail}。"
 
 
-@dataclass
-class KnowledgeGraph:
-    triples: list[KnowledgeTriple] = field(default_factory=list)
-    index: dict[str, list[int]] = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return len(self.triples)
-
-    @property
-    def max_entity_len(self) -> int:
-        return max((len(h) for h in self.index), default=0)
-
-    def lookup(self, head: str) -> list[KnowledgeTriple]:
-        return [self.triples[i] for i in self.index.get(head, [])]
+KnowledgeGraph = dict[str, list[KnowledgeTriple]]
 
 
 def _parse_triple(obj) -> KnowledgeTriple:
@@ -55,18 +41,17 @@ def _parse_triple(obj) -> KnowledgeTriple:
 
 
 def load_triples(path) -> tuple[KnowledgeGraph, list[Reject]]:
-    """Read {head, relation, tail} JSONL into an indexed graph.
+    """Read {head, relation, tail} JSONL into a graph.
 
     Duplicate triples are deduplicated; malformed lines are reported, not
     silently dropped. Raises ValueError naming the file when more than half
     of the non-empty lines are malformed (corpus.read_jsonl).
     """
-    graph = KnowledgeGraph()
+    graph: KnowledgeGraph = {}
     triples, rejects = read_jsonl(path, _parse_triple)
     for triple in dict.fromkeys(triples):  # the first of each duplicate, in file order
-        graph.index.setdefault(triple.head, []).append(len(graph.triples))
-        graph.triples.append(triple)
-    if graph.size == 0:
+        graph.setdefault(triple.head, []).append(triple)
+    if not graph:
         log.warning("load_triples: %s produced an empty graph", path)
     return graph, rejects
 
@@ -77,21 +62,21 @@ def fixture_graph_path() -> str:
 
 
 def match_entities(question: str, graph: KnowledgeGraph) -> list[str]:
-    """Greedy longest-match scan of the question against indexed entity heads.
+    """Greedy longest-match scan of the question against the graph's heads.
 
-    At each position the longest indexed entity starting there wins and the
+    At each position the longest head starting there wins and the
     scan advances past it. Matches are returned in occurrence order, deduped.
     """
     text = _normalize(question)
     found: list[str] = []
     seen: set[str] = set()
-    limit = graph.max_entity_len
+    limit = max(map(len, graph), default=0)
     i = 0
     while i < len(text):
         matched = None
         for length in range(min(limit, len(text) - i), 0, -1):
             candidate = text[i : i + length]
-            if candidate in graph.index:
+            if candidate in graph:
                 matched = candidate
                 break
         if matched is None:
@@ -112,7 +97,7 @@ def retrieve(question: str, graph: KnowledgeGraph, max_chars: int) -> str:
     pieces: list[str] = []
     used = 0
     for entity in match_entities(question, graph):
-        for triple in graph.lookup(entity):
+        for triple in graph[entity]:
             rendered = triple.render()
             if used + len(rendered) > max_chars:
                 return "".join(pieces)

@@ -613,8 +613,6 @@ class Adam:
         keyed = {(g["name"], name): p for g in self.groups for name, p in g["params"].items()}
         self._m = {key: np.zeros_like(p.data) for key, p in keyed.items()}
         self._v = {key: np.zeros_like(p.data) for key, p in keyed.items()}
-        # the step's numerator and denominator, viewed per parameter
-        self._scratch = np.empty((2, max((m.size for m in self._m.values()), default=0)))
 
     def zero_grad(self) -> None:
         for g in self.groups:
@@ -630,16 +628,11 @@ class Adam:
                 if p.grad is None:
                     continue
                 m, v = self._m[g["name"], name], self._v[g["name"], name]
-                num, den = (row[: m.size].reshape(m.shape) for row in self._scratch)
-                # in place, rounding as p -= lr * (m / c1) / (sqrt(v / c2) + eps)
                 m *= self.BETA1
-                m += np.multiply(p.grad, 1.0 - self.BETA1, out=num)
+                m += (1.0 - self.BETA1) * p.grad
                 v *= self.BETA2
-                v += np.multiply(np.multiply(p.grad, p.grad, out=den), 1.0 - self.BETA2, out=den)
-                np.multiply(np.divide(m, c1, out=num), lr, out=num)
-                np.sqrt(np.divide(v, c2, out=den), out=den)
-                den += self.EPS
-                p.data -= np.divide(num, den, out=num)
+                v += (1.0 - self.BETA2) * (p.grad * p.grad)
+                p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
     def state_summary(self) -> dict:
         """Small JSON-able snapshot; exposes the learning-rate groups."""
@@ -767,29 +760,36 @@ CHECKPOINT_MAGIC = b"MEDCKPT\x00"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
+def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> str:
     """Write `<path>.tmp` beside `path`, then rename it over `path`, so a failed
-    write keeps the previous file. No fsync: this is not power-loss safe."""
+    write keeps the previous file; returns the sha256 hex digest of the bytes
+    written. No fsync: this is not power-loss safe."""
     items = sorted(named.items())
     tmp = f"{os.fspath(path)}.tmp"
+    preamble = CHECKPOINT_MAGIC + struct.pack("<QQ", CHECKPOINT_VERSION, len(items))
+    digest = hashlib.sha256(preamble)
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC + struct.pack("<QQ", CHECKPOINT_VERSION, len(items)))
+            fh.write(preamble)
             for name, value in items:
                 arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
                 encoded = name.encode("utf-8")
-                fh.write(struct.pack("<Q", len(encoded)) + encoded + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                header = struct.pack("<Q", len(encoded)) + encoded + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape)
+                for chunk in (header, np.ascontiguousarray(arr, dtype="<f8").tobytes()):
+                    fh.write(chunk)
+                    digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    return digest.hexdigest()
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; a truncated or otherwise malformed file raises
-    NumericsError naming the file, never a struct or buffer error."""
+def load_checkpoint(path, sha256: str | None = None) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a truncated or otherwise malformed file, or one whose
+    bytes do not have the `sha256` hex digest given, raises NumericsError
+    naming the file, never a struct or buffer error."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -827,4 +827,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         out[name] = arr.astype(np.float64)
     if offset != len(blob):
         raise NumericsError(f"{path}: trailing bytes in checkpoint")
+    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+        raise NumericsError(f"{path}: checkpoint bytes do not match the digest its meta records")
     return out

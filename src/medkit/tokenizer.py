@@ -104,14 +104,15 @@ class TokenBatch:
 
 
 def build_vocab(corpus_texts, min_freq: int = 1) -> Vocab:
-    """Assign ids to every character whose corpus frequency is >= min_freq."""
+    """Assign ids to every character whose corpus frequency is >= min_freq,
+    but for line breaks, which vocab.txt cannot hold: they map to [UNK]."""
     texts = list(corpus_texts)
     if not texts:
         raise TokenizerError("cannot build a vocab from an empty corpus")
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(_normalize(text))
-    kept = [ch for ch, c in counts.items() if c >= min_freq]
+    kept = [ch for ch, c in counts.items() if c >= min_freq and ch not in "\r\n"]
     kept.sort(key=lambda ch: (-counts[ch], ch))
     return Vocab(RESERVED_TOKENS + kept)
 

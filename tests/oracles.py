@@ -310,9 +310,9 @@ def bf_dendrite(vector, weight_stack):
 
 
 def full_logits(model, ids):
-    """Decoder.logits_matrix without a cache: every position of the windowed
-    ids run through Decoder.hidden_states, recording the autograd graph, and
-    the output projection applied to every row."""
+    """The logits under generator.lm_logits, without a cache: every position
+    of the windowed ids run through Decoder.hidden_states, recording the
+    autograd graph, and the output projection applied to every row."""
     ids = list(ids)[-model.config.context_window :]
     return nm.matmul(model.hidden_states(ids, [len(ids)]), model.params["out.w"]) + model.params["out.b"]
 

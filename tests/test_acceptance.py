@@ -192,7 +192,7 @@ def test_criterion_04b_generator_memorizes_qa_fixture():
     with criterion(4, "overfit: greedy decoding reproduces >= 7/8 QA pairs"):
         started = time.perf_counter()
         graph, _ = load_triples(fixture_graph_path())
-        texts = [q for q, _ in QA_PAIRS] + [a for _, a in QA_PAIRS] + [t.render() for t in graph.triples]
+        texts = [q for q, _ in QA_PAIRS] + [a for _, a in QA_PAIRS] + [t.render() for facts in graph.values() for t in facts]
         vocab = build_vocab(texts)
         cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=32, num_layers=1, num_heads=2, ffn_dim=64, context_window=64, max_gen_len=12)
         model = Decoder(cfg, Rng(41).spawn("dec"))

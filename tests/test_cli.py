@@ -14,7 +14,7 @@ from medkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig, build_parse
 from medkit.encoder import EncoderConfig
 from medkit.generator import Decoder, DecoderConfig
 from medkit.kgraph import fixture_graph_path
-from medkit.numerics import NumericsError, Rng, load_checkpoint
+from medkit.numerics import NumericsError, Rng, load_checkpoint, save_checkpoint
 from medkit.tokenizer import Vocab
 
 import cli_help
@@ -338,6 +338,28 @@ def test_prompt_train_eval_round_trip(tmp_path, corpus_file, capsys):
     assert code == EXIT_OK
     payload = json.loads((eval_out / "metrics.json").read_text())
     assert payload["accuracy"] >= 0.9
+
+
+def test_prompt_bundle_keeps_the_surfaces_its_encoder_cannot_spell(tmp_path, capsys):
+    """verbalizer.json holds the surfaces train-prompt was given, so eval-prompt
+    maps them to the slot ids training used, [UNK] for 皮, 肤, 妇 and 官."""
+    labels = ["五官科", "妇科", "皮肤科"]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [{**row, "label_coarse": labels[i % 3]} for i, row in enumerate(CORPUS_SAMPLES)])
+    texts = tmp_path / "texts.txt"
+    texts.write_text("".join(row["question"] + "\n" for row in CORPUS_SAMPLES) + "五科\n", encoding="utf-8")
+    enc = _pretrain_encoder(tmp_path, texts)
+    assert not set("皮肤妇官") & set(Vocab.load(enc / "vocab.txt").token_to_id)
+    out = tmp_path / "prompt"
+    assert run(["train-prompt", "--in", corpus, "--encoder-ckpt", enc / "encoder.ckpt", "--out", out] + TINY) == EXIT_OK
+    assert json.loads((out / "verbalizer.json").read_text(encoding="utf-8")) == {label: label for label in labels}
+    assert run(["eval-prompt", "--in", corpus, "--ckpt", out / "prompt.ckpt", "--out", tmp_path / "eval"]) == EXIT_OK
+
+
+def test_corpus_line_breaks_leave_a_vocab_its_loader_reads(tmp_path, capsys):
+    rows = [{**CORPUS_SAMPLES[0], "question": "头痛\r好几天了应该怎么办", "answer": "建议充分休息\n并且多喝温水"}, *CORPUS_SAMPLES[1:]]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", rows)
+    enc = _pretrain_encoder(tmp_path, corpus)
+    assert run(["train-triage", "--in", corpus, "--encoder-ckpt", enc / "encoder.ckpt", "--out", tmp_path / "triage"] + TINY) == EXIT_OK
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -710,6 +732,17 @@ def _flip_in_first_name(ckpt, rng):
     _flip_bit(ckpt, 32, 32 + name_len, rng)
 
 
+def _flip_in_last_payload(ckpt, rng):
+    size = ckpt.stat().st_size
+    _flip_bit(ckpt, size - 8, size, rng)
+
+
+def _tear(ckpt, rng):
+    """A new checkpoint of the same tensors beside the old meta, as a run cut
+    between writing the two leaves it."""
+    save_checkpoint(ckpt, {name: arr + 1.0 for name, arr in load_checkpoint(ckpt).items()})
+
+
 def _write(name, data):
     """Replace the bundle file `name` ("meta" for the meta sidecar) with `data`,
     or delete it when `data` is None."""
@@ -789,19 +822,24 @@ OWN_CASES = {
         "label-map-string-ids": _write("label_map.json", '{"内科": "0", "骨科": "1"}'),
         "label-map-repeated-id": _write("label_map.json", '{"内科": 0, "骨科": 0}'),
         "label-map-id-out-of-range": _write("label_map.json", '{"内科": 0, "骨科": 2}'),
+        "flip-in-payload": _flip_in_last_payload,
+        "torn": _tear,
+        "digest-an-int": _edit_meta(None, "checkpoint_sha256", 1),
     },
     "prompt": {
         "template-missing": _edit_meta(None, "template", DROP),
         "template-not-an-object": _edit_meta(None, "template", [1]),
         "template-unknown-key": _edit_meta("template", "bogus", ""),
         "slot-count-a-string": _edit_meta("template", "mask_slot_count", "1"),
-        "max-len-missing": _edit_meta(None, "max_len", DROP),
-        "max-len-zero": _edit_meta(None, "max_len", 0),
+        "max-len-missing": _edit_meta("encoder_config", "max_len", DROP),
+        "max-len-zero": _edit_meta("encoder_config", "max_len", 0),
         "pad-slots-a-string": _edit_meta(None, "include_pad_slots", "no"),
         "verbalizer-missing": _write("verbalizer.json", None),
         "verbalizer-empty": _write("verbalizer.json", ""),
         "verbalizer-not-an-object": _write("verbalizer.json", "[1]"),
         "verbalizer-surface-an-int": _write("verbalizer.json", '{"内科": 1, "骨科": "骨"}'),
+        "flip-in-payload": _flip_in_last_payload,
+        "torn": _tear,
     },
 }
 CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _common_cases(kind)]
@@ -809,6 +847,8 @@ CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _comm
 # validation error (exit 1) naming the file at fault: by the case's prefix, or
 # else the meta sidecar.
 CHECKPOINT_CASES = {"truncated", "flip-in-header", "flip-in-tensor-name"}
+# Checkpoint bytes the meta's digest does not match: exit 2 naming the checkpoint.
+DIGEST_CASES = {"flip-in-payload", "torn"}
 NAMED_FILES = {"vocab-": "vocab.txt", "label-map-": "label_map.json", "verbalizer-": "verbalizer.json"}
 # What the error line of a case must also say, where naming the file is not enough.
 MESSAGES = {"ffn-dim-zero": "ffn_dim must be >= 1", "supplement-negative": "supplement_max_chars is -1"}
@@ -831,6 +871,8 @@ def test_corrupt_bundle_exits_with_one_error_line(bundles, tmp_path, corpus_file
         assert len(err.splitlines()) == 1 and err.startswith("medkit:"), (reader, err)
         if case in CHECKPOINT_CASES:
             assert code in (EXIT_USAGE, EXIT_RUNTIME) and ckpt.name in err, (reader, code, err)
+        elif case in DIGEST_CASES:
+            assert code == EXIT_RUNTIME and ckpt.name in err and "digest" in err, (reader, code, err)
         else:
             assert code == EXIT_USAGE and named in err and MESSAGES.get(case, "") in err, (reader, code, err)
 
@@ -860,7 +902,7 @@ def test_triage_and_prompt_bundles_serve_as_encoders(bundles, tmp_path, corpus_f
 def test_each_evaluation_reads_its_checkpoint_once(bundles, tmp_path, corpus_file, capsys, monkeypatch, command, kind):
     reads = []
     real = cli.load_checkpoint
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: reads.append(path) or real(path))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path, *digest: reads.append(path) or real(path, *digest))
     assert run(_reader_argv(command, bundles[kind], tmp_path, corpus_file)) == EXIT_OK
     assert reads == [str(bundles[kind])]
 
@@ -878,7 +920,14 @@ def test_bundle_load_draws_no_weights_and_holds_one_copy_of_each(bundles, monkey
     monkeypatch.setattr(Rng, "uniform", lambda *args: pytest.fail("a bundle load drew initial weights"))
     state = {}
     real = cli.load_checkpoint
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: state.update(real(path)) or state)
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path, *digest: state.update(real(path, *digest)) or state)
     *models, _, _ = cli._load_bundle(bundles[kind], *parts)
     loaded = [p.data for model in models for p in model.params.values()]
     assert len(loaded) == len(state) and {id(a) for a in loaded} == {id(a) for a in state.values()}
+
+
+def test_prompt_meta_with_the_old_max_len_key_still_loads(bundles, tmp_path, corpus_file, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(bundles["prompt"].parent, bundle)
+    _edit_meta(None, "max_len", 24)(bundle / "prompt.ckpt", None)
+    assert run(_reader_argv("eval-prompt", bundle / "prompt.ckpt", tmp_path, corpus_file)) == EXIT_OK

@@ -322,15 +322,18 @@ def test_single_row_steps_write_keys_and_values_in_place(vocab):
         assert np.max(np.abs(buf[..., :filled, :] - fresh.kv[..., :filled, :])) <= 1e-10
 
 
-def test_cached_logits_build_no_graph_outside_no_grad(vocab):
+def test_cached_logits_build_no_graph_outside_no_grad(vocab, monkeypatch):
     model = _decoder(vocab, hidden=16, layers=2, window=16, seed=35)
     ids = encode("头痛发烧咳嗽", vocab, 12, mode="decoder")
     full = full_logits(model, ids).data
+    built = []
+    init = nm.Tensor.__init__
+    monkeypatch.setattr(nm.Tensor, "__init__", lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
     cache = KVCache()
     for stop in (3, 4, len(ids)):  # a fresh cache, then two extensions of it
-        out = model.logits_matrix(ids[:stop], cache)
-        assert out._parents == () and not out.requires_grad
-        assert np.max(np.abs(out.data - full[stop - out.shape[0] : stop])) <= 1e-10
+        probs = lm_logits(model, ids[:stop], cache)
+        assert np.max(np.abs(probs - _softmax(full[stop - 1]))) <= 1e-10
+    assert built == []
     assert all(p.grad is None for p in model.params.values())
 
 
@@ -364,6 +367,16 @@ def test_cached_decode_overflow_raises_and_drops_the_cache(vocab):
     with pytest.raises(nm.NumericsError):
         lm_logits(model, ids, cache)
     assert cache.ids == []
+
+
+def test_non_finite_logit_raises_and_keeps_the_cache(vocab):
+    model = _decoder(vocab, hidden=16, layers=2, window=16, seed=37)
+    ids = encode("头痛发烧", vocab, 12, mode="decoder")
+    model.params["out.w"].data[:] = 1e308  # the layers stay finite; the output projection overflows
+    cache = KVCache()
+    with pytest.raises(nm.NumericsError, match="non-finite logits"):
+        lm_logits(model, ids, cache)
+    assert cache.ids == ids
 
 
 def test_cache_from_another_context_is_dropped(vocab):

@@ -256,6 +256,18 @@ def test_ter_upper_bound_fuzz():
         assert 0.0 <= score <= (len(cand) + len(ref)) / len(ref)
 
 
+@pytest.mark.parametrize(("cand", "ref", "calls"), [("abc", "abd", 1), ("ab", "ba", 2)], ids=["starts-at-floor", "first-shift-reaches-floor"])
+def test_ter_stops_shifting_at_the_floor(monkeypatch, cand, ref, calls):
+    """"abc" against "abd" starts at its floor, 3 - 2 shared tokens, so no shift
+    is scored where a full scan scores five. "ab" against "ba" stops at the
+    first shift, which reaches the floor 0, where a full scan scores two."""
+    scored = []
+    real = gm._edit_distance
+    monkeypatch.setattr(gm, "_edit_distance", lambda *args: scored.append(args) or real(*args))
+    assert gm.ter(list(cand), list(ref)) == bf_ter(list(cand), list(ref))
+    assert len(scored) == calls
+
+
 def test_ter_matches_oracle_fuzz():
     rng = Rng(107)
     for _ in range(80):

@@ -19,11 +19,9 @@ from oracles import supplement_spans
 
 
 def _graph_from(triples) -> KnowledgeGraph:
-    graph = KnowledgeGraph()
+    graph: KnowledgeGraph = {}
     for head, relation, tail in triples:
-        triple = KnowledgeTriple(head, relation, tail)
-        graph.index.setdefault(triple.head, []).append(len(graph.triples))
-        graph.triples.append(triple)
+        graph.setdefault(head, []).append(KnowledgeTriple(head, relation, tail))
     return graph
 
 
@@ -41,9 +39,8 @@ def test_load_three_triples(tmp_path):
         {"head": "发烧", "relation": "治疗", "tail": "降温"},
     ])
     graph, rejects = load_triples(path)
-    assert graph.size == 3
+    assert graph == _graph_from([("头痛", "症状", "胀痛"), ("头痛", "科室", "神经内科"), ("发烧", "治疗", "降温")])
     assert rejects == []
-    assert len(graph.lookup("头痛")) == 2
 
 
 def test_load_deduplicates(tmp_path):
@@ -51,7 +48,15 @@ def test_load_deduplicates(tmp_path):
     row = {"head": "头痛", "relation": "症状", "tail": "胀痛"}
     _write(path, [row, row, {"head": "发烧", "relation": "治疗", "tail": "降温"}])
     graph, _ = load_triples(path)
-    assert graph.size == 2
+    assert graph == _graph_from([("头痛", "症状", "胀痛"), ("发烧", "治疗", "降温")])
+
+
+def test_load_groups_each_heads_facts_in_file_order(tmp_path):
+    path = tmp_path / "g.jsonl"
+    rows = [("头痛", "症状", "胀痛"), ("发烧", "治疗", "降温"), ("头痛", "科室", "神经内科"), ("头痛", "症状", "胀痛")]
+    _write(path, [dict(zip(("head", "relation", "tail"), row)) for row in rows])
+    graph, _ = load_triples(path)
+    assert list(graph.items()) == list(_graph_from(rows[:3]).items())  # heads by first line, the repeat dropped
 
 
 def test_load_empty_graph_warns(tmp_path, caplog):
@@ -59,7 +64,7 @@ def test_load_empty_graph_warns(tmp_path, caplog):
     path.write_text("", encoding="utf-8")
     with caplog.at_level("WARNING"):
         graph, rejects = load_triples(path)
-    assert graph.size == 0 and rejects == []
+    assert graph == {} and rejects == []
     assert any("empty graph" in rec.message for rec in caplog.records)
 
 
@@ -74,7 +79,7 @@ def test_load_rejects_malformed(tmp_path):
         {"head": "咳嗽", "relation": "科室", "tail": "呼吸科"},
     ])
     graph, rejects = load_triples(path)
-    assert graph.size == 3
+    assert graph == _graph_from([("发烧", "治疗", "降温"), ("头痛", "症状", "胀痛"), ("咳嗽", "科室", "呼吸科")])
     assert [r.line for r in rejects] == [1, 2, 3]
     assert all(type(r) is Reject for r in rejects)  # the record corpus.ingest returns
 
@@ -192,5 +197,5 @@ def test_supplement_truncates_question_when_alone_too_long(vocab):
 def test_bundled_fixture_graph_loads():
     graph, rejects = load_triples(fixture_graph_path())
     assert rejects == []
-    assert graph.size >= 50
+    assert sum(map(len, graph.values())) >= 50
     assert match_entities("头痛怎么办", graph) == ["头痛"]

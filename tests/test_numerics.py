@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import re
 import tracemalloc
@@ -12,7 +13,7 @@ from medkit.encoder import init_layer_params, layer_weights
 from medkit.numerics import Adam, NumericsError, Rng, ShapeError, Tensor
 
 from oracles import (
-    adam_step, attention, attention_ops, causal_mask, cross_entropy, encoder_layer_ops, gelu, gelu_backward_allocating, getitem, grad_check, layer_norm,
+    adam_step, attention, attention_ops, causal_mask, cross_entropy, encoder_layer_ops, full_logits, gelu, gelu_backward_allocating, getitem, grad_check, layer_norm,
     log_softmax, lstm_allocating, masked_fill, scale, sigmoid, softmax, tanh, tensor_sum,
 )
 
@@ -221,23 +222,25 @@ def test_backward_after_no_grad_block_matches_plain_backward():
     assert np.array_equal(grad_of_loss(), plain)
 
 
-def test_generate_builds_no_graph_and_leaves_grads_unset():
+def test_generate_builds_no_graph_and_leaves_grads_unset(monkeypatch):
+    from medkit import generator
     from medkit.generator import Decoder, DecoderConfig, GenerationRequest, generate
     from medkit.tokenizer import build_vocab
 
     vocab = build_vocab(["头痛发烧咳嗽多喝水"])
     model = Decoder(DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=1, num_heads=2, context_window=16, max_gen_len=6), Rng(14))
-    seen = []
-    full = model.logits_matrix
-
-    def spy(ids, cache):
-        seen.append(full(ids, cache))
-        return seen[-1]
-
-    model.logits_matrix = spy
+    steps, built = [], []
+    step, init = generator.lm_logits, Tensor.__init__
+    monkeypatch.setattr(generator, "lm_logits", lambda m, ids, cache: steps.append((list(ids), step(m, ids, cache))) or steps[-1][1])
+    monkeypatch.setattr(Tensor, "__init__", lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
     generate(model, GenerationRequest(question="头痛"), None, vocab)
-    assert seen and all(not t.requires_grad and t._parents == () for t in seen)
+    monkeypatch.undo()
+    assert steps and built == []
     assert all(p.grad is None for p in model.params.values())
+    for ids, probs in steps:
+        last = full_logits(model, ids).data[-1]
+        e = np.exp(last - last.max())
+        assert np.max(np.abs(probs - e / e.sum())) <= 1e-10
 
 
 def test_non_finite_forward_rejected():
@@ -900,6 +903,15 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
         nm.save_checkpoint(path, {"a": Tensor(np.ones(3)), "b": "not a number"})
     assert np.array_equal(nm.load_checkpoint(path)["w"], [1.0, 2.0])
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_digest_is_the_sha256_of_the_bytes_written(tmp_path):
+    path = tmp_path / "model.ckpt"
+    digest = nm.save_checkpoint(path, {"w": Tensor([1.0, 2.0]), "b": Tensor(np.zeros((2, 3)))})
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert np.array_equal(nm.load_checkpoint(path, digest)["w"], [1.0, 2.0])
+    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: .*digest"):
+        nm.load_checkpoint(path, hashlib.sha256(b"").hexdigest())
 
 
 @pytest.mark.parametrize(

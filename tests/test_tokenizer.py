@@ -138,3 +138,10 @@ def test_vocab_file_round_trip(tmp_path):
     for offset, token in enumerate(lines[NUM_RESERVED:]):
         assert vocab.ids(token)[0] == offset + NUM_RESERVED
 
+
+def test_build_vocab_keeps_no_line_break_so_its_file_round_trips(tmp_path):
+    vocab = build_vocab(["头\r痛", "发\n烧", "\r\n"])
+    assert vocab.id_to_token[NUM_RESERVED:] == sorted("头痛发烧")  # one each, by code point
+    assert vocab.ids("头\r\n") == [vocab.token_to_id["头"], UNK_ID, UNK_ID]
+    vocab.save(tmp_path / "vocab.txt")
+    assert Vocab.load(tmp_path / "vocab.txt").id_to_token == vocab.id_to_token
