@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -248,7 +249,7 @@ _BUNDLE_PARTS = {  # part: (meta section, config class, model class)
     "head": ("head_config", triage_mod.TriageConfig, triage_mod.TriageHead),
 }
 # Top-level meta keys that commands read, with their types.
-_META_TYPES = {"include_pad_slots": bool, "supplement_max_chars": int, "checkpoint_sha256": str}
+_META_TYPES = {"include_pad_slots": bool, "supplement_max_chars": int, "checkpoint_sha256": str, "vocab_sha256": str}
 
 
 def _tensor_prefix(kind, part: str) -> str:
@@ -259,9 +260,9 @@ def _save_bundle(out: Path, name: str, kind: str, parts: dict, vocab: tok_mod.Vo
     """Write the bundle of the models in `parts` (part name: model)."""
     params = {_tensor_prefix(kind, part) + k: v for part, model in parts.items() for k, v in model.params.items()}
     sections = {_BUNDLE_PARTS[part][0]: asdict(model.config) for part, model in parts.items()}
-    digest = save_checkpoint(out / f"{name}.ckpt", params)
-    _write_json(out / f"{name}.meta.json", {"kind": kind, **sections, "checkpoint_sha256": digest, **extra})
     vocab.save(out / "vocab.txt")
+    digests = {"checkpoint_sha256": save_checkpoint(out / f"{name}.ckpt", params), "vocab_sha256": hashlib.sha256((out / "vocab.txt").read_bytes()).hexdigest()}
+    _write_json(out / f"{name}.meta.json", {"kind": kind, **sections, **digests, **extra})  # the meta last: it vouches for the rest
 
 
 def _read_json(path) -> dict:
@@ -324,6 +325,8 @@ def _load_bundle(ckpt, *parts: str):
         raise CliError(f"{vocab_path}: {exc}") from None
     if vocab.size != configs[0].vocab_size:
         raise CliError(f"{vocab_path} has {vocab.size} entries but the bundle config says vocab_size {configs[0].vocab_size}")
+    if "vocab_sha256" in meta and hashlib.sha256(vocab_path.read_bytes()).hexdigest() != meta["vocab_sha256"]:
+        raise RuntimeError(f"{vocab_path}: vocab bytes do not match the digest its meta records")
     state = load_checkpoint(ckpt, meta.get("checkpoint_sha256"))
     models = [_BUNDLE_PARTS[part][2](config, None) for part, config in zip(parts, configs)]  # zeros, replaced below
     for part, model in zip(parts, models):
@@ -719,14 +722,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("MEDKIT_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(level_name, logging.ERROR)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None) -> int:
-    _setup_logging()
+    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(os.environ.get("MEDKIT_LOG", "error").lower(), logging.ERROR)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

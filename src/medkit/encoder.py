@@ -66,9 +66,8 @@ def init_layer_params(rng: Rng | None, hidden: int, heads: int, ffn: int, prefix
     """Create one attention + feed-forward block's parameters in `params`."""
     head_dim = hidden // heads
     for h in range(heads):
-        params[f"{prefix}.attn.wq{h}"] = nm.xavier_uniform(rng, hidden, head_dim)
-        params[f"{prefix}.attn.wk{h}"] = nm.xavier_uniform(rng, hidden, head_dim)
-        params[f"{prefix}.attn.wv{h}"] = nm.xavier_uniform(rng, hidden, head_dim)
+        for kind in "qkv":
+            params[f"{prefix}.attn.w{kind}{h}"] = nm.xavier_uniform(rng, hidden, head_dim)
     params[f"{prefix}.attn.wo"] = nm.xavier_uniform(rng, hidden, hidden)
     params[f"{prefix}.attn.bo"] = nm.zeros_param(hidden)
     params[f"{prefix}.ln1.gain"] = nm.ones_param(hidden)
@@ -154,9 +153,7 @@ def mask_tokens(tokens: list[int], rate: float, rng: Rng, vocab_size: int):
     positions: list[int] = []
     originals: list[int] = []
     for i, tok in enumerate(tokens):
-        if tok < NUM_RESERVED:
-            continue
-        if rng.random() >= rate:
+        if tok < NUM_RESERVED or rng.random() >= rate:  # a special token draws nothing
             continue
         positions.append(i)
         originals.append(tok)

@@ -12,7 +12,8 @@ the keys and values of the earlier ones, written in place into one
 preallocated buffer for all layers. A step reads only the last position's
 next-token distribution, so the top layer past its key/value projection, and
 the output projection, run on that row alone. A step runs
-`numerics.layer_forward` on plain arrays and builds no Tensor, so no graph.
+`numerics.layer_forward` on plain arrays, which then holds no backward state,
+and builds no Tensor, so no graph.
 Once the context passes `context_window` the window slides, every learned
 absolute position changes, and each step recomputes the whole window into the
 same buffer.
@@ -72,6 +73,8 @@ class GenerationRequest:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.temperature < float("inf"):
             raise ValueError("temperature must be finite and > 0")
+        if self.max_gen_len is not None and self.max_gen_len < 1:
+            raise ValueError("max_gen_len must be >= 1")
 
 
 @dataclass
@@ -274,12 +277,8 @@ def _sample_from(probs: np.ndarray, request: GenerationRequest, rng: Rng | None)
         logp -= logp.max()
         weights = np.exp(logp)
         keep = np.arange(probs.shape[0])
-    weights = weights / weights.sum()
-    draw = rng.random()
-    cum = np.cumsum(weights)
-    pick = int(np.searchsorted(cum, draw, side="right"))
-    pick = min(pick, len(keep) - 1)
-    return int(keep[pick])
+    pick = int(np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(), side="right"))
+    return int(keep[min(pick, len(keep) - 1)])
 
 
 def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGraph | None, vocab: Vocab, supplement_max_chars: int = 64) -> dict:

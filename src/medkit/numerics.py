@@ -349,23 +349,25 @@ def _layer_norm_backward(grad: np.ndarray, y: np.ndarray, inv: np.ndarray, gain:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def _gelu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU's t = tanh(C * (z + 0.044715 * (z * z * z))) and output (t + 1.0) * z * 0.5, in place with that
-    rounding: the backward pass recomputes the bits the forward pass computed, and only z is kept between them."""
-    t = z * z * z
+def _gelu(z: np.ndarray, keep_tanh: bool = False):
+    """GELU's output (t + 1.0) * z * 0.5, t = tanh(C * (z + 0.044715 * (z * z * z))), in place with that rounding and
+    built in t's buffer; with `keep_tanh`, (t, output). Backward recomputes the bits forward computed from z alone."""
+    t = z * z
+    t *= z
     t *= 0.044715
     t += z
     t *= _GELU_C
     np.tanh(t, out=t)
-    hidden = (t + 1.0) * z
-    hidden *= 0.5
-    return t, hidden
+    out = t + 1.0 if keep_tanh else np.add(t, 1.0, out=t)
+    out *= z
+    out *= 0.5
+    return (t, out) if keep_tanh else out
 
 
 def _gelu_backward(z: np.ndarray, dh2: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradients of z and w2 from dh2, the gradient of _gelu(z)[1] @ w2. z's, GELU'(z) * (dh2 @ w2.T), goes into
+    """The gradients of z and w2 from dh2, the gradient of GELU(z) @ w2. z's, GELU'(z) * (dh2 @ w2.T), goes into
     the recomputed GELU output once w2's has used it, with one scratch array and the bits fresh arrays would give."""
-    t, dz = _gelu(z)
+    t, dz = _gelu(z, keep_tanh=True)
     dw2 = dz.T @ dh2
     np.subtract(1.0, np.multiply(t, t, out=dz), out=dz)
     dz *= z
@@ -391,7 +393,7 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bo
     key j for query i when j > K - q + i, so each position sees itself and
     the positions before it, and a single row sees every key. A dropped key
     scores -1e30. Scores are scaled by 1/sqrt(head_dim); GELU is the tanh
-    approximation, recomputed in backward.
+    approximation.
 
     A non-finite QKV projection, score (also one that causality drops) or
     output raises NumericsError. A non-finite value anywhere else reaches the
@@ -402,25 +404,29 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bo
     buffer, x is one sequence's last len(x) positions: their keys and values
     are written in place into the view's last len(x) positions, and the rows
     attend over all of it. With `last_only` only the last row queries and
-    runs the rest of the layer, and one row is returned. The gradient covers
-    calls with neither.
+    runs the rest of the layer, and one row is returned.
+
+    A call with `kv` or under no_grad can never run a backward: it returns
+    None for the function and frees each intermediate once its last reader
+    has run. Any other call keeps only what its backward cannot rebuild bit
+    for bit: qkv, the attention weights, each LayerNorm's y and inv, and z.
     """
     w_qkv, wo, bo, gain1, bias1, w1, b1, w2, b2, gain2, bias2 = w
     ends = [len(x)] if lengths is None else np.cumsum(_lengths(lengths, len(x))).tolist()
     spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
     d = w_qkv.shape[1] // (3 * heads)
     factor = 1.0 / math.sqrt(d)
+    keep = kv is None and _grad_enabled  # whether a backward can run
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value surfaces as the checks
-        proj = x @ w_qkv
-        if not np.isfinite(proj).all():
+        qkv = (x @ w_qkv).reshape(len(x), 3, heads, d).transpose(1, 2, 0, 3)  # q, k and v, each (heads, rows, d)
+        if not np.isfinite(qkv).all():
             raise NumericsError("non-finite attention projections")
-        qkv = proj.reshape(len(x), 3, heads, d).transpose(1, 2, 0, 3)  # q, k and v, each (heads, rows, d)
         queries, rows = qkv[0], x
         if kv is not None:
             kv[:, :, -len(x) :] = qkv[1:]
         if last_only:
             queries, rows, spans = queries[:, -1:], x[-1:], [(0, 1)]
-        weights, attn = [], np.empty((len(rows), heads * d))  # each sequence's (heads, l, keys) attention weights, and the heads' outputs
+        saved, attn = [], np.empty((len(rows), heads * d))  # what backward reads of each sequence, and the heads' outputs
         for a, b in spans:
             k, v = qkv[1:, :, a:b] if kv is None else kv
             p = queries[:, a:b] @ k.swapaxes(-1, -2)
@@ -433,11 +439,16 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bo
             np.exp(p, out=p)
             p /= np.add.reduce(p, axis=-1, keepdims=True)
             np.matmul(p, v, out=attn[a:b].reshape(b - a, heads, d).transpose(1, 0, 2))
-            weights.append(p)
+            if keep:
+                saved.append((p, qkv[:, :, a:b]))  # the (heads, l, keys) attention weights, and q, k and v
+        del qkv, queries, k, v, p  # with keep, saved holds what backward reads of them
         x1, y1, inv1 = _layer_norm(rows + (attn @ wo + bo), gain1, bias1, eps)
+        del attn
         z = x1 @ w1 + b1
-        hidden = _gelu(z)[1]
-        out, y2, inv2 = _layer_norm(x1 + (hidden @ w2 + b2), gain2, bias2, eps)
+        h = _gelu(z) @ w2
+        if not keep:
+            del z
+        out, y2, inv2 = _layer_norm(x1 + (h + b2), gain2, bias2, eps)
     if not np.isfinite(out).all():
         raise NumericsError("non-finite transformer layer output")
 
@@ -448,8 +459,9 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bo
         g = dh1 @ wo.T
         dproj = np.empty((len(x), 3, heads, d))
         dqkv = dproj.transpose(1, 2, 0, 3)  # dq, dk and dv, written through (heads, rows, d) views
-        for (a, b), p in zip(spans, weights):
-            q, k, v = qkv[:, :, a:b]
+        attn = np.empty((len(x), heads * d))  # the heads' outputs, rebuilt as the forward pass built them
+        for (a, b), (p, (q, k, v)) in zip(spans, saved):
+            np.matmul(p, v, out=attn[a:b].reshape(b - a, heads, d).transpose(1, 0, 2))
             gs = g[a:b].reshape(b - a, heads, d).transpose(1, 0, 2)
             ds = gs @ v.swapaxes(-1, -2)
             ds -= (ds * p).sum(axis=-1, keepdims=True)
@@ -458,10 +470,10 @@ def layer_forward(x: np.ndarray, w: Sequence[np.ndarray], heads: int, causal: bo
             for i, (m, n) in enumerate([(ds, k), (ds.swapaxes(-1, -2), q), (p.swapaxes(-1, -2), gs)]):
                 np.matmul(m, n, out=dqkv[i, :, a:b])
         dproj = dproj.reshape(len(x), 3 * heads * d)
-        dw = (attn.T @ dh1, dh1.sum(axis=0), dgain1, dbias1, x1.T @ dz, dz.sum(axis=0), dw2, dh2.sum(axis=0), dgain2, dbias2)
+        dw = (attn.T @ dh1, dh1.sum(axis=0), dgain1, dbias1, (y1 * gain1 + bias1).T @ dz, dz.sum(axis=0), dw2, dh2.sum(axis=0), dgain2, dbias2)
         return (dh1 + dproj @ w_qkv.T, *np.split(x.T @ dproj, 3 * heads, axis=1), *dw)
 
-    return out, backward_fn
+    return out, backward_fn if keep else None
 
 
 # -- loss --------------------------------------------------------------------

@@ -12,7 +12,7 @@ num_classes) logits out.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -166,13 +166,7 @@ class ClsMetrics:
     confusion: dict[int, dict[int, int]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "confusion": {str(g): {str(p): n for p, n in row.items()} for g, row in self.confusion.items()},
-        }
+        return {**asdict(self), "confusion": {str(g): {str(p): n for p, n in row.items()} for g, row in self.confusion.items()}}
 
 
 def evaluate(predictions, gold_labels) -> ClsMetrics:

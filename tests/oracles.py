@@ -627,7 +627,7 @@ def gelu_backward_allocating(z, dh2, w2):
     """numerics._gelu_backward as it was before it reused its buffers: every
     step of GELU'(z) * (dh2 @ w2.T) on a fresh array, with the GELU output
     kept to the end for w2's gradient. The bits numerics must still give."""
-    t, hidden = nm._gelu(z)
+    t, hidden = nm._gelu(z, keep_tanh=True)
     dz = 1.0 - t * t
     dz *= z
     dz *= 0.5 * _GELU_C

@@ -778,6 +778,17 @@ def _edit_vocab(edit):
     return corrupt
 
 
+def _swap_last_two_lines(data):
+    lines = data.split(b"\n")
+    lines[-3], lines[-2] = lines[-2], lines[-3]
+    return b"\n".join(lines)
+
+
+def _replace_last_line(data):
+    """A vocab of another run: as many entries, the last one another character."""
+    return data[: data.rstrip(b"\n").rfind(b"\n") + 1] + "龘\n".encode("utf-8")
+
+
 def _common_cases(kind):
     section = "decoder_config" if kind == "decoder" else "encoder_config"
     return {
@@ -825,6 +836,9 @@ OWN_CASES = {
         "flip-in-payload": _flip_in_last_payload,
         "torn": _tear,
         "digest-an-int": _edit_meta(None, "checkpoint_sha256", 1),
+        "vocab-swapped": _edit_vocab(_swap_last_two_lines),
+        "vocab-torn": _edit_vocab(_replace_last_line),
+        "digest-of-vocab-an-int": _edit_meta(None, "vocab_sha256", 1),
     },
     "prompt": {
         "template-missing": _edit_meta(None, "template", DROP),
@@ -840,6 +854,8 @@ OWN_CASES = {
         "verbalizer-surface-an-int": _write("verbalizer.json", '{"内科": 1, "骨科": "骨"}'),
         "flip-in-payload": _flip_in_last_payload,
         "torn": _tear,
+        "vocab-swapped": _edit_vocab(_swap_last_two_lines),
+        "vocab-torn": _edit_vocab(_replace_last_line),
     },
 }
 CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _common_cases(kind)]
@@ -847,11 +863,11 @@ CORRUPTIONS = [(kind, case, READERS[kind]) for kind in READERS for case in _comm
 # validation error (exit 1) naming the file at fault: by the case's prefix, or
 # else the meta sidecar.
 CHECKPOINT_CASES = {"truncated", "flip-in-header", "flip-in-tensor-name"}
-# Checkpoint bytes the meta's digest does not match: exit 2 naming the checkpoint.
-DIGEST_CASES = {"flip-in-payload", "torn"}
+# Bytes the meta's digest does not match: exit 2 naming the checkpoint, or vocab.txt for a vocab- case.
+DIGEST_CASES = {"flip-in-payload", "torn", "vocab-swapped", "vocab-torn"}
 NAMED_FILES = {"vocab-": "vocab.txt", "label-map-": "label_map.json", "verbalizer-": "verbalizer.json"}
 # What the error line of a case must also say, where naming the file is not enough.
-MESSAGES = {"ffn-dim-zero": "ffn_dim must be >= 1", "supplement-negative": "supplement_max_chars is -1"}
+MESSAGES = {"ffn-dim-zero": "ffn_dim must be >= 1", "supplement-negative": "supplement_max_chars is -1", "digest-of-vocab-an-int": "vocab_sha256 is 1"}
 CORRUPTIONS += [(kind, case, READERS[kind][:1]) for kind, cases in OWN_CASES.items() for case in cases]
 
 
@@ -872,7 +888,7 @@ def test_corrupt_bundle_exits_with_one_error_line(bundles, tmp_path, corpus_file
         if case in CHECKPOINT_CASES:
             assert code in (EXIT_USAGE, EXIT_RUNTIME) and ckpt.name in err, (reader, code, err)
         elif case in DIGEST_CASES:
-            assert code == EXIT_RUNTIME and ckpt.name in err and "digest" in err, (reader, code, err)
+            assert code == EXIT_RUNTIME and (named if case.startswith("vocab-") else ckpt.name) in err and "digest" in err, (reader, code, err)
         else:
             assert code == EXIT_USAGE and named in err and MESSAGES.get(case, "") in err, (reader, code, err)
 

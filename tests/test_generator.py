@@ -262,6 +262,15 @@ def test_generation_request_validation():
                 GenerationRequest(question="q", strategy=strategy, temperature=temperature)
 
 
+@pytest.mark.parametrize("max_gen_len", [0, -3])
+def test_generation_request_rejects_a_length_below_one(vocab, max_gen_len):
+    """As DecoderConfig does: a request for no answer at all is an error, not
+    an empty answer."""
+    with pytest.raises(ValueError, match="max_gen_len must be >= 1"):
+        generate(_decoder(vocab, seed=15, window=32), GenerationRequest(question="头痛", max_gen_len=max_gen_len), None, vocab)
+    assert GenerationRequest(question="q", max_gen_len=None).max_gen_len is None
+
+
 def _softmax(row):
     e = np.exp(row - row.max())
     return e / e.sum()

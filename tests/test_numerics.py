@@ -533,6 +533,61 @@ def test_transformer_layer_memory_follows_the_packed_scores():
     assert peak < 3 * scores + 12 * rows, (peak, scores, rows)
 
 
+def _traced(run):
+    """run()'s result, and the peak and the current size of what tracemalloc
+    saw allocated while it ran and held after it returned."""
+    tracemalloc.start()
+    try:
+        result = run()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, current
+
+
+def test_layer_calls_that_cannot_run_backward_peak_under_four_ffn_arrays():
+    """A 128-row causal call with a key/value buffer (a decode step's prompt
+    prefill or window slide) and a transformer_layer under no_grad hold no
+    backward state: each projection, attention-weight block, attention
+    output, pre-activation and GELU buffer goes once its last reader has run,
+    so the traced peak stays under four (rows, ffn) arrays. A call that holds
+    them all to its return peaks at about six."""
+    rows, hidden, heads, ffn = 128, 64, 2, 256
+    rng = np.random.default_rng(98)
+    weights = layer_weights(_layer_params(rng, hidden, heads, ffn), "layer0", heads)
+    w = nm.layer_arrays(weights, heads)
+    x = rng.normal(size=(rows, hidden))
+    kv = np.empty((2, heads, rows, hidden // heads))
+    (out, backward_fn), peak, _ = _traced(lambda: nm.layer_forward(x, w, heads, True, 1e-5, kv=kv))
+    assert backward_fn is None and peak < 4 * rows * ffn * 8, peak / (rows * ffn * 8)
+    x = Tensor(x, requires_grad=True)
+    with nm.no_grad():
+        cold, peak, _ = _traced(lambda: nm.transformer_layer(x, weights, heads, True))
+    assert cold._backward_fn is None and peak < 4 * rows * ffn * 8, peak / (rows * ffn * 8)
+    assert np.array_equal(cold.data, out)
+
+
+def test_transformer_layer_node_holds_neither_x1_nor_the_attention_output():
+    """Between forward and backward a training layer keeps qkv, the attention
+    weights, the feed-forward pre-activation, each LayerNorm's normalized
+    rows and inverse deviations, the joined qkv weight and its output, and
+    nothing it can rebuild: the first LayerNorm's output and the attention
+    output would be two more (rows, hidden) arrays, and the bound leaves room
+    for one. Its gradient is still the oracle's."""
+    lengths, hidden, heads, ffn = [32] * 4, 64, 2, 256
+    rows = sum(lengths)
+    rng = np.random.default_rng(99)
+    params = _layer_params(rng, hidden, heads, ffn)
+    x = Tensor(rng.normal(size=(rows, hidden)), requires_grad=True)
+    out, _, held = _traced(lambda: _fused_layer(x, params, "layer0", True, heads, 1e-5, lengths))
+    kept = 8 * (rows * 3 * hidden + heads * sum(n * n for n in lengths) + rows * ffn + 2 * rows * (hidden + 1) + rows * hidden + hidden * 3 * hidden)
+    assert held < kept + 8 * rows * hidden, (held, kept)
+    weights = Tensor(rng.normal(size=(rows, hidden)))
+    nm.backward(tensor_sum(out * weights))
+    oracle = _layer_run(_oracle_layer, x.data, params, True, heads, weights, lengths)
+    assert np.max(np.abs(out.data - oracle[0])) <= 1e-10 and np.max(np.abs(x.grad - oracle[1])) <= 1e-10
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_transformer_layer_cached_chunks_match_one_full_pass(heads):
     rng = np.random.default_rng(100 + heads)
