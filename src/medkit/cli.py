@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import typing
@@ -37,7 +38,7 @@ from . import kgraph as kg_mod
 from . import prompt as prompt_mod
 from . import triage as triage_mod
 from . import tokenizer as tok_mod
-from .numerics import NumericsError, Rng, TrainConfig, load_checkpoint, load_params, save_checkpoint
+from .numerics import NumericsError, TrainConfig, load_checkpoint, load_params, save_checkpoint, spawn
 
 log = logging.getLogger("medkit")
 
@@ -163,7 +164,7 @@ class RunConfig:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _start(args) -> tuple[RunConfig, Path | None]:
@@ -203,7 +204,7 @@ def _skip_rejects(path, rejects, out: Path | None, name: str) -> None:
     if rejects:
         sys.stderr.write(f"medkit: warning: {path}: {len(rejects)} malformed lines skipped (first: line {rejects[0].line})\n")
     if rejects and out:
-        corpus_mod.write_rejects(out / name, rejects)
+        corpus_mod.write_jsonl(out / name, map(asdict, rejects))
 
 
 def _samples(args, out: Path | None) -> list[corpus_mod.DialogueSample]:
@@ -368,7 +369,7 @@ def _base_model(cfg: RunConfig, part: str, ckpt, texts: list[str]):
             context_window=cfg.context_window,
             max_gen_len=cfg.max_gen_len,
         )
-    return _BUNDLE_PARTS[part][2](config, Rng(cfg.seed).spawn(f"{part}.init")), vocab
+    return _BUNDLE_PARTS[part][2](config, spawn(cfg.seed, f"{part}.init")), vocab
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -390,11 +391,9 @@ def cmd_clean(args) -> int:
     cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     kept, removed = corpus_mod.clean(result.samples, require_answer=not args.no_require_answer)
-    corpus_mod.write_jsonl(out / "kept.jsonl", kept)
-    with open(out / "removed.jsonl", "w", encoding="utf-8") as fh:
-        for r in removed:
-            fh.write(json.dumps({"reason": r.reason, "sample": r.sample.to_json()}, ensure_ascii=False, sort_keys=True) + "\n")
-    corpus_mod.write_rejects(out / "rejects.jsonl", result.rejects)
+    corpus_mod.write_jsonl(out / "kept.jsonl", (s.to_json() for s in kept))
+    corpus_mod.write_jsonl(out / "removed.jsonl", ({"reason": r.reason, "sample": r.sample.to_json()} for r in removed))
+    corpus_mod.write_jsonl(out / "rejects.jsonl", map(asdict, result.rejects))
     print(f"kept {len(kept)} removed {len(removed)} rejects {len(result.rejects)}")
     return EXIT_OK
 
@@ -402,20 +401,22 @@ def cmd_clean(args) -> int:
 def cmd_split(args) -> int:
     cfg, out = _start(args)
     train, test = corpus_mod.split(_samples(args, out), cfg.test_fraction, cfg.seed, granularity=cfg.granularity)
-    corpus_mod.write_jsonl(out / "train.jsonl", train)
-    corpus_mod.write_jsonl(out / "test.jsonl", test)
+    corpus_mod.write_jsonl(out / "train.jsonl", (s.to_json() for s in train))
+    corpus_mod.write_jsonl(out / "test.jsonl", (s.to_json() for s in test))
     print(f"train {len(train)} test {len(test)}")
     return EXIT_OK
 
 
 def cmd_small_sample(args) -> int:
     cfg, out = _start(args)
-    samples = _samples(args, out)
     threshold = args.threshold
+    if threshold is not None and not math.isfinite(threshold):
+        raise CliError(f"--threshold must be a finite number, got {threshold}")
+    samples = _samples(args, out)
     if threshold is None:
         threshold = corpus_mod.default_small_sample_threshold(samples, cfg.granularity)
     subset, categories = corpus_mod.make_small_sample(samples, threshold, granularity=cfg.granularity)
-    corpus_mod.write_jsonl(out / "subset.jsonl", subset)
+    corpus_mod.write_jsonl(out / "subset.jsonl", (s.to_json() for s in subset))
     _write_json(out / "categories.json", {"threshold": threshold, "categories": categories})
     print(f"kept {len(subset)} samples across {len(categories)} categories")
     return EXIT_OK
@@ -447,7 +448,7 @@ def cmd_train_triage(args) -> int:
         use_cls=not cfg.no_cls_fusion,
         use_dd=not cfg.no_dd,
     )
-    head = triage_mod.TriageHead(config, Rng(cfg.seed).spawn("triage.init"))
+    head = triage_mod.TriageHead(config, spawn(cfg.seed, "triage.init"))
     max_len = encoder.config.max_len  # a loaded bundle fixes the sequence length
     dataset = [(tok_mod.encode(q, vocab, max_len, mode="encoder"), label_map[label]) for q, label in pairs]
     history = triage_mod.train_supervised(encoder, head, dataset, TrainConfig(cfg.triage_epochs, cfg.lr_head, cfg.batch_size, cfg.seed), cfg.lr_encoder)
@@ -588,9 +589,7 @@ def cmd_eval_gen(args) -> int:
     for s in _samples(args, out):
         rows.append(_answer(cfg, decoder, vocab, meta, graph, s.question))
         refs.append(s.answer or "")
-    with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    corpus_mod.write_jsonl(out / "generations.jsonl", rows)
     (out / "answers.txt").write_text("".join(row["answer"] + "\n" for row in rows), encoding="utf-8")
     (out / "references.txt").write_text("".join(r + "\n" for r in refs), encoding="utf-8")
     print(f"generated {len(rows)} answers")

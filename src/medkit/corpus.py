@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .numerics import Rng
+from .numerics import spawn
 
 log = logging.getLogger(__name__)
 
@@ -235,7 +235,7 @@ def split(samples, test_fraction: float, seed: int, granularity: str = "auto"):
     samples = list(samples)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    rng = Rng(seed).spawn("corpus.split")
+    rng = spawn(seed, "corpus.split")
     total = len(samples)
     target_test = int(round(total * test_fraction))
     field_name = label_field(samples, granularity)
@@ -316,13 +316,8 @@ def default_small_sample_threshold(samples, granularity: str = "auto") -> float:
     return 2.0 * median
 
 
-def write_jsonl(path, samples) -> None:
+def write_jsonl(path, rows) -> None:
+    """One JSON object per line, keys sorted; NaN or infinity raises ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps(s.to_json(), ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def write_rejects(path, rejects) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rejects:
-            fh.write(json.dumps(asdict(r), ensure_ascii=False, sort_keys=True) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")

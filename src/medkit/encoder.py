@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Rng, Tensor
+from .numerics import Tensor
 from .tokenizer import MASK_ID, NUM_RESERVED, TokenBatch
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ class EncoderOutput:
 # -- shared transformer machinery ---------------------------------------------
 
 
-def init_layer_params(rng: Rng | None, hidden: int, heads: int, ffn: int, prefix: str, params: dict) -> None:
+def init_layer_params(rng: np.random.Generator | None, hidden: int, heads: int, ffn: int, prefix: str, params: dict) -> None:
     """Create one attention + feed-forward block's parameters in `params`."""
     head_dim = hidden // heads
     for h in range(heads):
@@ -86,11 +86,14 @@ def layer_weights(params: dict, prefix: str, heads: int) -> list[Tensor]:
     return [params[f"{prefix}.attn.w{kind}{h}"] for kind in "qkv" for h in range(heads)] + [params[f"{prefix}.{name}"] for name in tail]
 
 
-def run_layers(x: Tensor, params: dict, causal: bool, num_layers: int, num_heads: int, ln_eps: float, lengths) -> Tensor:
-    """Run the stack, one numerics.transformer_layer node per layer; `causal`
-    and `lengths` go to every layer."""
-    for i in range(num_layers):
-        x = nm.transformer_layer(x, layer_weights(params, f"layer{i}", num_heads), num_heads, causal, ln_eps, lengths)
+def run_stack(model, tokens: TokenBatch, causal: bool) -> Tensor:
+    """Token plus learned absolute position embedding, then one
+    numerics.transformer_layer node per layer of `model` (an Encoder or a
+    Decoder); `causal` and the batch's lengths go to every layer."""
+    cfg, params = model.config, model.params
+    x = nm.take_rows(params["tok_emb"], tokens.ids) + nm.take_rows(params["pos_emb"], tokens.positions)
+    for i in range(cfg.num_layers):
+        x = nm.transformer_layer(x, layer_weights(params, f"layer{i}", cfg.num_heads), cfg.num_heads, causal, cfg.ln_eps, tokens.lengths)
     return x
 
 
@@ -106,7 +109,7 @@ class Encoder:
     projection is tied to the input embedding matrix.
     """
 
-    def __init__(self, config: EncoderConfig, rng: Rng | None):
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator | None):
         self.config = config
         params: dict[str, Tensor] = {}
         params["tok_emb"] = nm.xavier_uniform(rng, config.vocab_size, config.hidden_dim)
@@ -115,17 +118,12 @@ class Encoder:
             init_layer_params(rng, config.hidden_dim, config.num_heads, config.ffn_dim, f"layer{i}", params)
         self.params = params
 
-    def embed(self, tokens: TokenBatch) -> Tensor:
-        """Token embedding plus learned absolute position embedding."""
-        positions = tokens.positions
-        if positions.max() >= self.config.max_len:
-            raise ValueError(f"sequence of {positions.max() + 1} exceeds max_len {self.config.max_len}")
+    def _token_states(self, tokens: TokenBatch) -> Tensor:
+        if tokens.lengths.max() > self.config.max_len:
+            raise ValueError(f"sequence of {tokens.lengths.max()} exceeds max_len {self.config.max_len}")
         if np.max(tokens.ids) >= self.config.vocab_size:
             raise ValueError("token id out of vocab range")
-        return nm.take_rows(self.params["tok_emb"], tokens.ids) + nm.take_rows(self.params["pos_emb"], positions)
-
-    def _token_states(self, tokens: TokenBatch) -> Tensor:
-        return run_layers(self.embed(tokens), self.params, False, self.config.num_layers, self.config.num_heads, self.config.ln_eps, tokens.lengths)
+        return run_stack(self, tokens, False)
 
     def encode(self, tokens: TokenBatch) -> EncoderOutput:
         reps = self._token_states(tokens)
@@ -140,7 +138,7 @@ class Encoder:
         return nm.matmul(reps, self.params["tok_emb"].T)
 
 
-def mask_tokens(tokens: list[int], rate: float, rng: Rng, vocab_size: int):
+def mask_tokens(tokens: list[int], rate: float, rng: np.random.Generator, vocab_size: int):
     """Corrupt a copy of a list of ids for masked-token pretraining.
 
     Each non-special position is independently selected with probability

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import kgraph as kg
 from . import numerics as nm
-from .encoder import init_layer_params, layer_weights, run_layers
-from .numerics import Rng, Tensor
+from .encoder import init_layer_params, layer_weights, run_stack
+from .numerics import Tensor
 from .tokenizer import EOS_ID, TokenBatch, Vocab, decode, encode
 
 log = logging.getLogger(__name__)
@@ -98,7 +98,7 @@ class KVCache:
 class Decoder:
     """Causal transformer LM with a separate output projection head."""
 
-    def __init__(self, config: DecoderConfig, rng: Rng | None):
+    def __init__(self, config: DecoderConfig, rng: np.random.Generator | None):
         self.config = config
         params: dict[str, Tensor] = {}
         params["tok_emb"] = nm.xavier_uniform(rng, config.vocab_size, config.hidden_dim)
@@ -108,13 +108,6 @@ class Decoder:
         params["out.w"] = nm.xavier_uniform(rng, config.hidden_dim, config.vocab_size)
         params["out.b"] = nm.zeros_param(config.vocab_size)
         self.params = params
-
-    def hidden_states(self, ids, lengths) -> Tensor:
-        """Top-layer states under the causal mask of sequences of `lengths`
-        laid end to end in ids, each attending only within itself."""
-        positions = TokenBatch(np.asarray(ids), np.asarray(lengths)).positions
-        x = nm.take_rows(self.params["tok_emb"], ids) + nm.take_rows(self.params["pos_emb"], positions)
-        return run_layers(x, self.params, True, self.config.num_layers, self.config.num_heads, self.config.ln_eps, lengths)
 
 
 def lm_logits(model: Decoder, context_ids, cache: KVCache) -> np.ndarray:
@@ -181,7 +174,7 @@ def lm_loss(model: Decoder, sequence, loss_mask, targets=None, lengths=None) -> 
     if not counts.all():
         raise ValueError("loss mask selects no positions")
     rows = np.flatnonzero(picked)
-    states = nm.take_rows(model.hidden_states(ids, lengths), rows - 1)
+    states = nm.take_rows(run_stack(model, TokenBatch(ids, lengths), True), rows - 1)
     logits = nm.matmul(states, model.params["out.w"]) + model.params["out.b"]
     tgt = ids if targets is None else np.asarray(targets, dtype=np.int64)
     return nm.softmax_cross_entropy(logits, tgt[rows], reduction=1.0 / (counts[owner[rows]] * len(lengths)))
@@ -264,7 +257,7 @@ def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab
     return QaFinetuneResult(history=history, skipped=skipped)
 
 
-def _sample_from(probs: np.ndarray, request: GenerationRequest, rng: Rng | None) -> int:
+def _sample_from(probs: np.ndarray, request: GenerationRequest, rng: np.random.Generator | None) -> int:
     if request.strategy == "greedy":
         return int(probs.argmax())
     if request.strategy == "top_k":
@@ -290,7 +283,7 @@ def generate(model: Decoder, request: GenerationRequest, graph: kg.KnowledgeGrap
     with one KVCache for the request, so it builds no graph.
     """
     ids, supplement_text = _compose_prompt(request.question, graph, vocab, model.config.context_window, supplement_max_chars)
-    rng = None if request.strategy == "greedy" else Rng(request.seed).spawn("generator.sample")
+    rng = None if request.strategy == "greedy" else nm.spawn(request.seed, "generator.sample")
     generated: list[int] = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
     cache = KVCache()

@@ -9,7 +9,8 @@ constructed, except that the optimizer writes ``data`` between graph builds.
 It holds only what the models run: the ops add (+), mul (*), matmul,
 transpose (.T), concat, take_rows, softmax_cross_entropy, lstm and
 transformer_layer (whose array forward, layer_forward, is also the KV-cached
-decode step), backward, no_grad, Rng, the initializers, Adam, fit and its
+decode step), backward, no_grad, spawn (the one seeded stream derivation:
+a numpy Generator per seed and tag), the initializers, Adam, fit and its
 TrainConfig, and the checkpoint format. Ops take Tensors only; any other
 operand raises ShapeError. The two fused layers take sequences laid end to
 end with their lengths and pad nothing; attention is either over every key
@@ -565,34 +566,16 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 # -- randomness and initialization -------------------------------------------
 
 
-class Rng:
-    """Seeded random source; identical seeds yield identical draw sequences.
-
-    `spawn(tag)` derives an independent child stream from a stable hash of
+def spawn(seed: int, tag: str) -> np.random.Generator:
+    """An independent seeded stream for `tag`, from a stable hash of
     (seed, tag), so subsystems stay reproducible regardless of call order."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def spawn(self, tag: str) -> "Rng":
-        digest = hashlib.sha256(f"{self.seed}:{tag}".encode("utf-8")).digest()
-        return Rng(int.from_bytes(digest[:8], "little"))
-
-    def random(self) -> float:
-        return float(self._gen.random())
-
-    def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+    if int(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    digest = hashlib.sha256(f"{int(seed)}:{tag}".encode("utf-8")).digest()
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
 
 
-def xavier_uniform(rng: Rng | None, rows: int, cols: int) -> Tensor:
+def xavier_uniform(rng: np.random.Generator | None, rows: int, cols: int) -> Tensor:
     """Xavier/Glorot uniform weight init for an (in, out)-shaped matrix; zeros without an `rng`."""
     limit = np.sqrt(6.0 / (rows + cols))
     return Tensor(np.zeros((rows, cols)) if rng is None else rng.uniform(-limit, limit, (rows, cols)), requires_grad=True)
@@ -690,7 +673,7 @@ class TrainConfig:
 
 def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, tag: str) -> TrainHistory:
     """The training loop: config.epochs passes over `items`, each in a fresh
-    order from Rng(config.seed).spawn(tag), one Adam step (`groups`, the first
+    order from spawn(config.seed, tag), one Adam step (`groups`, the first
     at config.lr) per config.batch_size items.
 
     `batch_loss(batch, rng)` returns (loss, weight, correct): the loss Tensor
@@ -704,7 +687,7 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, ta
     """
     if not items:
         raise ValueError(f"{tag}: nothing to train on")
-    rng = Rng(config.seed).spawn(tag)
+    rng = spawn(config.seed, tag)
     opt = Adam(groups)
     params = [p for g in opt.groups for p in g["params"].values()]
     history = TrainHistory()

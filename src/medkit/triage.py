@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .encoder import Encoder, EncoderOutput
-from .numerics import Rng, Tensor
+from .numerics import Tensor
 from .tokenizer import TokenBatch
 
 
@@ -59,7 +59,7 @@ def lstm_direction(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool, 
 class TriageHead:
     """Trainable parameters for the BiLSTM + fusion + dendritic + dense head."""
 
-    def __init__(self, config: TriageConfig, rng: Rng | None):
+    def __init__(self, config: TriageConfig, rng: np.random.Generator | None):
         self.config = config
         k = config.hidden_dim
         params: dict[str, Tensor] = {}

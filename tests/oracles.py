@@ -6,6 +6,7 @@ vectorization) so a bug in the production code cannot hide in a shared
 helper.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -14,9 +15,10 @@ import numpy as np
 
 from medkit import kgraph as kg
 from medkit import numerics as nm
+from medkit.encoder import run_stack
 from medkit.generator import _sample_from
-from medkit.numerics import Rng, Tensor
-from medkit.tokenizer import EOS_ID, PAD_ID, SEP_ID, decode
+from medkit.numerics import Tensor
+from medkit.tokenizer import EOS_ID, PAD_ID, SEP_ID, TokenBatch, decode
 
 
 def occurrences(tokens, gram):
@@ -311,10 +313,18 @@ def bf_dendrite(vector, weight_stack):
 
 def full_logits(model, ids):
     """The logits under generator.lm_logits, without a cache: every position
-    of the windowed ids run through Decoder.hidden_states, recording the
-    autograd graph, and the output projection applied to every row."""
+    of the windowed ids run through encoder.run_stack under the causal mask,
+    recording the autograd graph, and the output projection applied to every
+    row."""
     ids = list(ids)[-model.config.context_window :]
-    return nm.matmul(model.hidden_states(ids, [len(ids)]), model.params["out.w"]) + model.params["out.b"]
+    states = run_stack(model, TokenBatch(np.array(ids, dtype=np.int64), np.array([len(ids)])), True)
+    return nm.matmul(states, model.params["out.w"]) + model.params["out.b"]
+
+
+def spawn_seed(seed, tag):
+    """The PCG64 seed of numerics.spawn(seed, tag), from its definition: the
+    first 8 bytes, little-endian, of sha256 of "seed:tag"."""
+    return int.from_bytes(hashlib.sha256(f"{int(seed)}:{tag}".encode("utf-8")).digest()[:8], "little")
 
 
 def supplement_spans(ids):
@@ -333,7 +343,7 @@ def generate_uncached(model, request, graph, vocab, supplement_max_chars=64):
     window = model.config.context_window
     supplement_text = kg.retrieve(request.question, graph, supplement_max_chars) if graph is not None else ""
     ids = kg.supplement(request.question, supplement_text, vocab, max_len=window)
-    rng = Rng(request.seed).spawn("generator.sample")
+    rng = nm.spawn(request.seed, "generator.sample")
     generated = []
     limit = request.max_gen_len if request.max_gen_len is not None else model.config.max_gen_len
     for _ in range(limit):

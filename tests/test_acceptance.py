@@ -23,7 +23,7 @@ from medkit.corpus import DialogueSample, clean, split, stats
 from medkit.encoder import Encoder, EncoderConfig, mask_tokens
 from medkit.generator import Decoder, DecoderConfig, GenerationRequest, finetune_qa, generate, lm_loss
 from medkit.kgraph import fixture_graph_path, load_triples, retrieve, supplement
-from medkit.numerics import Rng, Tensor, TrainConfig
+from medkit.numerics import Tensor, TrainConfig
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict
 from medkit.tokenizer import TokenBatch, build_vocab, encode
 from medkit.triage import TriageConfig, TriageHead, dendrite, predict_labels, train_supervised
@@ -41,6 +41,7 @@ from oracles import (
     bf_weighted_prf,
     full_logits,
     grad_check,
+    spawn_seed,
     supplement_spans,
 )
 
@@ -64,8 +65,8 @@ def test_criterion_01_gradient_integrity():
         vocab = build_vocab(["头痛发烧咳嗽多喝水休息保暖abc"])
 
         enc_cfg = EncoderConfig(vocab_size=vocab.size, max_len=8, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16)
-        encoder = Encoder(enc_cfg, Rng(1).spawn("enc"))
-        head = TriageHead(TriageConfig(hidden_dim=8, num_classes=4), Rng(1).spawn("head"))
+        encoder = Encoder(enc_cfg, nm.spawn(1, "enc"))
+        head = TriageHead(TriageConfig(hidden_dim=8, num_classes=4), nm.spawn(1, "head"))
         seq = encode("头痛发烧", vocab, max_len=8)
 
         def triage_loss():
@@ -77,7 +78,7 @@ def test_criterion_01_gradient_integrity():
         assert err < 1e-4, f"encoder+triage gradient error {err}"
 
         dec_cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16, context_window=12)
-        decoder = Decoder(dec_cfg, Rng(2).spawn("dec"))
+        decoder = Decoder(dec_cfg, nm.spawn(2, "dec"))
         ids = encode("咳嗽多喝水", vocab, max_len=10, mode="decoder")
 
         def lm_loss_fn():
@@ -116,7 +117,7 @@ def test_criterion_02_dendrite_oracle_and_defaults():
 
 def test_criterion_03_mlm_masking_statistics():
     with criterion(3, "masking stats (rate in [0.14,0.16]; 80/10/10 within 2 points)"):
-        rng = Rng(30)
+        rng = np.random.default_rng(30)
         content_vocab = 500
         vocab_size = 7 + content_vocab
         seq_len = 500
@@ -155,8 +156,8 @@ def test_criterion_04a_triage_overfits_32_samples():
         started = time.perf_counter()
         vocab = build_vocab(["甲乙丙丁戊己庚辛壬癸子丑寅卯"])
         enc_cfg = EncoderConfig(vocab_size=vocab.size, max_len=12, hidden_dim=16, num_layers=1, num_heads=2, ffn_dim=32)
-        encoder = Encoder(enc_cfg, Rng(40).spawn("enc"))
-        head = TriageHead(TriageConfig(hidden_dim=16, num_classes=4), Rng(40).spawn("head"))
+        encoder = Encoder(enc_cfg, nm.spawn(40, "enc"))
+        head = TriageHead(TriageConfig(hidden_dim=16, num_classes=4), nm.spawn(40, "head"))
 
         class_chars = ["甲", "乙", "丙", "丁"]
         fillers = "子丑寅卯戊己庚辛"
@@ -195,7 +196,7 @@ def test_criterion_04b_generator_memorizes_qa_fixture():
         texts = [q for q, _ in QA_PAIRS] + [a for _, a in QA_PAIRS] + [t.render() for facts in graph.values() for t in facts]
         vocab = build_vocab(texts)
         cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=32, num_layers=1, num_heads=2, ffn_dim=64, context_window=64, max_gen_len=12)
-        model = Decoder(cfg, Rng(41).spawn("dec"))
+        model = Decoder(cfg, nm.spawn(41, "dec"))
         result = finetune_qa(model, QA_PAIRS, graph, vocab, TrainConfig(epochs=200, lr=8e-3, batch_size=8, seed=41), supplement_max_chars=24)
         assert result.skipped == 0
         hits = 0
@@ -211,7 +212,7 @@ def test_criterion_04b_generator_memorizes_qa_fixture():
 
 
 def _fuzz_pairs(seed: int, count: int = 200, alphabet=("a", "b", "c", "d", "e"), lo=0, hi=8):
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):
         cand = [alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(int(rng.integers(lo, hi + 1)))]
@@ -235,7 +236,7 @@ def test_criterion_05_metric_oracle_equivalence():
         for cand, ref in _fuzz_pairs(55):
             assert gm.ribes(cand, ref) == pytest.approx(bf_ribes(cand, ref), abs=1e-9)
 
-        rng = Rng(56)
+        rng = np.random.default_rng(56)
         for _ in range(200):
             corpus = []
             for _ in range(int(rng.integers(2, 5))):
@@ -243,7 +244,7 @@ def test_criterion_05_metric_oracle_equivalence():
             n = int(rng.integers(2, 4))
             assert gm.self_bleu(corpus, n) == pytest.approx(bf_self_bleu(corpus, n), abs=1e-9)
 
-        table = {tok: np.random.default_rng(Rng(57).spawn(tok).seed).normal(size=3) for tok in "abcde"}
+        table = {tok: np.random.default_rng(spawn_seed(57, tok)).normal(size=3) for tok in "abcde"}
         table["[UNK]"] = np.zeros(3)
         for cand, ref in _fuzz_pairs(58, count=40, lo=1, hi=4):
             if Counter(cand) == Counter(ref):
@@ -337,7 +338,7 @@ def test_criterion_08_prompt_equivalence_over_500_states():
         labels = sorted(surfaces)
         cfg = EncoderConfig(vocab_size=vocab.size, max_len=12, hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=16)
         for state in range(500):
-            encoder = Encoder(cfg, Rng(state).spawn("state"))
+            encoder = Encoder(cfg, nm.spawn(state, "state"))
             logits = encoder.mlm_logits(TokenBatch.stack([seq])).data[slots[0]]
             best_score = max(logits[vocab.ids(surfaces[lab])[0]] for lab in labels)
             expected = min(lab for lab in labels if logits[vocab.ids(surfaces[lab])[0]] == best_score)
@@ -352,7 +353,7 @@ def test_criterion_09_causality_and_loss_masking():
     with criterion(9, "causal mask and QA loss mask are bit-exact"):
         vocab = build_vocab(["头痛发烧咳嗽多喝水休息"])
         cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16, context_window=16)
-        model = Decoder(cfg, Rng(90).spawn("dec"))
+        model = Decoder(cfg, nm.spawn(90, "dec"))
         ids = encode("头痛发烧咳嗽", vocab, max_len=12, mode="decoder")
 
         def distributions(sequence):
@@ -386,7 +387,7 @@ def test_criterion_09_causality_and_loss_masking():
 def test_criterion_10_ablation_structure():
     with criterion(10, "five ablation flags each change parameters or input layout"):
         def head_params(**kw):
-            head = TriageHead(TriageConfig(hidden_dim=8, num_classes=4, **kw), Rng(0).spawn("h"))
+            head = TriageHead(TriageConfig(hidden_dim=8, num_classes=4, **kw), nm.spawn(0, "h"))
             return sum(p.size for p in head.params.values())
 
         baseline = head_params()
@@ -412,8 +413,8 @@ def test_criterion_10_ablation_structure():
 
         # knowledge ablation: fine-tuning starts from a strictly different state
         dec_cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=16, context_window=32)
-        fresh = Decoder(dec_cfg, Rng(5).spawn("decoder.init"))
-        injected = Decoder(dec_cfg, Rng(5).spawn("decoder.init"))
+        fresh = Decoder(dec_cfg, nm.spawn(5, "decoder.init"))
+        injected = Decoder(dec_cfg, nm.spawn(5, "decoder.init"))
         from medkit.generator import pretrain_lm
 
         pretrain_lm(injected, ["头痛发烧怎么办"], vocab, TrainConfig(epochs=2, lr=1e-3, batch_size=1, seed=5))

@@ -13,7 +13,7 @@ from medkit import numerics as nm
 from medkit import triage
 from medkit.encoder import Encoder, EncoderConfig, mask_tokens, mlm_loss
 from medkit.generator import Decoder, DecoderConfig, lm_loss
-from medkit.numerics import Rng, Tensor
+from medkit.numerics import Tensor
 from medkit.prompt import PromptTemplate, Verbalizer, build_prompt, predict, slot_loss
 from medkit.tokenizer import MASK_ID, NUM_RESERVED, UNK_ID, TokenBatch, build_vocab, encode
 from medkit.triage import TriageConfig, TriageHead, predict_labels, supervised_loss, train_supervised
@@ -45,7 +45,7 @@ def vocab():
 
 def _encoder(vocab, seed=0, max_len=MAX_LEN):
     cfg = EncoderConfig(vocab_size=vocab.size, max_len=max_len, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16)
-    return Encoder(cfg, Rng(seed).spawn("enc"))
+    return Encoder(cfg, nm.spawn(seed, "enc"))
 
 
 def _loss_and_grads(loss_fn, params):
@@ -113,7 +113,7 @@ def test_embed_score_matches_padded_oracle(vocab):
 
 def test_mlm_batch_matches_per_sample_oracle(vocab):
     enc = _encoder(vocab, seed=1)
-    rng = Rng(2)
+    rng = np.random.default_rng(2)
     batch = [mask_tokens(encode(text, vocab, max_len=MAX_LEN), 0.5, rng, vocab.size) for text in TEXTS]
     corrupted, positions, originals = batch[0]
     if not positions:  # keep at least the first sample in the loss
@@ -127,7 +127,7 @@ def test_mlm_batch_matches_per_sample_oracle(vocab):
 
 def test_triage_batch_matches_per_sample_oracle(vocab):
     enc = _encoder(vocab, seed=3)
-    head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), Rng(3).spawn("head"))
+    head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), nm.spawn(3, "head"))
     batch = [(encode(text, vocab, max_len=MAX_LEN), i % 3) for i, text in enumerate(TEXTS)]
     params = {**{f"encoder.{k}": v for k, v in enc.params.items()}, **{f"head.{k}": v for k, v in head.params.items()}}
     batched = _loss_and_grads(lambda: supervised_loss(enc, head, batch)[0], params)
@@ -148,8 +148,8 @@ def test_prompt_batch_matches_per_sample_oracle(vocab):
 
 def test_lm_batch_matches_per_sample_oracle(vocab):
     cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=2, num_heads=2, ffn_dim=16, context_window=16)
-    model = Decoder(cfg, Rng(5).spawn("dec"))
-    rng = Rng(6)
+    model = Decoder(cfg, nm.spawn(5, "dec"))
+    rng = np.random.default_rng(6)
     items = []
     for n in (2, 7, 16, 4):  # the shortest sequence with a target, and one filling the window
         seq = [int(t) for t in rng.integers(7, vocab.size, n)]
@@ -164,7 +164,7 @@ def test_lm_batch_matches_per_sample_oracle(vocab):
 
 def test_lm_loss_batch_rejects_a_sequence_without_targets():
     vocab = build_vocab(["甲乙丙"])
-    model = Decoder(DecoderConfig(vocab_size=vocab.size, hidden_dim=4, num_layers=1, num_heads=1, context_window=8), Rng(0))
+    model = Decoder(DecoderConfig(vocab_size=vocab.size, hidden_dim=4, num_layers=1, num_heads=1, context_window=8), np.random.default_rng(0))
     with pytest.raises(ValueError):
         lm_loss(model, [7, 8, 9, 7, 8], [False, True, True, True, False], lengths=[3, 2])
 
@@ -263,7 +263,7 @@ def test_ragged_lengths_must_split_the_rows():
 
 def test_predictions_do_not_depend_on_batch_size(vocab):
     enc = _encoder(vocab, seed=7)
-    head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), Rng(7).spawn("head"))
+    head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), nm.spawn(7, "head"))
     seqs = [encode(text, vocab, max_len=MAX_LEN) for text in TEXTS * 2]
     assert predict_labels(enc, head, seqs, batch_size=1) == predict_labels(enc, head, seqs, batch_size=5)
     verbalizer = Verbalizer.from_surfaces({"甲": "甲", "乙": "乙", "丙": "丙"}, vocab)
@@ -279,7 +279,7 @@ def test_train_supervised_divergence_rolls_back_to_last_completed_epoch(monkeypa
 
     def run(epochs):
         enc = _encoder(vocab, seed=8)
-        head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), Rng(8).spawn("head"))
+        head = TriageHead(TriageConfig(hidden_dim=8, num_classes=3), nm.spawn(8, "head"))
         history = train_supervised(enc, head, data, dataclasses.replace(cfg, epochs=epochs), lr_encoder=1e-2)
         return history, {**{f"e.{k}": v.data for k, v in enc.params.items()}, **{f"h.{k}": v.data for k, v in head.params.items()}}
 

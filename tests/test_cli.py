@@ -14,7 +14,7 @@ from medkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig, build_parse
 from medkit.encoder import EncoderConfig
 from medkit.generator import Decoder, DecoderConfig
 from medkit.kgraph import fixture_graph_path
-from medkit.numerics import NumericsError, Rng, load_checkpoint, save_checkpoint
+from medkit.numerics import NumericsError, load_checkpoint, save_checkpoint
 from medkit.tokenizer import Vocab
 
 import cli_help
@@ -215,6 +215,21 @@ def test_small_sample_drops_heavy_classes(tmp_path, corpus_file):
     assert run(["small-sample", "--in", path, "--threshold", 3, "--out", out]) == EXIT_OK
     categories = json.loads((out / "categories.json").read_text())["categories"]
     assert categories == ["皮肤科"]
+
+
+@pytest.mark.parametrize("threshold", [["--threshold", "inf"], ["--threshold", "nan"], ["--threshold=-inf"]], ids=["inf", "nan", "-inf"])
+def test_small_sample_non_finite_threshold_exits_one(tmp_path, corpus_file, capsys, threshold):
+    """categories.json records the threshold, and JSON has no Infinity or NaN."""
+    out = tmp_path / "out"
+    assert run(["small-sample", "--in", corpus_file, "--out", out] + threshold) == EXIT_USAGE
+    assert "--threshold must be a finite number" in capsys.readouterr().err
+    assert not (out / "categories.json").exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "a.json", {"threshold": value})
 
 
 def _pretrain_encoder(tmp_path, corpus_file, seed=3):
@@ -933,7 +948,7 @@ def test_load_decoder_bundle_returns_decoder_vocab_and_meta():
 def test_bundle_load_draws_no_weights_and_holds_one_copy_of_each(bundles, monkeypatch, kind, parts):
     """The models are built as zeros, the shapes load_params checks, and each
     parameter then holds the array load_checkpoint returned."""
-    monkeypatch.setattr(Rng, "uniform", lambda *args: pytest.fail("a bundle load drew initial weights"))
+    monkeypatch.setattr(cli, "spawn", lambda *args: pytest.fail("a bundle load drew initial weights"))
     state = {}
     real = cli.load_checkpoint
     monkeypatch.setattr(cli, "load_checkpoint", lambda path, *digest: state.update(real(path, *digest)) or state)

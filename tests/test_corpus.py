@@ -227,7 +227,14 @@ def test_jsonl_round_trip(tmp_path):
         _sample(answer=None, label_coarse="骨科"),
     ]
     path = tmp_path / "out.jsonl"
-    corpus.write_jsonl(path, samples)
+    corpus.write_jsonl(path, (s.to_json() for s in samples))
     back = corpus.ingest(path)
     assert back.rejects == []
     assert [s.to_json() for s in back.samples] == [s.to_json() for s in samples]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_write_jsonl_refuses_non_finite_numbers(tmp_path, value):
+    """Bare Infinity or NaN is not JSON: no artifact row may hold one."""
+    with pytest.raises(ValueError):
+        corpus.write_jsonl(tmp_path / "out.jsonl", [{"x": value}])

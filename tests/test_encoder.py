@@ -11,8 +11,9 @@ from medkit.encoder import (
     mask_tokens,
     mlm_loss,
     pretrain,
+    run_stack,
 )
-from medkit.numerics import Rng, Tensor, TrainConfig
+from medkit.numerics import Tensor, TrainConfig
 from medkit.tokenizer import MASK_ID, NUM_RESERVED, TokenBatch, build_vocab, encode
 
 from oracles import attention, grad_check, layer_norm
@@ -35,25 +36,26 @@ def _zero_params(model: Encoder) -> None:
 
 
 def test_embed_is_token_plus_position(vocab):
-    enc = Encoder(tiny_config(vocab.size), Rng(0))
+    """With no layers, run_stack returns its input: the embedding."""
+    enc = Encoder(tiny_config(vocab.size, num_layers=0), np.random.default_rng(0))
     seq = encode("头痛", vocab, max_len=6)
-    out = enc.embed(TokenBatch.stack([seq])).data
+    out = run_stack(enc, TokenBatch.stack([seq]), False).data
     tok = enc.params["tok_emb"].data[seq]
     pos = enc.params["pos_emb"].data[: len(seq)]
     assert np.array_equal(out, tok + pos)
 
 
 def test_embed_rejects_overlong(vocab):
-    enc = Encoder(tiny_config(vocab.size, max_len=4), Rng(0))
+    enc = Encoder(tiny_config(vocab.size, max_len=4), np.random.default_rng(0))
     seq = encode("头痛发烧", vocab, max_len=8)
     with pytest.raises(ValueError):
-        enc.embed(TokenBatch.stack([seq]))
+        enc.encode(TokenBatch.stack([seq]))
 
 
 def test_embed_deterministic(vocab):
-    enc = Encoder(tiny_config(vocab.size), Rng(0))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(0))
     batch = TokenBatch.stack([encode("发烧", vocab, max_len=8)])
-    assert np.array_equal(enc.embed(batch).data, enc.embed(batch).data)
+    assert np.array_equal(run_stack(enc, batch, False).data, run_stack(enc, batch, False).data)
 
 
 def test_attention_single_real_token_returns_its_value_row():
@@ -140,7 +142,7 @@ def test_encoder_layer_with_zero_attention_is_double_layernorm():
     params: dict = {}
     from medkit.encoder import init_layer_params
 
-    init_layer_params(Rng(8), 4, 2, 8, "layer0", params)
+    init_layer_params(np.random.default_rng(8), 4, 2, 8, "layer0", params)
     for name in ("layer0.attn.wv0", "layer0.attn.wv1", "layer0.attn.wo", "layer0.attn.bo", "layer0.ffn.w1", "layer0.ffn.b1", "layer0.ffn.w2", "layer0.ffn.b2"):
         params[name].data = np.zeros_like(params[name].data)
     x = Tensor(np.random.default_rng(8).normal(size=(3, 4)))  # the identity holds for every x
@@ -151,7 +153,7 @@ def test_encoder_layer_with_zero_attention_is_double_layernorm():
 
 
 def test_encoder_layer_preserves_shape(vocab):
-    enc = Encoder(tiny_config(vocab.size, num_layers=3), Rng(1))
+    enc = Encoder(tiny_config(vocab.size, num_layers=3), np.random.default_rng(1))
     seq = encode("咳嗽发烧头痛多喝", vocab, max_len=10)  # fills max_len
     out = enc.encode(TokenBatch.stack([seq]))
     assert out.token_reps.shape == (10, 8)
@@ -159,7 +161,7 @@ def test_encoder_layer_preserves_shape(vocab):
 
 
 def test_encode_neighbour_content_cannot_leak(vocab):
-    enc = Encoder(tiny_config(vocab.size), Rng(2))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(2))
     seq = encode("头痛", vocab, max_len=9)
     base = enc.encode(TokenBatch.stack([seq, encode("发烧咳嗽", vocab, max_len=9)]))
     other = enc.encode(TokenBatch.stack([seq, encode("多喝水要", vocab, max_len=9)]))  # same length, other content
@@ -169,16 +171,16 @@ def test_encode_neighbour_content_cannot_leak(vocab):
 
 
 def test_encode_distinguishes_inputs(vocab):
-    enc = Encoder(tiny_config(vocab.size), Rng(3))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(3))
     a = enc.encode(TokenBatch.stack([encode("头痛", vocab, max_len=8)])).cls_vector.data
     b = enc.encode(TokenBatch.stack([encode("咳嗽", vocab, max_len=8)])).cls_vector.data
     assert not np.allclose(a, b)
 
 
 def test_encoder_gradient_check(vocab):
-    enc = Encoder(tiny_config(vocab.size, hidden_dim=4, ffn_dim=8, max_len=8), Rng(4))
+    enc = Encoder(tiny_config(vocab.size, hidden_dim=4, ffn_dim=8, max_len=8), np.random.default_rng(4))
     seq = encode("头痛发", vocab, max_len=8)
-    corrupted, positions, originals = mask_tokens(seq, 0.5, Rng(9), vocab.size)
+    corrupted, positions, originals = mask_tokens(seq, 0.5, np.random.default_rng(9), vocab.size)
     if not positions:  # force at least one masked position
         positions, originals = [1], [seq[1]]
         corrupted = list(seq)
@@ -192,7 +194,7 @@ def test_encoder_gradient_check(vocab):
 
 
 def test_mask_tokens_rate_statistics(vocab):
-    rng = Rng(10)
+    rng = np.random.default_rng(10)
     seq = encode("头痛发烧咳嗽多喝水要", vocab, max_len=12)
     eligible = sum(1 for t in seq if t >= NUM_RESERVED)
     total = 0
@@ -206,20 +208,20 @@ def test_mask_tokens_rate_statistics(vocab):
 
 def test_mask_tokens_same_seed_same_corruption(vocab):
     seq = encode("头痛发烧咳嗽", vocab, max_len=12)
-    a = mask_tokens(seq, 0.3, Rng(77), vocab.size)
-    b = mask_tokens(seq, 0.3, Rng(77), vocab.size)
+    a = mask_tokens(seq, 0.3, np.random.default_rng(77), vocab.size)
+    b = mask_tokens(seq, 0.3, np.random.default_rng(77), vocab.size)
     assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
 
 
 def test_mask_tokens_rejects_bad_rate(vocab):
     seq = encode("头痛", vocab, max_len=8)
     with pytest.raises(ValueError):
-        mask_tokens(seq, 0.0, Rng(0), vocab.size)
+        mask_tokens(seq, 0.0, np.random.default_rng(0), vocab.size)
 
 
 def test_mask_tokens_never_touches_specials_or_padding(vocab):
     seq = encode("头痛发烧", vocab, max_len=12)
-    rng = Rng(11)
+    rng = np.random.default_rng(11)
     for _ in range(50):
         corrupted, positions, _ = mask_tokens(seq, 0.9, rng, vocab.size)
         assert len(corrupted) == len(seq)
@@ -230,18 +232,18 @@ def test_mask_tokens_never_touches_specials_or_padding(vocab):
 
 
 def test_mlm_loss_uniform_model_is_log_vocab(vocab):
-    enc = Encoder(tiny_config(vocab.size), Rng(12))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(12))
     _zero_params(enc)
     seq = encode("头痛发烧", vocab, max_len=10)
-    corrupted, positions, originals = mask_tokens(seq, 0.5, Rng(13), vocab.size)
+    corrupted, positions, originals = mask_tokens(seq, 0.5, np.random.default_rng(13), vocab.size)
     while not positions:
-        corrupted, positions, originals = mask_tokens(seq, 0.5, Rng(14), vocab.size)
+        corrupted, positions, originals = mask_tokens(seq, 0.5, np.random.default_rng(14), vocab.size)
     loss = mlm_loss(enc, [(corrupted, positions, originals)])
     assert loss.item() == pytest.approx(math.log(vocab.size), abs=1e-9)
 
 
 def test_mlm_loss_empty_batch_warns(vocab, caplog):
-    enc = Encoder(tiny_config(vocab.size), Rng(15))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(15))
     seq = encode("头痛", vocab, max_len=8)
     with caplog.at_level("WARNING"):
         assert mlm_loss(enc, [(seq, [], [])]) is None
@@ -251,7 +253,7 @@ def test_mlm_loss_empty_batch_warns(vocab, caplog):
 def _pretrain_fixture(vocab, seed=0, epochs=50):
     texts = ["头痛多喝水", "发烧要休息", "咳嗽要保暖", "感冒要休息"]
     sequences = [encode(t, vocab, 12) for t in texts]
-    enc = Encoder(tiny_config(vocab.size, hidden_dim=16, ffn_dim=32), Rng(seed).spawn("init"))
+    enc = Encoder(tiny_config(vocab.size, hidden_dim=16, ffn_dim=32), nm.spawn(seed, "init"))
     history = pretrain(enc, sequences, TrainConfig(epochs=epochs, lr=0.01, batch_size=4, seed=seed))
     return enc, history
 
@@ -273,7 +275,7 @@ def test_pretrain_reproducible_bit_exact(vocab):
 def test_pretrain_logs_configured_lr(vocab, tmp_path):
     texts = ["头痛多喝水", "发烧要休息"]
     sequences = [encode(t, vocab, 12) for t in texts]
-    enc = Encoder(tiny_config(vocab.size), Rng(0))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(0))
     history = pretrain(enc, sequences, TrainConfig(epochs=2, lr=5e-5, batch_size=2, seed=0))
     assert all(row["lr"] == 5e-5 for row in history.rows)
     log_path = tmp_path / "log.csv"
@@ -283,13 +285,13 @@ def test_pretrain_logs_configured_lr(vocab, tmp_path):
 
 
 def test_pretrain_rejects_empty_corpus(vocab):
-    enc = Encoder(tiny_config(vocab.size), Rng(0))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(0))
     with pytest.raises(ValueError):
         pretrain(enc, [], TrainConfig(epochs=1, lr=5e-5))
 
 
 def test_pretrain_divergence_aborts_with_rollback(vocab, caplog):
-    enc = Encoder(tiny_config(vocab.size), Rng(16))
+    enc = Encoder(tiny_config(vocab.size), np.random.default_rng(16))
     enc.params["tok_emb"].data[NUM_RESERVED, 0] = 1e308  # overflow on first forward
     snapshot = {k: v.data.copy() for k, v in enc.params.items()}
     sequences = [encode("头痛多喝水", vocab, 12)]

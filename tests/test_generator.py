@@ -20,7 +20,7 @@ from medkit.generator import (
     pretrain_lm,
 )
 from medkit.kgraph import load_triples, fixture_graph_path
-from medkit.numerics import Rng, TrainConfig
+from medkit.numerics import TrainConfig
 from medkit.tokenizer import EOS_ID, UNK_ID, build_vocab, encode
 
 from conftest import CORPUS_SAMPLES
@@ -34,7 +34,7 @@ def vocab():
 
 def _decoder(vocab, hidden=8, layers=1, window=16, seed=0):
     cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=hidden, num_layers=layers, num_heads=2, ffn_dim=2 * hidden, context_window=window, max_gen_len=8)
-    return Decoder(cfg, Rng(seed).spawn("dec"))
+    return Decoder(cfg, nm.spawn(seed, "dec"))
 
 
 def _zero(model):
@@ -403,7 +403,7 @@ def test_cached_greedy_matches_uncached_on_fixture_graph_and_qa_set():
     texts.append(Path(fixture_graph_path()).read_text(encoding="utf-8"))
     vocab = build_vocab(texts)
     cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=16, num_layers=2, num_heads=2, ffn_dim=32, context_window=128, max_gen_len=24)
-    model = Decoder(cfg, Rng(32).spawn("dec"))
+    model = Decoder(cfg, nm.spawn(32, "dec"))
     for row in CORPUS_SAMPLES:
         request = GenerationRequest(question=row["question"], strategy="greedy")
         assert generate(model, request, graph, vocab) == generate_uncached(model, request, graph, vocab)

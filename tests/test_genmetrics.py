@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from medkit import genmetrics as gm
-from medkit.numerics import Rng, Tensor
+from medkit.numerics import Tensor, spawn
 
 from oracles import (
     bf_bleu,
@@ -50,7 +50,7 @@ def test_bleu_empty_candidate_is_zero():
 
 
 def test_bleu_matches_oracle_fuzz():
-    rng = Rng(100)
+    rng = np.random.default_rng(100)
     for _ in range(100):
         cand = _random_sentence(rng, 0, 7)
         refs = [_random_sentence(rng) for _ in range(int(rng.integers(1, 3)))]
@@ -81,7 +81,7 @@ def test_chrf_empty_conventions():
 
 
 def test_chrf_matches_oracle_fuzz():
-    rng = Rng(101)
+    rng = np.random.default_rng(101)
     for _ in range(100):
         cand = "".join(_random_sentence(rng, 0, 9))
         ref = "".join(_random_sentence(rng, 0, 9))
@@ -105,7 +105,7 @@ def test_gleu_hand_case():
 
 
 def test_gleu_matches_oracle_fuzz():
-    rng = Rng(102)
+    rng = np.random.default_rng(102)
     for _ in range(100):
         cand = _random_sentence(rng, 0, 8)
         ref = _random_sentence(rng, 1, 8)
@@ -131,7 +131,7 @@ def test_weighted_prf_hand_case():
 
 
 def test_weighted_prf_matches_oracle_fuzz():
-    rng = Rng(103)
+    rng = np.random.default_rng(103)
     for _ in range(100):
         cand = _random_sentence(rng, 0, 8)
         ref = _random_sentence(rng, 0, 8)
@@ -172,7 +172,7 @@ def test_nist_all_empty_references_is_zero():
 
 
 def test_nist_nonnegative_fuzz():
-    rng = Rng(104)
+    rng = np.random.default_rng(104)
     for _ in range(60):
         cand = _random_sentence(rng, 0, 8)
         refs = [_random_sentence(rng, 1, 8)]
@@ -180,7 +180,7 @@ def test_nist_nonnegative_fuzz():
 
 
 def test_nist_info_weights_match_oracle_fuzz():
-    rng = Rng(113)
+    rng = np.random.default_rng(113)
     for _ in range(40):
         corpus = [_random_sentence(rng, 0, 8) for _ in range(int(rng.integers(1, 4)))]
         mine = gm.nist_info_weights(corpus, max_n=3)
@@ -190,7 +190,7 @@ def test_nist_info_weights_match_oracle_fuzz():
 
 
 def test_nist_matches_oracle_fuzz():
-    rng = Rng(114)
+    rng = np.random.default_rng(114)
     for case in range(160):
         cand = _random_sentence(rng, 0, 8)
         refs = [_random_sentence(rng, 0, 8) for _ in range(1 if case % 2 else int(rng.integers(2, 4)))]
@@ -220,7 +220,7 @@ def test_ribes_no_alignment_is_zero():
 
 
 def test_ribes_matches_oracle_fuzz():
-    rng = Rng(105)
+    rng = np.random.default_rng(105)
     for _ in range(100):
         cand = _random_sentence(rng, 0, 8)
         ref = _random_sentence(rng, 0, 8)
@@ -248,7 +248,7 @@ def test_ter_empty_reference_errors():
 
 
 def test_ter_upper_bound_fuzz():
-    rng = Rng(106)
+    rng = np.random.default_rng(106)
     for _ in range(60):
         cand = _random_sentence(rng, 0, 8)
         ref = _random_sentence(rng, 1, 8)
@@ -269,7 +269,7 @@ def test_ter_stops_shifting_at_the_floor(monkeypatch, cand, ref, calls):
 
 
 def test_ter_matches_oracle_fuzz():
-    rng = Rng(107)
+    rng = np.random.default_rng(107)
     for _ in range(80):
         cand = _random_sentence(rng, 0, 7)
         ref = _random_sentence(rng, 1, 7)
@@ -288,7 +288,7 @@ def _edit_distance_case(rng):
 
 
 def test_edit_distance_matches_oracle_fuzz():
-    rng = Rng(108)
+    rng = np.random.default_rng(108)
     long = [f"t{i}" for i in range(130)]
     edge = [([], []), ([], ["a"]), (["a"], []), (long, []), ([], long), (long, long), (long, long[::-1]), (long, long[1:] + long[:1])]
     for a, b in edge + [_edit_distance_case(rng) for _ in range(400)]:
@@ -312,7 +312,7 @@ def _benchmark_shape_pair(rng):
 
 
 def test_ter_matches_oracle_exactly_at_benchmark_shape():
-    rng = Rng(109)
+    rng = np.random.default_rng(109)
     for _ in range(6):
         cand, ref = _benchmark_shape_pair(rng)
         assert gm.ter(cand, ref) == bf_ter(cand, ref)
@@ -408,7 +408,7 @@ def test_transport_cost_rejects_malformed_input(p, q, cost):
 
 
 def test_wmd_matches_vertex_oracle_on_sentences():
-    rng = Rng(109)
+    rng = np.random.default_rng(109)
     table = _toy_embeddings()
     for _ in range(15):
         cand = _random_sentence(rng, 1, 4)
@@ -536,7 +536,7 @@ def test_kl_hand_case():
 
 
 def test_kl_nonnegative_on_ten_thousand_pairs():
-    rng = Rng(110)
+    rng = np.random.default_rng(110)
     for _ in range(10_000):
         gen = _random_sentence(rng, 1, 12)
         ref = _random_sentence(rng, 1, 12)
@@ -544,7 +544,7 @@ def test_kl_nonnegative_on_ten_thousand_pairs():
 
 
 def test_bounded_metrics_stay_in_range_fuzz():
-    rng = Rng(112)
+    rng = np.random.default_rng(112)
     for _ in range(200):
         cand = _random_sentence(rng, 0, 8)
         ref = _random_sentence(rng, 1, 8)
@@ -578,7 +578,7 @@ def test_self_bleu_single_sentence_errors():
 
 
 def test_self_bleu_matches_leave_one_out_oracle():
-    rng = Rng(111)
+    rng = np.random.default_rng(111)
     for _ in range(20):
         corpus = [_random_sentence(rng, 1, 6) for _ in range(3)]
         for n in (2, 3):
@@ -673,7 +673,7 @@ def test_report_means_match_per_pair_metrics(gen, ref):
     from medkit.tokenizer import build_vocab
 
     vocab = build_vocab(["头痛多喝水发烧要休息咳嗽好"])  # "癌" is out of vocabulary
-    encoder = Encoder(EncoderConfig(vocab_size=vocab.size, max_len=16, hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=16), Rng(3).spawn("enc"))
+    encoder = Encoder(EncoderConfig(vocab_size=vocab.size, max_len=16, hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=16), spawn(3, "enc"))
     table = gm.embedding_table(encoder, vocab)
     pairs = [(gm.char_tokens(g), gm.char_tokens(r), g, r) for g, r in zip(gen, ref)]
     info = bf_nist_info([r for _, r, _, _ in pairs])

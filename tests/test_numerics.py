@@ -10,7 +10,7 @@ import pytest
 
 from medkit import numerics as nm
 from medkit.encoder import init_layer_params, layer_weights
-from medkit.numerics import Adam, NumericsError, Rng, ShapeError, Tensor
+from medkit.numerics import Adam, NumericsError, ShapeError, Tensor
 
 from oracles import (
     adam_step, attention, attention_ops, causal_mask, cross_entropy, encoder_layer_ops, full_logits, gelu, gelu_backward_allocating, getitem, grad_check, layer_norm,
@@ -228,7 +228,7 @@ def test_generate_builds_no_graph_and_leaves_grads_unset(monkeypatch):
     from medkit.tokenizer import build_vocab
 
     vocab = build_vocab(["头痛发烧咳嗽多喝水"])
-    model = Decoder(DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=1, num_heads=2, context_window=16, max_gen_len=6), Rng(14))
+    model = Decoder(DecoderConfig(vocab_size=vocab.size, hidden_dim=8, num_layers=1, num_heads=2, context_window=16, max_gen_len=6), np.random.default_rng(14))
     steps, built = [], []
     step, init = generator.lm_logits, Tensor.__init__
     monkeypatch.setattr(generator, "lm_logits", lambda m, ids, cache: steps.append((list(ids), step(m, ids, cache))) or steps[-1][1])
@@ -419,8 +419,8 @@ def _oracle_layer(x, params, prefix, causal, heads, eps=1e-5, lengths=None):
 
 def _layer_params(rng, hidden, heads, ffn):
     """One layer's parameters with every bias, gain and weight perturbed, so
-    each gradient is exercised. `rng` is a numpy Generator: init_layer_params
-    draws from it only through `uniform`, which it shares with `Rng`."""
+    each gradient is exercised. `rng` is a numpy Generator, the kind
+    numerics.spawn returns."""
     params: dict = {}
     init_layer_params(rng, hidden, heads, ffn, "layer0", params)
     for p in params.values():
@@ -820,18 +820,35 @@ def test_grad_check_linear_regression_closed_form():
 
 
 def test_rng_same_seed_same_sequence():
-    a = Rng(42)
-    b = Rng(42)
+    a = nm.spawn(42, "t")
+    b = nm.spawn(42, "t")
     assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
-    assert np.array_equal(Rng(5).permutation(20), Rng(5).permutation(20))
+    assert np.array_equal(nm.spawn(5, "t").permutation(20), nm.spawn(5, "t").permutation(20))
+    assert nm.spawn(True, "t").random() == nm.spawn(1, "t").random()
 
 
 def test_rng_spawn_is_stable_and_independent():
-    r1 = Rng(9).spawn("left")
-    r2 = Rng(9).spawn("left")
-    r3 = Rng(9).spawn("right")
+    r1 = nm.spawn(9, "left")
+    r2 = nm.spawn(9, "left")
+    r3 = nm.spawn(9, "right")
     assert r1.random() == r2.random()
-    assert Rng(9).spawn("left").random() != r3.random()
+    assert nm.spawn(9, "left").random() != r3.random()
+
+
+@pytest.mark.parametrize(("seed", "tag", "first"), [
+    (0, "encoder.init", 0.192424979710358),
+    (7, "generator.sample", 0.20561353343224442),
+    (123, "corpus.split", 0.42392763759550234),
+])
+def test_spawn_keeps_the_recorded_streams(seed, tag, first):
+    """First draws recorded before spawn replaced the seeded-stream class:
+    every seeded artifact depends on these streams staying put."""
+    assert nm.spawn(seed, tag).random() == first
+
+
+def test_spawn_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="-3"):
+        nm.spawn(-3, "corpus.split")
 
 
 def test_adam_two_groups_visible_in_state_dump():
@@ -898,7 +915,7 @@ def _train_trajectory(seed: int) -> list[bytes]:
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(16, 4))
     y = rng.normal(size=(16, 1))
-    w = nm.xavier_uniform(Rng(seed).spawn("w"), 4, 1)
+    w = nm.xavier_uniform(nm.spawn(seed, "w"), 4, 1)
     opt = Adam([{"name": "w", "lr": 0.01, "params": {"w": w}}])
     snaps = []
     for _ in range(10):

@@ -5,7 +5,7 @@ import pytest
 
 from medkit import numerics as nm
 from medkit.encoder import Encoder, EncoderConfig
-from medkit.numerics import Rng, Tensor, TrainConfig
+from medkit.numerics import Tensor, TrainConfig
 from medkit.prompt import (
     PromptError,
     PromptTemplate,
@@ -27,7 +27,7 @@ def vocab():
 
 def _encoder(vocab, hidden=8, seed=0, max_len=24):
     cfg = EncoderConfig(vocab_size=vocab.size, max_len=max_len, hidden_dim=hidden, num_layers=1, num_heads=2, ffn_dim=16)
-    return Encoder(cfg, Rng(seed).spawn("enc"))
+    return Encoder(cfg, nm.spawn(seed, "enc"))
 
 
 class StubModel:

@@ -6,7 +6,7 @@ import pytest
 from medkit import numerics as nm
 from medkit import triage
 from medkit.encoder import Encoder, EncoderConfig, EncoderOutput
-from medkit.numerics import Rng, Tensor, TrainConfig
+from medkit.numerics import Tensor, TrainConfig
 from medkit.tokenizer import TokenBatch, build_vocab, encode
 from medkit.triage import (
     TriageConfig,
@@ -28,12 +28,12 @@ def vocab():
 
 def _encoder(vocab, hidden=8, seed=0):
     cfg = EncoderConfig(vocab_size=vocab.size, max_len=12, hidden_dim=hidden, num_layers=1, num_heads=2, ffn_dim=2 * hidden)
-    return Encoder(cfg, Rng(seed).spawn("enc"))
+    return Encoder(cfg, nm.spawn(seed, "enc"))
 
 
 def _head(hidden=8, classes=3, seed=0, **kw):
     cfg = TriageConfig(hidden_dim=hidden, num_classes=classes, **kw)
-    return TriageHead(cfg, Rng(seed).spawn("head"))
+    return TriageHead(cfg, nm.spawn(seed, "head"))
 
 
 def _batch(vocab, *texts):
@@ -346,7 +346,7 @@ def test_train_supervised_seeded_reproducibility(vocab):
 def test_full_pipeline_gradient_check_frozen_and_unfrozen(vocab):
     enc = _encoder(vocab, hidden=4, seed=4)
     cfg = TriageConfig(hidden_dim=4, num_classes=3, num_lstm_layers=1, num_dd_layers=2)
-    head = TriageHead(cfg, Rng(4).spawn("head"))
+    head = TriageHead(cfg, nm.spawn(4, "head"))
     seq = encode("甲乙丙", vocab, max_len=8)
 
     def loss_fn():
@@ -389,7 +389,7 @@ def test_evaluate_hand_confusion_case():
 
 
 def test_evaluate_confusion_rows_sum_to_support():
-    rng = Rng(8)
+    rng = np.random.default_rng(8)
     gold = [int(g) for g in rng.integers(0, 4, 60)]
     preds = [int(p) for p in rng.integers(0, 4, 60)]
     metrics = evaluate(preds, gold)
@@ -398,7 +398,7 @@ def test_evaluate_confusion_rows_sum_to_support():
 
 
 def test_evaluate_matches_bruteforce_oracle():
-    rng = Rng(9)
+    rng = np.random.default_rng(9)
     for _ in range(200):
         size = int(rng.integers(1, 30))
         classes = int(rng.integers(2, 6))
@@ -413,7 +413,7 @@ def test_evaluate_matches_bruteforce_oracle():
 
 
 def test_evaluate_macro_f1_relabeling_invariant():
-    rng = Rng(10)
+    rng = np.random.default_rng(10)
     gold = [int(g) for g in rng.integers(0, 4, 50)]
     preds = [int(p) for p in rng.integers(0, 4, 50)]
     base = evaluate(preds, gold)
