@@ -163,8 +163,13 @@ class RunConfig:
         return "\n".join(sorted(lines)) + "\n"
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+def _write_json(path: Path | None, obj) -> str:
+    """`obj` as indented JSON, keys sorted, written to `path` unless it is None;
+    returns that text. NaN or infinity raises ValueError and writes nothing."""
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if path:
+        path.write_text(text, encoding="utf-8")
+    return text
 
 
 def _start(args) -> tuple[RunConfig, Path | None]:
@@ -222,11 +227,8 @@ def _read_texts(args, out: Path) -> list[str]:
 
 
 def _labeled_pairs(samples, granularity: str):
-    field_name = corpus_mod.label_field(samples, granularity) or "label_coarse"  # None: no sample has a label
-    pairs = [(s.question, getattr(s, field_name)) for s in samples if getattr(s, field_name) is not None]
-    if not pairs:
-        raise CliError(f"no samples carry a {field_name} label")
-    return pairs
+    samples, labels, _ = corpus_mod.class_counts(samples, granularity)
+    return [(s.question, label) for s, label in zip(samples, labels) if label is not None]
 
 
 def _graph(args, cfg: RunConfig, out: Path | None):
@@ -379,11 +381,7 @@ def cmd_stats(args) -> int:
     cfg, out = _start(args)
     result = corpus_mod.ingest(args.inp)
     payload = asdict(corpus_mod.stats(result.samples, granularity=cfg.granularity))
-    payload["rejects"] = len(result.rejects)
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-    if out:
-        (out / "stats.json").write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(_write_json(out / "stats.json" if out else None, {**payload, "rejects": len(result.rejects)}), end="")
     return EXIT_OK
 
 
@@ -460,10 +458,8 @@ def cmd_train_triage(args) -> int:
 
 def _report_accuracy(out: Path, preds, gold, skipped: int) -> int:
     """Write and print an evaluation's metrics.json."""
-    payload = triage_mod.evaluate(preds, gold).to_json()
-    payload["skipped_unknown_label"] = skipped
-    _write_json(out / "metrics.json", payload)
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+    payload = {**triage_mod.evaluate(preds, gold).to_json(), "skipped_unknown_label": skipped}
+    print(_write_json(out / "metrics.json", payload), end="")
     return EXIT_OK
 
 
@@ -623,10 +619,7 @@ def cmd_metrics(args) -> int:
     if args.encoder:
         encoder, vocab, _ = _load_bundle(args.encoder, "encoder")
     report = genmetrics.report(gen_lines, ref_lines, encoder=encoder, vocab=vocab)
-    text = json.dumps(report.to_json(), ensure_ascii=False, sort_keys=True, indent=2)
-    if out:
-        (out / "metrics.json").write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(_write_json(out / "metrics.json" if out else None, report.to_json()), end="")
     return EXIT_OK
 
 

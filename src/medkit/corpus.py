@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
+import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .numerics import spawn
@@ -39,14 +40,7 @@ class DialogueSample:
     gender: str | None = None  # "male" | "female"
 
     def to_json(self) -> dict:
-        return {
-            "question": self.question,
-            "answer": self.answer,
-            "label_coarse": self.label_coarse,
-            "label_fine": self.label_fine,
-            "age": self.age,
-            "gender": _GENDER_OUT.get(self.gender) if self.gender else None,
-        }
+        return {**asdict(self), "gender": _GENDER_OUT.get(self.gender)}
 
 
 @dataclass
@@ -171,10 +165,22 @@ def label_field(samples, granularity: str = "auto") -> str | None:
     return None
 
 
-def _label_of(sample: DialogueSample, field_name: str | None) -> str | None:
-    if field_name is None:
-        return None
-    return getattr(sample, field_name)
+def labels_of(samples, granularity: str = "auto") -> tuple[list[DialogueSample], str | None, list[str | None]]:
+    """`samples` read once as a list, the field they are labeled by
+    (label_field) and each sample's label under it (None when it has none)."""
+    samples = list(samples)
+    field_name = label_field(samples, granularity)
+    return samples, field_name, [getattr(s, field_name) if field_name else None for s in samples]
+
+
+def class_counts(samples, granularity: str) -> tuple[list[DialogueSample], list[str | None], Counter[str]]:
+    """labels_of() of `samples` and the count of each label; ValueError naming
+    the label field when no sample carries one."""
+    samples, field_name, labels = labels_of(samples, granularity)
+    counts = Counter(label for label in labels if label is not None)
+    if not counts:
+        raise ValueError(f"no samples carry a {field_name or 'label_coarse'} label")
+    return samples, labels, counts
 
 
 @dataclass
@@ -192,10 +198,9 @@ def stats(samples, granularity: str = "auto") -> DatasetStats:
     """Exact counts and arithmetic-mean character lengths. Age is bucketed by
     decade; gender counts cover only samples that report one.
     """
-    samples = list(samples)
+    samples, _, labels = labels_of(samples, granularity)
     total = len(samples)
-    field_name = label_field(samples, granularity)
-    per_category: Counter[str] = Counter()
+    per_category = Counter(label for label in labels if label is not None)
     ages: Counter[str] = Counter()
     genders: Counter[str] = Counter()
     q_total = 0
@@ -206,9 +211,6 @@ def stats(samples, granularity: str = "auto") -> DatasetStats:
         if s.answer is not None:
             a_total += len(s.answer)
             a_count += 1
-        label = _label_of(s, field_name)
-        if label is not None:
-            per_category[label] += 1
         if s.age is not None:
             decade = (s.age // 10) * 10
             ages[f"{decade}-{decade + 9}"] += 1
@@ -232,13 +234,12 @@ def split(samples, test_fraction: float, seed: int, granularity: str = "auto"):
     the largest-remainder method so every class stays within one sample of its
     proportional share. Singleton classes go to train with a warning.
     """
-    samples = list(samples)
+    samples, field_name, labels = labels_of(samples, granularity)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     rng = spawn(seed, "corpus.split")
     total = len(samples)
     target_test = int(round(total * test_fraction))
-    field_name = label_field(samples, granularity)
 
     if field_name is None:
         order = rng.permutation(total)
@@ -248,9 +249,8 @@ def split(samples, test_fraction: float, seed: int, granularity: str = "auto"):
         return train, test
 
     by_class: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        label = _label_of(s, field_name) or ""
-        by_class.setdefault(label, []).append(i)
+    for i, label in enumerate(labels):
+        by_class.setdefault(label or "", []).append(i)
 
     eligible = {}
     for label, idxs in sorted(by_class.items()):
@@ -285,35 +285,17 @@ def split(samples, test_fraction: float, seed: int, granularity: str = "auto"):
 def make_small_sample(samples, max_per_class_threshold: float, granularity: str = "auto"):
     """Drop every category whose sample count exceeds the threshold; returns
     the surviving samples (original order) and the surviving category list."""
-    samples = list(samples)
-    field_name = label_field(samples, granularity)
-    if field_name is None:
-        raise ValueError("make_small_sample needs labeled samples")
-    counts: Counter[str] = Counter()
-    for s in samples:
-        label = _label_of(s, field_name)
-        if label is not None:
-            counts[label] += 1
+    samples, labels, counts = class_counts(samples, granularity)
     surviving = sorted(label for label, c in counts.items() if c <= max_per_class_threshold)
     if not surviving:
         raise ValueError("threshold removed every category")
     keep = set(surviving)
-    subset = [s for s in samples if _label_of(s, field_name) in keep]
-    return subset, surviving
+    return [s for s, label in zip(samples, labels) if label in keep], surviving
 
 
 def default_small_sample_threshold(samples, granularity: str = "auto") -> float:
     """Twice the median class count; used when no threshold is given."""
-    field_name = label_field(list(samples), granularity)
-    if field_name is None:
-        raise ValueError("threshold default needs labeled samples")
-    counts = Counter(_label_of(s, field_name) for s in samples if _label_of(s, field_name) is not None)
-    sizes = sorted(counts.values())
-    if not sizes:
-        raise ValueError("no labeled samples")
-    mid = len(sizes) // 2
-    median = sizes[mid] if len(sizes) % 2 == 1 else (sizes[mid - 1] + sizes[mid]) / 2.0
-    return 2.0 * median
+    return 2.0 * statistics.median(class_counts(samples, granularity)[2].values())
 
 
 def write_jsonl(path, rows) -> None:

@@ -4,7 +4,7 @@ import math
 import random
 import shutil
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -226,6 +226,38 @@ def test_small_sample_non_finite_threshold_exits_one(tmp_path, corpus_file, caps
     assert not (out / "categories.json").exists()
 
 
+def test_small_sample_on_a_granularity_no_sample_carries_names_it(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "fine.jsonl", [{**row, "label_coarse": None} for row in CORPUS_SAMPLES])
+    assert run(["small-sample", "--in", corpus, "--threshold", 5, "--out", tmp_path / "out"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "medkit: error: no samples carry a label_coarse label\n"
+
+
+def _report_argv(tmp_path, corpus_file, command):
+    if command == "stats":
+        return ["stats", "--in", corpus_file]
+    gen, ref = tmp_path / "gen.txt", tmp_path / "ref.txt"
+    gen.write_text("头痛多喝水\n发烧要休息\n", encoding="utf-8")
+    ref.write_text("头痛要多喝水\n发烧好好休息\n", encoding="utf-8")
+    return ["metrics", "--gen", gen, "--ref", ref]
+
+
+@pytest.mark.parametrize(("command", "report"), [("stats", "stats.json"), ("metrics", "metrics.json")])
+def test_report_prints_the_file_it_writes(tmp_path, corpus_file, capsys, command, report):
+    assert run(_report_argv(tmp_path, corpus_file, command) + ["--out", tmp_path / "out"]) == EXIT_OK
+    assert capsys.readouterr().out == (tmp_path / "out" / report).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(("command", "report"), [("stats", "stats.json"), ("metrics", "metrics.json")])
+def test_report_holding_a_nan_exits_one_and_writes_nothing(tmp_path, corpus_file, capsys, monkeypatch, command, report):
+    real_stats, real_report = cli.corpus_mod.stats, cli.genmetrics.report
+    monkeypatch.setattr(cli.corpus_mod, "stats", lambda *a, **kw: replace(real_stats(*a, **kw), avg_question_length=math.nan))
+    monkeypatch.setattr(cli.genmetrics, "report", lambda *a, **kw: replace(real_report(*a, **kw), bleu1=math.nan))
+    assert run(_report_argv(tmp_path, corpus_file, command) + ["--out", tmp_path / "out"]) == EXIT_USAGE
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("medkit: error: ") and printed.err.count("\n") == 1
+    assert not (tmp_path / "out" / report).exists()
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_write_json_refuses_non_finite_numbers(tmp_path, value):
     with pytest.raises(ValueError):
@@ -267,8 +299,7 @@ def test_triage_train_eval_round_trip(tmp_path, corpus_file, capsys):
     assert code == EXIT_OK
     payload = json.loads((eval_out / "metrics.json").read_text())
     assert payload["accuracy"] >= 0.9  # train-set evaluation of an overfit tiny model
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["accuracy"] == payload["accuracy"]
+    assert capsys.readouterr().out == (eval_out / "metrics.json").read_text(encoding="utf-8")
 
 
 def test_train_triage_ablation_flags_recorded(tmp_path, corpus_file, capsys):
@@ -353,6 +384,7 @@ def test_prompt_train_eval_round_trip(tmp_path, corpus_file, capsys):
     assert code == EXIT_OK
     payload = json.loads((eval_out / "metrics.json").read_text())
     assert payload["accuracy"] >= 0.9
+    assert capsys.readouterr().out == (eval_out / "metrics.json").read_text(encoding="utf-8")
 
 
 def test_prompt_bundle_keeps_the_surfaces_its_encoder_cannot_spell(tmp_path, capsys):

@@ -221,6 +221,29 @@ def test_default_small_sample_threshold_is_twice_median():
     assert corpus.default_small_sample_threshold(samples) == 8.0
 
 
+def test_label_functions_read_a_one_shot_iterable_once():
+    samples = (
+        [_sample(label_coarse="A") for _ in range(2)]
+        + [_sample(label_coarse="B") for _ in range(4)]
+        + [_sample(label_coarse="C") for _ in range(10)]
+    )
+    assert corpus.default_small_sample_threshold(iter(samples)) == 8.0
+    assert corpus.stats(iter(samples)) == corpus.stats(samples)
+    assert corpus.split(iter(samples), 0.5, seed=1) == corpus.split(samples, 0.5, seed=1)
+    assert corpus.make_small_sample(iter(samples), 4) == corpus.make_small_sample(samples, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda samples: corpus.make_small_sample(samples, 5, granularity="coarse"),
+    lambda samples: corpus.default_small_sample_threshold(samples, granularity="coarse"),
+], ids=["make_small_sample", "default_threshold"])
+def test_small_sample_names_the_label_field_no_sample_carries(call):
+    """A corpus with fine labels only, subset by coarse label: the error names
+    label_coarse rather than blaming the threshold."""
+    with pytest.raises(ValueError, match="no samples carry a label_coarse label"):
+        call([_sample(label_fine="呼吸内科") for _ in range(3)])
+
+
 def test_jsonl_round_trip(tmp_path):
     samples = [
         _sample(label_coarse="内科", label_fine="呼吸内科", age=40, gender="male"),

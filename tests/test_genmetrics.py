@@ -316,6 +316,9 @@ def test_ter_matches_oracle_exactly_at_benchmark_shape():
     for _ in range(6):
         cand, ref = _benchmark_shape_pair(rng)
         assert gm.ter(cand, ref) == bf_ter(cand, ref)
+    # One shift of a 10-token block fixes B + A against A + B; a 9-token limit needs two.
+    a, b = list("abcdefghij"), list("klmnopqrstu")
+    assert gm.ter(b + a, a + b) == bf_ter(b + a, a + b, max_shift_len=10) == 1 / 21
 
 
 # -- WMD ----------------------------------------------------------------------
@@ -456,7 +459,7 @@ def test_embed_score_identical_sentence_is_unity():
     assert f1 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_embed_score_hand_cosine_table():
+def test_embed_score_hand_cosine_table(monkeypatch):
     from medkit.tokenizer import build_vocab
 
     vocab = build_vocab(["ab"])
@@ -468,6 +471,13 @@ def test_embed_score_hand_cosine_table():
     assert p == pytest.approx(1.0)
     assert r == pytest.approx(0.5)
     assert f1 == pytest.approx(2 * 1.0 * 0.5 / 1.5)
+    # A token vector of norm 1e-6 still has the direction of its larger twin.
+    table = {"cand": np.array([[3.0, 4.0], [6e-7, 8e-7]]), "ref": np.array([[0.6, 0.8], [0.0, 1.0]])}
+    monkeypatch.setattr(gm, "_token_vectors", lambda text, encoder, vocab: table[text])
+    p, r, f1 = gm.embed_score("cand", "ref", enc, vocab)
+    assert p == pytest.approx(1.0)
+    assert r == pytest.approx(0.9)
+    assert f1 == pytest.approx(2 * 0.9 / 1.9)
 
 
 def test_embed_score_negative_cosines_floor_to_zero():
