@@ -194,12 +194,13 @@ def _start(args) -> tuple[RunConfig, Path | None]:
 
 
 def _finish(out: Path, log_name: str, history, what: str, bundle: tuple, summary: str, **extra) -> int:
-    """A trainer's epilogue: write its log and its bundle (name, kind, parts,
-    vocab), then raise if training diverged, else print `summary`."""
+    """A trainer's epilogue: write its log, run.jsonl and bundle (name, kind,
+    parts, vocab), then raise naming the rollback if training diverged, else print `summary`."""
     history.write_csv(out / log_name)
+    corpus_mod.write_jsonl(out / "run.jsonl", history.records)
     _save_bundle(out, *bundle, **extra)
     if history.aborted:
-        raise NumericsError(f"{what} diverged; last good checkpoint saved")
+        raise NumericsError(f"{what} diverged at epoch {history.aborted['epoch']} ({history.aborted['error']}); last good checkpoint saved")
     print(summary)
     return EXIT_OK
 
@@ -450,7 +451,6 @@ def cmd_train_triage(args) -> int:
     max_len = encoder.config.max_len  # a loaded bundle fixes the sequence length
     dataset = [(tok_mod.encode(q, vocab, max_len, mode="encoder"), label_map[label]) for q, label in pairs]
     history = triage_mod.train_supervised(encoder, head, dataset, TrainConfig(cfg.triage_epochs, cfg.lr_head, cfg.batch_size, cfg.seed), cfg.lr_encoder)
-    _write_json(out / "optimizer_state.json", history.optimizer_state)
     _write_json(out / "label_map.json", label_map)
     bundle = ("triage", "triage", {"encoder": encoder, "head": head}, vocab)
     return _finish(out, "train.log.csv", history, "triage training", bundle, f"trained triage model over {len(dataset)} samples, {len(label_map)} classes")
@@ -550,16 +550,17 @@ def cmd_train_gen(args) -> int:
     if graph is not None:
         texts += [t.render() for facts in graph.values() for t in facts]
     decoder, vocab = _base_model(cfg, "decoder", lm_ckpt, texts)
-    fine = gen_mod.finetune_qa(
+    history = gen_mod.finetune_qa(
         decoder, qa_pairs, graph, vocab, TrainConfig(cfg.lm_finetune_epochs, cfg.lm_lr, cfg.batch_size, cfg.seed), cfg.supplement_max_chars
     )
+    skipped = sum(record["record"] == "skipped_pair" for record in history.records)
     return _finish(
-        out, "train.log.csv", fine.history, "fine-tuning", ("gen", "decoder", {"decoder": decoder}, vocab),
-        f"fine-tuned generator on {len(qa_pairs) - fine.skipped} pairs ({fine.skipped} skipped)",
+        out, "train.log.csv", history, "fine-tuning", ("gen", "decoder", {"decoder": decoder}, vocab),
+        f"fine-tuned generator on {len(qa_pairs) - skipped} pairs ({skipped} skipped)",
         supplement_max_chars=cfg.supplement_max_chars,
         uses_input_supplement=graph is not None,
         knowledge_base="pretrained" if lm_ckpt else "fresh",
-        skipped_pairs=fine.skipped,
+        skipped_pairs=skipped,
     )
 
 

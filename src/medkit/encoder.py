@@ -189,6 +189,6 @@ def pretrain(encoder: Encoder, sequences: list[list[int]], config: nm.TrainConfi
     mean over batches. Divergence rolls back to the last completed epoch."""
 
     def batch_loss(chunk, rng):
-        return mlm_loss(encoder, [mask_tokens(seq, encoder.config.mask_rate, rng, encoder.config.vocab_size) for seq in chunk]), 1, 0
+        return mlm_loss(encoder, [mask_tokens(seq, encoder.config.mask_rate, rng, encoder.config.vocab_size) for seq in chunk]), 1, None
 
     return nm.fit(batch_loss, sequences, [{"name": "encoder", "lr": config.lr, "params": encoder.params}], config, "encoder.pretrain")

@@ -21,7 +21,6 @@ same buffer.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,6 @@ from . import numerics as nm
 from .encoder import init_layer_params, layer_weights, run_stack
 from .numerics import Tensor
 from .tokenizer import EOS_ID, TokenBatch, Vocab, decode, encode
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -187,7 +184,7 @@ def _fit(model: Decoder, items, config: nm.TrainConfig, tag: str) -> nm.TrainHis
 
     def batch_loss(chunk, _rng):
         joined = [np.concatenate([np.asarray(part) for part in parts]) for parts in zip(*chunk)]
-        return lm_loss(model, *joined, lengths=[len(seq) for seq, _ in chunk]), 1, 0
+        return lm_loss(model, *joined, lengths=[len(seq) for seq, _ in chunk]), 1, None
 
     return nm.fit(batch_loss, items, [{"name": "decoder", "lr": config.lr, "params": model.params}], config, tag)
 
@@ -209,12 +206,6 @@ def pretrain_lm(model: Decoder, background_texts, vocab: Vocab, config: nm.Train
     return _fit(model, items, config, "generator.pretrain")
 
 
-@dataclass
-class QaFinetuneResult:
-    history: nm.TrainHistory
-    skipped: int = 0
-
-
 def _compose_prompt(question: str, graph: kg.KnowledgeGraph | None, vocab: Vocab, budget: int, supplement_max_chars: int):
     """The prompt ids, at most `budget` of them (kgraph.supplement of the
     question text), and the retrieved supplement text."""
@@ -234,27 +225,27 @@ def build_qa_sequence(question: str, answer: str, graph: kg.KnowledgeGraph | Non
     return ids, [False] * len(prompt) + [True] * (len(ids) - len(prompt))
 
 
-def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab: Vocab, config: nm.TrainConfig, supplement_max_chars: int = 64) -> QaFinetuneResult:
+def finetune_qa(model: Decoder, qa_pairs, graph: kg.KnowledgeGraph | None, vocab: Vocab, config: nm.TrainConfig, supplement_max_chars: int = 64) -> nm.TrainHistory:
     """Fine-tune on supplemented QA pairs with answer-only loss masking.
 
-    Pairs whose composed sequence cannot fit the context window even after
-    the supplement/question truncation rules are skipped and counted.
+    A pair whose composed sequence cannot fit the context window even after
+    the supplement/question truncation rules is skipped, and named right
+    after the history's header by a {"record": "skipped_pair", pair (its
+    index in `qa_pairs`), tokens (its composed length)} record.
     """
     window = model.config.context_window
-    items = []
-    skipped = 0
-    for question, answer in qa_pairs:
+    items, skipped = [], []
+    for pair, (question, answer) in enumerate(qa_pairs):
         ids, mask = build_qa_sequence(question, answer, graph, vocab, window, supplement_max_chars)
         if len(ids) > window or not any(mask):
-            skipped += 1
-            continue
-        items.append((ids, mask))
+            skipped.append({"record": "skipped_pair", "pair": pair, "tokens": len(ids)})
+        else:
+            items.append((ids, mask))
     if not items:
         raise ValueError("no QA pair fits the context window")
-    if skipped:
-        log.warning("finetune_qa: skipped %d over-length pairs", skipped)
     history = _fit(model, items, config, "generator.finetune")
-    return QaFinetuneResult(history=history, skipped=skipped)
+    history.records[1:1] = skipped
+    return history
 
 
 def _sample_from(probs: np.ndarray, request: GenerationRequest, rng: np.random.Generator | None) -> int:

@@ -29,7 +29,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -629,20 +629,15 @@ class Adam:
                 v += (1.0 - self.BETA2) * (p.grad * p.grad)
                 p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
-    def state_summary(self) -> dict:
-        """Small JSON-able snapshot; exposes the learning-rate groups."""
-        groups = [{"name": g["name"], "lr": g["lr"], "param_count": int(sum(p.size for p in g["params"].values())), "params": sorted(g["params"])} for g in self.groups]
-        return {"step": self.t, "beta1": self.BETA1, "beta2": self.BETA2, "eps": self.EPS, "groups": groups}
-
 
 @dataclass
 class TrainHistory:
-    """One row per completed epoch (epoch, loss, lr, seconds); `aborted` marks
-    a run rolled back after a non-finite value."""
+    """One CSV row per completed epoch (epoch, loss, lr, seconds), the run's
+    records (see fit), and `aborted`: the rollback record, or None."""
 
     rows: list[dict] = field(default_factory=list)
-    aborted: bool = False
-    optimizer_state: dict = field(default_factory=dict)
+    records: list[dict] = field(default_factory=list)
+    aborted: dict | None = None
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -678,29 +673,37 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, ta
 
     `batch_loss(batch, rng)` returns (loss, weight, correct): the loss Tensor
     (None skips the batch), the weight of its value in the epoch's logged
-    mean, and how many items it got right, for the logged train accuracy.
-    `rng` is the shuffling stream, for draws the loss makes. The first
-    group's lr is logged. Empty `items` raise ValueError. On a non-finite
-    value (NumericsError) every parameter rolls back to the end of the last
-    completed epoch and the history is marked aborted; a ShapeError is a bug,
-    not divergence, and propagates as it is.
+    mean, and how many items it got right (None when the loss has no right
+    answer; the epoch's accuracy is then None). `rng` is the shuffling
+    stream, for draws the loss makes. The first group's lr is logged. Empty
+    `items` raise ValueError. On a non-finite value (NumericsError) every
+    parameter rolls back to the end of the last completed epoch; a
+    ShapeError is a bug, not divergence, and propagates as it is.
+
+    `records`: a "run" header (tag, config, items, Adam's constants, each
+    group's name, lr, param_count and params), an "epoch" record per epoch
+    (loss, accuracy, weight, step: Adam's step count), and "skipped_batch"
+    (epoch, batch) and "rollback" (epoch, error) events where they happen.
     """
     if not items:
         raise ValueError(f"{tag}: nothing to train on")
     rng = spawn(config.seed, tag)
     opt = Adam(groups)
     params = [p for g in opt.groups for p in g["params"].values()]
-    history = TrainHistory()
+    described = [{"name": g["name"], "lr": g["lr"], "param_count": int(sum(p.size for p in g["params"].values())), "params": sorted(g["params"])} for g in opt.groups]
+    header = {"record": "run", "tag": tag, **asdict(config), "items": len(items), "beta1": opt.BETA1, "beta2": opt.BETA2, "eps": opt.EPS, "groups": described}
+    history = TrainHistory(records=[header])
     last_good = [p.data.copy() for p in params]
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = rng.permutation(len(items))
-        total = weights = correct = 0
+        total, weights, rights = 0, 0, []
         try:
             for start in range(0, len(order), config.batch_size):
                 loss, weight, right = batch_loss([items[int(i)] for i in order[start : start + config.batch_size]], rng)
-                correct += right
+                rights.append(right)
                 if loss is None:
+                    history.records.append({"record": "skipped_batch", "epoch": epoch, "batch": start // config.batch_size})
                     continue
                 opt.zero_grad()
                 backward(loss)
@@ -709,17 +712,17 @@ def fit(batch_loss, items: Sequence, groups: list[dict], config: TrainConfig, ta
                 weights += weight
         except ShapeError:
             raise
-        except NumericsError:
+        except NumericsError as exc:
             logger.error("%s: non-finite value at epoch %d; rolling back", tag, epoch)
             for p, data in zip(params, last_good):
                 p.data = data
-            history.aborted = True
+            history.aborted = {"record": "rollback", "epoch": epoch, "error": str(exc)}
+            history.records.append(history.aborted)
             break
         last_good = [p.data.copy() for p in params]
-        accuracy = correct / len(items)
         history.rows.append({"epoch": epoch, "loss": total / max(1, weights), "lr": opt.groups[0]["lr"], "seconds": time.perf_counter() - started})
-        logger.info("%s epoch %d loss %.4f acc %.3f", tag, epoch, history.rows[-1]["loss"], accuracy)
-    history.optimizer_state = opt.state_summary()
+        accuracy = None if None in rights else sum(rights) / len(items)
+        history.records.append({"record": "epoch", "epoch": epoch, "loss": history.rows[-1]["loss"], "accuracy": accuracy, "weight": weights, "step": opt.t})
     return history
 
 

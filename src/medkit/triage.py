@@ -138,7 +138,7 @@ def train_supervised(encoder: Encoder, head: TriageHead, dataset, config: nm.Tra
     the last completed epoch.
 
     `dataset` is a list of (tokenizer.encode ids, label_id). The returned
-    history's optimizer_state shows both groups and their rates.
+    history's header record shows both groups and their rates.
     """
     num_classes = head.config.num_classes
     for _, label in dataset:

@@ -197,8 +197,8 @@ def test_criterion_04b_generator_memorizes_qa_fixture():
         vocab = build_vocab(texts)
         cfg = DecoderConfig(vocab_size=vocab.size, hidden_dim=32, num_layers=1, num_heads=2, ffn_dim=64, context_window=64, max_gen_len=12)
         model = Decoder(cfg, nm.spawn(41, "dec"))
-        result = finetune_qa(model, QA_PAIRS, graph, vocab, TrainConfig(epochs=200, lr=8e-3, batch_size=8, seed=41), supplement_max_chars=24)
-        assert result.skipped == 0
+        history = finetune_qa(model, QA_PAIRS, graph, vocab, TrainConfig(epochs=200, lr=8e-3, batch_size=8, seed=41), supplement_max_chars=24)
+        assert not any(record["record"] == "skipped_pair" for record in history.records)
         hits = 0
         for question, answer in QA_PAIRS:
             out = generate(model, GenerationRequest(question=question, strategy="greedy", max_gen_len=12), graph, vocab, supplement_max_chars=24)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -14,9 +15,10 @@ from medkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, RunConfig, build_parse
 from medkit.encoder import EncoderConfig
 from medkit.generator import Decoder, DecoderConfig
 from medkit.kgraph import fixture_graph_path
-from medkit.numerics import NumericsError, load_checkpoint, save_checkpoint
+from medkit.numerics import Adam, NumericsError, load_checkpoint, save_checkpoint
 from medkit.tokenizer import Vocab
 
+import chain
 import cli_help
 from conftest import CORPUS_SAMPLES, write_corpus
 
@@ -290,9 +292,9 @@ def test_triage_train_eval_round_trip(tmp_path, corpus_file, capsys):
     ])
     assert code == EXIT_OK
     capsys.readouterr()
-    opt_state = json.loads((out / "optimizer_state.json").read_text())
-    assert [g["name"] for g in opt_state["groups"]] == ["head", "encoder"]
-    assert [g["lr"] for g in opt_state["groups"]] == [0.01, 0.002]
+    header = json.loads((out / "run.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert [g["name"] for g in header["groups"]] == ["head", "encoder"]
+    assert [g["lr"] for g in header["groups"]] == [0.01, 0.002]
 
     eval_out = tmp_path / "triage-eval"
     code = run(["eval-triage", "--in", corpus_file, "--ckpt", out / "triage.ckpt", "--out", eval_out])
@@ -318,9 +320,57 @@ def test_train_triage_divergence_keeps_last_completed_epoch_and_exits_two(tmp_pa
     assert run(["train-triage", "--in", corpus_file, "--out", tmp_path / "one"] + settings + ["--set", "triage_epochs=1"]) == EXIT_OK
     capsys.readouterr()
     assert run(["train-triage", "--in", corpus_file, "--out", tmp_path / "three"] + settings + ["--set", "triage_epochs=3"]) == EXIT_RUNTIME
-    assert "triage training diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "triage training diverged at epoch 1 (non-finite attention projections); last good checkpoint saved" in err
     assert len((tmp_path / "three" / "train.log.csv").read_text().splitlines()) == 2  # header and the completed epoch
+    records = [json.loads(line) for line in (tmp_path / "three" / "run.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["record"] for r in records] == ["run", "epoch", "rollback"]
+    assert records[-1] == {"record": "rollback", "epoch": 1, "error": "non-finite attention projections"}
     assert (tmp_path / "three" / "triage.ckpt").read_bytes() == (tmp_path / "one" / "triage.ckpt").read_bytes()
+
+
+# trainer: (fit's tag, log file, bundle, whether its loss has a right answer)
+TRAINERS = {
+    "pretrain-encoder": ("encoder.pretrain", "pretrain.log.csv", "encoder.ckpt", False),
+    "train-triage": ("triage.train", "train.log.csv", "triage.ckpt", True),
+    "train-prompt": ("prompt.train", "train.log.csv", "prompt.ckpt", True),
+    "pretrain-lm": ("generator.pretrain", "pretrain.log.csv", "lm.ckpt", False),
+    "train-gen": ("generator.finetune", "train.log.csv", "gen.ckpt", False),
+}
+
+
+def test_every_trainer_of_the_seeded_chain_writes_its_run_records(tmp_path, monkeypatch):
+    optimizers = {}  # each Adam of the chain, in order of its first step: its step count
+    real_step = Adam.step
+
+    def counted_step(self):
+        optimizers[self] = optimizers.get(self, 0) + 1
+        real_step(self)
+
+    monkeypatch.setattr(Adam, "step", counted_step)
+    results = chain.run(tmp_path)
+    assert all(code == EXIT_OK for code, _ in results.values())
+    last_steps = []
+    for command, (tag, log_name, bundle, answered) in TRAINERS.items():
+        folder = tmp_path / command
+        text = (folder / "run.jsonl").read_text(encoding="utf-8")
+        assert str(tmp_path) not in text and "/" not in text and "--" not in text  # no path, no argv
+        records = [json.loads(line) for line in text.splitlines()]
+        header, epochs = records[0], [r for r in records if r["record"] == "epoch"]
+        assert [r["record"] for r in records].count("run") == 1 and header["record"] == "run"
+        assert set(header) == {"record", "tag", "epochs", "lr", "batch_size", "seed", "items", "beta1", "beta2", "eps", "groups"}
+        assert (header["tag"], header["epochs"], header["seed"]) == (tag, 1, 3)
+        assert all(set(r) == {"record", "epoch", "loss", "accuracy", "weight", "step"} for r in epochs)
+        assert '"seconds"' not in text and '"argv"' not in text
+        with open(folder / log_name, encoding="utf-8") as fh:
+            assert [r["loss"] for r in epochs] == [float(row["loss"]) for row in csv.DictReader(fh)]
+        assert all((0.0 <= r["accuracy"] <= 1.0) if answered else r["accuracy"] is None for r in epochs)
+        tensors = load_checkpoint(folder / bundle)
+        names = [[f"{g['name']}.{p}" if command == "train-triage" else p for p in g["params"]] for g in header["groups"]]
+        assert sorted(n for group in names for n in group) == sorted(tensors)
+        assert [g["param_count"] for g in header["groups"]] == [sum(tensors[n].size for n in group) for group in names]
+        last_steps.append(epochs[-1]["step"])
+    assert last_steps == list(optimizers.values())
 
 
 @pytest.mark.parametrize(("argv", "message"), [

@@ -250,6 +250,17 @@ def test_mlm_loss_empty_batch_warns(vocab, caplog):
     assert any("no masked positions" in rec.message for rec in caplog.records)
 
 
+def test_pretrain_records_the_batch_in_which_nothing_is_masked(vocab):
+    sequences = [encode("", vocab, 16)] * 3 + [encode("头痛多喝水发烧要休息", vocab, 16)]  # only the last has content tokens to mask
+    assert list(nm.spawn(1, "encoder.pretrain").permutation(4)) == [3, 1, 2, 0]  # fit's first draw: batch 1 holds two empty sequences
+    enc = Encoder(tiny_config(vocab.size), nm.spawn(1, "init"))
+    history = pretrain(enc, sequences, TrainConfig(epochs=1, lr=0.01, batch_size=2, seed=1))
+    assert history.records[1:] == [
+        {"record": "skipped_batch", "epoch": 0, "batch": 1},
+        {"record": "epoch", "epoch": 0, "loss": history.rows[0]["loss"], "accuracy": None, "weight": 1, "step": 1},
+    ]
+
+
 def _pretrain_fixture(vocab, seed=0, epochs=50):
     texts = ["头痛多喝水", "发烧要休息", "咳嗽要保暖", "感冒要休息"]
     sequences = [encode(t, vocab, 12) for t in texts]

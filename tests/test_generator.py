@@ -200,8 +200,8 @@ def test_build_qa_sequence_maps_the_answer_as_encode_does():
 def test_finetune_qa_memorizes_pairs(vocab):
     pairs = [("头痛多喝水", "建议休息"), ("发烧要保暖", "多喝水"), ("咳嗽要休息", "要保暖")]
     model = _decoder(vocab, hidden=16, window=32, seed=11)
-    result = finetune_qa(model, pairs, None, vocab, TrainConfig(epochs=150, lr=0.01, batch_size=3, seed=11))
-    assert result.skipped == 0
+    history = finetune_qa(model, pairs, None, vocab, TrainConfig(epochs=150, lr=0.01, batch_size=3, seed=11))
+    assert not any(record["record"] == "skipped_pair" for record in history.records)
     hits = 0
     for question, answer in pairs:
         out = generate(model, GenerationRequest(question=question, max_gen_len=16), None, vocab)
@@ -211,16 +211,21 @@ def test_finetune_qa_memorizes_pairs(vocab):
 
 def test_finetune_qa_without_graph_still_trains(vocab):
     model = _decoder(vocab, seed=12, window=32)
-    result = finetune_qa(model, [("头痛多喝水", "建议休息")], None, vocab, TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
-    assert not result.history.aborted
+    history = finetune_qa(model, [("头痛多喝水", "建议休息")], None, vocab, TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
+    assert not history.aborted
 
 
-def test_finetune_qa_skips_overlong_pairs(vocab, caplog):
+def test_finetune_qa_skips_overlong_pairs(vocab):
     model = _decoder(vocab, window=8, seed=13)
     pairs = [("头痛", "好"), ("发烧要保暖咳嗽", "建议充分休息多喝水保暖规律饮食abcd")]
-    with caplog.at_level("WARNING"):
-        result = finetune_qa(model, pairs, None, vocab, TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
-    assert result.skipped == 1
+    history = finetune_qa(model, pairs, None, vocab, TrainConfig(epochs=1, lr=1e-3, batch_size=1, seed=0))
+    tokens = len(build_qa_sequence(*pairs[1], None, vocab, window=8)[0])
+    assert tokens > 8
+    assert history.records[1:] == [  # the skipped pair right after the header, then the one epoch over the pair that fits
+        {"record": "skipped_pair", "pair": 1, "tokens": tokens},
+        {"record": "epoch", "epoch": 0, "loss": history.rows[0]["loss"], "accuracy": None, "weight": 1, "step": 1},
+    ]
+    assert history.records[0]["items"] == 1
 
 
 def test_generate_greedy_deterministic(vocab):

@@ -854,13 +854,17 @@ def test_spawn_rejects_a_negative_seed():
 def test_adam_two_groups_visible_in_state_dump():
     w1 = nm.zeros_param(2, 2)
     w2 = nm.zeros_param(2)
-    opt = Adam([
+    groups = [
         {"name": "encoder", "lr": 5e-5, "params": {"w1": w1}},
         {"name": "head", "lr": 2e-4, "params": {"w2": w2}},
-    ])
-    state = opt.state_summary()
-    assert [g["lr"] for g in state["groups"]] == [5e-5, 2e-4]
-    assert [g["name"] for g in state["groups"]] == ["encoder", "head"]
+    ]
+    history = nm.fit(lambda batch, _rng: (None, 1, None), [0], groups, nm.TrainConfig(epochs=0, lr=5e-5), "state")
+    header = history.records[0]
+    assert [g["lr"] for g in header["groups"]] == [5e-5, 2e-4]
+    assert [g["name"] for g in header["groups"]] == ["encoder", "head"]
+    assert [g["param_count"] for g in header["groups"]] == [4, 2]
+    assert [g["params"] for g in header["groups"]] == [["w1"], ["w2"]]
+    assert (header["beta1"], header["beta2"], header["eps"]) == (Adam.BETA1, Adam.BETA2, Adam.EPS)
 
 
 def test_adam_step_in_place_matches_one_expression_oracle():

@@ -319,8 +319,9 @@ def test_train_supervised_two_lr_groups_in_state(vocab):
     head = _head(seed=2)
     data = _synthetic_dataset(vocab, per_class=2)
     cfg = TrainConfig(epochs=1, lr=2e-4, batch_size=4, seed=2)
-    state = train_supervised(enc, head, data, cfg, lr_encoder=5e-5).optimizer_state
-    by_name = {g["name"]: g["lr"] for g in state["groups"]}
+    header = train_supervised(enc, head, data, cfg, lr_encoder=5e-5).records[0]
+    assert header["record"] == "run"
+    by_name = {g["name"]: g["lr"] for g in header["groups"]}
     assert by_name == {"head": 2e-4, "encoder": 5e-5}
 
 
