@@ -11,8 +11,9 @@ side. numpy registers its buffers with tracemalloc, so a traced peak counts
 the arrays. The last line is one JSON object with the numbers printed.
 
 ``pipeline`` runs the chain through ``Pipeline.run``. For each command it
-prints the tracemalloc peak of that command alone and the process's
-``ru_maxrss`` after it, which never falls.
+prints the tracemalloc peak and the CPU seconds (``ru_utime + ru_stime``, every
+thread's) of that command alone, and the process's ``ru_maxrss`` after it,
+which never falls.
 
 ``consult`` runs ``Consult``'s set-up, warm-up and each question once through
 ``Consult.run``, then ``Consult.check``. Each ``generator.lm_logits`` call
@@ -21,8 +22,9 @@ cache: the whole prompt), a window slide (a cache the sliding window has
 shifted: the whole window again) or a warm step (the rows after a cached
 prefix). For each kind it prints the number of calls and the rows and traced
 peak of its largest call (the first of equals), then ``ru_maxrss`` after
-set-up and after the answers. Tracing only inside the calls keeps
-tracemalloc's own memory out of ``ru_maxrss`` between them.
+set-up and after the answers, and the CPU seconds of the answers. Tracing
+only inside the calls keeps tracemalloc's own memory out of ``ru_maxrss``
+between them.
 
 Standard library only.
 """
@@ -50,6 +52,11 @@ from workloads import Pipeline
 import medkit.cli  # imported before tracing starts: the peaks count the commands' own memory
 
 
+def cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 class Peaks:
     def __init__(self):
         self.rows = []
@@ -57,8 +64,9 @@ class Peaks:
     @contextlib.contextmanager
     def span(self, name):
         tracemalloc.reset_peak()
+        start = cpu_s()
         yield
-        self.rows.append({"traced_peak_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 2),
+        self.rows.append({"traced_peak_mb": round(tracemalloc.get_traced_memory()[1] / 2**20, 2), "cpu_s": round(cpu_s() - start, 3),
                           "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)})
 
 
@@ -87,6 +95,11 @@ def maxrss_mb():
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
 
 
+def cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 steps, step = {}, generator.lm_logits
 
 
@@ -113,11 +126,13 @@ setup_rss = maxrss_mb()
 wl.prepare()
 wl.warmup()
 generator.lm_logits = traced_step
+start = cpu_s()
 ops = [op for question in wl.requests() for op in wl.run(question)]
+answers_cpu_s = round(cpu_s() - start, 3)
 generator.lm_logits = step
 answers_rss = maxrss_mb()
 wl.check(ops)
-print(json.dumps({"answers": len(ops), "ok": all(op.ok for op in ops), "setup_maxrss_mb": setup_rss, "maxrss_mb": answers_rss,
+print(json.dumps({"answers": len(ops), "ok": all(op.ok for op in ops), "setup_maxrss_mb": setup_rss, "maxrss_mb": answers_rss, "cpu_s": answers_cpu_s,
                   "steps": {kind: {"calls": calls, **largest} for kind, (calls, largest) in sorted(steps.items())}}))
 """
 
@@ -143,12 +158,12 @@ def main(argv=None) -> int:
         (report,) = measure(args.tree.resolve(), args.seed, args.tiny, "consult")
         for kind, row in report["steps"].items():
             print(f"{kind:<8} {row['calls']:5d} calls  largest {row['rows']:4d} rows  traced peak {row['traced_peak_kb']:8.1f} KiB")
-        print(f"{report['answers']} answers {'ok' if report['ok'] else 'FAILED'}  maxrss after set-up {report['setup_maxrss_mb']:.2f} MB, after the answers {report['maxrss_mb']:.2f} MB")
+        print(f"{report['answers']} answers {'ok' if report['ok'] else 'FAILED'} in {report['cpu_s']:.3f} CPU s  maxrss after set-up {report['setup_maxrss_mb']:.2f} MB, after the answers {report['maxrss_mb']:.2f} MB")
         print(json.dumps({"tree": str(args.tree.resolve()), "workload": "consult", "seed": args.seed, "tiny": args.tiny, **report}))
         return 0 if report["ok"] and report["answers"] else 1
     rows = measure(args.tree.resolve(), args.seed, args.tiny)
     for row in rows:
-        print(f"{row['command']:<17} {'ok    ' if row['ok'] else 'FAILED'}  {row['seconds']:7.3f} s  traced peak {row['traced_peak_mb']:6.2f} MB  maxrss {row['maxrss_mb']:6.1f} MB")
+        print(f"{row['command']:<17} {'ok    ' if row['ok'] else 'FAILED'}  {row['seconds']:7.3f} s  {row['cpu_s']:7.3f} CPU s  traced peak {row['traced_peak_mb']:6.2f} MB  maxrss {row['maxrss_mb']:6.1f} MB")
     print(json.dumps({"tree": str(args.tree.resolve()), "workload": "pipeline", "seed": args.seed, "tiny": args.tiny, "commands": rows}))
     return 0 if rows and all(row["ok"] for row in rows) else 1
 

@@ -17,8 +17,9 @@ each side's median and quartiles, the pairs the change won (ties count for
 neither side), the median gain and the base's interquartile range, and
 whether a gain is shown (at least nine tenths of the pairs won, and the
 median gain larger than the base's interquartile range). It also writes
-both commits, their ``src/medkit`` line counts and perfbench's record of the
-machine. Standard library only; ``--tiny`` runs perfbench's tiny mode, for
+both commits, their ``src/medkit`` line counts and BLAS thread settings
+(as each side's perfbench run saw them, after importing medkit), and
+perfbench's record of the machine. Standard library only; ``--tiny`` runs perfbench's tiny mode, for
 the schema test.
 """
 
@@ -120,6 +121,7 @@ def main(argv=None) -> int:
                         info, result = run_once(trees[side], workload, seed, seconds, args.tiny)
                         record = info["record"]
                         report[side]["src_medkit_lines"] = record.pop("src_medkit_lines")
+                        report[side]["blas_threads_env"] = record.pop("blas_threads_env")
                         record.pop("git_commit")
                         report["machine"] = report["machine"] or record
                         run[side] = {"correct": result["correct"], "failed": result["failed"], "attempted": result["attempted"],

@@ -25,6 +25,7 @@ def test_tiny_chain_reports_each_command(tmp_path):
     assert rss == sorted(rss) and rss[0] > 0  # a high-water mark never falls
     for row in report["commands"]:
         assert row["ok"] and row["seconds"] > 0 and 0 < row["traced_peak_mb"] <= row["maxrss_mb"]
+        assert row["cpu_s"] > 0  # CPU seconds of the command alone, every thread's
 
 
 def test_tiny_consult_reports_each_kind_of_decode_step(tmp_path):
@@ -39,3 +40,4 @@ def test_tiny_consult_reports_each_kind_of_decode_step(tmp_path):
     for row in steps.values():
         assert row["calls"] > 0 and row["rows"] > 0 and row["traced_peak_kb"] > 0
     assert 0 < report["setup_maxrss_mb"] <= report["maxrss_mb"]  # a high-water mark never falls
+    assert report["cpu_s"] > 0  # CPU seconds of the answers

@@ -6,12 +6,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 BENCHMARK = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_tiny_pair_of_head_against_itself(tmp_path):
@@ -25,6 +27,11 @@ def test_tiny_pair_of_head_against_itself(tmp_path):
     assert report["base"]["commit"] == report["change"]["commit"] and len(report["base"]["commit"]) == 40
     assert report["base"]["src_medkit_lines"] == report["change"]["src_medkit_lines"] > 0
     assert {"cpu", "python", "numpy", "scipy"} <= set(report["machine"])
+    # each side's BLAS settings: medkit pins one thread unless this environment chose
+    chosen = {k: os.environ.get(k) for k in BLAS_THREADS}
+    expected = chosen if any(v is not None for v in chosen.values()) else dict.fromkeys(BLAS_THREADS, "1")
+    assert report["base"]["blas_threads_env"] == report["change"]["blas_threads_env"] == expected
+    assert "blas_threads_env" not in report["machine"]
     assert report["settings"]["pairs"] == 1 and report["settings"]["tiny"] is True
     assert [(r["workload"], r["seed"]) for r in report["results"]] == [(w["name"], 0) for w in BENCHMARK["workloads"]]
     names = [m["name"] for m in BENCHMARK["end_to_end"]]

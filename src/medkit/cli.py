@@ -213,17 +213,17 @@ def _skip_rejects(path, rejects, out: Path | None, name: str) -> None:
         corpus_mod.write_jsonl(out / name, map(asdict, rejects))
 
 
-def _samples(args, out: Path | None) -> list[corpus_mod.DialogueSample]:
-    """The samples of the --in corpus; its malformed lines go through _skip_rejects into rejects.jsonl."""
+def _ingest(args, out: Path | None) -> corpus_mod.IngestResult:
+    """The --in corpus; its malformed lines go through _skip_rejects into rejects.jsonl."""
     result = corpus_mod.ingest(args.inp)
     _skip_rejects(args.inp, result.rejects, out, "rejects.jsonl")
-    return result.samples
+    return result
 
 
 def _read_texts(args, out: Path) -> list[str]:
     """Plain text (one per line) or corpus JSONL (questions plus answers)."""
     if Path(args.inp).suffix == ".jsonl":
-        return [text for s in _samples(args, out) for text in ([s.question, s.answer] if s.answer else [s.question])]
+        return [text for s in _ingest(args, out).samples for text in ([s.question, s.answer] if s.answer else [s.question])]
     return [line for line in corpus_mod.read_lines(args.inp) if line.strip()]
 
 
@@ -399,7 +399,7 @@ def cmd_clean(args) -> int:
 
 def cmd_split(args) -> int:
     cfg, out = _start(args)
-    train, test = corpus_mod.split(_samples(args, out), cfg.test_fraction, cfg.seed, granularity=cfg.granularity)
+    train, test = corpus_mod.split(_ingest(args, out).samples, cfg.test_fraction, cfg.seed, granularity=cfg.granularity)
     corpus_mod.write_jsonl(out / "train.jsonl", (s.to_json() for s in train))
     corpus_mod.write_jsonl(out / "test.jsonl", (s.to_json() for s in test))
     print(f"train {len(train)} test {len(test)}")
@@ -411,7 +411,7 @@ def cmd_small_sample(args) -> int:
     threshold = args.threshold
     if threshold is not None and not math.isfinite(threshold):
         raise CliError(f"--threshold must be a finite number, got {threshold}")
-    samples = _samples(args, out)
+    samples = _ingest(args, out).samples
     if threshold is None:
         threshold = corpus_mod.default_small_sample_threshold(samples, cfg.granularity)
     subset, categories = corpus_mod.make_small_sample(samples, threshold, granularity=cfg.granularity)
@@ -435,7 +435,7 @@ def cmd_pretrain_encoder(args) -> int:
 
 def cmd_train_triage(args) -> int:
     cfg, out = _start(args)
-    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
+    pairs = _labeled_pairs(_ingest(args, out).samples, cfg.granularity)
     label_map = {label: i for i, label in enumerate(sorted({label for _, label in pairs}))}
     encoder, vocab = _base_model(cfg, "encoder", args.encoder_ckpt, [q for q, _ in pairs])
     config = triage_mod.TriageConfig(
@@ -471,7 +471,7 @@ def cmd_eval_triage(args) -> int:
     ids = list(label_map.values())
     if any(type(i) is not int for i in ids) or sorted(ids) != list(range(head.config.num_classes)):
         raise CliError(f"{label_map_path} must map labels to the distinct ints 0..{head.config.num_classes - 1}")
-    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
+    pairs = _labeled_pairs(_ingest(args, out).samples, cfg.granularity)
     known = [(q, label) for q, label in pairs if label in label_map]
     sequences = [tok_mod.encode(q, vocab, encoder.config.max_len, mode="encoder") for q, _ in known]
     preds = triage_mod.predict_labels(encoder, head, sequences, cfg.batch_size)
@@ -488,7 +488,7 @@ def _read_surfaces(path) -> dict[str, str]:
 
 def cmd_train_prompt(args) -> int:
     cfg, out = _start(args)
-    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
+    pairs = _labeled_pairs(_ingest(args, out).samples, cfg.granularity)
     # with no --verbalizer, label strings verbalize themselves
     surfaces = _read_surfaces(args.verbalizer) if args.verbalizer else {label: label for _, label in pairs}
     texts = [q for q, _ in pairs] + [label for _, label in pairs] + [cfg.prompt_prefix, cfg.prompt_suffix.replace("{}", "")]
@@ -514,7 +514,7 @@ def cmd_eval_prompt(args) -> int:
     encoder, vocab, meta = _load_bundle(args.ckpt, "encoder")
     template = _config(prompt_mod.PromptTemplate, meta, "template", _meta_path(args.ckpt))
     verbalizer = prompt_mod.Verbalizer.from_surfaces(_read_surfaces(Path(args.ckpt).parent / "verbalizer.json"), vocab)
-    pairs = _labeled_pairs(_samples(args, out), cfg.granularity)
+    pairs = _labeled_pairs(_ingest(args, out).samples, cfg.granularity)
     known = [(q, label) for q, label in pairs if label in verbalizer.label_tokens]
     preds, gold = [], []
     label_ids = {label: i for i, label in enumerate(verbalizer.labels)}
@@ -539,7 +539,9 @@ def cmd_pretrain_lm(args) -> int:
 
 def cmd_train_gen(args) -> int:
     cfg, out = _start(args)
-    qa_pairs = [(s.question, s.answer) for s in _samples(args, out) if s.answer]
+    corpus = _ingest(args, out)
+    answered = [(line, s) for line, s in zip(corpus.lines, corpus.samples) if s.answer]
+    qa_pairs = [(s.question, s.answer) for _, s in answered]
     if not qa_pairs:
         raise CliError("no question/answer pairs in the input")
     graph = _graph(args, cfg, out)
@@ -553,14 +555,16 @@ def cmd_train_gen(args) -> int:
     history = gen_mod.finetune_qa(
         decoder, qa_pairs, graph, vocab, TrainConfig(cfg.lm_finetune_epochs, cfg.lm_lr, cfg.batch_size, cfg.seed), cfg.supplement_max_chars
     )
-    skipped = sum(record["record"] == "skipped_pair" for record in history.records)
+    skipped = [record for record in history.records if record["record"] == "skipped_pair"]
+    for record in skipped:
+        record["line"] = answered[record["pair"]][0]  # pair indexes the answered samples; line finds it in --in
     return _finish(
         out, "train.log.csv", history, "fine-tuning", ("gen", "decoder", {"decoder": decoder}, vocab),
-        f"fine-tuned generator on {len(qa_pairs) - skipped} pairs ({skipped} skipped)",
+        f"fine-tuned generator on {len(qa_pairs) - len(skipped)} pairs ({len(skipped)} skipped)",
         supplement_max_chars=cfg.supplement_max_chars,
         uses_input_supplement=graph is not None,
         knowledge_base="pretrained" if lm_ckpt else "fresh",
-        skipped_pairs=skipped,
+        skipped_pairs=len(skipped),
     )
 
 
@@ -583,7 +587,7 @@ def cmd_eval_gen(args) -> int:
     graph = _graph(args, cfg, out)
     rows = []
     refs = []
-    for s in _samples(args, out):
+    for s in _ingest(args, out).samples:
         rows.append(_answer(cfg, decoder, vocab, meta, graph, s.question))
         refs.append(s.answer or "")
     corpus_mod.write_jsonl(out / "generations.jsonl", rows)

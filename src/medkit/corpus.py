@@ -53,6 +53,7 @@ class Reject:
 class IngestResult:
     samples: list[DialogueSample]
     rejects: list[Reject] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)  # the 1-based line of each sample
 
 
 def _parse_sample(obj: dict) -> DialogueSample:
@@ -92,34 +93,37 @@ def read_lines(path) -> list[str]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_jsonl(path, parse) -> tuple[list, list[Reject]]:
-    """`parse` of the JSON value of each non-empty line of `path`, and a Reject
+def read_jsonl(path, parse) -> tuple[list, list[Reject], list[int]]:
+    """`parse` of the JSON value of each non-empty line of `path`, a Reject
     for each line that is not JSON (or nests too deeply for the decoder) or
-    that `parse` refuses (ValueError, KeyError or TypeError).
+    that `parse` refuses (ValueError, KeyError or TypeError), and the 1-based
+    line number of each value.
 
     Raises CorpusFormatError when more than half of the non-empty lines are
     malformed (the file is probably not in this format at all).
     """
     values: list = []
     rejects: list[Reject] = []
+    value_lines: list[int] = []
     lines = [(lineno, line) for lineno, line in enumerate(read_lines(path), start=1) if line.strip()]
     for lineno, line in lines:
         try:
             values.append(parse(json.loads(line)))
+            value_lines.append(lineno)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             rejects.append(Reject(lineno, str(exc)))
     if len(rejects) * 2 > len(lines):
         raise CorpusFormatError(f"{len(rejects)} of {len(lines)} lines malformed in {path}")
-    return values, rejects
+    return values, rejects, value_lines
 
 
 def ingest(path) -> IngestResult:
     """Parse a JSONL corpus file (read_jsonl); malformed lines land in the
     rejects report."""
-    samples, rejects = read_jsonl(path, _parse_sample)
+    samples, rejects, lines = read_jsonl(path, _parse_sample)
     if not samples and not rejects:
         log.warning("ingest: %s is empty", path)
-    return IngestResult(samples, rejects)
+    return IngestResult(samples, rejects, lines)
 
 
 @dataclass

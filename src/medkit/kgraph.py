@@ -48,7 +48,7 @@ def load_triples(path) -> tuple[KnowledgeGraph, list[Reject]]:
     of the non-empty lines are malformed (corpus.read_jsonl).
     """
     graph: KnowledgeGraph = {}
-    triples, rejects = read_jsonl(path, _parse_triple)
+    triples, rejects, _ = read_jsonl(path, _parse_triple)
     for triple in dict.fromkeys(triples):  # the first of each duplicate, in file order
         graph.setdefault(triple.head, []).append(triple)
     if not graph:

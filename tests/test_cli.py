@@ -579,6 +579,21 @@ def test_generator_pipeline_and_chat(tmp_path, corpus_file, capsys, monkeypatch)
     assert lines[1].startswith("answer:")
 
 
+def test_train_gen_skipped_pair_names_its_input_line(tmp_path, capsys):
+    """`pair` counts only the answered samples; `line` is the pair's line in --in."""
+    corpus = write_corpus(tmp_path / "corpus.jsonl", [
+        {"question": "头痛好几天了怎么办", "answer": ""},
+        {"question": "发烧要去医院吗", "answer": "建议多喝水"},
+        {"question": "咳嗽两周了一直没有好转", "answer": "建议拍片检查并且注意保暖" * 3},
+    ])
+    out = tmp_path / "gen"
+    assert run(["train-gen", "--in", corpus, "--out", out] + TINY + ["--set", "context_window=32"]) == EXIT_OK
+    assert "(1 skipped)" in capsys.readouterr().out
+    records = [json.loads(line) for line in (out / "run.jsonl").read_text(encoding="utf-8").splitlines()]
+    (skipped,) = [r for r in records if r["record"] == "skipped_pair"]
+    assert (skipped["pair"], skipped["line"]) == (1, 3) and skipped["tokens"] > 32
+
+
 def test_chat_under_no_input_supplement_reads_no_graph(capsys, monkeypatch):
     argv = ["chat", "--ckpt", FIXTURES / "decoder" / "gen.ckpt", "--graph", fixture_graph_path()]
     for extra, supplemented in [([], True), (["--set", "no_input_supplement=true"], False)]:
