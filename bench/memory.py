@@ -22,9 +22,10 @@ cache: the whole prompt), a window slide (a cache the sliding window has
 shifted: the whole window again) or a warm step (the rows after a cached
 prefix). For each kind it prints the number of calls and the rows and traced
 peak of its largest call (the first of equals), then ``ru_maxrss`` after
-set-up and after the answers, and the CPU seconds of the answers. Tracing
-only inside the calls keeps tracemalloc's own memory out of ``ru_maxrss``
-between them.
+set-up and after the answers, and the CPU seconds of the answers (every
+thread's, tracemalloc's cost in the traced calls included). Tracing only
+inside the calls keeps tracemalloc's own memory out of ``ru_maxrss`` between
+them.
 
 Standard library only.
 """

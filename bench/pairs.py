@@ -19,8 +19,8 @@ whether a gain is shown (at least nine tenths of the pairs won, and the
 median gain larger than the base's interquartile range). It also writes
 both commits, their ``src/medkit`` line counts and BLAS thread settings
 (as each side's perfbench run saw them, after importing medkit), and
-perfbench's record of the machine. Standard library only; ``--tiny`` runs perfbench's tiny mode, for
-the schema test.
+perfbench's record of the machine. Standard library only; ``--tiny`` runs
+perfbench's tiny mode, for the schema test.
 """
 
 from __future__ import annotations
